@@ -35,18 +35,7 @@ from .graph import (
     symmetrize,
     symmetry_index,
 )
-from .ingest import (
-    CountryRegistry,
-    FlowFormat,
-    FlowRecord,
-    PanelDataset,
-    SizeRecord,
-    assemble_panel,
-    load_panel,
-    parse_flows,
-    parse_sizes,
-    save_panel,
-)
+from .ingest import CountryRegistry, PanelDataset, load_panel, save_panel
 from .pipeline import (
     ANALYSES,
     PipelineConfig,
@@ -76,8 +65,6 @@ __all__ = [
     "DataError",
     "DensityEstimate",
     "DirectedTradeNetwork",
-    "FlowFormat",
-    "FlowRecord",
     "MatrixDump",
     "MomentSummary",
     "NodeStatsTable",
@@ -85,7 +72,6 @@ __all__ = [
     "PipelineConfig",
     "RankSizeCurve",
     "ReportBundle",
-    "SizeRecord",
     "TailFit",
     "UndirectedNetwork",
     "ValidationError",
@@ -94,7 +80,6 @@ __all__ = [
     "WnetError",
     "annd",
     "anns",
-    "assemble_panel",
     "bcc",
     "build_directed",
     "compare_views",
@@ -108,8 +93,6 @@ __all__ = [
     "node_degree",
     "node_stats",
     "node_strength",
-    "parse_flows",
-    "parse_sizes",
     "pearson_with_ci",
     "rank_size",
     "run_pipeline",

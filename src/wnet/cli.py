@@ -23,6 +23,7 @@ from .graph import WeightScheme, WeightVariant, build_directed, save_matrix, sym
 from .ingest import load_panel
 from .pipeline import (
     ANALYSES,
+    VIEW_PAIRS,
     PipelineConfig,
     compare_views,
     comparison_csv,
@@ -89,7 +90,6 @@ _CONFIG_KEYS = {
     "ci_level",
     "tail_fraction",
     "bandwidth",
-    "jobs",
     "out",
     "strong_cut",
     "moderate_cut",
@@ -122,7 +122,6 @@ def _add_input_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--threshold", help="minimum flow for link existence (default 0)")
     parser.add_argument("--years", help="year selection: A:B inclusive, Y, or Y1,Y2,...")
-    parser.add_argument("--jobs", help="max years processed concurrently (default 1)")
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--config", help="key = value config file; flags override it")
 
@@ -196,16 +195,6 @@ def _float_arg(args: argparse.Namespace, name: str, default: float) -> float:
         raise ValidationError(f"--{name.replace('_', '-')}: bad number {value!r}") from None
 
 
-def _int_arg(args: argparse.Namespace, name: str, default: int) -> int:
-    value = getattr(args, name, None)
-    if value is None:
-        return default
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"--{name.replace('_', '-')}: bad integer {value!r}") from None
-
-
 def _pipeline_config(args: argparse.Namespace, analyses: frozenset[str]) -> PipelineConfig:
     scheme = WeightScheme(
         WeightVariant.from_name(getattr(args, "scheme", None) or "exporter-gdp"),
@@ -223,7 +212,6 @@ def _pipeline_config(args: argparse.Namespace, analyses: frozenset[str]) -> Pipe
         ci_level=_float_arg(args, "ci_level", 0.90),
         tail_fraction=_float_arg(args, "tail_fraction", 0.05),
         bandwidth=None if bandwidth is None else _float_arg(args, "bandwidth", 0.0),
-        jobs=_int_arg(args, "jobs", 1),
         strong_cut=_float_arg(args, "strong_cut", 0.7),
         moderate_cut=_float_arg(args, "moderate_cut", 0.3),
     )
@@ -279,7 +267,7 @@ def _print_comparison(rows: list[dict]) -> None:
 def _cmd_report(args: argparse.Namespace) -> int:
     out_dir = Path(_require(args, "out"))
     series = {}
-    needed = {pair for roles in (("ND-ANND", "BCC-ND"), ("NS-ANNS", "WCC-NS")) for pair in roles}
+    needed = {pair for roles in VIEW_PAIRS.values() for pair in roles.values()}
     for pair in SUPPORTED_PAIRS:
         path = out_dir / pair_filename(pair)
         if path.exists():

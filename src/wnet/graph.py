@@ -8,7 +8,9 @@ averages the two directed weights, and rescales the whole matrix by its
 maximum entry so weights live in [0, 1].
 
 Matrices are dense: the reference use case is ~160 nodes with average
-degree near 90, so sparse storage buys nothing.
+degree near 90, so sparse storage buys nothing.  A year's flow matrix is
+filled by one scatter from that year's slice of the panel's flow columns,
+and the GDP divisor is that year's row of the panel's GDP matrix.
 """
 
 from __future__ import annotations
@@ -105,9 +107,12 @@ def build_directed(
 
     registry = panel.registry
     n = len(registry)
+    rows = slice(
+        np.searchsorted(panel.flow_year, year),
+        np.searchsorted(panel.flow_year, year, side="right"),
+    )
     flows = np.zeros((n, n))
-    for rec in panel.flows_for(year):
-        flows[registry.position(rec.exporter), registry.position(rec.importer)] = rec.value
+    flows[panel.exporter[rows], panel.importer[rows]] = panel.value[rows]
 
     adjacency = (flows > scheme.threshold).astype(np.int64)
     if adjacency.sum() == 0:
@@ -116,9 +121,7 @@ def build_directed(
     if scheme.variant is WeightVariant.RAW:
         weights = np.where(adjacency == 1, flows, 0.0)
     else:
-        gdp = np.full(n, np.nan)
-        for code, value in panel.gdp_for(year).items():
-            gdp[registry.position(code)] = value
+        gdp = panel.gdp[panel.years.index(year)]
         if scheme.variant is WeightVariant.EXPORTER_GDP:
             needed = adjacency.any(axis=1)
         else:
@@ -212,7 +215,8 @@ def load_matrix(path: str | Path) -> MatrixDump:
         normalizer = float(fields["normalizer"])
     except (KeyError, ValueError) as exc:
         raise DataError(f"{path}: malformed matrix header: {exc}") from None
-    weights = np.array([[float(v) for v in line.split()] for line in lines[1:]])
-    if weights.ndim != 2 or weights.shape[0] != weights.shape[1]:
+    rows = [[float(v) for v in line.split()] for line in lines[1:]]
+    if not rows or any(len(row) != len(rows) for row in rows):
         raise DataError(f"{path}: matrix body is not square")
+    weights = np.array(rows)
     return MatrixDump(year, scheme_name, normalizer, weights)

@@ -1,10 +1,12 @@
-"""Ingestion of bilateral flow and GDP files into a validated panel.
+"""Ingestion of bilateral flow and GDP files into a columnar panel.
 
-Input files are header-labeled CSV (UTF-8, ``#`` comment lines skipped).
-Column order is free but names are fixed: ``year,exporter,importer,value``
-for flows and ``year,country,gdp`` for sizes.  Parsed records are assembled
-into an immutable :class:`PanelDataset` over a lexicographically sorted
-country registry, so the node indexing never depends on input row order.
+Input files are header-labeled CSV (UTF-8, comma-delimited, ``#`` comment
+lines and blank lines skipped).  Column order is free but names are fixed:
+``year,exporter,importer,value`` for flows and ``year,country,gdp`` for
+sizes.  One streaming reader serves both files: it checks every row and
+fills typed columns, turning country codes into integer ids as it reads, so
+no per-row object is kept.  The panel's registry is the sorted set of codes,
+so the node indexing never depends on input row order.
 """
 
 from __future__ import annotations
@@ -13,10 +15,13 @@ import csv
 import io
 import logging
 import math
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator
+
+import numpy as np
 
 from .errors import DataError
 
@@ -24,18 +29,6 @@ logger = logging.getLogger(__name__)
 
 FLOW_COLUMNS = ("year", "exporter", "importer", "value")
 SIZE_COLUMNS = ("year", "country", "gdp")
-
-
-@dataclass(frozen=True)
-class FlowFormat:
-    """Dialect of the delimited input files.
-
-    Defaults reproduce the canonical format: comma-delimited, ``#`` comments.
-    The same dialect is used for flow and size files.
-    """
-
-    delimiter: str = ","
-    comment: str = "#"
 
 
 @dataclass(frozen=True)
@@ -65,41 +58,13 @@ class CountryRegistry:
         return code in self.index
 
 
-@dataclass(frozen=True)
-class FlowRecord:
-    """One bilateral flow observation, value in current US dollars."""
-
-    year: int
-    exporter: str
-    importer: str
-    value: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.value):
-            raise DataError(f"non-finite flow value {self.value!r}")
-        if self.value < 0:
-            raise DataError(f"negative flow value {self.value!r}")
-        if self.exporter == self.importer:
-            raise DataError(f"self-flow for {self.exporter!r}")
-
-
-@dataclass(frozen=True)
-class SizeRecord:
-    """One country-year GDP observation, current US dollars."""
-
-    year: int
-    country: str
-    gdp: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.gdp) or self.gdp <= 0:
-            raise DataError(f"nonpositive GDP {self.gdp!r} for {self.country!r}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PanelDataset:
-    """Immutable per-year collections of flows and sizes over one registry.
+    """Flow columns and a GDP matrix over one registry.
 
+    Flows are sorted by (year, exporter, importer), with exporter and
+    importer as registry positions; zero-valued flows are kept.  ``gdp`` has
+    one row per entry of ``years``, NaN where a country has no GDP record.
     ``missing_gdp`` flags (year, exporter) pairs where a positive flow exists
     but no same-year GDP record does.  The gap is only fatal at network-build
     time, and only under a weighting scheme that divides by that GDP.
@@ -107,251 +72,179 @@ class PanelDataset:
 
     registry: CountryRegistry
     years: tuple[int, ...]
-    flows: dict[int, tuple[FlowRecord, ...]]
-    sizes: dict[int, tuple[SizeRecord, ...]]
-    missing_gdp: tuple[tuple[int, str], ...] = field(default=())
-
-    def flows_for(self, year: int) -> tuple[FlowRecord, ...]:
-        return self.flows.get(year, ())
-
-    def gdp_for(self, year: int) -> dict[str, float]:
-        return {rec.country: rec.gdp for rec in self.sizes.get(year, ())}
+    flow_year: np.ndarray
+    exporter: np.ndarray
+    importer: np.ndarray
+    value: np.ndarray
+    gdp: np.ndarray
+    missing_gdp: tuple[tuple[int, str], ...] = ()
 
 
-def _text_lines(source: str | Path | bytes | IO) -> Iterator[str]:
-    """Yield decoded text lines from a path, raw bytes, or an open stream."""
+def _lines(source: str | Path | bytes | IO) -> Iterator[str]:
+    """Yield the text lines of a path, raw bytes or open stream.
+
+    Comment and blank lines come out empty, so the CSV reader skips them but
+    still counts them.  Bytes that are not UTF-8 decode to lone surrogates,
+    so the line they are on can be named; a strict decoder fails on a whole
+    buffered chunk, which may start many lines earlier.
+    """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            yield from fh
-    elif isinstance(source, (bytes, bytearray)):
-        yield from io.StringIO(source.decode("utf-8"))
-    else:
-        raw = source.read()
-        if isinstance(raw, bytes):
-            raw = raw.decode("utf-8")
-        yield from io.StringIO(raw)
-
-
-def _iter_rows(
-    source: str | Path | bytes | IO, fmt: FlowFormat
-) -> Iterator[tuple[int, list[str]]]:
-    """Yield (line number, fields) for data rows, skipping comments/blanks."""
-    for lineno, line in enumerate(_text_lines(source), start=1):
+        with open(source, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+            yield from _lines(fh)
+        return
+    for lineno, line in enumerate(
+        io.BytesIO(source) if isinstance(source, (bytes, bytearray)) else source, start=1
+    ):
+        if isinstance(line, bytes):
+            line = line.decode("utf-8", "surrogateescape")
+        if not line.isascii():
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise DataError(f"line {lineno}: not valid UTF-8") from None
         stripped = line.strip()
-        if not stripped or stripped.startswith(fmt.comment):
-            continue
-        fields = next(csv.reader([line], delimiter=fmt.delimiter))
-        yield lineno, [f.strip() for f in fields]
+        yield line if stripped and not stripped.startswith("#") else ""
 
 
-def _header_positions(
-    lineno: int, fields: list[str], expected: tuple[str, ...]
-) -> dict[str, int]:
-    names = [f.lower() for f in fields]
-    if sorted(names) != sorted(expected):
-        raise DataError(
-            f"line {lineno}: header must name exactly {','.join(expected)}; "
-            f"got {','.join(names)}"
-        )
-    return {name: i for i, name in enumerate(names)}
+def _flow_problem(value: float, codes: list[str]) -> str | None:
+    if value < 0:
+        return f"negative flow value {value!r}"
+    return f"self-flow for {codes[0]!r}" if codes[0] == codes[1] else None
 
 
-def _parse_int(lineno: int, text: str, what: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise DataError(f"line {lineno}: bad {what} {text!r}") from None
+def _size_problem(value: float, codes: list[str]) -> str | None:
+    return f"nonpositive GDP {value!r} for {codes[0]!r}" if value <= 0 else None
 
 
-def _parse_float(lineno: int, text: str, what: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise DataError(f"line {lineno}: bad {what} {text!r}") from None
-    if not math.isfinite(value):
-        raise DataError(f"line {lineno}: bad {what} {text!r}")
-    return value
+def _read_table(
+    source: str | Path | bytes | IO,
+    columns: tuple[str, ...],
+    ids: dict[str, int],
+    problem: Callable[[float, list[str]], str | None],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Read one file into (year, country ids, value, line number) columns.
 
-
-def parse_flows(
-    source: str | Path | bytes | IO, fmt: FlowFormat = FlowFormat()
-) -> list[FlowRecord]:
-    """Parse a flow file into records, preserving row order.
-
-    Raises DataError with the offending line number for malformed rows,
-    negative values, self-flows, and duplicate (year, exporter, importer)
-    keys.
+    ``columns`` lists the year, the country-code columns and the value.
+    Codes get ids from ``ids`` in order of first appearance.  A bad header or
+    row raises DataError with its line number; ``problem`` names the defects
+    particular to one file.
     """
-    rows = _iter_rows(source, fmt)
+    rows = csv.reader(_lines(source))
     try:
-        lineno, header = next(rows)
-    except StopIteration:
-        raise DataError("flow input is empty") from None
-    pos = _header_positions(lineno, header, FLOW_COLUMNS)
-
-    records: list[FlowRecord] = []
-    seen: set[tuple[int, str, str]] = set()
-    for lineno, fields in rows:
-        if len(fields) != len(FLOW_COLUMNS):
+        header = next((fields for fields in rows if fields), None)
+        if header is None:
+            raise DataError(f"{'flow' if columns == FLOW_COLUMNS else 'size'} input is empty")
+        names = [f.strip().lower() for f in header]
+        if sorted(names) != sorted(columns):
             raise DataError(
-                f"line {lineno}: expected {len(FLOW_COLUMNS)} fields, got {len(fields)}"
+                f"line {rows.line_num}: header must name exactly {','.join(columns)}; "
+                f"got {','.join(names)}"
             )
-        year = _parse_int(lineno, fields[pos["year"]], "year")
-        exporter = fields[pos["exporter"]]
-        importer = fields[pos["importer"]]
-        if not exporter or not importer:
-            raise DataError(f"line {lineno}: empty country identifier")
-        value = _parse_float(lineno, fields[pos["value"]], "value")
-        try:
-            record = FlowRecord(year, exporter, importer, value)
-        except DataError as exc:
-            raise DataError(f"line {lineno}: {exc}") from None
-        key = (year, exporter, importer)
-        if key in seen:
-            raise DataError(f"line {lineno}: duplicate flow {key}")
-        seen.add(key)
-        records.append(record)
-    return records
+        at_year, *at_codes, at_value = (names.index(c) for c in columns)
+        years, country_ids, values, line = array("q"), array("q"), array("d"), array("q")
+        for fields in rows:
+            if not fields:
+                continue
+            lineno = rows.line_num
+            if len(fields) != len(columns):
+                raise DataError(
+                    f"line {lineno}: expected {len(columns)} fields, got {len(fields)}"
+                )
+            try:
+                years.append(int(fields[at_year]))
+            except (ValueError, OverflowError):
+                raise DataError(f"line {lineno}: bad year {fields[at_year].strip()!r}") from None
+            codes = [fields[i].strip() for i in at_codes]
+            if not all(codes):
+                raise DataError(f"line {lineno}: empty country identifier")
+            try:
+                value = float(fields[at_value])
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise DataError(f"line {lineno}: bad {columns[-1]} {fields[at_value].strip()!r}")
+            defect = problem(value, codes)
+            if defect:
+                raise DataError(f"line {lineno}: {defect}")
+            country_ids.extend([ids.setdefault(code, len(ids)) for code in codes])
+            values.append(value)
+            line.append(lineno)
+    except csv.Error as exc:
+        raise DataError(f"line {rows.line_num}: {exc}") from None
+    ids_by_row = np.array(country_ids).reshape(-1, len(at_codes))
+    return np.array(years), ids_by_row, np.array(values), np.array(line)
 
 
-def parse_sizes(
-    source: str | Path | bytes | IO, fmt: FlowFormat = FlowFormat()
-) -> list[SizeRecord]:
-    """Parse a GDP file into records; same error reporting as parse_flows."""
-    rows = _iter_rows(source, fmt)
-    try:
-        lineno, header = next(rows)
-    except StopIteration:
-        raise DataError("size input is empty") from None
-    pos = _header_positions(lineno, header, SIZE_COLUMNS)
+def _key_order(
+    what: str, codes: tuple[str, ...], line: np.ndarray, year: np.ndarray, *countries: np.ndarray
+) -> np.ndarray:
+    """Stable order sorting rows by (year, *countries); reject duplicate keys.
 
-    records: list[SizeRecord] = []
-    seen: set[tuple[int, str]] = set()
-    for lineno, fields in rows:
-        if len(fields) != len(SIZE_COLUMNS):
-            raise DataError(
-                f"line {lineno}: expected {len(SIZE_COLUMNS)} fields, got {len(fields)}"
-            )
-        year = _parse_int(lineno, fields[pos["year"]], "year")
-        country = fields[pos["country"]]
-        if not country:
-            raise DataError(f"line {lineno}: empty country identifier")
-        gdp = _parse_float(lineno, fields[pos["gdp"]], "gdp")
-        try:
-            record = SizeRecord(year, country, gdp)
-        except DataError as exc:
-            raise DataError(f"line {lineno}: {exc}") from None
-        key = (year, country)
-        if key in seen:
-            raise DataError(f"line {lineno}: duplicate size record {key}")
-        seen.add(key)
-        records.append(record)
-    return records
+    The one duplicate check of the ingest: it reports the later row of the
+    first duplicate pair in file order.
+    """
+    order = np.lexsort((*reversed(countries), year))
+    keys = [col[order] for col in (year, *countries)]
+    same = np.logical_and.reduce([k[1:] == k[:-1] for k in keys])
+    if same.any():
+        row = int(order[1:][same].min())
+        key = (int(year[row]), *(codes[c[row]] for c in countries))
+        raise DataError(f"line {line[row]}: duplicate {what} {key}")
+    return order
 
 
-def assemble_panel(
-    flows: Iterable[FlowRecord], sizes: Iterable[SizeRecord]
+def load_panel(
+    flows: str | Path | bytes | IO, sizes: str | Path | bytes | IO | None = None
 ) -> PanelDataset:
-    """Assemble parsed records into a canonical PanelDataset.
+    """Read a flow file and an optional size file into a panel.
 
-    The registry is the sorted union of every country seen anywhere; years
-    are sorted ascending; per-year records are stored in (exporter, importer)
-    and (country,) order so equal datasets compare equal regardless of the
-    order records arrived in.
+    Each source is a path, raw bytes, or an open text or binary stream.  The
+    registry and ``years`` are the sorted unions over both files.
     """
-    flows = list(flows)
-    sizes = list(sizes)
-    if not flows:
+    ids: dict[str, int] = {}
+    f_year, f_ids, f_value, f_line = _read_table(flows, FLOW_COLUMNS, ids, _flow_problem)
+    if sizes is None:
+        sizes = ",".join(SIZE_COLUMNS).encode()
+    s_year, s_ids, s_value, s_line = _read_table(sizes, SIZE_COLUMNS, ids, _size_problem)
+    if not len(f_line):
         raise DataError("no flow records")
 
-    flow_keys: set[tuple[int, str, str]] = set()
-    for rec in flows:
-        key = (rec.year, rec.exporter, rec.importer)
-        if key in flow_keys:
-            raise DataError(f"duplicate flow {key}")
-        flow_keys.add(key)
-    size_keys: set[tuple[int, str]] = set()
-    for rec in sizes:
-        key = (rec.year, rec.country)
-        if key in size_keys:
-            raise DataError(f"duplicate size record {key}")
-        size_keys.add(key)
+    registry = CountryRegistry.from_codes(ids)
+    position = np.array([registry.index[code] for code in ids], dtype=np.int64)
+    exporter, importer = position[f_ids].T
+    country = position[s_ids[:, 0]]
+    order = _key_order("flow", registry.codes, f_line, f_year, exporter, importer)
+    _key_order("size record", registry.codes, s_line, s_year, country)
+    flow_year, value = f_year[order], f_value[order]
+    exporter, importer = exporter[order], importer[order]
 
-    countries = (
-        {r.exporter for r in flows}
-        | {r.importer for r in flows}
-        | {r.country for r in sizes}
-    )
-    registry = CountryRegistry.from_codes(countries)
-    years = tuple(sorted({r.year for r in flows} | {r.year for r in sizes}))
-
-    flow_groups: dict[int, list[FlowRecord]] = {}
-    for rec in flows:
-        flow_groups.setdefault(rec.year, []).append(rec)
-    flows_by_year = {
-        year: tuple(sorted(recs, key=lambda r: (r.exporter, r.importer)))
-        for year, recs in sorted(flow_groups.items())
-    }
-    size_groups: dict[int, list[SizeRecord]] = {}
-    for rec in sizes:
-        size_groups.setdefault(rec.year, []).append(rec)
-    sizes_by_year = {
-        year: tuple(sorted(recs, key=lambda r: r.country))
-        for year, recs in sorted(size_groups.items())
-    }
-
-    gaps: set[tuple[int, str]] = set()
-    for year, recs in flows_by_year.items():
-        with_gdp = {r.country for r in sizes_by_year.get(year, ())}
-        for rec in recs:
-            if rec.value > 0 and rec.exporter not in with_gdp:
-                gaps.add((year, rec.exporter))
-    if gaps:
+    all_years = np.unique(np.concatenate([f_year, s_year]))
+    gdp = np.full((len(all_years), len(registry)), np.nan)
+    gdp[np.searchsorted(all_years, s_year), country] = s_value
+    year_index = np.searchsorted(all_years, flow_year)
+    gap = (value > 0) & np.isnan(gdp[year_index, exporter])
+    missing = np.unique(np.stack([year_index[gap], exporter[gap]], axis=1), axis=0)
+    if len(missing):
         logger.warning(
-            "%d exporter-year pairs lack a GDP record (fatal only under "
-            "GDP-dividing schemes)",
-            len(gaps),
+            "%d exporter-year pairs lack a GDP record (fatal only under GDP-dividing schemes)",
+            len(missing),
         )
-
-    return PanelDataset(
-        registry=registry,
-        years=years,
-        flows=flows_by_year,
-        sizes=sizes_by_year,
-        missing_gdp=tuple(sorted(gaps)),
-    )
-
-
-def dump_flows(flows: Iterable[FlowRecord]) -> str:
-    """Serialize flow records to the canonical CSV text."""
-    lines = [",".join(FLOW_COLUMNS)]
-    for rec in flows:
-        lines.append(f"{rec.year},{rec.exporter},{rec.importer},{rec.value!r}")
-    return "\n".join(lines) + "\n"
-
-
-def dump_sizes(sizes: Iterable[SizeRecord]) -> str:
-    """Serialize size records to the canonical CSV text."""
-    lines = [",".join(SIZE_COLUMNS)]
-    for rec in sizes:
-        lines.append(f"{rec.year},{rec.country},{rec.gdp!r}")
-    return "\n".join(lines) + "\n"
+    years = tuple(all_years.tolist())
+    missing_gdp = tuple((years[t], registry.codes[c]) for t, c in missing.tolist())
+    return PanelDataset(registry, years, flow_year, exporter, importer, value, gdp, missing_gdp)
 
 
 def save_panel(panel: PanelDataset, flows_path: str | Path, sizes_path: str | Path) -> None:
     """Write a panel back to canonical flow/size CSV files (round-trip exact)."""
-    flow_recs = [r for year in panel.years for r in panel.flows_for(year)]
-    size_recs = [r for year in panel.years for r in panel.sizes.get(year, ())]
-    Path(flows_path).write_text(dump_flows(flow_recs), encoding="utf-8")
-    Path(sizes_path).write_text(dump_sizes(size_recs), encoding="utf-8")
-
-
-def load_panel(
-    flows_path: str | Path,
-    sizes_path: str | Path | None = None,
-    fmt: FlowFormat = FlowFormat(),
-) -> PanelDataset:
-    """Parse flow and (optional) size files and assemble the panel."""
-    flows = parse_flows(flows_path, fmt)
-    sizes = parse_sizes(sizes_path, fmt) if sizes_path is not None else []
-    return assemble_panel(flows, sizes)
+    codes = panel.registry.codes
+    with open(flows_path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(FLOW_COLUMNS) + "\n")
+        columns = (panel.flow_year, panel.exporter, panel.importer, panel.value)
+        for year, exporter, importer, value in zip(*(c.tolist() for c in columns)):
+            fh.write(f"{year},{codes[exporter]},{codes[importer]},{value!r}\n")
+    year_index, country = np.nonzero(~np.isnan(panel.gdp))
+    with open(sizes_path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(SIZE_COLUMNS) + "\n")
+        gdp = panel.gdp[year_index, country].tolist()
+        for t, c, value in zip(year_index.tolist(), country.tolist(), gdp):
+            fh.write(f"{panel.years[t]},{codes[c]},{value!r}\n")

@@ -2,8 +2,8 @@
 
 A run is deterministic: identical inputs and config produce byte-identical
 output files.  No timestamps are written; the manifest carries the config
-echo (minus the output directory and the jobs knob, which have no effect on
-data), the per-year normalizers, and a sha256 digest of every emitted file.
+echo (minus the output directory, which has no effect on data), the
+per-year normalizers, and a sha256 digest of every emitted file.
 Nothing is written until every year has been computed, so a failing year
 aborts the run without leaving a partial bundle; files already written when
 a later write fails are removed.
@@ -15,7 +15,6 @@ import csv
 import hashlib
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -61,7 +60,6 @@ class PipelineConfig:
     ci_level: float = 0.90
     tail_fraction: float = 0.05
     bandwidth: float | None = None
-    jobs: int = 1
     strong_cut: float = 0.7
     moderate_cut: float = 0.3
 
@@ -88,8 +86,6 @@ class PipelineConfig:
             )
         if self.bandwidth is not None and self.bandwidth <= 0:
             raise ValidationError(f"bandwidth must be positive, got {self.bandwidth!r}")
-        if self.jobs < 1:
-            raise ValidationError(f"jobs must be >= 1, got {self.jobs!r}")
         if not 0 <= self.moderate_cut <= self.strong_cut:
             raise ValidationError("need 0 <= moderate cut <= strong cut")
 
@@ -149,14 +145,6 @@ def _process_year(panel: PanelDataset, year: int, config: PipelineConfig) -> Yea
     sym = symmetry_index(directed) if "symmetry" in config.analyses else None
     net = symmetrize(directed)
     return YearResult(year, node_stats(net), net.normalizer, sym)
-
-
-def _compute_years(panel: PanelDataset, config: PipelineConfig) -> list[YearResult]:
-    years = sorted(config.years)
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            return list(pool.map(lambda y: _process_year(panel, y, config), years))
-    return [_process_year(panel, y, config) for y in years]
 
 
 @contextmanager
@@ -237,7 +225,7 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
     """
     config.validate()
     panel = load_panel(config.flows, config.gdp)
-    results = _compute_years(panel, config)
+    results = [_process_year(panel, year, config) for year in sorted(config.years)]
     tables = {r.year: r.table for r in results}
     years = sorted(tables)
 

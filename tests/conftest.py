@@ -3,14 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from wnet import (
-    CountryRegistry,
-    FlowRecord,
-    SizeRecord,
-    UndirectedNetwork,
-    WeightScheme,
-    assemble_panel,
-)
+from wnet import CountryRegistry, UndirectedNetwork, WeightScheme, load_panel
 
 
 def make_undirected(
@@ -46,6 +39,45 @@ def random_undirected(
     return make_undirected(w, year=year, normalize=False)
 
 
+def panel_from_rows(flows, sizes=()):
+    """Load a panel from (year, exporter, importer, value) and (year, country,
+    gdp) tuples, written out as the canonical CSV text."""
+    flow_text = "year,exporter,importer,value\n" + "".join(
+        f"{y},{a},{b},{v!r}\n" for y, a, b, v in flows
+    )
+    size_text = "year,country,gdp\n" + "".join(f"{y},{c},{g!r}\n" for y, c, g in sizes)
+    return load_panel(flow_text.encode(), size_text.encode())
+
+
+def flow_rows(panel):
+    """The panel's flows as (year, exporter, importer, value) tuples, in order."""
+    codes = panel.registry.codes
+    return [
+        (y, codes[a], codes[b], v)
+        for y, a, b, v in zip(
+            panel.flow_year.tolist(),
+            panel.exporter.tolist(),
+            panel.importer.tolist(),
+            panel.value.tolist(),
+        )
+    ]
+
+
+def size_rows(panel):
+    """The panel's GDP records as (year, country, gdp) tuples, in order."""
+    t, c = np.nonzero(~np.isnan(panel.gdp))
+    return [
+        (panel.years[i], panel.registry.codes[j], g)
+        for i, j, g in zip(t.tolist(), c.tolist(), panel.gdp[t, c].tolist())
+    ]
+
+
+def rescaled_panel(panel, factor: float):
+    """The same panel with every flow value multiplied by ``factor``."""
+    flows = [(y, a, b, v * factor) for y, a, b, v in flow_rows(panel)]
+    return panel_from_rows(flows, size_rows(panel))
+
+
 def random_panel(
     rng: np.random.Generator,
     n: int = 10,
@@ -61,12 +93,10 @@ def random_panel(
         for a in codes:
             for b in codes:
                 if a != b and rng.random() < p:
-                    flows.append(
-                        FlowRecord(year, a, b, float(np.exp(rng.normal(10, 2))) * scale)
-                    )
+                    flows.append((year, a, b, float(np.exp(rng.normal(10, 2))) * scale))
         for c in codes:
-            sizes.append(SizeRecord(year, c, float(np.exp(rng.normal(24, 1)))))
-    return assemble_panel(flows, sizes)
+            sizes.append((year, c, float(np.exp(rng.normal(24, 1)))))
+    return panel_from_rows(flows, sizes)
 
 
 def write_panel_csvs(tmp_path, n=60, years=(1999, 2000), seed=7, p=0.5):

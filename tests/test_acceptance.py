@@ -17,9 +17,7 @@ import numpy as np
 import pytest
 
 from wnet import (
-    FlowRecord,
     WeightScheme,
-    assemble_panel,
     build_directed,
     fit_tail,
     kde,
@@ -29,7 +27,13 @@ from wnet import (
 from wnet.cli import main as cli_main
 from wnet.stats import annd, anns, bcc, node_degree, node_stats, node_strength, wcc
 
-from conftest import make_undirected, random_panel, random_undirected, write_panel_csvs
+from conftest import (
+    make_undirected,
+    random_panel,
+    random_undirected,
+    rescaled_panel,
+    write_panel_csvs,
+)
 from oracles import (
     annd_oracle,
     anns_oracle,
@@ -92,14 +96,8 @@ def test_symmetrization_contract():
             assert und.weights.max() == 1.0
 
             factor = float(rng.uniform(0.001, 1000))
-            flows = [
-                FlowRecord(r.year, r.exporter, r.importer, r.value * factor)
-                for recs in panel.flows.values()
-                for r in recs
-            ]
-            sizes = [r for recs in panel.sizes.values() for r in recs]
             rescaled = symmetrize(
-                build_directed(assemble_panel(flows, sizes), 2000, WeightScheme())
+                build_directed(rescaled_panel(panel, factor), 2000, WeightScheme())
             )
             assert (rescaled.adjacency == und.adjacency).all()
             assert np.max(np.abs(rescaled.weights - und.weights)) <= 1e-12

@@ -135,15 +135,20 @@ def test_bad_scheme_choice_is_usage_error(toy_csvs, tmp_path):
     ) == 1
 
 
-def test_malformed_data_is_data_error(tmp_path):
+def test_malformed_data_is_data_error(tmp_path, capsys):
     bad = tmp_path / "flows.csv"
-    bad.write_text("year,exporter,importer,value\n2000,USA,CAN,-3\n", encoding="utf-8")
     gdp = tmp_path / "gdp.csv"
     gdp.write_text("year,country,gdp\n2000,USA,1\n2000,CAN,1\n", encoding="utf-8")
-    assert run_cli(
-        "stats", "--flows", str(bad), "--gdp", str(gdp),
-        "--years", "2000", "--out", str(tmp_path / "o"),
-    ) == 2
+    for body, message in (
+        (b"2000,USA,CAN,-3\n", "line 2: negative flow value"),
+        (b"2000,USA,CAN,5\n2000,CAN,\xffUSA,3\n", "line 3: not valid UTF-8"),
+    ):
+        bad.write_bytes(b"year,exporter,importer,value\n" + body)
+        assert run_cli(
+            "stats", "--flows", str(bad), "--gdp", str(gdp),
+            "--years", "2000", "--out", str(tmp_path / "o"),
+        ) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_missing_gdp_is_data_error(tmp_path):
@@ -214,10 +219,12 @@ ci-level = 0.90
     assert not (out2 / "stats_1999.csv").exists()
 
 
-def test_config_file_unknown_key(toy_csvs, tmp_path):
+def test_config_file_unknown_key(toy_csvs, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("bogus = 1\n", encoding="utf-8")
-    assert run_cli("stats", "--config", str(cfg)) == 1
+    for key in ("bogus", "jobs"):
+        cfg.write_text(f"{key} = 1\n", encoding="utf-8")
+        assert run_cli("stats", "--config", str(cfg)) == 1
+        assert f"unknown config keys: {key}" in capsys.readouterr().err
 
 
 def test_read_config_file_parsing(tmp_path):

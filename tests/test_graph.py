@@ -5,12 +5,9 @@ import pytest
 
 from wnet import (
     DataError,
-    FlowRecord,
-    SizeRecord,
     ValidationError,
     WeightScheme,
     WeightVariant,
-    assemble_panel,
     build_directed,
     dump_matrix,
     load_matrix,
@@ -19,19 +16,19 @@ from wnet import (
     symmetry_index,
 )
 
-from conftest import random_panel
+from conftest import panel_from_rows, random_panel, rescaled_panel
 from oracles import frobenius_oracle
 
 
 def panel_of(flows, sizes=None):
     if sizes is None:
-        countries = {f.exporter for f in flows} | {f.importer for f in flows}
-        sizes = [SizeRecord(flows[0].year, c, 1000.0) for c in sorted(countries)]
-    return assemble_panel(flows, sizes)
+        countries = {f[1] for f in flows} | {f[2] for f in flows}
+        sizes = [(flows[0][0], c, 1000.0) for c in sorted(countries)]
+    return panel_from_rows(flows, sizes)
 
 
 def test_build_exporter_gdp_weight():
-    panel = panel_of([FlowRecord(2000, "A", "B", 100.0)])
+    panel = panel_of([(2000, "A", "B", 100.0)])
     net = build_directed(panel, 2000, WeightScheme())
     i, j = panel.registry.position("A"), panel.registry.position("B")
     assert net.adjacency[i, j] == 1
@@ -40,9 +37,9 @@ def test_build_exporter_gdp_weight():
 
 
 def test_build_importer_gdp_and_raw():
-    flows = [FlowRecord(2000, "A", "B", 100.0)]
-    sizes = [SizeRecord(2000, "A", 1000.0), SizeRecord(2000, "B", 500.0)]
-    panel = assemble_panel(flows, sizes)
+    flows = [(2000, "A", "B", 100.0)]
+    sizes = [(2000, "A", 1000.0), (2000, "B", 500.0)]
+    panel = panel_from_rows(flows, sizes)
     i, j = panel.registry.position("A"), panel.registry.position("B")
     importer = build_directed(panel, 2000, WeightScheme(WeightVariant.IMPORTER_GDP))
     assert importer.weights[i, j] == pytest.approx(0.2)
@@ -51,7 +48,7 @@ def test_build_importer_gdp_and_raw():
 
 
 def test_build_zero_flow_makes_no_link():
-    panel = panel_of([FlowRecord(2000, "A", "B", 0.0), FlowRecord(2000, "B", "A", 5.0)])
+    panel = panel_of([(2000, "A", "B", 0.0), (2000, "B", "A", 5.0)])
     net = build_directed(panel, 2000, WeightScheme())
     i, j = panel.registry.position("A"), panel.registry.position("B")
     assert net.adjacency[i, j] == 0 and net.weights[i, j] == 0
@@ -59,7 +56,7 @@ def test_build_zero_flow_makes_no_link():
 
 
 def test_build_threshold_is_strict():
-    flows = [FlowRecord(2000, "A", "B", 5.0), FlowRecord(2000, "B", "A", 50.0)]
+    flows = [(2000, "A", "B", 5.0), (2000, "B", "A", 50.0)]
     panel = panel_of(flows)
     net = build_directed(panel, 2000, WeightScheme(threshold=10.0))
     i, j = panel.registry.position("A"), panel.registry.position("B")
@@ -70,7 +67,7 @@ def test_build_threshold_is_strict():
 
 
 def test_build_errors():
-    panel = panel_of([FlowRecord(2000, "A", "B", 5.0)])
+    panel = panel_of([(2000, "A", "B", 5.0)])
     with pytest.raises(DataError, match="year 1999"):
         build_directed(panel, 1999, WeightScheme())
     with pytest.raises(DataError, match="threshold"):
@@ -78,8 +75,8 @@ def test_build_errors():
 
 
 def test_build_missing_gdp_names_country():
-    flows = [FlowRecord(2000, "A", "B", 5.0), FlowRecord(2000, "B", "A", 5.0)]
-    panel = assemble_panel(flows, [SizeRecord(2000, "A", 1000.0)])
+    flows = [(2000, "A", "B", 5.0), (2000, "B", "A", 5.0)]
+    panel = panel_from_rows(flows, [(2000, "A", 1000.0)])
     with pytest.raises(DataError, match="exporter-gdp missing for B"):
         build_directed(panel, 2000, WeightScheme())
     with pytest.raises(DataError, match="importer-gdp missing for B"):
@@ -89,8 +86,8 @@ def test_build_missing_gdp_names_country():
 
 def test_missing_gdp_only_fatal_if_divided_by():
     # B only imports: exporter-GDP never divides by B's GDP.
-    flows = [FlowRecord(2000, "A", "B", 5.0)]
-    panel = assemble_panel(flows, [SizeRecord(2000, "A", 1000.0)])
+    flows = [(2000, "A", "B", 5.0)]
+    panel = panel_from_rows(flows, [(2000, "A", 1000.0)])
     net = build_directed(panel, 2000, WeightScheme())
     assert net.n_links == 1
     with pytest.raises(DataError, match="B"):
@@ -103,7 +100,7 @@ def test_negative_threshold_rejected():
 
 
 def test_symmetrize_single_one_way_link():
-    panel = panel_of([FlowRecord(2000, "A", "B", 200.0)])
+    panel = panel_of([(2000, "A", "B", 200.0)])
     net = build_directed(panel, 2000, WeightScheme())  # w~_AB = 0.2
     und = symmetrize(net)
     i, j = panel.registry.position("A"), panel.registry.position("B")
@@ -114,7 +111,7 @@ def test_symmetrize_single_one_way_link():
 
 def test_symmetrize_link_union():
     # a~_AB = 1, a~_BA = 0 still yields an undirected link both ways.
-    flows = [FlowRecord(2000, "A", "B", 5.0), FlowRecord(2000, "A", "C", 1.0)]
+    flows = [(2000, "A", "B", 5.0), (2000, "A", "C", 1.0)]
     panel = panel_of(flows)
     und = symmetrize(build_directed(panel, 2000, WeightScheme()))
     assert (und.adjacency == und.adjacency.T).all()
@@ -146,13 +143,7 @@ def test_scale_invariance(rng):
     panel = random_panel(rng, n=8, p=0.5)
     base = symmetrize(build_directed(panel, 2000, WeightScheme()))
     factor = 137.5
-    flows = [
-        FlowRecord(r.year, r.exporter, r.importer, r.value * factor)
-        for recs in panel.flows.values()
-        for r in recs
-    ]
-    sizes = [r for recs in panel.sizes.values() for r in recs]
-    rescaled = symmetrize(build_directed(assemble_panel(flows, sizes), 2000, WeightScheme()))
+    rescaled = symmetrize(build_directed(rescaled_panel(panel, factor), 2000, WeightScheme()))
     assert (base.adjacency == rescaled.adjacency).all()
     assert np.allclose(base.weights, rescaled.weights, rtol=0, atol=1e-12)
     assert rescaled.normalizer == pytest.approx(base.normalizer * factor)
@@ -171,21 +162,21 @@ def test_threshold_monotonicity(rng):
 
 
 def test_symmetry_index_symmetric_zero():
-    flows = [FlowRecord(2000, "A", "B", 7.0), FlowRecord(2000, "B", "A", 7.0)]
+    flows = [(2000, "A", "B", 7.0), (2000, "B", "A", 7.0)]
     panel = panel_of(flows)
     net = build_directed(panel, 2000, WeightScheme(WeightVariant.RAW))
     assert symmetry_index(net) == 0.0
 
 
 def test_symmetry_index_one_way_is_one():
-    panel = panel_of([FlowRecord(2000, "A", "B", 7.0)])
+    panel = panel_of([(2000, "A", "B", 7.0)])
     net = build_directed(panel, 2000, WeightScheme(WeightVariant.RAW))
     assert symmetry_index(net) == pytest.approx(1.0)
 
 
 def test_symmetry_index_three_to_one_ratio():
     # w~_AB = 3, w~_BA = 1: hand-computed Frobenius ratio is 0.5.
-    flows = [FlowRecord(2000, "A", "B", 3.0), FlowRecord(2000, "B", "A", 1.0)]
+    flows = [(2000, "A", "B", 3.0), (2000, "B", "A", 1.0)]
     panel = panel_of(flows)
     net = build_directed(panel, 2000, WeightScheme(WeightVariant.RAW))
     expected = frobenius_oracle(net.weights - net.weights.T) / frobenius_oracle(
@@ -208,14 +199,8 @@ def test_symmetry_index_matches_oracle_random(rng):
 def test_symmetry_index_scale_invariant(rng):
     panel = random_panel(rng, n=7, p=0.5)
     net = build_directed(panel, 2000, WeightScheme(WeightVariant.RAW))
-    flows = [
-        FlowRecord(r.year, r.exporter, r.importer, r.value * 9.25)
-        for recs in panel.flows.values()
-        for r in recs
-    ]
-    sizes = [r for recs in panel.sizes.values() for r in recs]
     scaled_net = build_directed(
-        assemble_panel(flows, sizes), 2000, WeightScheme(WeightVariant.RAW)
+        rescaled_panel(panel, 9.25), 2000, WeightScheme(WeightVariant.RAW)
     )
     assert symmetry_index(scaled_net) == pytest.approx(symmetry_index(net), abs=1e-12)
 
@@ -245,6 +230,9 @@ def test_load_matrix_rejects_garbage(tmp_path):
     path = tmp_path / "m.txt"
     path.write_text("0 1\n1 0\n", encoding="utf-8")
     with pytest.raises(DataError, match="header"):
+        load_matrix(path)
+    path.write_text("# year=2000 scheme=raw normalizer=1\n0 1\n1\n", encoding="utf-8")
+    with pytest.raises(DataError, match="not square"):
         load_matrix(path)
 
 

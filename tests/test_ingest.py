@@ -3,19 +3,12 @@ from __future__ import annotations
 import io
 import random
 
+import numpy as np
 import pytest
 
-from wnet import (
-    DataError,
-    FlowFormat,
-    FlowRecord,
-    SizeRecord,
-    assemble_panel,
-    load_panel,
-    parse_flows,
-    parse_sizes,
-    save_panel,
-)
+from wnet import DataError, load_panel, save_panel
+
+from conftest import flow_rows, panel_from_rows, size_rows
 
 FLOWS = """\
 year,exporter,importer,value
@@ -34,22 +27,23 @@ year,country,gdp
 
 
 def test_parse_flows_basic():
-    records = parse_flows(io.StringIO(FLOWS))
-    assert records[0] == FlowRecord(2000, "USA", "CAN", 1.78e11)
-    assert records[1].value == 1.5e11
-    assert len(records) == 3
+    panel = load_panel(io.StringIO(FLOWS))
+    assert flow_rows(panel) == [
+        (1999, "USA", "MEX", 9.8e10),
+        (2000, "CAN", "USA", 1.5e11),
+        (2000, "USA", "CAN", 1.78e11),
+    ]
 
 
 def test_parse_flows_column_order_free():
     text = "value,importer,exporter,year\n5.0,CAN,USA,2000\n"
-    (rec,) = parse_flows(io.StringIO(text))
-    assert rec == FlowRecord(2000, "USA", "CAN", 5.0)
+    assert flow_rows(load_panel(io.StringIO(text))) == [(2000, "USA", "CAN", 5.0)]
 
 
 def test_parse_flows_accepts_bytes_and_scientific_notation():
     text = b"year,exporter,importer,value\n2000,USA,CAN,1.78e11\n"
-    (rec,) = parse_flows(text)
-    assert rec.value == 1.78e11
+    for source in (text, io.BytesIO(text), io.StringIO(text.decode())):
+        assert flow_rows(load_panel(source)) == [(2000, "USA", "CAN", 1.78e11)]
 
 
 @pytest.mark.parametrize(
@@ -67,34 +61,47 @@ def test_parse_flows_accepts_bytes_and_scientific_notation():
 def test_parse_flows_rejects_bad_rows(row, fragment):
     text = f"year,exporter,importer,value\n{row}\n"
     with pytest.raises(DataError, match="line 2"):
-        parse_flows(io.StringIO(text))
+        load_panel(io.StringIO(text))
     with pytest.raises(DataError, match=fragment):
-        parse_flows(io.StringIO(text))
+        load_panel(io.StringIO(text))
 
 
 def test_parse_flows_duplicate_reports_line():
     text = "year,exporter,importer,value\n2000,USA,CAN,1\n2000,USA,CAN,2\n"
     with pytest.raises(DataError, match="line 3.*duplicate"):
-        parse_flows(io.StringIO(text))
+        load_panel(io.StringIO(text))
 
 
 def test_parse_flows_bad_header():
     with pytest.raises(DataError, match="header"):
-        parse_flows(io.StringIO("year,exporter,importer\n"))
+        load_panel(io.StringIO("year,exporter,importer\n"))
     with pytest.raises(DataError, match="header"):
-        parse_flows(io.StringIO("year,exporter,importer,value,extra\n"))
+        load_panel(io.StringIO("year,exporter,importer,value,extra\n"))
 
 
 def test_parse_flows_alternate_delimiter():
+    # The format is comma-delimited only; another delimiter fails at the header.
     text = "year;exporter;importer;value\n2000;USA;CAN;5\n"
-    (rec,) = parse_flows(io.StringIO(text), FlowFormat(delimiter=";"))
-    assert rec.importer == "CAN"
+    with pytest.raises(DataError, match="line 1: header"):
+        load_panel(io.StringIO(text))
+
+
+def test_parse_flows_rejects_invalid_utf8(tmp_path):
+    data = b"year,exporter,importer,value\n2000,USA,CAN,1\n2000,US\xff,MEX,2\n"
+    path = tmp_path / "flows.csv"
+    path.write_bytes(data)
+    for source in (data, path, io.BytesIO(data)):
+        with pytest.raises(DataError, match="line 3: not valid UTF-8"):
+            load_panel(source)
 
 
 def test_parse_sizes_basic():
-    records = parse_sizes(io.StringIO(SIZES))
-    assert records[0] == SizeRecord(2000, "USA", 9.8e12)
-    assert len(records) == 3
+    panel = load_panel(io.StringIO(FLOWS), io.StringIO(SIZES))
+    assert size_rows(panel) == [
+        (1999, "USA", 9.2e12),
+        (2000, "CAN", 7.4e11),
+        (2000, "USA", 9.8e12),
+    ]
 
 
 @pytest.mark.parametrize(
@@ -109,83 +116,101 @@ def test_parse_sizes_basic():
 def test_parse_sizes_rejects_bad_rows(row, fragment):
     text = f"year,country,gdp\n{row}\n"
     with pytest.raises(DataError, match=fragment):
-        parse_sizes(io.StringIO(text))
+        load_panel(io.StringIO(FLOWS), io.StringIO(text))
 
 
 def test_parse_sizes_duplicate():
     text = "year,country,gdp\n2000,USA,1\n2000,USA,2\n"
     with pytest.raises(DataError, match="duplicate"):
-        parse_sizes(io.StringIO(text))
+        load_panel(io.StringIO(FLOWS), io.StringIO(text))
 
 
 def test_assemble_panel_registry_and_years():
-    flows = parse_flows(io.StringIO(FLOWS))
-    sizes = parse_sizes(io.StringIO(SIZES))
-    panel = assemble_panel(flows, sizes)
+    panel = load_panel(io.StringIO(FLOWS), io.StringIO(SIZES))
     assert panel.registry.codes == ("CAN", "MEX", "USA")
     assert panel.years == (1999, 2000)
     assert panel.registry.position("MEX") == 1
-    assert len(panel.flows_for(2000)) == 2
+    assert (panel.flow_year == 2000).sum() == 2
 
 
 def test_assemble_panel_flags_missing_gdp():
-    flows = [FlowRecord(2000, "DEU", "USA", 5.0)]
-    sizes = [SizeRecord(2000, "USA", 1.0)]
-    panel = assemble_panel(flows, sizes)
+    panel = panel_from_rows([(2000, "DEU", "USA", 5.0)], [(2000, "USA", 1.0)])
     assert (2000, "DEU") in panel.missing_gdp
+    assert np.isnan(panel.gdp[0, panel.registry.position("DEU")])
 
 
 def test_assemble_panel_importer_only_country_kept():
-    flows = [FlowRecord(2000, "USA", "XYZ", 5.0)]
-    panel = assemble_panel(flows, [SizeRecord(2000, "USA", 1.0)])
+    panel = panel_from_rows([(2000, "USA", "XYZ", 5.0)], [(2000, "USA", 1.0)])
     assert "XYZ" in panel.registry
 
 
 def test_assemble_panel_empty_flows():
     with pytest.raises(DataError, match="no flow records"):
-        assemble_panel([], [SizeRecord(2000, "USA", 1.0)])
+        panel_from_rows([], [(2000, "USA", 1.0)])
 
 
 def test_assemble_panel_cross_list_duplicates():
-    rec = FlowRecord(2000, "USA", "CAN", 1.0)
-    with pytest.raises(DataError, match="duplicate"):
-        assemble_panel([rec, FlowRecord(2000, "USA", "CAN", 2.0)], [])
+    # The first repeated key is reported at its later row, however far apart
+    # the two rows are and whatever lies between them.
+    flows = "year,exporter,importer,value\n" + "".join(
+        f"{row}\n"
+        for row in (
+            "2000,USA,CAN,1",
+            "1999,USA,CAN,3",
+            "2000,CAN,USA,1",
+            "1999,CAN,USA,4",
+            "2000,USA,CAN,2",
+            "1999,CAN,USA,5",
+        )
+    )
+    with pytest.raises(DataError, match=r"line 6: duplicate flow \(2000, 'USA', 'CAN'\)"):
+        load_panel(io.StringIO(flows))
+    sizes = "year,country,gdp\n2000,USA,1\n2000,CAN,1\n# note\n2000,USA,2\n"
+    with pytest.raises(DataError, match=r"line 5: duplicate size record \(2000, 'USA'\)"):
+        load_panel(io.StringIO(FLOWS), io.StringIO(sizes))
 
 
-def test_registry_deterministic_under_row_permutation():
-    flows = parse_flows(io.StringIO(FLOWS))
-    sizes = parse_sizes(io.StringIO(SIZES))
-    base = assemble_panel(flows, sizes)
-    shuffled_flows = list(flows)
-    shuffled_sizes = list(sizes)
+def saved_bytes(panel, directory) -> tuple[bytes, bytes]:
+    fp, sp = directory / "f.csv", directory / "s.csv"
+    save_panel(panel, fp, sp)
+    return fp.read_bytes(), sp.read_bytes()
+
+
+def test_registry_deterministic_under_row_permutation(tmp_path):
+    base = saved_bytes(load_panel(io.StringIO(FLOWS), io.StringIO(SIZES)), tmp_path)
+    header_f, *flow_lines = FLOWS.splitlines(keepends=True)
+    header_s, *size_lines = SIZES.splitlines(keepends=True)
     shuffler = random.Random(3)
     for _ in range(5):
-        shuffler.shuffle(shuffled_flows)
-        shuffler.shuffle(shuffled_sizes)
-        panel = assemble_panel(shuffled_flows, shuffled_sizes)
-        assert panel == base
+        shuffler.shuffle(flow_lines)
+        shuffler.shuffle(size_lines)
+        panel = load_panel(
+            io.StringIO(header_f + "".join(flow_lines)),
+            io.StringIO(header_s + "".join(size_lines)),
+        )
+        assert saved_bytes(panel, tmp_path) == base
 
 
 def test_panel_round_trip(tmp_path):
-    flows = parse_flows(io.StringIO(FLOWS))
-    sizes = parse_sizes(io.StringIO(SIZES))
-    panel = assemble_panel(flows, sizes)
-    fp, sp = tmp_path / "f.csv", tmp_path / "s.csv"
-    save_panel(panel, fp, sp)
-    assert load_panel(fp, sp) == panel
+    panel = load_panel(io.StringIO(FLOWS), io.StringIO(SIZES))
+    saved = saved_bytes(panel, tmp_path)
+    assert saved_bytes(load_panel(*saved), tmp_path) == saved
+    assert flow_rows(load_panel(saved[0])) == flow_rows(panel)
 
 
 def test_panel_round_trip_awkward_values(tmp_path):
     flows = [
-        FlowRecord(1981, "AAA", "BBB", 0.1 + 0.2),
-        FlowRecord(1981, "BBB", "AAA", 1.2345678901234567e-9),
-        FlowRecord(1981, "AAA", "CCC", 0.0),
+        (1981, "AAA", "BBB", 0.1 + 0.2),
+        (1981, "BBB", "AAA", 1.2345678901234567e-9),
+        (1981, "AAA", "CCC", 0.0),
     ]
-    sizes = [SizeRecord(1981, "AAA", 9.87654321e12)]
-    panel = assemble_panel(flows, sizes)
-    fp, sp = tmp_path / "f.csv", tmp_path / "s.csv"
-    save_panel(panel, fp, sp)
-    assert load_panel(fp, sp) == panel
+    sizes = [(1981, "AAA", 9.87654321e12)]
+    panel = panel_from_rows(flows, sizes)
+    saved = saved_bytes(panel, tmp_path)
+    reloaded = load_panel(*saved)
+    assert saved_bytes(reloaded, tmp_path) == saved
+    assert sorted(flow_rows(reloaded)) == sorted(flows)
+    assert size_rows(reloaded) == sizes
 
 
 def test_load_panel_without_sizes(tmp_path):

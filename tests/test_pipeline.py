@@ -75,12 +75,6 @@ def test_determinism_byte_identical(toy_csvs, tmp_path):
     assert bundle_bytes(tmp_path / "a") == bundle_bytes(tmp_path / "b")
 
 
-def test_determinism_independent_of_jobs(toy_csvs, tmp_path):
-    run_pipeline(config_for(toy_csvs, tmp_path / "a", jobs=1))
-    run_pipeline(config_for(toy_csvs, tmp_path / "b", jobs=4))
-    assert bundle_bytes(tmp_path / "a") == bundle_bytes(tmp_path / "b")
-
-
 def test_empty_years_fails_before_io(tmp_path):
     config = PipelineConfig(
         flows=tmp_path / "does-not-exist.csv",
