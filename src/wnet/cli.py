@@ -11,6 +11,8 @@ The WNET_LOG environment variable sets the logging level.
 from __future__ import annotations
 
 import argparse
+import hashlib
+import json
 import logging
 import os
 import sys
@@ -27,6 +29,7 @@ from .pipeline import (
     PipelineConfig,
     compare_views,
     comparison_csv,
+    manifest_json,
     pair_filename,
     read_correlation_csv,
     run_pipeline,
@@ -274,12 +277,26 @@ def _cmd_report(args: argparse.Namespace) -> int:
             series[pair] = read_correlation_csv(path)
         elif pair in needed:
             raise DataError(f"bundle is missing the {pair} correlation series ({path})")
-    rows = compare_views(
-        series,
-        _float_arg(args, "strong_cut", 0.7),
-        _float_arg(args, "moderate_cut", 0.3),
-    )
-    (out_dir / "comparison.csv").write_text(comparison_csv(rows), encoding="utf-8")
+    strong_cut = _float_arg(args, "strong_cut", 0.7)
+    moderate_cut = _float_arg(args, "moderate_cut", 0.3)
+    if not 0 <= moderate_cut <= strong_cut:
+        raise ValidationError("need 0 <= moderate cut <= strong cut")
+    rows = compare_views(series, strong_cut, moderate_cut)
+    text = comparison_csv(rows)
+    # Keep the bundle's manifest in step: the digest of the new table and the
+    # cuts that labelled it.
+    manifest_path = out_dir / "manifest.json"
+    manifest = None
+    if manifest_path.exists():
+        try:
+            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+            manifest["files"]["comparison.csv"] = hashlib.sha256(text.encode()).hexdigest()
+            manifest["config"].update(strong_cut=strong_cut, moderate_cut=moderate_cut)
+        except (ValueError, LookupError, TypeError, AttributeError) as exc:
+            raise DataError(f"{manifest_path} is not a wnet manifest: {exc}") from None
+    (out_dir / "comparison.csv").write_text(text, encoding="utf-8", newline="\n")
+    if manifest is not None:
+        manifest_path.write_text(manifest_json(manifest), encoding="utf-8", newline="\n")
     _print_comparison(rows)
     return 0
 

@@ -37,7 +37,7 @@ from .distributions import (
 from .errors import DataError, ValidationError
 from .graph import WeightScheme, build_directed, symmetrize, symmetry_index
 from .ingest import PanelDataset, load_panel
-from .stats import MomentSummary, NodeStatsTable, moments, node_stats
+from .stats import MomentSummary, NodeStatsTable, _fmt_column, moments, node_stats
 
 logger = logging.getLogger(__name__)
 
@@ -213,6 +213,11 @@ def read_correlation_csv(path: str | Path) -> list[CorrelationPoint]:
     return points
 
 
+def manifest_json(manifest: Mapping) -> str:
+    """The canonical text of ``manifest.json``."""
+    return json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+
+
 def pair_filename(pair: str) -> str:
     return f"correlation_{pair.lower().replace('-', '_')}.csv"
 
@@ -293,11 +298,11 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
             writer.write(pair_filename(pair), _correlation_csv(points))
         for name, est in bundle.densities.items():
             lines = ["grid,density"]
-            lines += [f"{_fmt(g)},{_fmt(d)}" for g, d in zip(est.grid, est.density)]
+            lines += map(",".join, zip(_fmt_column(est.grid), _fmt_column(est.density)))
             writer.write(name, "\n".join(lines) + "\n")
         for name, curve in bundle.ranksizes.items():
             lines = ["rank,size"]
-            lines += [f"{r},{_fmt(s)}" for r, s in zip(curve.ranks, curve.sizes)]
+            lines += [f"{r},{s}" for r, s in zip(curve.ranks.tolist(), _fmt_column(curve.sizes))]
             writer.write(name, "\n".join(lines) + "\n")
         if bundle.tailfits:
             lines = ["year,statistic,mu,sigma,alpha,x_min,tail_fraction,n_positive,tail_count,dropped"]
@@ -338,7 +343,7 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
             "files": writer.digests(),
         }
         bundle.manifest = manifest
-        writer.write("manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        writer.write("manifest.json", manifest_json(manifest))
     except Exception:
         writer.cleanup()
         raise

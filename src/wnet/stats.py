@@ -26,6 +26,11 @@ from .errors import DataError
 from .graph import UndirectedNetwork
 
 
+def _fmt_column(values: np.ndarray) -> list[str]:
+    """CSV cells for a float array: shortest round-trip repr, empty for NaN."""
+    return ["" if v != v else repr(v) for v in np.asarray(values, dtype=float).tolist()]
+
+
 @dataclass(frozen=True, eq=False)
 class NodeStatsTable:
     """Per-node statistics for one year; undefined entries are NaN."""
@@ -49,16 +54,10 @@ class NodeStatsTable:
 
     def to_csv(self) -> str:
         """CSV text ``country,nd,ns,annd,anns,bcc,wcc``; empty cell = undefined."""
-        def cell(v: float) -> str:
-            return "" if np.isnan(v) else repr(float(v))
-
-        lines = ["country,nd,ns,annd,anns,bcc,wcc"]
-        for i, code in enumerate(self.codes):
-            lines.append(
-                f"{code},{int(self.nd[i])},{cell(self.ns[i])},{cell(self.annd[i])},"
-                f"{cell(self.anns[i])},{cell(self.bcc[i])},{cell(self.wcc[i])}"
-            )
-        return "\n".join(lines) + "\n"
+        nd = [str(int(v)) for v in np.asarray(self.nd).tolist()]
+        cells = [_fmt_column(self.column(name)) for name in ("ns", "annd", "anns", "bcc", "wcc")]
+        rows = map(",".join, zip(self.codes, nd, *cells))
+        return "\n".join(["country,nd,ns,annd,anns,bcc,wcc", *rows]) + "\n"
 
 
 @dataclass(frozen=True)

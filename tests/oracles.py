@@ -98,11 +98,18 @@ def pearson_oracle(x, y) -> float:
     return cov / math.sqrt(vx * vy)
 
 
-def fisher_ci_oracle(r: float, n: int, level: float) -> tuple[float, float]:
-    """Textbook Fisher-z interval via the inverse-normal quantile."""
+def fisher_ci_oracle(
+    r: float, n: int, level: float, atanh=math.atanh
+) -> tuple[float, float]:
+    """Textbook Fisher-z interval via scipy's inverse-normal quantile.
+
+    ``atanh`` lets a bit-exact comparison use numpy's arctanh, which can
+    differ from ``math.atanh`` in the last bit where numpy dispatches to
+    SIMD code.
+    """
     from scipy.stats import norm
 
-    z = math.atanh(r)
+    z = atanh(r)
     se = 1.0 / math.sqrt(n - 3)
     zcrit = norm.ppf(0.5 + level / 2)
     return math.tanh(z - zcrit * se), math.tanh(z + zcrit * se)

@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from wnet import load_matrix
 from wnet.cli import main, read_config_file
@@ -108,6 +113,73 @@ def test_report_reads_existing_bundle(toy_csvs, tmp_path, capsys):
     assert run_cli("report", "--out", str(out)) == 0
     assert (out / "comparison.csv").exists()
     assert "BNA:" in capsys.readouterr().out
+
+
+def test_report_keeps_manifest_in_step(toy_csvs, tmp_path, capsys):
+    flows, gdp = toy_csvs
+    out = tmp_path / "bundle"
+    assert run_cli(
+        "all", "--flows", str(flows), "--gdp", str(gdp),
+        "--years", "1999:2000", "--out", str(out),
+    ) == 0
+    before = (out / "comparison.csv").read_bytes()
+    assert run_cli(
+        "report", "--out", str(out), "--strong-cut", "0.5", "--moderate-cut", "0.15"
+    ) == 0
+    capsys.readouterr()
+    assert (out / "comparison.csv").read_bytes() != before
+    text = (out / "manifest.json").read_text(encoding="utf-8")
+    manifest = json.loads(text)
+    assert text == json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    assert manifest["config"]["strong_cut"] == 0.5
+    assert manifest["config"]["moderate_cut"] == 0.15
+    for name, digest in manifest["files"].items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_report_rejects_a_broken_manifest(toy_csvs, tmp_path, capsys):
+    flows, gdp = toy_csvs
+    out = tmp_path / "bundle"
+    assert run_cli(
+        "all", "--flows", str(flows), "--gdp", str(gdp),
+        "--years", "1999:2000", "--out", str(out),
+    ) == 0
+    before = (out / "comparison.csv").read_bytes()
+    (out / "manifest.json").write_text("{}\n", encoding="utf-8")
+    assert run_cli("report", "--out", str(out), "--strong-cut", "0.5") == 2
+    assert "is not a wnet manifest" in capsys.readouterr().err
+    assert (out / "comparison.csv").read_bytes() == before
+
+
+def test_report_rejects_inverted_cuts(toy_csvs, tmp_path, capsys):
+    flows, gdp = toy_csvs
+    out = tmp_path / "bundle"
+    assert run_cli(
+        "all", "--flows", str(flows), "--gdp", str(gdp),
+        "--years", "1999:2000", "--out", str(out),
+    ) == 0
+    manifest = (out / "manifest.json").read_bytes()
+    assert run_cli(
+        "report", "--out", str(out), "--strong-cut", "0.2", "--moderate-cut", "0.5"
+    ) == 1
+    assert "moderate cut <= strong cut" in capsys.readouterr().err
+    assert (out / "manifest.json").read_bytes() == manifest
+
+
+def test_cli_import_does_not_load_scipy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = (
+        "import sys, wnet.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"
 
 
 def test_report_missing_series_is_data_error(tmp_path):

@@ -16,6 +16,7 @@ from wnet import (
     rank_size,
     silverman_bandwidth,
 )
+from wnet.distributions import _ndtri
 
 from oracles import fisher_ci_oracle, pearson_oracle
 
@@ -132,6 +133,54 @@ def test_pearson_ci_matches_fisher_oracle(rng):
     lo, hi = fisher_ci_oracle(point.r, point.n, 0.90)
     assert point.ci_low == pytest.approx(lo, abs=1e-12)
     assert point.ci_high == pytest.approx(hi, abs=1e-12)
+
+
+@pytest.mark.parametrize("level", [0.5, 0.8, 0.9, 0.95, 0.99])
+def test_pearson_ci_equals_fisher_oracle_exactly(rng, level):
+    pytest.importorskip("scipy")
+    x = rng.normal(0, 1, 40)
+    y = 0.6 * x + rng.normal(0, 1, 40)
+    point = pearson_with_ci(x, y, level=level)
+    expected = fisher_ci_oracle(
+        point.r, point.n, level, atanh=lambda r: float(np.arctanh(r))
+    )
+    assert (point.ci_low, point.ci_high) == expected
+
+
+# ---------------------------------------------------------------------------
+# normal quantile (port of Cephes ndtri)
+# ---------------------------------------------------------------------------
+
+
+def assert_ndtri_matches_scipy(points) -> None:
+    special = pytest.importorskip("scipy.special")
+    p = np.asarray(points, dtype=float)
+    ours = np.array([_ndtri(v) for v in p.tolist()])
+    assert np.array_equal(ours, special.ndtri(p))
+
+
+def test_ndtri_matches_scipy_on_random_points():
+    gen = np.random.default_rng(3)
+    assert_ndtri_matches_scipy(gen.random(100_000))
+
+
+def test_ndtri_matches_scipy_at_band_quantiles():
+    assert_ndtri_matches_scipy(0.5 + np.linspace(0.0005, 0.9995, 1999) / 2)
+
+
+def test_ndtri_matches_scipy_in_far_tails():
+    gen = np.random.default_rng(4)
+    upper = 1 - gen.random(2000) * 1e-14  # 1 - p < exp(-32): the x >= 8 branch
+    lower = gen.random(2000) * 1e-14
+    deep = np.exp(-gen.uniform(0, 700, 2000))
+    edges = [np.nextafter(0, 1), np.nextafter(1, 0), math.exp(-2), 1 - math.exp(-2), 0.5]
+    assert_ndtri_matches_scipy(np.concatenate([upper, lower, deep, edges]))
+
+
+def test_ndtri_endpoints():
+    assert _ndtri(0.0) == -math.inf
+    assert _ndtri(1.0) == math.inf
+    assert_ndtri_matches_scipy([0.0, 1.0])
 
 
 def test_pearson_drops_undefined_pairwise():
