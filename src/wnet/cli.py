@@ -267,6 +267,22 @@ def _print_comparison(rows: list[dict]) -> None:
         )
 
 
+def _bundle_manifest(out_dir: Path) -> dict | None:
+    """The bundle's manifest, if any, checked to hold what report rewrites."""
+    path = out_dir / "manifest.json"
+    if not path.exists():
+        return None
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(manifest["files"], dict) or not isinstance(manifest["config"], dict):
+            raise TypeError("files and config must be objects")
+        for name in ("strong_cut", "moderate_cut"):
+            manifest["config"][name] = float(manifest["config"][name])
+    except (ValueError, LookupError, TypeError) as exc:
+        raise DataError(f"{path} is not a wnet manifest: {exc}") from None
+    return manifest
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
     out_dir = Path(_require(args, "out"))
     series = {}
@@ -277,26 +293,23 @@ def _cmd_report(args: argparse.Namespace) -> int:
             series[pair] = read_correlation_csv(path)
         elif pair in needed:
             raise DataError(f"bundle is missing the {pair} correlation series ({path})")
-    strong_cut = _float_arg(args, "strong_cut", 0.7)
-    moderate_cut = _float_arg(args, "moderate_cut", 0.3)
+    # Cuts not given default to those the bundle was labelled with.
+    manifest = _bundle_manifest(out_dir)
+    labelled = manifest["config"] if manifest else {"strong_cut": 0.7, "moderate_cut": 0.3}
+    strong_cut = _float_arg(args, "strong_cut", labelled["strong_cut"])
+    moderate_cut = _float_arg(args, "moderate_cut", labelled["moderate_cut"])
     if not 0 <= moderate_cut <= strong_cut:
         raise ValidationError("need 0 <= moderate cut <= strong cut")
     rows = compare_views(series, strong_cut, moderate_cut)
     text = comparison_csv(rows)
-    # Keep the bundle's manifest in step: the digest of the new table and the
-    # cuts that labelled it.
-    manifest_path = out_dir / "manifest.json"
-    manifest = None
-    if manifest_path.exists():
-        try:
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-            manifest["files"]["comparison.csv"] = hashlib.sha256(text.encode()).hexdigest()
-            manifest["config"].update(strong_cut=strong_cut, moderate_cut=moderate_cut)
-        except (ValueError, LookupError, TypeError, AttributeError) as exc:
-            raise DataError(f"{manifest_path} is not a wnet manifest: {exc}") from None
     (out_dir / "comparison.csv").write_text(text, encoding="utf-8", newline="\n")
     if manifest is not None:
-        manifest_path.write_text(manifest_json(manifest), encoding="utf-8", newline="\n")
+        # Keep the manifest in step: the digest of the new table and its cuts.
+        manifest["files"]["comparison.csv"] = hashlib.sha256(text.encode()).hexdigest()
+        manifest["config"].update(strong_cut=strong_cut, moderate_cut=moderate_cut)
+        (out_dir / "manifest.json").write_text(
+            manifest_json(manifest), encoding="utf-8", newline="\n"
+        )
     _print_comparison(rows)
     return 0
 

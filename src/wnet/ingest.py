@@ -3,10 +3,10 @@
 Input files are header-labeled CSV (UTF-8, comma-delimited, ``#`` comment
 lines and blank lines skipped).  Column order is free but names are fixed:
 ``year,exporter,importer,value`` for flows and ``year,country,gdp`` for
-sizes.  One streaming reader serves both files: it checks every row and
-fills typed columns, turning country codes into integer ids as it reads, so
-no per-row object is kept.  The panel's registry is the sorted set of codes,
-so the node indexing never depends on input row order.
+sizes.  One streaming reader serves both files.  It tokenizes row by row,
+then converts and checks a block of rows a column at a time, so memory is
+bounded by one block and no per-row object is kept.  The panel's registry
+is the sorted set of codes, so node indexing never depends on row order.
 """
 
 from __future__ import annotations
@@ -15,9 +15,11 @@ import csv
 import io
 import logging
 import math
-from array import array
+import re
+import time
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, chain, count, islice
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator
 
@@ -29,6 +31,10 @@ logger = logging.getLogger(__name__)
 
 FLOW_COLUMNS = ("year", "exporter", "importer", "value")
 SIZE_COLUMNS = ("year", "country", "gdp")
+
+#: Rows converted and checked together; memory stays bounded by one block.
+_BLOCK = 1 << 14
+_SURROGATE = re.compile(r"[\ud800-\udfff]")  # what undecodable bytes turn into
 
 
 @dataclass(frozen=True)
@@ -80,56 +86,115 @@ class PanelDataset:
     missing_gdp: tuple[tuple[int, str], ...] = ()
 
 
-def _lines(source: str | Path | bytes | IO) -> Iterator[str]:
-    """Yield the text lines of a path, raw bytes or open stream.
+def _line_blocks(source: str | Path | bytes | IO) -> Iterator[list[str]]:
+    """The text lines of a path, raw bytes or open stream, a block at a time.
 
-    Comment and blank lines come out empty, so the CSV reader skips them but
-    still counts them.  Bytes that are not UTF-8 decode to lone surrogates,
-    so the line they are on can be named; a strict decoder fails on a whole
-    buffered chunk, which may start many lines earlier.
+    Comment and blank lines come out empty, so the CSV reader skips but counts
+    them.  Bytes that are not UTF-8 decode to lone surrogates, so the line
+    they are on can be named once the reader reaches it.
     """
     if isinstance(source, (str, Path)):
         with open(source, encoding="utf-8", errors="surrogateescape", newline="") as fh:
-            yield from _lines(fh)
+            yield from _line_blocks(fh)
         return
-    for lineno, line in enumerate(
-        io.BytesIO(source) if isinstance(source, (bytes, bytearray)) else source, start=1
-    ):
-        if isinstance(line, bytes):
-            line = line.decode("utf-8", "surrogateescape")
-        if not line.isascii():
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError:
-                raise DataError(f"line {lineno}: not valid UTF-8") from None
-        stripped = line.strip()
-        yield line if stripped and not stripped.startswith("#") else ""
+    stream = iter(io.BytesIO(source) if isinstance(source, (bytes, bytearray)) else source)
+    lineno = 0
+    while block := list(islice(stream, _BLOCK)):
+        if isinstance(block[0], bytes):
+            block = [line.decode("utf-8", "surrogateescape") for line in block]
+        good = len(block)
+        if not all(map(str.isascii, block)):
+            good = next((at for at, line in enumerate(block) if _SURROGATE.search(line)), good)
+        yield [ln if (head := ln.lstrip()[:1]) and head != "#" else "" for ln in block[:good]]
+        if good < len(block):
+            raise DataError(f"line {lineno + good + 1}: not valid UTF-8")
+        lineno += good
 
 
-def _flow_problem(value: float, codes: list[str]) -> str | None:
-    if value < 0:
-        return f"negative flow value {value!r}"
-    return f"self-flow for {codes[0]!r}" if codes[0] == codes[1] else None
+#: Defects particular to one file, in check order: (test, message) of the
+#: value v and codes c, a test taking one row's float and stripped codes or a
+#: block's value and country-id arrays alike.
+_FLOW_RULES = (
+    (lambda v, c: v < 0, lambda v, c: f"negative flow value {v!r}"),
+    (lambda v, c: c[0] == c[1], lambda v, c: f"self-flow for {c[0]!r}"),
+)
+_SIZE_RULES = ((lambda v, c: v <= 0, lambda v, c: f"nonpositive GDP {v!r} for {c[0]!r}"),)
 
 
-def _size_problem(value: float, codes: list[str]) -> str | None:
-    return f"nonpositive GDP {value!r} for {codes[0]!r}" if value <= 0 else None
+def _row_problem(fields: list[str], columns: tuple[str, ...], at: list[int], rules) -> str | None:
+    """The first defect of one row, or None."""
+    if len(fields) != len(columns):
+        return f"expected {len(columns)} fields, got {len(fields)}"
+    at_year, *at_codes, at_value = at
+    try:
+        year = int(fields[at_year])
+    except ValueError:
+        year = None
+    if year is None or not -(2**63) <= year < 2**63:
+        return f"bad year {fields[at_year].strip()!r}"
+    codes = [fields[i].strip() for i in at_codes]
+    if not all(codes):
+        return "empty country identifier"
+    try:
+        value = float(fields[at_value])
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        return f"bad {columns[-1]} {fields[at_value].strip()!r}"
+    return next((message(value, codes) for test, message in rules if test(value, codes)), None)
+
+
+def _per_distinct(cells: list[str], convert: Callable[[str], int]) -> np.ndarray:
+    """int64 ``convert`` of every cell, called once per distinct cell."""
+    known = dict(zip(dict.fromkeys(cells), count()))
+    index = np.fromiter(map(known.__getitem__, cells), np.int64, len(cells))
+    return np.array(list(map(convert, known)), np.int64)[index]
+
+
+def _convert_block(flat, widths, lines, columns, at, ids, rules) -> tuple[np.ndarray, ...]:
+    """Typed columns of one block: the cells of all rows, each row's width
+    (0 for a skipped line) and line.  Column masks flag suspect rows, which
+    are checked again one at a time in file order, so the first bad row
+    raises with its first defect; all rows are, if one has the wrong width."""
+    k = len(columns)
+    if not set(widths) <= {0, k}:
+        for end, width, lineno in zip(accumulate(widths), widths, lines):
+            defect = width and _row_problem(flat[end - width : end], columns, at, rules)
+            if defect:
+                raise DataError(f"line {lineno}: {defect}")
+    line = np.array(lines, dtype=np.int64)[np.flatnonzero(widths)]
+    year_cells, *code_cells, value_cells = (flat[i::k] for i in at)
+
+    def code_id(raw: str) -> int:
+        return ids.setdefault(code, len(ids)) if (code := raw.strip()) else -1
+
+    codes = [_per_distinct(cells, code_id) for cells in code_cells]
+    try:
+        year = _per_distinct(year_cells, int)
+        value = np.fromiter(map(float, value_cells), np.float64, len(line))
+    except (ValueError, OverflowError):  # a bad year or value: check every row
+        year, value = np.zeros(len(line), np.int64), np.full(len(line), math.nan)
+    suspect = np.logical_or.reduce([c < 0 for c in codes]) | ~np.isfinite(value)
+    for test, _ in rules:
+        suspect |= test(value, codes)
+    for row in np.flatnonzero(suspect).tolist():
+        defect = _row_problem(flat[row * k : row * k + k], columns, at, rules)
+        if defect:
+            raise DataError(f"line {line[row]}: {defect}")
+    return year, np.stack(codes, axis=1), value, line
 
 
 def _read_table(
-    source: str | Path | bytes | IO,
-    columns: tuple[str, ...],
-    ids: dict[str, int],
-    problem: Callable[[float, list[str]], str | None],
+    source: str | Path | bytes | IO, columns: tuple[str, ...], ids: dict[str, int], rules
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Read one file into (year, country ids, value, line number) columns.
 
-    ``columns`` lists the year, the country-code columns and the value.
-    Codes get ids from ``ids`` in order of first appearance.  A bad header or
-    row raises DataError with its line number; ``problem`` names the defects
-    particular to one file.
+    ``columns`` lists the year, the country-code columns and the value, and
+    ``rules`` the file's own defects; codes get ids from ``ids``.  A bad
+    header or row raises DataError with its line number, as does a CSV or
+    UTF-8 error once the rows before it pass.
     """
-    rows = csv.reader(_lines(source))
+    rows = csv.reader(chain.from_iterable(_line_blocks(source)))
     try:
         header = next((fields for fields in rows if fields), None)
         if header is None:
@@ -140,39 +205,20 @@ def _read_table(
                 f"line {rows.line_num}: header must name exactly {','.join(columns)}; "
                 f"got {','.join(names)}"
             )
-        at_year, *at_codes, at_value = (names.index(c) for c in columns)
-        years, country_ids, values, line = array("q"), array("q"), array("d"), array("q")
-        for fields in rows:
-            if not fields:
-                continue
-            lineno = rows.line_num
-            if len(fields) != len(columns):
-                raise DataError(
-                    f"line {lineno}: expected {len(columns)} fields, got {len(fields)}"
-                )
+        at = [names.index(c) for c in columns]
+        blocks = []
+        while not blocks or len(lines) == _BLOCK:
+            flat, widths, lines = [], [], []
             try:
-                years.append(int(fields[at_year]))
-            except (ValueError, OverflowError):
-                raise DataError(f"line {lineno}: bad year {fields[at_year].strip()!r}") from None
-            codes = [fields[i].strip() for i in at_codes]
-            if not all(codes):
-                raise DataError(f"line {lineno}: empty country identifier")
-            try:
-                value = float(fields[at_value])
-            except ValueError:
-                value = math.nan
-            if not math.isfinite(value):
-                raise DataError(f"line {lineno}: bad {columns[-1]} {fields[at_value].strip()!r}")
-            defect = problem(value, codes)
-            if defect:
-                raise DataError(f"line {lineno}: {defect}")
-            country_ids.extend([ids.setdefault(code, len(ids)) for code in codes])
-            values.append(value)
-            line.append(lineno)
+                for fields in islice(rows, _BLOCK):
+                    flat += fields
+                    widths.append(len(fields))
+                    lines.append(rows.line_num)
+            finally:  # a bad row before a CSV or UTF-8 error is reported first
+                blocks.append(_convert_block(flat, widths, lines, columns, at, ids, rules))
     except csv.Error as exc:
         raise DataError(f"line {rows.line_num}: {exc}") from None
-    ids_by_row = np.array(country_ids).reshape(-1, len(at_codes))
-    return np.array(years), ids_by_row, np.array(values), np.array(line)
+    return tuple(map(np.concatenate, zip(*blocks)))
 
 
 def _key_order(
@@ -201,11 +247,12 @@ def load_panel(
     Each source is a path, raw bytes, or an open text or binary stream.  The
     registry and ``years`` are the sorted unions over both files.
     """
+    start = time.perf_counter()
     ids: dict[str, int] = {}
-    f_year, f_ids, f_value, f_line = _read_table(flows, FLOW_COLUMNS, ids, _flow_problem)
+    f_year, f_ids, f_value, f_line = _read_table(flows, FLOW_COLUMNS, ids, _FLOW_RULES)
     if sizes is None:
         sizes = ",".join(SIZE_COLUMNS).encode()
-    s_year, s_ids, s_value, s_line = _read_table(sizes, SIZE_COLUMNS, ids, _size_problem)
+    s_year, s_ids, s_value, s_line = _read_table(sizes, SIZE_COLUMNS, ids, _SIZE_RULES)
     if not len(f_line):
         raise DataError("no flow records")
 
@@ -231,20 +278,21 @@ def load_panel(
         )
     years = tuple(all_years.tolist())
     missing_gdp = tuple((years[t], registry.codes[c]) for t, c in missing.tolist())
+    logger.info(
+        "read %d flow rows and %d GDP rows: %d countries, %d years, %.3f s",
+        len(f_line), len(s_line), len(registry), len(years), time.perf_counter() - start,
+    )
     return PanelDataset(registry, years, flow_year, exporter, importer, value, gdp, missing_gdp)
 
 
 def save_panel(panel: PanelDataset, flows_path: str | Path, sizes_path: str | Path) -> None:
     """Write a panel back to canonical flow/size CSV files (round-trip exact)."""
-    codes = panel.registry.codes
-    with open(flows_path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(FLOW_COLUMNS) + "\n")
-        columns = (panel.flow_year, panel.exporter, panel.importer, panel.value)
-        for year, exporter, importer, value in zip(*(c.tolist() for c in columns)):
-            fh.write(f"{year},{codes[exporter]},{codes[importer]},{value!r}\n")
-    year_index, country = np.nonzero(~np.isnan(panel.gdp))
-    with open(sizes_path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(SIZE_COLUMNS) + "\n")
-        gdp = panel.gdp[year_index, country].tolist()
-        for t, c, value in zip(year_index.tolist(), country.tolist(), gdp):
-            fh.write(f"{panel.years[t]},{codes[c]},{value!r}\n")
+    codes = np.array(panel.registry.codes, dtype=object)
+    t, c = np.nonzero(~np.isnan(panel.gdp))
+    flows = (panel.flow_year, codes[panel.exporter], codes[panel.importer], panel.value)
+    sizes = (np.array(panel.years, dtype=np.int64)[t], codes[c], panel.gdp[t, c])
+    for path, names, table in (flows_path, FLOW_COLUMNS, flows), (sizes_path, SIZE_COLUMNS, sizes):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(",".join(names) + "\n")
+            rows = zip(*(column.tolist() for column in table))
+            fh.writelines(",".join(map(str, row)) + "\n" for row in rows)

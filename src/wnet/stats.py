@@ -89,15 +89,19 @@ def _per_degree(numerator: np.ndarray, nd: np.ndarray) -> np.ndarray:
     return out
 
 
-def annd(net: UndirectedNetwork) -> np.ndarray:
-    """Average degree of each node's neighbors; NaN at isolated nodes."""
-    nd = node_degree(net)
+def annd(net: UndirectedNetwork, nd: np.ndarray | None = None) -> np.ndarray:
+    """Average degree of each node's neighbors; NaN at isolated nodes.
+
+    A caller that has the node degree already passes it as ``nd``, here and
+    to ``anns``, ``bcc`` and ``wcc``.
+    """
+    nd = node_degree(net) if nd is None else nd
     return _per_degree((net.adjacency @ nd).astype(float), nd.astype(float))
 
 
-def anns(net: UndirectedNetwork) -> np.ndarray:
+def anns(net: UndirectedNetwork, nd: np.ndarray | None = None) -> np.ndarray:
     """Average strength of each node's neighbors; NaN at isolated nodes."""
-    nd = node_degree(net)
+    nd = node_degree(net) if nd is None else nd
     return _per_degree(net.adjacency @ node_strength(net), nd.astype(float))
 
 
@@ -108,29 +112,35 @@ def _clustering(cubed_diagonal: np.ndarray, nd: np.ndarray) -> np.ndarray:
     return out
 
 
-def bcc(net: UndirectedNetwork) -> np.ndarray:
-    """Fraction of a node's neighbor pairs that are linked; NaN where nd <= 1."""
-    a = net.adjacency
-    return _clustering((a @ a @ a).diagonal().astype(float), node_degree(net))
+def bcc(net: UndirectedNetwork, nd: np.ndarray | None = None) -> np.ndarray:
+    """Fraction of a node's neighbor pairs that are linked; NaN where nd <= 1.
+
+    (A^3)_ii is computed in float64 as sum_j (A^2)_ij A_ji, which BLAS does
+    fast; it is exact, since every count is far below 2^53.
+    """
+    a = net.adjacency.astype(float)
+    triangles = np.einsum("ij,ji->i", a @ a, a)
+    return _clustering(triangles, node_degree(net) if nd is None else nd)
 
 
-def wcc(net: UndirectedNetwork) -> np.ndarray:
+def wcc(net: UndirectedNetwork, nd: np.ndarray | None = None) -> np.ndarray:
     """Cube-root triangle intensity over degree pairs; NaN where nd <= 1."""
     c = np.cbrt(net.weights)
-    return _clustering((c @ c @ c).diagonal(), node_degree(net))
+    return _clustering((c @ c @ c).diagonal(), node_degree(net) if nd is None else nd)
 
 
 def node_stats(net: UndirectedNetwork) -> NodeStatsTable:
     """Bundle all six statistics for one network."""
+    nd = node_degree(net)
     return NodeStatsTable(
         year=net.year,
         codes=net.registry.codes,
-        nd=node_degree(net),
+        nd=nd,
         ns=node_strength(net),
-        annd=annd(net),
-        anns=anns(net),
-        bcc=bcc(net),
-        wcc=wcc(net),
+        annd=annd(net, nd),
+        anns=anns(net, nd),
+        bcc=bcc(net, nd),
+        wcc=wcc(net, nd),
     )
 
 

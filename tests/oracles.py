@@ -1,14 +1,23 @@
 """Brute-force reference implementations used as independent test oracles.
 
 Everything here is deliberately written with explicit Python loops over
-matrix entries, independent of the vectorized production code it checks.
+matrix entries or input rows, independent of the vectorized production code
+it checks.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
+from array import array
+from pathlib import Path
+from typing import IO, Iterator
 
 import numpy as np
+
+from wnet.errors import DataError
+from wnet.ingest import FLOW_COLUMNS
 
 
 def degree_oracle(adjacency: np.ndarray) -> list[int]:
@@ -125,3 +134,94 @@ def assert_vectors_match(actual, expected, tol: float = 1e-10) -> None:
     defined = ~nan_a
     if defined.any():
         assert np.max(np.abs(a[defined] - e[defined])) <= tol
+
+
+def _lines_rowwise(source: str | Path | bytes | IO) -> Iterator[str]:
+    """Yield the text lines of a path, raw bytes or open stream, one at a time.
+
+    Comment and blank lines come out empty, so the CSV reader skips them but
+    still counts them.  A line that is not UTF-8 raises when it is reached.
+    """
+    if isinstance(source, (str, Path)):
+        with open(source, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+            yield from _lines_rowwise(fh)
+        return
+    for lineno, line in enumerate(
+        io.BytesIO(source) if isinstance(source, (bytes, bytearray)) else source, start=1
+    ):
+        if isinstance(line, bytes):
+            line = line.decode("utf-8", "surrogateescape")
+        if not line.isascii():
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise DataError(f"line {lineno}: not valid UTF-8") from None
+        stripped = line.strip()
+        yield line if stripped and not stripped.startswith("#") else ""
+
+
+def _flow_problem(value: float, codes: list[str]) -> str | None:
+    if value < 0:
+        return f"negative flow value {value!r}"
+    return f"self-flow for {codes[0]!r}" if codes[0] == codes[1] else None
+
+
+def _size_problem(value: float, codes: list[str]) -> str | None:
+    return f"nonpositive GDP {value!r} for {codes[0]!r}" if value <= 0 else None
+
+
+def read_table_rowwise(
+    source: str | Path | bytes | IO, columns: tuple[str, ...], ids: dict[str, int], *_
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Row-by-row reference for ``wnet.ingest._read_table``.
+
+    Reads one file into (year, country ids, value, line number) columns,
+    checking and converting each row as it comes, and raises DataError at
+    the first bad header or row.  Extra arguments are ignored: the defects
+    particular to one file follow from ``columns``.
+    """
+    problem = _flow_problem if columns == FLOW_COLUMNS else _size_problem
+    rows = csv.reader(_lines_rowwise(source))
+    try:
+        header = next((fields for fields in rows if fields), None)
+        if header is None:
+            raise DataError(f"{'flow' if columns == FLOW_COLUMNS else 'size'} input is empty")
+        names = [f.strip().lower() for f in header]
+        if sorted(names) != sorted(columns):
+            raise DataError(
+                f"line {rows.line_num}: header must name exactly {','.join(columns)}; "
+                f"got {','.join(names)}"
+            )
+        at_year, *at_codes, at_value = (names.index(c) for c in columns)
+        years, country_ids, values, line = array("q"), array("q"), array("d"), array("q")
+        for fields in rows:
+            if not fields:
+                continue
+            lineno = rows.line_num
+            if len(fields) != len(columns):
+                raise DataError(
+                    f"line {lineno}: expected {len(columns)} fields, got {len(fields)}"
+                )
+            try:
+                years.append(int(fields[at_year]))
+            except (ValueError, OverflowError):
+                raise DataError(f"line {lineno}: bad year {fields[at_year].strip()!r}") from None
+            codes = [fields[i].strip() for i in at_codes]
+            if not all(codes):
+                raise DataError(f"line {lineno}: empty country identifier")
+            try:
+                value = float(fields[at_value])
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise DataError(f"line {lineno}: bad {columns[-1]} {fields[at_value].strip()!r}")
+            defect = problem(value, codes)
+            if defect:
+                raise DataError(f"line {lineno}: {defect}")
+            country_ids.extend([ids.setdefault(code, len(ids)) for code in codes])
+            values.append(value)
+            line.append(lineno)
+    except csv.Error as exc:
+        raise DataError(f"line {rows.line_num}: {exc}") from None
+    ids_by_row = np.array(country_ids).reshape(-1, len(at_codes))
+    return np.array(years), ids_by_row, np.array(values), np.array(line)

@@ -137,6 +137,25 @@ def test_report_keeps_manifest_in_step(toy_csvs, tmp_path, capsys):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
+def test_report_defaults_to_the_bundle_cuts(toy_csvs, tmp_path):
+    flows, gdp = toy_csvs
+    out = tmp_path / "bundle"
+    assert run_cli(
+        "all", "--flows", str(flows), "--gdp", str(gdp), "--years", "1999:2000",
+        "--out", str(out), "--strong-cut", "0.5", "--moderate-cut", "0.01",
+    ) == 0
+    table = (out / "comparison.csv").read_bytes()
+    manifest = (out / "manifest.json").read_bytes()
+    assert run_cli("report", "--out", str(out)) == 0
+    assert (out / "comparison.csv").read_bytes() == table
+    assert (out / "manifest.json").read_bytes() == manifest
+    assert json.loads(manifest)["config"]["strong_cut"] == 0.5
+    # Without a manifest, the defaults label the table.
+    (out / "manifest.json").unlink()
+    assert run_cli("report", "--out", str(out)) == 0
+    assert (out / "comparison.csv").read_bytes() != table
+
+
 def test_report_rejects_a_broken_manifest(toy_csvs, tmp_path, capsys):
     flows, gdp = toy_csvs
     out = tmp_path / "bundle"

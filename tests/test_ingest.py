@@ -1,14 +1,18 @@
 from __future__ import annotations
 
 import io
+import logging
 import random
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from wnet import DataError, load_panel, save_panel
+from wnet import DataError, ingest, load_panel, save_panel
 
 from conftest import flow_rows, panel_from_rows, size_rows
+from oracles import read_table_rowwise
 
 FLOWS = """\
 year,exporter,importer,value
@@ -53,6 +57,7 @@ def test_parse_flows_accepts_bytes_and_scientific_notation():
         ("2000,USA,CAN,-3", "negative"),
         ("2000,USA,CAN,abc", "bad value"),
         ("20x0,USA,CAN,5", "bad year"),
+        ("9223372036854775808,USA,CAN,5", "bad year"),
         ("2000,USA,CAN", "expected 4 fields"),
         ("2000,,CAN,5", "empty country"),
         ("2000,USA,CAN,inf", "bad value"),
@@ -64,6 +69,23 @@ def test_parse_flows_rejects_bad_rows(row, fragment):
         load_panel(io.StringIO(text))
     with pytest.raises(DataError, match=fragment):
         load_panel(io.StringIO(text))
+
+
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        (["2000,USA,CAN,-1", "2000,USA,USA,5"], "line 2: negative flow value -1.0"),
+        (["2000,USA,USA,5", "2000,USA,CAN,-1"], "line 2: self-flow for 'USA'"),
+        (["2000,USA,CAN,5", "20x0,USA,USA,-1", "2000,,CAN,5"], "line 3: bad year '20x0'"),
+        (["2000,USA,CAN,5", "2000,USA,USA,nan", "2000,USA"], "line 3: bad value 'nan'"),
+        (["2000,USA,CAN,5", "2000,USA,CAN", "2000,USA,USA,5"], "line 3: expected 4 fields, got 3"),
+    ],
+)
+def test_parse_flows_reports_first_defect_of_first_bad_row(rows, message):
+    text = "year,exporter,importer,value\n" + "\n".join(rows) + "\n"
+    with pytest.raises(DataError) as caught:
+        load_panel(io.StringIO(text))
+    assert str(caught.value) == message
 
 
 def test_parse_flows_duplicate_reports_line():
@@ -213,9 +235,60 @@ def test_panel_round_trip_awkward_values(tmp_path):
     assert size_rows(reloaded) == sizes
 
 
+def test_load_panel_logs_one_info_line(caplog):
+    with caplog.at_level(logging.INFO, logger="wnet.ingest"):
+        load_panel(io.StringIO(FLOWS), io.StringIO(SIZES))
+    [record] = [r for r in caplog.records if r.levelno == logging.INFO]
+    assert record.name == "wnet.ingest"
+    assert re.fullmatch(
+        r"read 3 flow rows and 3 GDP rows: 3 countries, 2 years, \d+\.\d{3} s",
+        record.getMessage(),
+    )
+
+
 def test_load_panel_without_sizes(tmp_path):
     fp = tmp_path / "f.csv"
     fp.write_text("year,exporter,importer,value\n2000,USA,CAN,5\n", encoding="utf-8")
     panel = load_panel(fp)
     assert panel.registry.codes == ("CAN", "USA")
     assert panel.missing_gdp == ((2000, "USA"),)
+
+
+# One block of distinct rows: each of _SIDE exporters C000, C001, ... sends
+# to each of _SIDE importers D000, D001, ...
+_SIDE = int(ingest._BLOCK**0.5)
+_LAST_ROW = f"2000,C{_SIDE - 1:03d},D{_SIDE - 1:03d},1"
+
+
+@pytest.fixture(scope="module")
+def full_block() -> bytes:
+    """A header and exactly one block of good, distinct flow rows."""
+    assert _SIDE * _SIDE == ingest._BLOCK
+    rows = (f"2000,C{i // _SIDE:03d},D{i % _SIDE:03d},1\n" for i in range(ingest._BLOCK))
+    return ("year,exporter,importer,value\n" + "".join(rows)).encode()
+
+
+@pytest.mark.parametrize("lead", [0, 1])
+@pytest.mark.parametrize(
+    "fault,message",
+    [
+        ([b"2000,USA,USA,5"], "self-flow for 'USA'"),
+        ([b"2000,USA,C\rAN,5"], "new-line character seen in unquoted field"),
+        ([b"2000,US\xff,CAN,5"], "not valid UTF-8"),
+        ([_LAST_ROW.encode()], f"duplicate flow {(2000, *_LAST_ROW.split(',')[1:3])}"),
+        ([b"2000,USA,CAN,-1", b"2000,US\xff,CAN,5"], "negative flow value -1.0"),
+    ],
+)
+def test_fault_in_the_second_block(full_block, lead, fault, message):
+    # The header is line 1, so line _BLOCK + 1 opens the second block of
+    # lines and line _BLOCK + 2 the second block of rows.  Dropping `lead`
+    # good rows puts the fault's first line on either.
+    header, *rows = full_block.splitlines(keepends=True)
+    data = header + b"".join(rows[lead:]) + b"\n".join(fault) + b"\n"
+    with pytest.raises(DataError) as caught:
+        load_panel(data)
+    assert str(caught.value).startswith(f"line {ingest._BLOCK + 2 - lead}: {message}")
+    with mock.patch.object(ingest, "_read_table", read_table_rowwise):
+        with pytest.raises(DataError) as reference:
+            load_panel(data)
+    assert str(caught.value) == str(reference.value)
