@@ -6,7 +6,9 @@ echo (minus the output directory, which has no effect on data), the
 per-year normalizers, and a sha256 digest of every emitted file.
 Nothing is written until every year has been computed, so a failing year
 aborts the run without leaving a partial bundle; files already written when
-a later write fails are removed.
+a later write fails are removed.  Once the new manifest is written, files
+that the directory's previous manifest listed and the new one does not are
+deleted, so a rerun into the same directory leaves no stale outputs.
 """
 
 from __future__ import annotations
@@ -164,22 +166,23 @@ def _undefined_counts(table: NodeStatsTable) -> list[tuple[str, int]]:
 
 
 class _BundleWriter:
-    """Writes bundle files, tracking them for the manifest and for cleanup."""
+    """Writes bundle files, hashing each as it is written, and tracks them for
+    the manifest and for cleanup."""
 
     def __init__(self, out_dir: Path) -> None:
         self.out_dir = out_dir
         self.written: list[Path] = []
+        self.sha256: dict[str, str] = {}
 
     def write(self, name: str, text: str) -> None:
+        data = text.encode("utf-8")
         path = self.out_dir / name
-        path.write_text(text, encoding="utf-8", newline="\n")
+        path.write_bytes(data)
         self.written.append(path)
+        self.sha256[name] = hashlib.sha256(data).hexdigest()
 
     def digests(self) -> dict[str, str]:
-        return {
-            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in sorted(self.written)
-        }
+        return dict(sorted(self.sha256.items()))
 
     def cleanup(self) -> None:
         for path in self.written:
@@ -211,6 +214,18 @@ def read_correlation_csv(path: str | Path) -> list[CorrelationPoint]:
                 )
             )
     return points
+
+
+def _listed_files(out_dir: Path) -> set[str]:
+    """The plain file names that ``out_dir``'s manifest lists, if it parses."""
+    try:
+        files = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))["files"]
+    except (OSError, ValueError, KeyError, TypeError):
+        return set()
+    if not isinstance(files, dict):
+        return set()
+    names = {name for name in files if isinstance(name, str) and Path(name).name == name}
+    return names - {"", "..", "manifest.json"}
 
 
 def manifest_json(manifest: Mapping) -> str:
@@ -281,6 +296,7 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
             counts.append((year, name, count))
 
     config.out_dir.mkdir(parents=True, exist_ok=True)
+    previous = _listed_files(config.out_dir)
     writer = _BundleWriter(config.out_dir)
     try:
         if "stats" in config.analyses:
@@ -347,7 +363,13 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
     except Exception:
         writer.cleanup()
         raise
+    stale = [config.out_dir / name for name in sorted(previous - set(writer.sha256))]
+    for path in stale:
+        if path.is_file():
+            path.unlink()
     logger.info("wrote %d files to %s", len(writer.written), config.out_dir)
+    if stale:
+        logger.info("removed %d files that only the previous manifest listed", len(stale))
     return bundle
 
 

@@ -268,6 +268,25 @@ def full_block() -> bytes:
     return ("year,exporter,importer,value\n" + "".join(rows)).encode()
 
 
+def _second_block_fault(full_block: bytes, lead: int, fault: list[bytes]) -> bytes:
+    """A header, a first block of plain rows and ``fault`` from line
+    _BLOCK + 2 - lead on.  The header is line 1, so line _BLOCK + 1 opens the
+    second block of lines and line _BLOCK + 2 the second block of rows;
+    dropping ``lead`` good rows puts the fault's first line on either."""
+    header, *rows = full_block.splitlines(keepends=True)
+    return header + b"".join(rows[lead:]) + b"\n".join(fault) + b"\n"
+
+
+def _assert_fault(data: bytes, lineno: int, message: str) -> None:
+    with pytest.raises(DataError) as caught:
+        load_panel(data)
+    assert str(caught.value).startswith(f"line {lineno}: {message}")
+    with mock.patch.object(ingest, "_read_table", read_table_rowwise):
+        with pytest.raises(DataError) as reference:
+            load_panel(data)
+    assert str(caught.value) == str(reference.value)
+
+
 @pytest.mark.parametrize("lead", [0, 1])
 @pytest.mark.parametrize(
     "fault,message",
@@ -280,15 +299,24 @@ def full_block() -> bytes:
     ],
 )
 def test_fault_in_the_second_block(full_block, lead, fault, message):
-    # The header is line 1, so line _BLOCK + 1 opens the second block of
-    # lines and line _BLOCK + 2 the second block of rows.  Dropping `lead`
-    # good rows puts the fault's first line on either.
-    header, *rows = full_block.splitlines(keepends=True)
-    data = header + b"".join(rows[lead:]) + b"\n".join(fault) + b"\n"
-    with pytest.raises(DataError) as caught:
-        load_panel(data)
-    assert str(caught.value).startswith(f"line {ingest._BLOCK + 2 - lead}: {message}")
-    with mock.patch.object(ingest, "_read_table", read_table_rowwise):
-        with pytest.raises(DataError) as reference:
-            load_panel(data)
-    assert str(caught.value) == str(reference.value)
+    _assert_fault(_second_block_fault(full_block, lead, fault), ingest._BLOCK + 2 - lead, message)
+
+
+@pytest.mark.parametrize("lead", [0, 1])
+@pytest.mark.parametrize(
+    "switch,fault,message",
+    [
+        (b"# note", b"2000,USA,USA,5", "self-flow for 'USA'"),
+        (b"", b"2000,USA,CAN,-1", "negative flow value -1.0"),
+        (b"2000,USA,CAN,5\r", b"2000,USA,USA,5", "self-flow for 'USA'"),
+        (b"2000,USA,CAN,5\r", _LAST_ROW.encode(), "duplicate flow"),
+        (b"2000,USA,CAN,5\r", b"2000,US\xff,CAN,5", "not valid UTF-8"),
+        (b"2000,\"US\nA\",CAN,5", b"2000,USA,-", "expected 4 fields, got 3"),
+        (b"# note", b"2000,USA,C\rAN,5", "new-line character seen in unquoted field"),
+    ],
+)
+def test_fault_after_the_switch_off_the_plain_path(full_block, lead, switch, fault, message):
+    # A comment, blank, CRLF or quoted line after a first block of plain rows
+    # hands the rest of the file to the csv module; the fault follows it.
+    data = _second_block_fault(full_block, lead, [switch, fault])
+    _assert_fault(data, ingest._BLOCK + 3 - lead + switch.count(b"\n"), message)

@@ -50,12 +50,19 @@ def sources(data: bytes | None):
 _CODES = ["A", "B", " C ", "D", "e", "é"]
 # Defects and oddities, one of which may replace a cell or a line.  Lone
 # surrogates in \udc80-\udcff encode (surrogateescape) to bytes that are not
-# UTF-8.
+# UTF-8.  \x1c-\x1f are whitespace to int, float and strip on str but not to
+# float on bytes; tab is whitespace to all of them.  Cells longer than 8 bytes,
+# or than the widest cell numpy reads, and a quoted line break after plain
+# rows (which may straddle a block boundary) exercise the plain-block reader.
 _BAD_CELLS = [
     "", " ", "20x0", "1_999", "+2000", "9" * 19, "-" + "9" * 19, "0", "-0.0", "-3", "1e400",
     "nan", "-inf", "abc", "0x10", "A", '"A"', '"B,C"', '"x\ny"', '"', "\x00", "a\rb", "A\udcff",
+    "1\x1c", "\x1f2000", "\x0b2000", "\x7f", "\t2000\t", "\tB", "LONGCODE9", "1" * 70,
 ]
-_ODD_LINES = ["", " ", "# note", " #, x", '"', 'y"', "\t", ",", "\udcff", "2000,A"]
+_ODD_LINES = [
+    "", " ", "# note", " #, x", '"', 'y"', "\t", ",", "\udcff", "2000,A", '2000,"A\nB",C,5',
+    "#1999,A,B,2", " # x,y", '2000,A"B,5', "2000,A\x00B,5", "2000,A,B,5\x0c",
+]
 
 
 @st.composite
@@ -70,8 +77,9 @@ def _table(draw, columns: tuple[str, ...]) -> bytes:
     if draw(st.integers(0, 9)) == 0:
         header = draw(st.sampled_from([header.upper(), " " + header, header + ",x", "# x"]))
     lines = [header]
+    pool = _CODES if draw(st.booleans()) else _CODES[:-1]  # all-ASCII rows or not
     for _ in range(draw(st.integers(0, 12))):
-        codes = draw(st.permutations(_CODES))
+        codes = draw(st.permutations(pool))
         cells = {
             "year": draw(st.sampled_from(["1998", "1999", "2000", " 2001"])),
             **dict(zip(columns[1:-1], codes)),
@@ -103,3 +111,95 @@ def test_block_reader_matches_row_reader(flows, sizes, block):
     expected = [reference_outcome(*pair) for pair in zip(sources(flows), sources(sizes))]
     with mock.patch.object(ingest, "_BLOCK", block):
         assert [outcome(*pair) for pair in zip(sources(flows), sources(sizes))] == expected
+
+
+def _plain_flows(rows: int) -> bytes:
+    """A header and ``rows`` distinct plain flow rows."""
+    body = (f"{2000 + i // 900},C{i // 30 % 30:02d},D{i % 30:02d},{i + 1}\n" for i in range(rows))
+    return ("year,exporter,importer,value\n" + "".join(body)).encode()
+
+
+def _assert_same_flows(data: bytes, block: int) -> list:
+    """Both readers give the same outcome on ``data`` as flows, from every
+    source type, with ``_BLOCK`` patched to ``block``; return it."""
+    expected = [reference_outcome(flows, None) for flows in sources(data)]
+    with mock.patch.object(ingest, "_BLOCK", block):
+        assert [outcome(flows, None) for flows in sources(data)] == expected
+    return expected
+
+
+@pytest.mark.parametrize("block", [2, ingest._BLOCK])
+@pytest.mark.parametrize("column", range(4))
+@pytest.mark.parametrize("cell", _BAD_CELLS)
+def test_odd_cell_among_plain_rows(cell, column, block):
+    header, *rows = _plain_flows(4).decode().splitlines(keepends=True)
+    cells = rows[2].rstrip("\n").split(",")
+    cells[column] = cell
+    rows[2] = ",".join(cells) + "\n"
+    _assert_same_flows((header + "".join(rows)).encode("utf-8", "surrogateescape"), block)
+
+
+@pytest.mark.parametrize("block", [2, ingest._BLOCK])
+@pytest.mark.parametrize("at", [0, 2, 4])
+@pytest.mark.parametrize("line", _ODD_LINES)
+def test_odd_line_among_plain_rows(line, at, block):
+    header, *rows = _plain_flows(4).decode().splitlines(keepends=True)
+    rows.insert(at, line + "\n")
+    _assert_same_flows((header + "".join(rows)).encode("utf-8", "surrogateescape"), block)
+
+
+def test_a_line_holds_one_line_break_at_its_end():
+    # Any iterable of lines is a source; the csv module reads each item as
+    # one line, so a line break inside an item is an error, not a row end.
+    lines = ["year,exporter,importer,value\n", "2000,A,B,1\n2000,C,D,2", "\n"]
+    assert outcome(lines, None) == reference_outcome(lines, None)
+    assert outcome(lines, None).startswith("DataError: line 2: new-line character seen")
+
+
+@pytest.mark.parametrize("block", [2, 5, ingest._BLOCK])
+def test_plain_blocks_bypass_the_csv_module(block):
+    # A header and two blocks of lines, all plain: the csv module may read
+    # the header of each file and nothing after it.
+    data = _plain_flows(2 * block - 1)
+    expected = [reference_outcome(flows, None) for flows in sources(data)]
+    real_reader, made = ingest.csv.reader, []
+
+    class HeaderOnly:
+        def __init__(self, lines):
+            self.rows = real_reader(lines)
+            made.append(self)
+
+        def __iter__(self):
+            return self
+
+        def __next__(self):
+            if self.rows.line_num:
+                raise AssertionError("the csv module read past the header")
+            return next(self.rows)
+
+        @property
+        def line_num(self):
+            return self.rows.line_num
+
+    with mock.patch.object(ingest, "_BLOCK", block), mock.patch.object(
+        ingest.csv, "reader", HeaderOnly
+    ):
+        assert [outcome(flows, None) for flows in sources(data)] == expected
+    assert len(made) == 2 * 3  # one reader per file (flows, sizes) and source
+    assert expected[0][3][1] == (2 * block - 1,)  # a panel of every row
+
+
+@pytest.mark.parametrize("block", [2, 3, 5])
+@pytest.mark.parametrize("at", range(1, 7))
+@pytest.mark.parametrize("tail", ["", "2001,Q,Q,1\n"])
+def test_quoted_line_break_after_plain_rows(block, at, tail):
+    # Plain rows, then a quoted field holding a line break, which straddles
+    # a block boundary wherever `at` puts it on the lines of a `block`, then
+    # maybe a bad row whose line number counts both lines of that field.
+    header, *rows = _plain_flows(8).decode().splitlines(keepends=True)
+    rows.insert(at, '2000,"X\nY",Z,5\n')
+    expected = _assert_same_flows((header + "".join(rows) + tail).encode(), block)
+    if tail:
+        assert expected[0] == "DataError: line 12: self-flow for 'Q'"
+    else:
+        assert expected[0][3][1] == (9,)

@@ -115,6 +115,44 @@ def test_stats_only_subset(toy_csvs, tmp_path):
     assert names == {"stats_1999.csv", "stats_2000.csv", "counts.csv", "manifest.json"}
 
 
+def test_rerun_removes_files_only_the_previous_manifest_listed(toy_csvs, tmp_path):
+    out = tmp_path / "bundle"
+    run_pipeline(config_for(toy_csvs, out))
+    (out / "notes.txt").write_text("not a bundle file")
+    run_pipeline(config_for(toy_csvs, out, years=(2000,), analyses=frozenset(("stats",))))
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest["files"]) == {"stats_2000.csv", "counts.csv"}
+    assert {p.name for p in out.iterdir()} == {*manifest["files"], "manifest.json", "notes.txt"}
+    for name, digest in manifest["files"].items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+
+def test_rerun_deletes_only_plain_names_of_a_parsed_manifest(toy_csvs, tmp_path):
+    out = tmp_path / "bundle"
+    (out / "sub").mkdir(parents=True)
+    kept = [tmp_path / "outside.csv", out / "sub" / "inner.csv", out / "sub.csv"]
+    for path in kept:
+        path.write_text("keep")
+    (out / "old.csv").write_text("stale")
+    names = ["../outside.csv", str(kept[0]), "sub", "sub/inner.csv", "", ".", "..", "old.csv"]
+    (out / "manifest.json").write_text(json.dumps({"files": dict.fromkeys(names, "0")}))
+    run_pipeline(config_for(toy_csvs, out, analyses=frozenset(("stats",))))
+    assert all(path.read_text() == "keep" for path in kept)
+    assert not (out / "old.csv").exists() and (out / "sub").is_dir()
+
+
+@pytest.mark.parametrize(
+    "text", ["{not json", "[]", '{"files": ["old.csv"]}', '{"tool": {}}', b"\xff".decode("latin-1")]
+)
+def test_rerun_keeps_files_when_the_previous_manifest_does_not_parse(toy_csvs, tmp_path, text):
+    out = tmp_path / "bundle"
+    out.mkdir()
+    (out / "old.csv").write_text("kept")
+    (out / "manifest.json").write_text(text, encoding="latin-1")
+    run_pipeline(config_for(toy_csvs, out, analyses=frozenset(("stats",))))
+    assert (out / "old.csv").read_text() == "kept"
+
+
 def test_unknown_analysis_rejected(toy_csvs, tmp_path):
     with pytest.raises(ValidationError, match="unknown analyses"):
         run_pipeline(config_for(toy_csvs, tmp_path, analyses=frozenset(("plots",))))
