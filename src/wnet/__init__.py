@@ -9,11 +9,7 @@ binary with the weighted view of the same network.
 
 from ._version import __version__
 from .distributions import (
-    SUPPORTED_PAIRS,
     CorrelationPoint,
-    DensityEstimate,
-    RankSizeCurve,
-    TailFit,
     correlation_series,
     fit_tail,
     kde,
@@ -21,10 +17,9 @@ from .distributions import (
     rank_size,
     silverman_bandwidth,
 )
-from .errors import DataError, ValidationError, WnetError
+from .errors import DataError, ValidationError
 from .graph import (
     DirectedTradeNetwork,
-    MatrixDump,
     UndirectedNetwork,
     WeightScheme,
     WeightVariant,
@@ -36,15 +31,8 @@ from .graph import (
     symmetry_index,
 )
 from .ingest import CountryRegistry, PanelDataset, load_panel, save_panel
-from .pipeline import (
-    ANALYSES,
-    PipelineConfig,
-    ReportBundle,
-    compare_views,
-    run_pipeline,
-)
+from .pipeline import PipelineConfig, compare_views, run_pipeline
 from .stats import (
-    MomentSummary,
     NodeStatsTable,
     annd,
     anns,
@@ -58,26 +46,17 @@ from .stats import (
 
 __all__ = [
     "__version__",
-    "ANALYSES",
-    "SUPPORTED_PAIRS",
     "CorrelationPoint",
     "CountryRegistry",
     "DataError",
-    "DensityEstimate",
     "DirectedTradeNetwork",
-    "MatrixDump",
-    "MomentSummary",
     "NodeStatsTable",
     "PanelDataset",
     "PipelineConfig",
-    "RankSizeCurve",
-    "ReportBundle",
-    "TailFit",
     "UndirectedNetwork",
     "ValidationError",
     "WeightScheme",
     "WeightVariant",
-    "WnetError",
     "annd",
     "anns",
     "bcc",

@@ -4,36 +4,23 @@ Subcommands: build (dump per-year weight matrices), stats (per-year node
 statistics CSVs), analyze (distributional analyses), report (comparison
 table from an existing bundle), all (everything plus comparison).
 
-Exit codes: 0 success, 1 validation error, 2 data error, 3 internal error.
-The WNET_LOG environment variable sets the logging level.
+Exit codes: 0 success, 1 validation error, 2 data or I/O error (OSError),
+3 internal error.  The WNET_LOG environment variable sets the logging level.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import logging
 import os
 import sys
 from pathlib import Path
 
 from ._version import __version__
-from .distributions import SUPPORTED_PAIRS
-from .errors import DataError, ValidationError, WnetError
+from .errors import ValidationError, WnetError
 from .graph import WeightScheme, WeightVariant, build_directed, save_matrix, symmetrize
 from .ingest import load_panel
-from .pipeline import (
-    ANALYSES,
-    VIEW_PAIRS,
-    PipelineConfig,
-    compare_views,
-    comparison_csv,
-    manifest_json,
-    pair_filename,
-    read_correlation_csv,
-    run_pipeline,
-)
+from .pipeline import ANALYSES, PipelineConfig, relabel, run_pipeline
 
 logger = logging.getLogger(__name__)
 
@@ -59,11 +46,6 @@ def _parse_years(text: str) -> tuple[int, ...]:
         raise ValidationError(f"cannot parse years {text!r}") from None
 
 
-def _parse_analyses(text: str) -> frozenset[str]:
-    names = frozenset(part.strip() for part in text.split(",") if part.strip())
-    return names
-
-
 def read_config_file(path: str | Path) -> dict[str, str]:
     """Parse a flat key = value config file; '#' starts a comment."""
     values: dict[str, str] = {}
@@ -83,20 +65,8 @@ def read_config_file(path: str | Path) -> dict[str, str]:
     return values
 
 
-_CONFIG_KEYS = {
-    "flows",
-    "gdp",
-    "scheme",
-    "threshold",
-    "years",
-    "analyses",
-    "ci_level",
-    "tail_fraction",
-    "bandwidth",
-    "out",
-    "strong_cut",
-    "moderate_cut",
-}
+_FLOAT_FIELDS = ("ci_level", "tail_fraction", "bandwidth", "strong_cut", "moderate_cut")
+_CONFIG_KEYS = {"flows", "gdp", "scheme", "threshold", "years", "analyses", "out", *_FLOAT_FIELDS}
 
 
 def _merge_config(args: argparse.Namespace) -> None:
@@ -188,7 +158,7 @@ def _require(args: argparse.Namespace, name: str) -> str:
     return value
 
 
-def _float_arg(args: argparse.Namespace, name: str, default: float) -> float:
+def _float_arg(args: argparse.Namespace, name: str, default: float | None = None) -> float | None:
     value = getattr(args, name, None)
     if value is None:
         return default
@@ -203,7 +173,6 @@ def _pipeline_config(args: argparse.Namespace, analyses: frozenset[str]) -> Pipe
         WeightVariant.from_name(getattr(args, "scheme", None) or "exporter-gdp"),
         _float_arg(args, "threshold", 0.0),
     )
-    bandwidth = getattr(args, "bandwidth", None)
     gdp = getattr(args, "gdp", None)
     config = PipelineConfig(
         flows=Path(_require(args, "flows")),
@@ -212,11 +181,8 @@ def _pipeline_config(args: argparse.Namespace, analyses: frozenset[str]) -> Pipe
         years=_parse_years(_require(args, "years")),
         out_dir=Path(_require(args, "out")),
         analyses=analyses,
-        ci_level=_float_arg(args, "ci_level", 0.90),
-        tail_fraction=_float_arg(args, "tail_fraction", 0.05),
-        bandwidth=None if bandwidth is None else _float_arg(args, "bandwidth", 0.0),
-        strong_cut=_float_arg(args, "strong_cut", 0.7),
-        moderate_cut=_float_arg(args, "moderate_cut", 0.3),
+        # A float flag left unset keeps the PipelineConfig default.
+        **{name: value for name in _FLOAT_FIELDS if (value := _float_arg(args, name)) is not None},
     )
     config.validate()
     return config
@@ -226,7 +192,7 @@ def _selected_analyses(args: argparse.Namespace, default: tuple[str, ...]) -> fr
     raw = getattr(args, "analyses", None)
     if raw is None:
         return frozenset(default)
-    return _parse_analyses(raw)
+    return frozenset(part.strip() for part in raw.split(",") if part.strip())
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
@@ -267,58 +233,16 @@ def _print_comparison(rows: list[dict]) -> None:
         )
 
 
-def _bundle_manifest(out_dir: Path) -> dict | None:
-    """The bundle's manifest, if any, checked to hold what report rewrites."""
-    path = out_dir / "manifest.json"
-    if not path.exists():
-        return None
-    try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-        if not isinstance(manifest["files"], dict) or not isinstance(manifest["config"], dict):
-            raise TypeError("files and config must be objects")
-        for name in ("strong_cut", "moderate_cut"):
-            manifest["config"][name] = float(manifest["config"][name])
-    except (ValueError, LookupError, TypeError) as exc:
-        raise DataError(f"{path} is not a wnet manifest: {exc}") from None
-    return manifest
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     out_dir = Path(_require(args, "out"))
-    series = {}
-    needed = {pair for roles in VIEW_PAIRS.values() for pair in roles.values()}
-    for pair in SUPPORTED_PAIRS:
-        path = out_dir / pair_filename(pair)
-        if path.exists():
-            series[pair] = read_correlation_csv(path)
-        elif pair in needed:
-            raise DataError(f"bundle is missing the {pair} correlation series ({path})")
-    # Cuts not given default to those the bundle was labelled with.
-    manifest = _bundle_manifest(out_dir)
-    labelled = manifest["config"] if manifest else {"strong_cut": 0.7, "moderate_cut": 0.3}
-    strong_cut = _float_arg(args, "strong_cut", labelled["strong_cut"])
-    moderate_cut = _float_arg(args, "moderate_cut", labelled["moderate_cut"])
-    if not 0 <= moderate_cut <= strong_cut:
-        raise ValidationError("need 0 <= moderate cut <= strong cut")
-    rows = compare_views(series, strong_cut, moderate_cut)
-    text = comparison_csv(rows)
-    (out_dir / "comparison.csv").write_text(text, encoding="utf-8", newline="\n")
-    if manifest is not None:
-        # Keep the manifest in step: the digest of the new table and its cuts.
-        manifest["files"]["comparison.csv"] = hashlib.sha256(text.encode()).hexdigest()
-        manifest["config"].update(strong_cut=strong_cut, moderate_cut=moderate_cut)
-        (out_dir / "manifest.json").write_text(
-            manifest_json(manifest), encoding="utf-8", newline="\n"
-        )
-    _print_comparison(rows)
+    cuts = _float_arg(args, "strong_cut"), _float_arg(args, "moderate_cut")
+    _print_comparison(relabel(out_dir, *cuts))
     return 0
 
 
 def _cmd_all(args: argparse.Namespace) -> int:
     config = _pipeline_config(args, _selected_analyses(args, ANALYSES))
-    bundle = run_pipeline(config)
-    if "correlations" in config.analyses:
-        _print_comparison(compare_views(bundle, config.strong_cut, config.moderate_cut))
+    _print_comparison(run_pipeline(config).comparison)
     print(f"bundle written to {config.out_dir}")
     return 0
 
@@ -348,7 +272,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except WnetError as exc:
+    except (WnetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -1,5 +1,9 @@
 """End-to-end pipeline: ingest -> build -> stats -> analyses -> bundle.
 
+Every bundle file goes through ``_BundleWriter``, which hashes each file as
+it writes it and is the only writer of ``manifest.json``; ``read_manifest``
+is its only reader.  ``relabel`` rewrites a bundle's comparison table.
+
 A run is deterministic: identical inputs and config produce byte-identical
 output files.  No timestamps are written; the manifest carries the config
 echo (minus the output directory, which has no effect on data), the
@@ -17,10 +21,11 @@ import csv
 import hashlib
 import json
 import logging
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -43,6 +48,7 @@ from .stats import MomentSummary, NodeStatsTable, _fmt_column, moments, node_sta
 
 logger = logging.getLogger(__name__)
 
+MANIFEST = "manifest.json"
 ANALYSES = ("stats", "moments", "correlations", "density", "ranksize", "tailfit", "symmetry")
 MOMENT_STATISTICS = ("nd", "ns", "annd", "anns", "bcc", "wcc")
 DENSITY_STATISTICS = ("nd", "ns")
@@ -86,10 +92,11 @@ class PipelineConfig:
             raise ValidationError(
                 f"tail fraction must be in (0, 1), got {self.tail_fraction!r}"
             )
-        if self.bandwidth is not None and self.bandwidth <= 0:
-            raise ValidationError(f"bandwidth must be positive, got {self.bandwidth!r}")
-        if not 0 <= self.moderate_cut <= self.strong_cut:
-            raise ValidationError("need 0 <= moderate cut <= strong cut")
+        if self.bandwidth is not None and not 0 < self.bandwidth < math.inf:
+            raise ValidationError(
+                f"bandwidth must be positive and finite, got {self.bandwidth!r}"
+            )
+        _check_cuts(self.strong_cut, self.moderate_cut)
 
     def echo(self) -> dict:
         """Config as written to the manifest (data-affecting fields only)."""
@@ -108,6 +115,11 @@ class PipelineConfig:
         }
 
 
+def _check_cuts(strong_cut: float, moderate_cut: float) -> None:
+    if not 0 <= moderate_cut <= strong_cut < math.inf:
+        raise ValidationError("need 0 <= moderate cut <= strong cut < inf")
+
+
 @dataclass(frozen=True, eq=False)
 class YearResult:
     """Everything computed for a single year before serialization."""
@@ -122,7 +134,6 @@ class YearResult:
 class ReportBundle:
     """In-memory results of a run plus the manifest written alongside them."""
 
-    out_dir: Path
     manifest: dict
     tables: dict[int, NodeStatsTable]
     moments: list[MomentSummary] = field(default_factory=list)
@@ -131,6 +142,7 @@ class ReportBundle:
     ranksizes: dict[str, RankSizeCurve] = field(default_factory=dict)
     tailfits: dict[int, TailFit] = field(default_factory=dict)
     symmetry: dict[int, float] = field(default_factory=dict)
+    comparison: list[dict] = field(default_factory=list)
 
 
 def _fmt(value: float | int | None) -> str:
@@ -181,56 +193,71 @@ class _BundleWriter:
         self.written.append(path)
         self.sha256[name] = hashlib.sha256(data).hexdigest()
 
-    def digests(self) -> dict[str, str]:
-        return dict(sorted(self.sha256.items()))
+    def write_manifest(self, manifest: dict) -> None:
+        """Add the digest of every file written so far to ``manifest["files"]``
+        and write it as ``manifest.json``."""
+        manifest["files"] = {**manifest.get("files", {}), **self.sha256}
+        self.write(MANIFEST, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
     def cleanup(self) -> None:
         for path in self.written:
             path.unlink(missing_ok=True)
 
 
-def _correlation_csv(points: Sequence[CorrelationPoint]) -> str:
-    lines = ["year,pair,r,ci_low,ci_high,n"]
-    for p in points:
-        lines.append(
-            f"{p.year},{p.pair},{_fmt(p.r)},{_fmt(p.ci_low)},{_fmt(p.ci_high)},{p.n}"
-        )
-    return "\n".join(lines) + "\n"
+def _csv(header: str, rows: Iterable[str]) -> str:
+    """CSV text: the header, then one line per row, each ending in a newline."""
+    return "\n".join([header, *rows]) + "\n"
 
 
 def read_correlation_csv(path: str | Path) -> list[CorrelationPoint]:
     """Load a correlation series back from its bundle CSV."""
     points = []
     with open(path, encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            points.append(
-                CorrelationPoint(
-                    year=int(row["year"]),
-                    pair=row["pair"],
-                    r=float(row["r"]),
-                    ci_low=float(row["ci_low"]),
-                    ci_high=float(row["ci_high"]),
-                    n=int(row["n"]),
+        rows = csv.DictReader(fh)
+        try:
+            for row in rows:
+                r, low, high = (float(row[key]) for key in ("r", "ci_low", "ci_high"))
+                points.append(
+                    CorrelationPoint(int(row["year"]), row["pair"], r, low, high, int(row["n"]))
                 )
-            )
+        except (LookupError, TypeError, ValueError, csv.Error) as exc:
+            raise DataError(f"{path}, line {rows.line_num}: bad correlation row: {exc}") from None
     return points
+
+
+@contextmanager
+def _manifest_context(path: Path):
+    """Re-raise what a malformed manifest trips over as DataError."""
+    try:
+        yield
+    except (ValueError, LookupError, TypeError) as exc:
+        raise DataError(f"{path} is not a wnet manifest: {exc}") from None
+
+
+def read_manifest(out_dir: Path) -> dict | None:
+    """``out_dir``'s manifest, or None if it has none.
+
+    Raises DataError unless it is a JSON object with a ``files`` object.
+    """
+    path = out_dir / MANIFEST
+    if not path.exists():
+        return None
+    with _manifest_context(path):
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(manifest["files"], dict):
+            raise TypeError("files must be an object")
+    return manifest
 
 
 def _listed_files(out_dir: Path) -> set[str]:
     """The plain file names that ``out_dir``'s manifest lists, if it parses."""
     try:
-        files = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))["files"]
-    except (OSError, ValueError, KeyError, TypeError):
+        manifest = read_manifest(out_dir)
+    except (DataError, OSError):
         return set()
-    if not isinstance(files, dict):
-        return set()
+    files = manifest["files"] if manifest else {}
     names = {name for name in files if isinstance(name, str) and Path(name).name == name}
-    return names - {"", "..", "manifest.json"}
-
-
-def manifest_json(manifest: Mapping) -> str:
-    """The canonical text of ``manifest.json``."""
-    return json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    return names - {"", "..", MANIFEST}
 
 
 def pair_filename(pair: str) -> str:
@@ -250,13 +277,11 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
     years = sorted(tables)
 
     bundle = ReportBundle(
-        out_dir=config.out_dir,
         manifest={},
         tables=tables,
         symmetry={r.year: r.symmetry for r in results if r.symmetry is not None},
     )
     counts: list[tuple[int, str, int]] = []
-    density_bandwidths: dict[str, float] = {}
 
     if "moments" in config.analyses:
         for year in years:
@@ -270,6 +295,9 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
             bundle.correlations[pair] = correlation_series(
                 tables, pair, config.ci_level
             )
+        bundle.comparison = compare_views(
+            bundle.correlations, config.strong_cut, config.moderate_cut
+        )
     if "density" in config.analyses:
         for year in years:
             for name in DENSITY_STATISTICS:
@@ -277,7 +305,6 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
                     est = kde(tables[year].column(name), config.bandwidth)
                 key = f"density_{name}_{year}.csv"
                 bundle.densities[key] = est
-                density_bandwidths[key] = est.bandwidth
                 counts.append((year, f"density_{name}_dropped", len(tables[year].codes) - est.n))
     if "ranksize" in config.analyses:
         for year in years:
@@ -303,44 +330,40 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
             for year in years:
                 writer.write(f"stats_{year}.csv", tables[year].to_csv())
         if bundle.moments:
-            lines = ["statistic,year,mean,std,skewness,kurtosis,count"]
-            for m in bundle.moments:
-                lines.append(
-                    f"{m.statistic},{m.year},{_fmt(m.mean)},{_fmt(m.std)},"
-                    f"{_fmt(m.skewness)},{_fmt(m.kurtosis)},{m.count}"
-                )
-            writer.write("moments.csv", "\n".join(lines) + "\n")
+            writer.write("moments.csv", _csv("statistic,year,mean,std,skewness,kurtosis,count", (
+                f"{m.statistic},{m.year},{_fmt(m.mean)},{_fmt(m.std)},"
+                f"{_fmt(m.skewness)},{_fmt(m.kurtosis)},{m.count}"
+                for m in bundle.moments
+            )))
         for pair, points in bundle.correlations.items():
-            writer.write(pair_filename(pair), _correlation_csv(points))
+            writer.write(pair_filename(pair), _csv("year,pair,r,ci_low,ci_high,n", (
+                f"{p.year},{p.pair},{_fmt(p.r)},{_fmt(p.ci_low)},{_fmt(p.ci_high)},{p.n}"
+                for p in points
+            )))
         for name, est in bundle.densities.items():
-            lines = ["grid,density"]
-            lines += map(",".join, zip(_fmt_column(est.grid), _fmt_column(est.density)))
-            writer.write(name, "\n".join(lines) + "\n")
+            rows = map(",".join, zip(_fmt_column(est.grid), _fmt_column(est.density)))
+            writer.write(name, _csv("grid,density", rows))
         for name, curve in bundle.ranksizes.items():
-            lines = ["rank,size"]
-            lines += [f"{r},{s}" for r, s in zip(curve.ranks.tolist(), _fmt_column(curve.sizes))]
-            writer.write(name, "\n".join(lines) + "\n")
+            rows = (f"{r},{s}" for r, s in zip(curve.ranks.tolist(), _fmt_column(curve.sizes)))
+            writer.write(name, _csv("rank,size", rows))
         if bundle.tailfits:
-            lines = ["year,statistic,mu,sigma,alpha,x_min,tail_fraction,n_positive,tail_count,dropped"]
-            for year in years:
-                f = bundle.tailfits[year]
-                lines.append(
-                    f"{year},{HEAVY_TAIL_STATISTIC},{_fmt(f.mu)},{_fmt(f.sigma)},"
-                    f"{_fmt(f.alpha)},{_fmt(f.x_min)},{_fmt(f.tail_fraction)},"
-                    f"{f.n},{f.tail_count},{f.dropped}"
-                )
-            writer.write("tailfit.csv", "\n".join(lines) + "\n")
+            header = (
+                "year,statistic,mu,sigma,alpha,x_min,tail_fraction,n_positive,tail_count,dropped"
+            )
+            writer.write("tailfit.csv", _csv(header, (
+                f"{year},{HEAVY_TAIL_STATISTIC},{_fmt(f.mu)},{_fmt(f.sigma)},"
+                f"{_fmt(f.alpha)},{_fmt(f.x_min)},{_fmt(f.tail_fraction)},"
+                f"{f.n},{f.tail_count},{f.dropped}"
+                for year, f in bundle.tailfits.items()
+            )))
         if bundle.symmetry:
-            lines = ["year,symmetry_index"]
-            lines += [f"{y},{_fmt(v)}" for y, v in sorted(bundle.symmetry.items())]
-            writer.write("symmetry.csv", "\n".join(lines) + "\n")
-        if bundle.correlations:
-            rows = compare_views(bundle, config.strong_cut, config.moderate_cut)
-            writer.write("comparison.csv", comparison_csv(rows))
+            rows = (f"{y},{_fmt(v)}" for y, v in sorted(bundle.symmetry.items()))
+            writer.write("symmetry.csv", _csv("year,symmetry_index", rows))
+        if bundle.comparison:
+            writer.write("comparison.csv", comparison_csv(bundle.comparison))
         if counts:
-            lines = ["year,name,value"]
-            lines += [f"{y},{n},{v}" for y, n, v in sorted(counts)]
-            writer.write("counts.csv", "\n".join(lines) + "\n")
+            rows = (f"{y},{n},{v}" for y, n, v in sorted(counts))
+            writer.write("counts.csv", _csv("year,name,value", rows))
 
         manifest = {
             "tool": {"name": "wnet", "version": __version__},
@@ -352,14 +375,13 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
             "normalizers": {
                 str(r.year): float(r.normalizer) for r in results
             },
-            "density_bandwidths": density_bandwidths,
+            "density_bandwidths": {k: est.bandwidth for k, est in bundle.densities.items()},
             "missing_gdp_warnings": [
                 [year, code] for year, code in panel.missing_gdp
             ],
-            "files": writer.digests(),
         }
+        writer.write_manifest(manifest)
         bundle.manifest = manifest
-        writer.write("manifest.json", manifest_json(manifest))
     except Exception:
         writer.cleanup()
         raise
@@ -397,7 +419,7 @@ def qualitative_label(r: float, strong_cut: float = 0.7, moderate_cut: float = 0
 
 
 def compare_views(
-    bundle: ReportBundle | Mapping[str, Sequence[CorrelationPoint]],
+    series: Mapping[str, Sequence[CorrelationPoint]],
     strong_cut: float = 0.7,
     moderate_cut: float = 0.3,
 ) -> list[dict]:
@@ -405,9 +427,8 @@ def compare_views(
 
     Each row reports the period-mean assortativity and clustering
     correlations of one view with qualitative labels.  Raises DataError if
-    a required series is missing from the bundle.
+    a required series is missing.
     """
-    series = bundle.correlations if isinstance(bundle, ReportBundle) else bundle
     rows = []
     for view, pairs in VIEW_PAIRS.items():
         row: dict = {"view": view}
@@ -428,11 +449,39 @@ def comparison_csv(rows: Sequence[Mapping]) -> str:
         "view,assortativity_pair,assortativity_r,assortativity_label,"
         "clustering_pair,clustering_r,clustering_label"
     )
-    lines = [header]
-    for row in rows:
-        lines.append(
-            f"{row['view']},{row['assortativity_pair']},{_fmt(row['assortativity_r'])},"
-            f"{row['assortativity_label']},{row['clustering_pair']},"
-            f"{_fmt(row['clustering_r'])},{row['clustering_label']}"
-        )
-    return "\n".join(lines) + "\n"
+    return _csv(header, (
+        f"{row['view']},{row['assortativity_pair']},{_fmt(row['assortativity_r'])},"
+        f"{row['assortativity_label']},{row['clustering_pair']},"
+        f"{_fmt(row['clustering_r'])},{row['clustering_label']}"
+        for row in rows
+    ))
+
+
+def relabel(
+    out_dir: Path, strong_cut: float | None = None, moderate_cut: float | None = None
+) -> list[dict]:
+    """Rewrite ``out_dir``'s comparison table from its correlation series.
+
+    Cuts left as None default to those in the bundle's manifest, or to 0.7
+    and 0.3 without one.  A manifest is rewritten with the new table's
+    digest and cuts; without one, only ``comparison.csv`` is written.
+    """
+    manifest = read_manifest(out_dir)
+    labelled = [0.7, 0.3]
+    if manifest is not None:
+        with _manifest_context(out_dir / MANIFEST):
+            labelled = [float(manifest["config"][k]) for k in ("strong_cut", "moderate_cut")]
+    strong_cut = labelled[0] if strong_cut is None else strong_cut
+    moderate_cut = labelled[1] if moderate_cut is None else moderate_cut
+    _check_cuts(strong_cut, moderate_cut)
+    # Only the series the table uses are read.
+    pairs = [pair for roles in VIEW_PAIRS.values() for pair in roles.values()]
+    paths = {pair: out_dir / pair_filename(pair) for pair in pairs}
+    series = {pair: read_correlation_csv(path) for pair, path in paths.items() if path.exists()}
+    rows = compare_views(series, strong_cut, moderate_cut)
+    writer = _BundleWriter(out_dir)
+    writer.write("comparison.csv", comparison_csv(rows))
+    if manifest is not None:
+        manifest["config"].update(strong_cut=strong_cut, moderate_cut=moderate_cut)
+        writer.write_manifest(manifest)
+    return rows

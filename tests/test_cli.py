@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from wnet import load_matrix
 from wnet.cli import main, read_config_file
 
@@ -199,6 +201,104 @@ def test_cli_import_does_not_load_scipy():
         check=True,
     )
     assert result.stdout.strip() == "[]"
+
+
+def bundle_state(out: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+@pytest.mark.parametrize("body", [
+    "year,pair,ci_low,ci_high,n\n2000,ND-ANND,-0.5,-0.4,60\n",
+    "year,pair,r,ci_low,ci_high,n\n2000,ND-ANND,abc,-0.5,-0.4,60\n",
+])
+def test_report_rejects_a_broken_correlation_series(toy_csvs, tmp_path, capsys, body):
+    flows, gdp = toy_csvs
+    out = tmp_path / "bundle"
+    assert run_cli(
+        "all", "--flows", str(flows), "--gdp", str(gdp),
+        "--years", "1999:2000", "--out", str(out),
+    ) == 0
+    before = bundle_state(out)
+    broken = out / "correlation_nd_annd.csv"
+    broken.write_text(body, encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("report", "--out", str(out), "--strong-cut", "0.5") == 2
+    err = capsys.readouterr().err
+    assert f"{broken}, line 2: bad correlation row" in err
+    assert "Traceback" not in err
+    assert bundle_state(out) == {**before, broken.name: body.encode()}
+
+
+def test_report_does_not_read_the_nd_ns_series(toy_csvs, tmp_path):
+    flows, gdp = toy_csvs
+    out = tmp_path / "bundle"
+    assert run_cli(
+        "all", "--flows", str(flows), "--gdp", str(gdp),
+        "--years", "1999:2000", "--out", str(out),
+    ) == 0
+    before = bundle_state(out)
+    (out / "correlation_nd_ns.csv").write_text("year,pair\nnot,a,series\n", encoding="utf-8")
+    assert run_cli("report", "--out", str(out)) == 0
+    for name in ("comparison.csv", "manifest.json"):
+        assert (out / name).read_bytes() == before[name]
+
+
+@pytest.mark.parametrize("target", ["flows", "gdp", "out"])
+def test_io_errors_are_data_errors(toy_csvs, tmp_path, capsys, target):
+    flows, gdp = toy_csvs
+    blocker = tmp_path / "a-file"
+    blocker.write_text("not a directory", encoding="utf-8")
+    paths = {"flows": flows, "gdp": gdp, "out": tmp_path / "o"}
+    paths[target] = blocker / "o" if target == "out" else tmp_path / f"no-{target}.csv"
+    assert run_cli(
+        "stats", "--flows", str(paths["flows"]), "--gdp", str(paths["gdp"]),
+        "--years", "2000", "--out", str(paths["out"]),
+    ) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1 and str(paths[target]) in errors[0]
+
+
+@pytest.mark.parametrize("flags", [
+    ("--bandwidth", "nan"),
+    ("--bandwidth", "inf"),
+    ("--strong-cut", "inf"),
+    ("--strong-cut", "nan"),
+    ("--moderate-cut", "nan"),
+])
+def test_non_finite_floats_fail_before_io(tmp_path, flags):
+    out = tmp_path / "out"
+    missing = str(tmp_path / "does-not-exist.csv")
+    assert run_cli(
+        "all", "--flows", missing, "--gdp", missing, "--years", "2000",
+        "--out", str(out), "--analyses", "stats", *flags,
+    ) == 1
+    assert not out.exists()
+    if flags[0] != "--bandwidth":
+        # Checked before the bundle is read: an empty directory would be exit 2.
+        out.mkdir()
+        assert run_cli("report", "--out", str(out), *flags) == 1
+        assert not list(out.iterdir())
+
+
+def test_benchmark_span_targets_exist():
+    root = Path(__file__).resolve().parent.parent
+    probe = "from spans import SpanRecorder; print(*SpanRecorder().install(), sep='\\n')"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(root / "src"), str(root / "perfbench")]
+        )},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    # The three ingest spans lost their functions when ingest became one
+    # columnar reader; every other span must still find its target.
+    assert result.stdout.split() == [
+        "wnet.ingest.parse_flows", "wnet.ingest.parse_sizes", "wnet.ingest.assemble_panel",
+    ]
 
 
 def test_report_missing_series_is_data_error(tmp_path):

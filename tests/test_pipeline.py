@@ -18,7 +18,13 @@ from wnet import (
     correlation_series,
     run_pipeline,
 )
-from wnet.pipeline import comparison_csv, pair_filename, qualitative_label, read_correlation_csv
+from wnet.pipeline import (
+    comparison_csv,
+    pair_filename,
+    qualitative_label,
+    read_correlation_csv,
+    read_manifest,
+)
 
 from oracles import pearson_oracle
 
@@ -67,6 +73,45 @@ def test_manifest_digests_and_metadata(toy_csvs, tmp_path):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
     assert "manifest.json" not in manifest["files"]
     assert len(manifest["files"]) == len(list(out.iterdir())) - 1
+
+
+def test_manifest_is_strict_json(toy_csvs, tmp_path):
+    out = tmp_path / "bundle"
+    run_pipeline(config_for(toy_csvs, out))
+
+    def reject(token):
+        raise AssertionError(f"manifest holds the non-JSON constant {token}")
+
+    manifest = json.loads((out / "manifest.json").read_text(), parse_constant=reject)
+    assert manifest == read_manifest(out)
+
+
+def test_read_manifest(tmp_path):
+    assert read_manifest(tmp_path) is None
+    for text in ("{not json", "[]", '{"files": ["old.csv"]}', '{"tool": {}}'):
+        (tmp_path / "manifest.json").write_text(text)
+        with pytest.raises(DataError, match="is not a wnet manifest"):
+            read_manifest(tmp_path)
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"bandwidth": math.nan}, "bandwidth must be positive and finite"),
+    ({"bandwidth": math.inf}, "bandwidth must be positive and finite"),
+    ({"strong_cut": math.inf}, "moderate cut <= strong cut < inf"),
+    ({"moderate_cut": math.nan}, "moderate cut <= strong cut < inf"),
+])
+def test_non_finite_config_fails_before_io(tmp_path, overrides, message):
+    config = PipelineConfig(
+        flows=tmp_path / "does-not-exist.csv",
+        gdp=tmp_path / "does-not-exist-either.csv",
+        scheme=WeightScheme(),
+        years=(2000,),
+        out_dir=tmp_path / "out",
+        **overrides,
+    )
+    with pytest.raises(ValidationError, match=message):
+        run_pipeline(config)
+    assert not (tmp_path / "out").exists()
 
 
 def test_determinism_byte_identical(toy_csvs, tmp_path):
