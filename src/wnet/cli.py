@@ -201,7 +201,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
     config.out_dir.mkdir(parents=True, exist_ok=True)
     networks = [
         symmetrize(build_directed(panel, year, config.scheme))
-        for year in sorted(config.years)
+        for year in sorted(set(config.years))
     ]
     for net in networks:
         save_matrix(config.out_dir / f"matrix_{net.year}.txt", net)

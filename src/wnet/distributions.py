@@ -162,12 +162,12 @@ def silverman_bandwidth(values: np.ndarray) -> float:
     return 0.9 * scale * len(x) ** (-0.2)
 
 
-def kde(
-    values: np.ndarray,
-    bandwidth: float | None = None,
-    grid_size: int = 512,
-) -> DensityEstimate:
-    """Gaussian-kernel density over a grid spanning [min-3h, max+3h].
+#: Number of evenly spaced points on which ``kde`` evaluates the density.
+KDE_GRID_SIZE = 512
+
+
+def kde(values: np.ndarray, bandwidth: float | None = None) -> DensityEstimate:
+    """Gaussian-kernel density on ``KDE_GRID_SIZE`` points spanning [min-3h, max+3h].
 
     Bandwidth defaults to Silverman's rule.  Needs at least 5 defined values
     with nonzero spread.
@@ -183,7 +183,7 @@ def kde(
         h = float(bandwidth)
         if not math.isfinite(h) or h <= 0:
             raise ValidationError(f"bandwidth must be positive, got {bandwidth!r}")
-    grid = np.linspace(x.min() - 3 * h, x.max() + 3 * h, grid_size)
+    grid = np.linspace(x.min() - 3 * h, x.max() + 3 * h, KDE_GRID_SIZE)
     z = (grid[:, None] - x[None, :]) / h
     density = np.exp(-0.5 * z**2).sum(axis=1) / (x.size * h * math.sqrt(2 * math.pi))
     return DensityEstimate(grid, density, h, int(x.size))

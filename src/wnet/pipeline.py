@@ -8,9 +8,10 @@ A run is deterministic: identical inputs and config produce byte-identical
 output files.  No timestamps are written; the manifest carries the config
 echo (minus the output directory, which has no effect on data), the
 per-year normalizers, and a sha256 digest of every emitted file.
-Nothing is written until every year has been computed, so a failing year
-aborts the run without leaving a partial bundle; files already written when
-a later write fails are removed.  Once the new manifest is written, files
+Nothing is written until every analysis has run over every year, so a
+failing year aborts the run without leaving a partial bundle; files already
+written when a later write fails are removed.  Each file's text is made
+only when that file is written.  Once the new manifest is written, files
 that the directory's previous manifest listed and the new one does not are
 deleted, so a rerun into the same directory leaves no stale outputs.
 """
@@ -23,9 +24,10 @@ import json
 import logging
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass
+from functools import partial
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -33,9 +35,6 @@ from ._version import __version__
 from .distributions import (
     SUPPORTED_PAIRS,
     CorrelationPoint,
-    DensityEstimate,
-    RankSizeCurve,
-    TailFit,
     correlation_series,
     fit_tail,
     kde,
@@ -43,8 +42,8 @@ from .distributions import (
 )
 from .errors import DataError, ValidationError
 from .graph import WeightScheme, build_directed, symmetrize, symmetry_index
-from .ingest import PanelDataset, load_panel
-from .stats import MomentSummary, NodeStatsTable, _fmt_column, moments, node_stats
+from .ingest import load_panel
+from .stats import NodeStatsTable, format_table, moments, node_stats
 
 logger = logging.getLogger(__name__)
 
@@ -120,45 +119,14 @@ def _check_cuts(strong_cut: float, moderate_cut: float) -> None:
         raise ValidationError("need 0 <= moderate cut <= strong cut < inf")
 
 
-@dataclass(frozen=True, eq=False)
-class YearResult:
-    """Everything computed for a single year before serialization."""
-
-    year: int
-    table: NodeStatsTable
-    normalizer: float
-    symmetry: float | None
-
-
 @dataclass(eq=False)
 class ReportBundle:
-    """In-memory results of a run plus the manifest written alongside them."""
+    """The node statistics and comparison rows of a run, plus the manifest
+    written alongside them."""
 
     manifest: dict
     tables: dict[int, NodeStatsTable]
-    moments: list[MomentSummary] = field(default_factory=list)
-    correlations: dict[str, list[CorrelationPoint]] = field(default_factory=dict)
-    densities: dict[str, DensityEstimate] = field(default_factory=dict)
-    ranksizes: dict[str, RankSizeCurve] = field(default_factory=dict)
-    tailfits: dict[int, TailFit] = field(default_factory=dict)
-    symmetry: dict[int, float] = field(default_factory=dict)
-    comparison: list[dict] = field(default_factory=list)
-
-
-def _fmt(value: float | int | None) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    v = float(value)
-    return "" if np.isnan(v) else repr(v)
-
-
-def _process_year(panel: PanelDataset, year: int, config: PipelineConfig) -> YearResult:
-    directed = build_directed(panel, year, config.scheme)
-    sym = symmetry_index(directed) if "symmetry" in config.analyses else None
-    net = symmetrize(directed)
-    return YearResult(year, node_stats(net), net.normalizer, sym)
+    comparison: list[dict]
 
 
 @contextmanager
@@ -168,13 +136,6 @@ def _year_context(what: str, year: int):
         yield
     except DataError as exc:
         raise DataError(f"{what} in year {year}: {exc}") from None
-
-
-def _undefined_counts(table: NodeStatsTable) -> list[tuple[str, int]]:
-    return [
-        (f"{name}_undefined", int(np.isnan(table.column(name)).sum()))
-        for name in ("annd", "anns", "bcc", "wcc")
-    ]
 
 
 class _BundleWriter:
@@ -202,11 +163,6 @@ class _BundleWriter:
     def cleanup(self) -> None:
         for path in self.written:
             path.unlink(missing_ok=True)
-
-
-def _csv(header: str, rows: Iterable[str]) -> str:
-    """CSV text: the header, then one line per row, each ending in a newline."""
-    return "\n".join([header, *rows]) + "\n"
 
 
 def read_correlation_csv(path: str | Path) -> list[CorrelationPoint]:
@@ -264,6 +220,11 @@ def pair_filename(pair: str) -> str:
     return f"correlation_{pair.lower().replace('-', '_')}.csv"
 
 
+def _table(header: str, rows: Iterable[tuple]) -> Callable[[], str]:
+    """Maker of the CSV text of ``rows``, whose fields follow ``header``."""
+    return partial(format_table, header, *zip(*rows))
+
+
 def run_pipeline(config: PipelineConfig) -> ReportBundle:
     """Run the configured analyses over every requested year.
 
@@ -272,99 +233,79 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
     """
     config.validate()
     panel = load_panel(config.flows, config.gdp)
-    results = [_process_year(panel, year, config) for year in sorted(config.years)]
-    tables = {r.year: r.table for r in results}
-    years = sorted(tables)
+    tables: dict[int, NodeStatsTable] = {}
+    normalizers: dict[str, float] = {}
+    symmetry: dict[int, float] = {}
+    for year in sorted(set(config.years)):
+        directed = build_directed(panel, year, config.scheme)
+        if "symmetry" in config.analyses:
+            symmetry[year] = symmetry_index(directed)
+        net = symmetrize(directed)
+        tables[year] = node_stats(net)
+        normalizers[str(year)] = float(net.normalizer)
+    years = list(tables)
 
-    bundle = ReportBundle(
-        manifest={},
-        tables=tables,
-        symmetry={r.year: r.symmetry for r in results if r.symmetry is not None},
-    )
-    counts: list[tuple[int, str, int]] = []
-
+    # Bundle file name -> maker of its text, in write order.
+    files: dict[str, Callable[[], str]] = {}
+    bandwidths: dict[str, float] = {}
+    comparison: list[dict] = []
+    counts = [
+        (year, f"{name}_undefined", int(np.isnan(tables[year].column(name)).sum()))
+        for year in years
+        for name in ("annd", "anns", "bcc", "wcc")
+    ]
+    if "stats" in config.analyses:
+        files.update((f"stats_{year}.csv", tables[year].to_csv) for year in years)
     if "moments" in config.analyses:
+        summaries = []
         for year in years:
             for name in MOMENT_STATISTICS:
                 with _year_context(f"moments of {name}", year):
-                    bundle.moments.append(
-                        moments(tables[year].column(name), statistic=name, year=year)
-                    )
+                    summaries.append(moments(tables[year].column(name), statistic=name, year=year))
+        header = "statistic,year,mean,std,skewness,kurtosis,count"
+        files["moments.csv"] = _table(header, map(astuple, summaries))
     if "correlations" in config.analyses:
-        for pair in SUPPORTED_PAIRS:
-            bundle.correlations[pair] = correlation_series(
-                tables, pair, config.ci_level
-            )
-        bundle.comparison = compare_views(
-            bundle.correlations, config.strong_cut, config.moderate_cut
-        )
+        series = {pair: correlation_series(tables, pair, config.ci_level) for pair in SUPPORTED_PAIRS}
+        for pair, points in series.items():
+            files[pair_filename(pair)] = _table("year,pair,r,ci_low,ci_high,n", map(astuple, points))
+        comparison = compare_views(series, config.strong_cut, config.moderate_cut)
     if "density" in config.analyses:
         for year in years:
             for name in DENSITY_STATISTICS:
                 with _year_context(f"density of {name}", year):
                     est = kde(tables[year].column(name), config.bandwidth)
                 key = f"density_{name}_{year}.csv"
-                bundle.densities[key] = est
+                files[key] = partial(format_table, "grid,density", est.grid, est.density)
+                bandwidths[key] = est.bandwidth
                 counts.append((year, f"density_{name}_dropped", len(tables[year].codes) - est.n))
     if "ranksize" in config.analyses:
         for year in years:
             with _year_context(f"rank-size of {HEAVY_TAIL_STATISTIC}", year):
                 curve = rank_size(tables[year].column(HEAVY_TAIL_STATISTIC))
-            bundle.ranksizes[f"ranksize_{HEAVY_TAIL_STATISTIC}_{year}.csv"] = curve
+            key = f"ranksize_{HEAVY_TAIL_STATISTIC}_{year}.csv"
+            files[key] = partial(format_table, "rank,size", curve.ranks, curve.sizes)
             counts.append((year, f"ranksize_{HEAVY_TAIL_STATISTIC}_dropped", curve.dropped))
     if "tailfit" in config.analyses:
+        fits = []
         for year in years:
             with _year_context(f"tail fit of {HEAVY_TAIL_STATISTIC}", year):
                 fit = fit_tail(tables[year].column(HEAVY_TAIL_STATISTIC), config.tail_fraction)
-            bundle.tailfits[year] = fit
+            fits.append((year, HEAVY_TAIL_STATISTIC, *astuple(fit)))
             counts.append((year, f"tailfit_{HEAVY_TAIL_STATISTIC}_dropped", fit.dropped))
-    for year in years:
-        for name, count in _undefined_counts(tables[year]):
-            counts.append((year, name, count))
+        header = "year,statistic,mu,sigma,alpha,x_min,tail_fraction,n_positive,tail_count,dropped"
+        files["tailfit.csv"] = _table(header, fits)
+    if symmetry:
+        files["symmetry.csv"] = _table("year,symmetry_index", symmetry.items())
+    if comparison:
+        files["comparison.csv"] = partial(comparison_csv, comparison)
+    files["counts.csv"] = _table("year,name,value", sorted(counts))
 
     config.out_dir.mkdir(parents=True, exist_ok=True)
     previous = _listed_files(config.out_dir)
     writer = _BundleWriter(config.out_dir)
     try:
-        if "stats" in config.analyses:
-            for year in years:
-                writer.write(f"stats_{year}.csv", tables[year].to_csv())
-        if bundle.moments:
-            writer.write("moments.csv", _csv("statistic,year,mean,std,skewness,kurtosis,count", (
-                f"{m.statistic},{m.year},{_fmt(m.mean)},{_fmt(m.std)},"
-                f"{_fmt(m.skewness)},{_fmt(m.kurtosis)},{m.count}"
-                for m in bundle.moments
-            )))
-        for pair, points in bundle.correlations.items():
-            writer.write(pair_filename(pair), _csv("year,pair,r,ci_low,ci_high,n", (
-                f"{p.year},{p.pair},{_fmt(p.r)},{_fmt(p.ci_low)},{_fmt(p.ci_high)},{p.n}"
-                for p in points
-            )))
-        for name, est in bundle.densities.items():
-            rows = map(",".join, zip(_fmt_column(est.grid), _fmt_column(est.density)))
-            writer.write(name, _csv("grid,density", rows))
-        for name, curve in bundle.ranksizes.items():
-            rows = (f"{r},{s}" for r, s in zip(curve.ranks.tolist(), _fmt_column(curve.sizes)))
-            writer.write(name, _csv("rank,size", rows))
-        if bundle.tailfits:
-            header = (
-                "year,statistic,mu,sigma,alpha,x_min,tail_fraction,n_positive,tail_count,dropped"
-            )
-            writer.write("tailfit.csv", _csv(header, (
-                f"{year},{HEAVY_TAIL_STATISTIC},{_fmt(f.mu)},{_fmt(f.sigma)},"
-                f"{_fmt(f.alpha)},{_fmt(f.x_min)},{_fmt(f.tail_fraction)},"
-                f"{f.n},{f.tail_count},{f.dropped}"
-                for year, f in bundle.tailfits.items()
-            )))
-        if bundle.symmetry:
-            rows = (f"{y},{_fmt(v)}" for y, v in sorted(bundle.symmetry.items()))
-            writer.write("symmetry.csv", _csv("year,symmetry_index", rows))
-        if bundle.comparison:
-            writer.write("comparison.csv", comparison_csv(bundle.comparison))
-        if counts:
-            rows = (f"{y},{n},{v}" for y, n, v in sorted(counts))
-            writer.write("counts.csv", _csv("year,name,value", rows))
-
+        for name, make in files.items():
+            writer.write(name, make())
         manifest = {
             "tool": {"name": "wnet", "version": __version__},
             "config": config.echo(),
@@ -372,16 +313,13 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
                 "moments": "population",
                 "undefined": "excluded (NaN, empty CSV cells)",
             },
-            "normalizers": {
-                str(r.year): float(r.normalizer) for r in results
-            },
-            "density_bandwidths": {k: est.bandwidth for k, est in bundle.densities.items()},
+            "normalizers": normalizers,
+            "density_bandwidths": bandwidths,
             "missing_gdp_warnings": [
                 [year, code] for year, code in panel.missing_gdp
             ],
         }
         writer.write_manifest(manifest)
-        bundle.manifest = manifest
     except Exception:
         writer.cleanup()
         raise
@@ -392,7 +330,7 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
     logger.info("wrote %d files to %s", len(writer.written), config.out_dir)
     if stale:
         logger.info("removed %d files that only the previous manifest listed", len(stale))
-    return bundle
+    return ReportBundle(manifest, tables, comparison)
 
 
 #: Correlation pairs backing each row of the comparison table.
@@ -449,12 +387,7 @@ def comparison_csv(rows: Sequence[Mapping]) -> str:
         "view,assortativity_pair,assortativity_r,assortativity_label,"
         "clustering_pair,clustering_r,clustering_label"
     )
-    return _csv(header, (
-        f"{row['view']},{row['assortativity_pair']},{_fmt(row['assortativity_r'])},"
-        f"{row['assortativity_label']},{row['clustering_pair']},"
-        f"{_fmt(row['clustering_r'])},{row['clustering_label']}"
-        for row in rows
-    ))
+    return format_table(header, *([row[key] for row in rows] for key in header.split(",")))
 
 
 def relabel(

@@ -26,9 +26,21 @@ from .errors import DataError
 from .graph import UndirectedNetwork
 
 
-def _fmt_column(values: np.ndarray) -> list[str]:
-    """CSV cells for a float array: shortest round-trip repr, empty for NaN."""
-    return ["" if v != v else repr(v) for v in np.asarray(values, dtype=float).tolist()]
+def format_table(header: str, *columns) -> str:
+    """CSV text: ``header``, then one line per row of the equal-length columns.
+
+    A float column's cells are the shortest round-trip ``repr``, empty for
+    NaN; any other column's cells are ``str`` (plain integers, labels).
+    Every line ends in a newline.  Raises ValueError on unequal lengths.
+    """
+    cells = []
+    for column in columns:
+        values = np.asarray(column)
+        if values.dtype.kind == "f":
+            cells.append(["" if v != v else repr(v) for v in values.tolist()])
+        else:
+            cells.append(map(str, values.tolist()))
+    return "\n".join([header, *map(",".join, zip(*cells, strict=True))]) + "\n"
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,10 +66,8 @@ class NodeStatsTable:
 
     def to_csv(self) -> str:
         """CSV text ``country,nd,ns,annd,anns,bcc,wcc``; empty cell = undefined."""
-        nd = [str(int(v)) for v in np.asarray(self.nd).tolist()]
-        cells = [_fmt_column(self.column(name)) for name in ("ns", "annd", "anns", "bcc", "wcc")]
-        rows = map(",".join, zip(self.codes, nd, *cells))
-        return "\n".join(["country,nd,ns,annd,anns,bcc,wcc", *rows]) + "\n"
+        floats = (self.column(name) for name in ("ns", "annd", "anns", "bcc", "wcc"))
+        return format_table("country,nd,ns,annd,anns,bcc,wcc", self.codes, self.nd, *floats)
 
 
 @dataclass(frozen=True)

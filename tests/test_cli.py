@@ -57,6 +57,27 @@ def test_build_subcommand_dumps_matrices(toy_csvs, tmp_path):
     assert (dump.weights == dump.weights.T).all()
 
 
+def test_build_builds_each_repeated_year_once(toy_csvs, tmp_path, monkeypatch):
+    import wnet.cli
+
+    built = []
+    real = wnet.cli.build_directed
+
+    def counting(panel, year, scheme):
+        built.append(year)
+        return real(panel, year, scheme)
+
+    monkeypatch.setattr(wnet.cli, "build_directed", counting)
+    flows, gdp = toy_csvs
+    out = tmp_path / "matrices"
+    assert run_cli(
+        "build", "--flows", str(flows), "--gdp", str(gdp),
+        "--years", "2000,1999,2000", "--out", str(out),
+    ) == 0
+    assert built == [1999, 2000]
+    assert sorted(p.name for p in out.iterdir()) == ["matrix_1999.txt", "matrix_2000.txt"]
+
+
 def test_analyze_subcommand_default_excludes_stats(toy_csvs, tmp_path):
     flows, gdp = toy_csvs
     out = tmp_path / "analysis"

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wnet.pipeline
 from wnet import (
     DataError,
     NodeStatsTable,
@@ -46,6 +49,11 @@ def bundle_bytes(out_dir: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
 
 
+def read_rows(path: Path) -> list[dict[str, str]]:
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def test_full_bundle_contents(toy_csvs, tmp_path):
     out = tmp_path / "bundle"
     bundle = run_pipeline(config_for(toy_csvs, out))
@@ -56,8 +64,43 @@ def test_full_bundle_contents(toy_csvs, tmp_path):
     assert sum(1 for n in names if n.startswith("density_")) == 4
     assert sum(1 for n in names if n.startswith("ranksize_")) == 2
     assert set(bundle.tables) == {1999, 2000}
-    assert len(bundle.moments) == 12  # 6 statistics x 2 years
-    assert set(bundle.symmetry) == {1999, 2000}
+    assert len(read_rows(out / "moments.csv")) == 12  # 6 statistics x 2 years
+    assert [row["year"] for row in read_rows(out / "symmetry.csv")] == ["1999", "2000"]
+
+
+def test_bundle_cell_format(toy_csvs, tmp_path):
+    out = tmp_path / "bundle"
+    run_pipeline(config_for(toy_csvs, out))
+    for path in sorted(out.glob("*.csv")):
+        text = path.read_text(encoding="utf-8")
+        assert text.endswith("\n") and not text.endswith("\n\n"), path.name
+        assert "\r" not in text, path.name
+        header, *lines = text[:-1].split("\n")
+        width = len(header.split(","))
+        for line in lines:
+            cells = line.split(",")
+            assert len(cells) == width, (path.name, line)
+            for cell in cells:
+                assert cell not in ("nan", "None"), (path.name, line)  # undefined is empty
+                if not cell or cell.lstrip("-").isdigit():
+                    continue  # undefined, or a plain integer
+                if re.fullmatch(r"[A-Za-z][\w -]*", cell) and cell != "inf":
+                    continue  # a label such as "C07", "ND-ANND" or "strong negative"
+                assert repr(float(cell)) == cell, (path.name, cell)
+
+
+def test_each_repeated_year_is_built_once(toy_csvs, tmp_path, monkeypatch):
+    built = []
+    real = wnet.pipeline.build_directed
+
+    def counting(panel, year, scheme):
+        built.append(year)
+        return real(panel, year, scheme)
+
+    monkeypatch.setattr(wnet.pipeline, "build_directed", counting)
+    bundle = run_pipeline(config_for(toy_csvs, tmp_path / "out", years=(2000, 1999, 2000)))
+    assert built == [1999, 2000]
+    assert bundle.manifest["config"]["years"] == [2000, 1999, 2000]
 
 
 def test_manifest_digests_and_metadata(toy_csvs, tmp_path):
@@ -207,7 +250,7 @@ def test_correlation_csv_round_trip(toy_csvs, tmp_path):
     out = tmp_path / "bundle"
     bundle = run_pipeline(config_for(toy_csvs, out))
     points = read_correlation_csv(out / pair_filename("ND-ANND"))
-    assert points == bundle.correlations["ND-ANND"]
+    assert points == correlation_series(bundle.tables, "ND-ANND")
 
 
 def test_stats_csv_well_formed(toy_csvs, tmp_path):

@@ -17,6 +17,8 @@ from wnet import (
     wcc,
 )
 
+from wnet.stats import format_table
+
 from conftest import make_undirected, random_undirected
 from oracles import (
     annd_oracle,
@@ -177,6 +179,31 @@ def test_stats_csv_layout():
     assert lines[1].startswith("N000,2,")
     # leaf row: bcc and wcc cells empty
     assert lines[2].endswith(",,")
+
+
+def test_format_table_cells():
+    floats = [math.nan, -0.0, math.inf, -math.inf, 5e-324, 0.1 + 0.2, np.float64(2.5)]
+    text = format_table(
+        "x,n,s",
+        np.array(floats),
+        [np.int64(7), 0, -3, 2**53 + 1, np.int64(-1), 12, 5],
+        ["C1", "a b", "", "nan", "1.0", "x", "y"],
+    )
+    assert text == (
+        "x,n,s\n"
+        ",7,C1\n"
+        "-0.0,0,a b\n"
+        "inf,-3,\n"
+        "-inf,9007199254740993,nan\n"
+        "5e-324,-1,1.0\n"
+        "0.30000000000000004,12,x\n"
+        "2.5,5,y\n"
+    )
+    # A list of numpy floats is a float column: no cell reads np.float64(...).
+    assert format_table("v", [np.float64(0.1), 1.5, math.nan]) == "v\n0.1\n1.5\n\n"
+    assert format_table("v") == "v\n"
+    with pytest.raises(ValueError):
+        format_table("a,b", [1.0, 2.0], ["x"])
 
 
 def test_moments_closed_form():
