@@ -1,17 +1,11 @@
 """Ingestion of bilateral flow and GDP files into a columnar panel.
 
-Input files are header-labeled CSV (UTF-8, comma-delimited, ``#`` comment
-lines and blank lines skipped).  Column order is free but names are fixed:
-``year,exporter,importer,value`` for flows and ``year,country,gdp`` for
-sizes.  One streaming reader serves both files, a block of lines at a
-time, so memory is bounded by one block and no per-row object is kept.  The
-csv module reads the header.  Numpy then tokenizes each *plain* block on its
-bytes; from the first block that is not plain (a quoted field may span
-blocks), the csv module tokenizes row by row.  Either way a block is
-converted and checked a column at a time, and the first bad row, CSV error
-or non-UTF-8 line raises DataError with its line number.  The panel's
-registry is the sorted set of codes, so node indexing never depends on row
-order.
+Files are header-labeled UTF-8 CSV, read ``_BLOCK`` lines at a time.  After
+the csv module reads the header, numpy tokenizes each *plain* block on its
+bytes (read raw from a path, bytes or seekable binary stream) and the csv
+module the rest as text lines from the first block that is not plain.  The
+first bad row, CSV error or non-UTF-8 line raises DataError with its line
+number.  Rows already in key order are not sorted again.
 """
 
 from __future__ import annotations
@@ -22,8 +16,9 @@ import logging
 import math
 import re
 import time
+from contextlib import suppress
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate, chain, count, islice
 from pathlib import Path
 from typing import IO, Iterable, Iterator
@@ -40,6 +35,7 @@ SIZE_COLUMNS = ("year", "country", "gdp")
 #: Lines or rows converted and checked together; memory stays bounded by one block.
 _BLOCK = 1 << 14
 _SURROGATE = re.compile(r"[\ud800-\udfff]")  # what undecodable bytes turn into
+_TEXT = partial(io.TextIOWrapper, encoding="utf-8", errors="surrogateescape", newline="")
 #: Byte kinds: 0 in a cell, 1 comma, 2 newline, 3 not in a plain block.
 _KIND = np.array([3 * (b < 32 or b > 127 or b in b'"#') for b in range(256)], np.uint8)
 _KIND[[ord("\t"), ord(","), ord("\n")]] = 0, 1, 2
@@ -76,15 +72,10 @@ class CountryRegistry:
 
 @dataclass(frozen=True, eq=False)
 class PanelDataset:
-    """Flow columns and a GDP matrix over one registry.
-
-    Flows are sorted by (year, exporter, importer), with exporter and
-    importer as registry positions; zero-valued flows are kept.  ``gdp`` has
-    one row per entry of ``years``, NaN where a country has no GDP record.
-    ``missing_gdp`` flags (year, exporter) pairs where a positive flow exists
-    but no same-year GDP record does.  The gap is only fatal at network-build
-    time, and only under a weighting scheme that divides by that GDP.
-    """
+    """Flow columns, sorted by (year, exporter, importer) with countries as
+    registry positions and zero flows kept, and a GDP row per year, NaN where a
+    country has none.  ``missing_gdp`` flags (year, exporter) pairs with a
+    positive flow but no GDP, fatal only under a scheme dividing by that GDP."""
 
     registry: CountryRegistry
     years: tuple[int, ...]
@@ -96,16 +87,11 @@ class PanelDataset:
     missing_gdp: tuple[tuple[int, str], ...] = ()
 
 
-def _line_blocks(source: str | Path | bytes | IO) -> Iterator[list[str]]:
-    """The text lines of a path, raw bytes or open stream, a block at a time;
-    a line that is not UTF-8 is named once the reader reaches it."""
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8", errors="surrogateescape", newline="") as fh:
-            yield from _line_blocks(fh)
-        return
-    stream = iter(io.BytesIO(source) if isinstance(source, (bytes, bytearray)) else source)
-    lineno = 0
-    while block := list(islice(stream, _BLOCK)):
+def _text_blocks(stream: Iterator, lineno: int, size=0, path=False) -> Iterator[list[str]]:
+    """Text lines from line ``lineno + 1`` on, ``size`` at a time or else up to each
+    ``_BLOCK``-th line; a ``path``'s unbuffered file is read from its offset as text."""
+    lines = _TEXT(open(stream.fileno(), "rb", closefd=False)) if path else stream
+    while block := list(islice(lines, size or _BLOCK - lineno % _BLOCK)):
         if isinstance(block[0], bytes):
             block = [line.decode("utf-8", "surrogateescape") for line in block]
         good = len(block)
@@ -115,6 +101,20 @@ def _line_blocks(source: str | Path | bytes | IO) -> Iterator[list[str]]:
         if good < len(block):
             raise DataError(f"line {lineno + good + 1}: not valid UTF-8")
         lineno += good
+
+
+def _byte_blocks(fh: IO[bytes], lineno: int) -> Iterator[bytes]:
+    """A binary stream's blocks from line ``lineno + 1`` on, read a MiB at a time, cut after
+    each ``_BLOCK``-th line, or short at its end or past 1 KiB a line (never plain)."""
+    data, ends, at, want = b"", np.zeros(0, np.int64), 0, _BLOCK - lineno % _BLOCK
+    while True:  # ends: the offset after each newline in data
+        while len(ends) < want and len(data) - at < want << 10 and (chunk := fh.read(1 << 20)):
+            found = np.flatnonzero(np.frombuffer(chunk, np.uint8) == 10) + len(data) - at + 1
+            data, ends, at = data[at:] + chunk, np.concatenate([ends - at, found]), 0
+        yield data[at : ends[want - 1] if len(ends) >= want else len(data)]
+        if len(ends) < want:
+            return
+        at, ends, want = int(ends[want - 1]), ends[want:], _BLOCK
 
 
 def _blanked(lines: Iterable[str]) -> Iterator[str]:
@@ -136,27 +136,24 @@ def _row_problem(fields: list[str], columns: tuple[str, ...], at: list[int], rul
     if len(fields) != len(columns):
         return f"expected {len(columns)} fields, got {len(fields)}"
     at_year, *at_codes, at_value = at
-    try:
+    year = None
+    with suppress(ValueError):
         year = int(fields[at_year])
-    except ValueError:
-        year = None
     if year is None or not -(2**63) <= year < 2**63:
         return f"bad year {fields[at_year].strip()!r}"
     codes = [fields[i].strip() for i in at_codes]
     if not all(codes):
         return "empty country identifier"
-    try:
+    value = math.nan
+    with suppress(ValueError):
         value = float(fields[at_value])
-    except ValueError:
-        value = math.nan
     if not math.isfinite(value):
         return f"bad {columns[-1]} {fields[at_value].strip()!r}"
     return next((message(value, codes) for test, message in rules if test(value, codes)), None)
 
 
 def _distinct(cells: list[str] | np.ndarray) -> tuple[list[str], np.ndarray]:
-    """A column's distinct cells and each cell's index into them: str cells in
-    order of first appearance, fixed-width bytes cells sorted and decoded."""
+    """A column's distinct cells (str first-seen, bytes sorted, decoded) and each cell's index."""
     if isinstance(cells, np.ndarray):
         distinct, index = np.unique(cells, return_inverse=True)
         return [cell.decode() for cell in distinct.view(f"S{cells.itemsize}").tolist()], index
@@ -165,9 +162,8 @@ def _distinct(cells: list[str] | np.ndarray) -> tuple[list[str], np.ndarray]:
 
 
 def _checked_block(years, codes, values, line, fields, columns, at, ids, rules) -> tuple:
-    """Typed columns from a block's year, code and value cells, each year and
-    code parsed once.  Rows that column masks flag are checked again in file
-    order (``fields(row)``: a row's cells), so the first defect raises."""
+    """Typed columns from a block's year, code and value cells, each year and code
+    parsed once; rows that masks flag are checked again in order by ``fields(row)``."""
 
     def code_id(raw: str) -> int:
         return ids.setdefault(code, len(ids)) if (code := raw.strip()) else -1
@@ -228,39 +224,44 @@ def _plain_cells(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndar
     return cells
 
 
-def _plain_block(lines: list[str], first: int, columns, at, ids, rules) -> tuple | None:
-    """Columns of ``lines``, numbered from ``first``, or None if not plain.
-    Plain lines hold k - 1 commas, end at their only newline, and have no
-    non-ASCII byte, ``"``, ``#``, other control byte than tab, or cell wider
-    than ``_WIDE``: csv would split them at their commas and nothing else."""
-    if lines and not lines[-1].endswith("\n"):  # the last line of a file
-        lines = [*lines[:-1], lines[-1] + "\n"]
-    data, k = "".join(lines).encode("utf-8", "surrogateescape"), len(columns)
-    buf = np.frombuffer(data + bytes(_WIDE), np.uint8)  # NULs that _plain_cells may read
-    kind = _KIND.take(buf[:-_WIDE])
-    sep = np.flatnonzero(kind.astype(bool))
-    if len(sep) != k * len(lines):
+def _plain_block(block: bytes | list[str], first: int, columns, at, ids, rules) -> tuple | None:
+    """Columns of lines numbered from ``first``, bytes or str lines that must each
+    end at their only newline, or None if not plain: k - 1 commas and a newline
+    a line, no byte csv reads otherwise (see _KIND), no cell wider than _WIDE."""
+    ends = None
+    if isinstance(block, list):
+        ends = np.fromiter(map(len, block), np.int64, len(block)).cumsum()
+        block = "".join(block).encode("utf-8", "surrogateescape")
+    if block[-1:] not in (b"", b"\n"):  # the last line of a file
+        block += b"\n"
+    buf, k = np.frombuffer(block + bytes(_WIDE), np.uint8), len(columns)  # NULs for _plain_cells
+    low = np.flatnonzero(buf[:-_WIDE] < 45)  # separators, barred ASCII and a few cell bytes
+    sep = low[_KIND.take(buf.take(low)) > 0]
+    kind = _KIND.take(buf.take(sep))
+    if buf.max() > 127 or len(kind) % k or (kind.reshape(-1, k) != [1] * (k - 1) + [2]).any():
         return None
     end, start = sep.reshape(-1, k), (sep + 1 - np.diff(sep, prepend=-1)).reshape(-1, k)
-    length = np.fromiter(map(len, lines), np.int64, len(lines))
-    if ((kind[end] != [1] * (k - 1) + [2]).any() or (end - start).max(initial=0) > _WIDE
-            or not np.array_equal(end[:, -1] + 1, length.cumsum())):
+    if (end - start).max(initial=0) > _WIDE or ends is not None and not np.array_equal(
+            np.minimum(end[:, -1] + 1, ends[-1:]), ends):  # a last line may lack its newline
         return None
     years, *codes, values = (_plain_cells(buf, start[:, i], end[:, i]) for i in at)
     return _checked_block(
-        years, codes, values.view(f"S{values.itemsize}").tolist(), np.arange(len(lines)) + first,
-        lambda row: lines[row].rstrip("\n").split(","), columns, at, ids, rules,
+        years, codes, values.view(f"S{values.itemsize}").tolist(), np.arange(len(end)) + first,
+        lambda row: block[start[row, 0] : end[row, -1]].decode().split(","), columns, at, ids, rules
     )
 
 
-def _read_table(
-    source: str | Path | bytes | IO, columns: tuple[str, ...], ids: dict[str, int], rules
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Read one file into (year, country ids, value, line number) columns:
-    ``columns`` lists the year, the country-code columns and the value,
-    ``rules`` the file's own defects, and codes get ids from ``ids``."""
-    blocks, pulled = _line_blocks(source), []  # pulled: the blocks the header is read from
-    rows = csv.reader(_blanked(chain.from_iterable(pulled.append(b) or b for b in blocks)))
+def _read_table(source, columns: tuple[str, ...], ids: dict, rules, path=False) -> tuple:
+    """(year, country ids, value, line number) columns of a file of ``columns`` and
+    ``rules``, codes getting ids from ``ids``, and its count of rows in plain blocks."""
+    if isinstance(source, (str, Path)):
+        with open(source, "rb", buffering=0) as fh, (fh if fh.seekable() else _TEXT(fh)) as view:
+            return _read_table(view, columns, ids, rules, path=fh.seekable())  # pipes: as text
+    source = io.BytesIO(source) if isinstance(source, (bytes, bytearray)) else source
+    raw = isinstance(source, (io.RawIOBase, io.BufferedIOBase)) and source.seekable()
+    offset, source = (source.tell(), source) if raw else (0, iter(source))
+    pulled, head = [], chain.from_iterable(_text_blocks(source, 0, 1, path))  # one line at a time
+    rows = csv.reader(_blanked(pulled.append(line) or line for line in head))
     try:
         header = next((fields for fields in rows if fields), None)
     except csv.Error as exc:
@@ -269,29 +270,34 @@ def _read_table(
         raise DataError(f"{'flow' if columns == FLOW_COLUMNS else 'size'} input is empty")
     names = [f.strip().lower() for f in header]
     if sorted(names) != sorted(columns):
-        raise DataError(
-            f"line {rows.line_num}: header must name exactly {','.join(columns)}; "
-            f"got {','.join(names)}"
-        )
+        want, got = ",".join(columns), ",".join(names)
+        raise DataError(f"line {rows.line_num}: header must name exactly {want}; got {got}")
     spec = (columns, [names.index(c) for c in columns], ids, rules)
-    done, parts = rows.line_num, []
-    for block in chain([pulled[-1][done - sum(map(len, pulled[:-1])) :]], blocks):
+    done = rows.line_num
+    if raw:  # a seekable binary stream: read on from the header's end in byte blocks
+        source.seek(offset := offset + len("".join(pulled).encode("utf-8", "surrogateescape")))
+    blocks = _byte_blocks(source, done) if raw else chain([[]], _text_blocks(source, done))
+    parts = []
+    for block in blocks:
         if (part := _plain_block(block, done + 1, *spec)) is None:
+            if raw:  # read the rest again as text lines, which the csv module tokenizes
+                source.seek(offset)
+                block, blocks = [], _text_blocks(source, done, path=path)
             parts += _csv_blocks(chain(block, chain.from_iterable(blocks)), done + 1, *spec)
             break
         parts.append(part)
-        done += len(block)
-    return tuple(map(np.concatenate, zip(*parts)))
+        done, offset = done + len(part[3]), offset + len(block)
+    return (*map(np.concatenate, zip(*parts)), done - rows.line_num)
 
 
-def _key_order(
-    what: str, codes: tuple[str, ...], line: np.ndarray, year: np.ndarray, *countries: np.ndarray
-) -> np.ndarray:
-    """Stable order sorting rows by (year, *countries); reject duplicate keys.
-
-    The one duplicate check of the ingest: it reports the later row of the
-    first duplicate pair in file order.
-    """
+def _key_order(what: str, codes: tuple, line, year, *countries) -> np.ndarray | slice:
+    """Stable order sorting rows by (year, *countries), ``slice(None)`` if it is the file's;
+    the one duplicate check, naming the later row of the first pair in file order."""
+    ahead, tied = False, True  # per adjacent pair: the later key is greater, equal so far
+    for key in (year, *countries):  # column by column, as a packed key could overflow
+        ahead, tied = ahead | tied & (key[1:] > key[:-1]), tied & (key[1:] == key[:-1])
+    if np.all(ahead):
+        return slice(None)
     order = np.lexsort((*reversed(countries), year))
     keys = [col[order] for col in (year, *countries)]
     same = np.logical_and.reduce([k[1:] == k[:-1] for k in keys])
@@ -305,28 +311,23 @@ def _key_order(
 def load_panel(
     flows: str | Path | bytes | IO, sizes: str | Path | bytes | IO | None = None
 ) -> PanelDataset:
-    """Read a flow file and an optional size file into a panel.
-
-    Each source is a path, raw bytes, or an open text or binary stream.  The
-    registry and ``years`` are the sorted unions over both files.
-    """
+    """Read a flow file and an optional size file, each a path, bytes or a text or binary
+    stream, into a panel whose registry and ``years`` are the unions over both."""
     start = time.perf_counter()
     ids: dict[str, int] = {}
-    f_year, f_ids, f_value, f_line = _read_table(flows, FLOW_COLUMNS, ids, _FLOW_RULES)
+    f_year, f_ids, f_value, f_line, f_plain = _read_table(flows, FLOW_COLUMNS, ids, _FLOW_RULES)
     sizes = ",".join(SIZE_COLUMNS).encode() if sizes is None else sizes
-    s_year, s_ids, s_value, s_line = _read_table(sizes, SIZE_COLUMNS, ids, _SIZE_RULES)
+    s_year, s_ids, s_value, s_line, s_plain = _read_table(sizes, SIZE_COLUMNS, ids, _SIZE_RULES)
     if not len(f_line):
         raise DataError("no flow records")
 
     registry = CountryRegistry.from_codes(ids)
     position = np.array([registry.index[code] for code in ids], dtype=np.int64)
-    exporter, importer = position[f_ids].T
+    exporter, importer = position[f_ids.T]
     country = position[s_ids[:, 0]]
     order = _key_order("flow", registry.codes, f_line, f_year, exporter, importer)
-    _key_order("size record", registry.codes, s_line, s_year, country)
-    flow_year, value = f_year[order], f_value[order]
-    exporter, importer = exporter[order], importer[order]
-
+    s_order = _key_order("size record", registry.codes, s_line, s_year, country)
+    flow_year, value, exporter, importer = (c[order] for c in (f_year, f_value, exporter, importer))
     all_years = np.unique(np.concatenate([f_year, s_year]))
     gdp = np.full((len(all_years), len(registry)), np.nan)
     gdp[np.searchsorted(all_years, s_year), country] = s_value
@@ -334,16 +335,15 @@ def load_panel(
     gap = (value > 0) & np.isnan(gdp[year_index, exporter])
     missing = np.unique(np.stack([year_index[gap], exporter[gap]], axis=1), axis=0)
     if len(missing):
-        logger.warning(
-            "%d exporter-year pairs lack a GDP record (fatal only under GDP-dividing schemes)",
-            len(missing),
-        )
+        logger.warning("%d exporter-year pairs lack a GDP record (fatal only under "
+                       "GDP-dividing schemes)", len(missing))
     years = tuple(all_years.tolist())
     missing_gdp = tuple((years[t], registry.codes[c]) for t, c in missing.tolist())
+    keys = ["in" if isinstance(o, slice) else "out of" for o in (order, s_order)]
     logger.info(
-        "read %d flow rows and %d GDP rows: %d countries, %d years, %.3f s",
-        len(f_line), len(s_line), len(registry), len(years), time.perf_counter() - start,
-    )
+        "read %d flow rows (%d in plain blocks, keys %s order) and %d GDP rows (%d in plain "
+        "blocks, keys %s order): %d countries, %d years, %.3f s", len(f_line), f_plain, keys[0],
+        len(s_line), s_plain, keys[1], len(registry), len(years), time.perf_counter() - start)
     return PanelDataset(registry, years, flow_year, exporter, importer, value, gdp, missing_gdp)
 
 
@@ -356,5 +356,4 @@ def save_panel(panel: PanelDataset, flows_path: str | Path, sizes_path: str | Pa
     for path, names, table in (flows_path, FLOW_COLUMNS, flows), (sizes_path, SIZE_COLUMNS, sizes):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(",".join(names) + "\n")
-            rows = zip(*(column.tolist() for column in table))
-            fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
+            fh.writelines(",".join(map(str, r)) + "\n" for r in zip(*(c.tolist() for c in table)))

@@ -24,8 +24,9 @@ import json
 import logging
 import math
 from contextlib import contextmanager
-from dataclasses import astuple, dataclass
-from functools import partial
+from dataclasses import dataclass, fields
+from functools import cache, partial
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -35,6 +36,7 @@ from ._version import __version__
 from .distributions import (
     SUPPORTED_PAIRS,
     CorrelationPoint,
+    TailFit,
     correlation_series,
     fit_tail,
     kde,
@@ -43,7 +45,7 @@ from .distributions import (
 from .errors import DataError, ValidationError
 from .graph import WeightScheme, build_directed, symmetrize, symmetry_index
 from .ingest import load_panel
-from .stats import NodeStatsTable, format_table, moments, node_stats
+from .stats import MomentSummary, NodeStatsTable, format_table, moments, node_stats
 
 logger = logging.getLogger(__name__)
 
@@ -220,6 +222,13 @@ def pair_filename(pair: str) -> str:
     return f"correlation_{pair.lower().replace('-', '_')}.csv"
 
 
+@cache
+def _fields(kind: type) -> Callable[[object], tuple]:
+    """Getter of a ``kind`` record's fields, in order, as a shallow tuple
+    (``dataclasses.astuple`` would deep-copy every field)."""
+    return attrgetter(*(field.name for field in fields(kind)))
+
+
 def _table(header: str, rows: Iterable[tuple]) -> Callable[[], str]:
     """Maker of the CSV text of ``rows``, whose fields follow ``header``."""
     return partial(format_table, header, *zip(*rows))
@@ -263,11 +272,13 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
                 with _year_context(f"moments of {name}", year):
                     summaries.append(moments(tables[year].column(name), statistic=name, year=year))
         header = "statistic,year,mean,std,skewness,kurtosis,count"
-        files["moments.csv"] = _table(header, map(astuple, summaries))
+        files["moments.csv"] = _table(header, map(_fields(MomentSummary), summaries))
     if "correlations" in config.analyses:
         series = {pair: correlation_series(tables, pair, config.ci_level) for pair in SUPPORTED_PAIRS}
         for pair, points in series.items():
-            files[pair_filename(pair)] = _table("year,pair,r,ci_low,ci_high,n", map(astuple, points))
+            files[pair_filename(pair)] = _table(
+                "year,pair,r,ci_low,ci_high,n", map(_fields(CorrelationPoint), points)
+            )
         comparison = compare_views(series, config.strong_cut, config.moderate_cut)
     if "density" in config.analyses:
         for year in years:
@@ -290,7 +301,7 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
         for year in years:
             with _year_context(f"tail fit of {HEAVY_TAIL_STATISTIC}", year):
                 fit = fit_tail(tables[year].column(HEAVY_TAIL_STATISTIC), config.tail_fraction)
-            fits.append((year, HEAVY_TAIL_STATISTIC, *astuple(fit)))
+            fits.append((year, HEAVY_TAIL_STATISTIC, *_fields(TailFit)(fit)))
             counts.append((year, f"tailfit_{HEAVY_TAIL_STATISTIC}_dropped", fit.dropped))
         header = "year,statistic,mu,sigma,alpha,x_min,tail_fraction,n_positive,tail_count,dropped"
         files["tailfit.csv"] = _table(header, fits)

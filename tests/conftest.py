@@ -5,6 +5,17 @@ import pytest
 
 from wnet import CountryRegistry, UndirectedNetwork, WeightScheme, load_panel
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # Example counts for tests that take theirs from the profile; select one with
+    # `--hypothesis-profile=thorough`.  Every other test sets its own count.
+    settings.register_profile("default", max_examples=400)
+    settings.register_profile("thorough", max_examples=20_000)
+    settings.load_profile(settings.get_current_profile_name())  # the new one of that name
+
 
 def make_undirected(
     weights: np.ndarray, year: int = 2000, normalize: bool = True

@@ -172,13 +172,14 @@ def _size_problem(value: float, codes: list[str]) -> str | None:
 
 def read_table_rowwise(
     source: str | Path | bytes | IO, columns: tuple[str, ...], ids: dict[str, int], *_
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """Row-by-row reference for ``wnet.ingest._read_table``.
 
     Reads one file into (year, country ids, value, line number) columns,
     checking and converting each row as it comes, and raises DataError at
     the first bad header or row.  Extra arguments are ignored: the defects
-    particular to one file follow from ``columns``.
+    particular to one file follow from ``columns``.  The count of rows read
+    from plain blocks, which ``_read_table`` also returns, is 0 here.
     """
     problem = _flow_problem if columns == FLOW_COLUMNS else _size_problem
     rows = csv.reader(_lines_rowwise(source))
@@ -224,4 +225,4 @@ def read_table_rowwise(
     except csv.Error as exc:
         raise DataError(f"line {rows.line_num}: {exc}") from None
     ids_by_row = np.array(country_ids).reshape(-1, len(at_codes))
-    return np.array(years), ids_by_row, np.array(values), np.array(line)
+    return np.array(years), ids_by_row, np.array(values), np.array(line), 0

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import io
 import logging
+import os
 import random
 import re
+import threading
 from unittest import mock
 
 import numpy as np
@@ -241,7 +243,8 @@ def test_load_panel_logs_one_info_line(caplog):
     [record] = [r for r in caplog.records if r.levelno == logging.INFO]
     assert record.name == "wnet.ingest"
     assert re.fullmatch(
-        r"read 3 flow rows and 3 GDP rows: 3 countries, 2 years, \d+\.\d{3} s",
+        r"read 3 flow rows \(0 in plain blocks, keys out of order\) and 3 GDP rows "
+        r"\(3 in plain blocks, keys out of order\): 3 countries, 2 years, \d+\.\d{3} s",
         record.getMessage(),
     )
 
@@ -320,3 +323,107 @@ def test_fault_after_the_switch_off_the_plain_path(full_block, lead, switch, fau
     # hands the rest of the file to the csv module; the fault follows it.
     data = _second_block_fault(full_block, lead, [switch, fault])
     _assert_fault(data, ingest._BLOCK + 3 - lead + switch.count(b"\n"), message)
+
+
+def _key_order_note(caplog, data: bytes) -> str:
+    """Whether ``load_panel`` found the flow keys of ``data`` in order, from its log."""
+    with caplog.at_level(logging.INFO, logger="wnet.ingest"):
+        load_panel(data)
+    [record] = [r for r in caplog.records if r.levelno == logging.INFO]
+    caplog.clear()
+    pattern = r"flow rows \(\d+ in plain blocks, (keys [a-z ]+ order)\)"
+    return re.search(pattern, record.getMessage())[1]
+
+
+@pytest.mark.parametrize("lead", [-1, 0, 1])
+def test_adjacent_duplicate_at_a_block_boundary(full_block, caplog, lead):
+    # The rows are in key order, so only the duplicate takes the file off the
+    # sorted fast path; the pair ends one line before, at or after the first
+    # line of the second block.
+    assert _key_order_note(caplog, full_block) == "keys in order"
+    header, *rows = full_block.splitlines(keepends=True)
+    at = ingest._BLOCK + lead - 1  # the row whose copy follows it
+    rows.insert(at, rows[at - 1])
+    key = (2000, *rows[at].decode().split(",")[1:3])
+    _assert_fault(header + b"".join(rows), ingest._BLOCK + lead + 1, f"duplicate flow {key}")
+
+
+def test_sorted_but_the_last_row(full_block, caplog):
+    data = full_block + b"1999,C000,D000,5\n"
+    assert _key_order_note(caplog, data) == "keys out of order"
+    panel = load_panel(data)
+    assert flow_rows(panel)[0] == (1999, "C000", "D000", 5.0)
+    assert flow_rows(panel)[1:] == flow_rows(load_panel(full_block))
+
+
+def test_decreasing_importer_within_year_and_exporter(caplog):
+    data = b"year,exporter,importer,value\n2000,A,C,1\n2000,A,B,2\n2000,B,A,3\n"
+    assert _key_order_note(caplog, data) == "keys out of order"
+    assert flow_rows(load_panel(data)) == [
+        (2000, "A", "B", 2.0), (2000, "A", "C", 1.0), (2000, "B", "A", 3.0)
+    ]
+
+
+@pytest.mark.parametrize("ascending", [True, False])
+def test_extreme_years_in_key_order(caplog, ascending):
+    # Keys are compared a column at a time: a year and two country positions
+    # packed into one int64 key (4 * year + 2 * exporter + importer, say)
+    # would wrap around here and misjudge the order.
+    rows = [f"{-(2**63)},A,B,1", "0,A,B,2", "0,B,A,3", f"{2**63 - 1},A,B,4"]
+    rows = rows if ascending else rows[::-1]
+    data = ("year,exporter,importer,value\n" + "\n".join(rows) + "\n").encode()
+    assert _key_order_note(caplog, data) == f"keys {'in' if ascending else 'out of'} order"
+    assert flow_rows(load_panel(data)) == [
+        (-(2**63), "A", "B", 1.0),
+        (0, "A", "B", 2.0),
+        (0, "B", "A", 3.0),
+        (2**63 - 1, "A", "B", 4.0),
+    ]
+    duplicate = data + f"{2**63 - 1},A,B,5\n".encode()
+    _assert_fault(duplicate, 6, f"duplicate flow {(2**63 - 1, 'A', 'B')}")
+
+
+def test_cell_bytes_below_the_comma_stay_plain(caplog):
+    # The separator scan looks only at bytes below ","; tab, space, "!", "$"
+    # to "+" among them are cell bytes, so these rows are all plain.
+    rows = ["\t2000,A,B,+1", " 2000,A, C ,2", "2000,$%&,'()*,3", "2000,!x,B,4 "]
+    data = ("year,exporter,importer,value\n" + "\n".join(rows) + "\n").encode()
+    with caplog.at_level(logging.INFO, logger="wnet.ingest"):
+        panel = load_panel(data)
+    assert "read 4 flow rows (4 in plain blocks" in caplog.records[-1].getMessage()
+    with mock.patch.object(ingest, "_read_table", read_table_rowwise):
+        assert flow_rows(panel) == flow_rows(load_panel(data))
+
+
+def test_byte_blocks_stop_at_lines_no_plain_block_holds():
+    # A line longer than 1 KiB is never plain, so a block that cannot reach its
+    # last line within 1 KiB a line is cut short instead of read whole (here a
+    # file of lone-CR line ends, which a path splits only after reading).
+    data = b"2000,A,B,1\r" * (300_000)
+    with mock.patch.object(ingest, "_BLOCK", 2):
+        first = next(ingest._byte_blocks(io.BytesIO(data), 0))
+    assert len(first) == 1 << 20
+    with mock.patch.object(ingest, "_BLOCK", 1 << 14):
+        assert list(ingest._byte_blocks(io.BytesIO(data), 0)) == [data]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_path_to_a_pipe(tmp_path):
+    # A pipe cannot seek back, so it is read as text lines throughout, which
+    # end at a lone CR as those of a regular file do.
+    data = b"year,exporter,importer,value\r2000,A,B,1\n2000,B,A,2\r\n2001,A,B,3\n2001,B,A,4\n"
+    fifo, regular = tmp_path / "flows.pipe", tmp_path / "flows.csv"
+    os.mkfifo(fifo)
+    regular.write_bytes(data)
+
+    def read_pipe():
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+        writer.start()
+        try:
+            return flow_rows(load_panel(fifo))
+        finally:
+            writer.join(timeout=10)
+
+    assert read_pipe() == flow_rows(load_panel(regular))
+    with mock.patch.object(ingest, "_read_table", read_table_rowwise):
+        assert read_pipe() == flow_rows(load_panel(regular))

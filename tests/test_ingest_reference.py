@@ -8,6 +8,7 @@ boundaries fall.
 from __future__ import annotations
 
 import io
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -40,11 +41,24 @@ def reference_outcome(flows, sizes):
         return outcome(flows, sizes)
 
 
-def sources(data: bytes | None):
-    """Fresh bytes, binary and text sources over the same content."""
+_FILES: Path  # where path sources are written, one directory per test module run
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _files(tmp_path_factory):
+    global _FILES
+    _FILES = tmp_path_factory.mktemp("sources")
+
+
+def sources(data: bytes | None, slot: str = "flows"):
+    """Fresh bytes, binary, text and path sources over the same content; the
+    path is the file ``slot`` of a temporary directory, rewritten each call."""
     if data is None:
-        return [None] * 3
-    return [data, io.BytesIO(data), io.StringIO(data.decode("utf-8", "surrogateescape"))]
+        return [None] * 4
+    path = _FILES / f"{slot}.csv"
+    path.write_bytes(data)
+    text = io.StringIO(data.decode("utf-8", "surrogateescape"))
+    return [data, io.BytesIO(data), text, path]
 
 
 _CODES = ["A", "B", " C ", "D", "e", "é"]
@@ -76,16 +90,23 @@ def _table(draw, columns: tuple[str, ...]) -> bytes:
     header = ",".join(order)
     if draw(st.integers(0, 9)) == 0:
         header = draw(st.sampled_from([header.upper(), " " + header, header + ",x", "# x"]))
-    lines = [header]
     pool = _CODES if draw(st.booleans()) else _CODES[:-1]  # all-ASCII rows or not
+    rows = []
     for _ in range(draw(st.integers(0, 12))):
         codes = draw(st.permutations(pool))
-        cells = {
+        rows.append({
             "year": draw(st.sampled_from(["1998", "1999", "2000", " 2001"])),
             **dict(zip(columns[1:-1], codes)),
             columns[-1]: repr(draw(st.floats(1e-3, 1e12))),
-        }
-        lines.append(",".join(cells[name] for name in order))
+        })
+    if rows and draw(st.booleans()):  # in key order, as most exports are
+        rows.sort(key=lambda row: (int(row["year"]), *(row[c].strip() for c in columns[1:-1])))
+        at, change = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, 2))
+        if change == 1:  # an adjacent duplicate key
+            rows.insert(at + 1, {**rows[at], columns[-1]: "1"})
+        elif change == 2:  # one row out of order
+            rows.insert(draw(st.integers(0, len(rows) - 1)), rows.pop(at))
+    lines = [header, *(",".join(row[name] for name in order) for row in rows)]
     for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2, 3]))):
         at = draw(st.integers(0, len(lines)))
         if at < len(lines) and draw(st.booleans()):
@@ -101,16 +122,17 @@ def _table(draw, columns: tuple[str, ...]) -> bytes:
     )
 
 
-@hypothesis.settings(max_examples=400, deadline=None)
+@hypothesis.settings(deadline=None)  # examples: the profile's, 400 by default (conftest.py)
 @hypothesis.given(
     _table(ingest.FLOW_COLUMNS),
     st.none() | _table(ingest.SIZE_COLUMNS),
     st.sampled_from([1, 2, 3, 5, ingest._BLOCK]),
 )
 def test_block_reader_matches_row_reader(flows, sizes, block):
-    expected = [reference_outcome(*pair) for pair in zip(sources(flows), sources(sizes))]
+    expected = [reference_outcome(*pair) for pair in zip(sources(flows), sources(sizes, "sizes"))]
     with mock.patch.object(ingest, "_BLOCK", block):
-        assert [outcome(*pair) for pair in zip(sources(flows), sources(sizes))] == expected
+        actual = [outcome(*pair) for pair in zip(sources(flows), sources(sizes, "sizes"))]
+    assert actual == expected
 
 
 def _plain_flows(rows: int) -> bytes:
@@ -185,7 +207,30 @@ def test_plain_blocks_bypass_the_csv_module(block):
         ingest.csv, "reader", HeaderOnly
     ):
         assert [outcome(flows, None) for flows in sources(data)] == expected
-    assert len(made) == 2 * 3  # one reader per file (flows, sizes) and source
+    assert len(made) == 2 * 4  # one reader per file (flows, sizes) and source
+    assert expected[0][3][1] == (2 * block - 1,)  # a panel of every row
+
+
+@pytest.mark.parametrize("block", [2, 5, ingest._BLOCK])
+def test_plain_blocks_of_binary_sources_stay_bytes(block):
+    # A header and two blocks of lines, all plain: from a path, bytes or a
+    # binary stream, the str-line reader may yield the header and nothing after.
+    data = _plain_flows(2 * block - 1)
+    expected = [reference_outcome(flows, None) for flows in sources(data)]
+    real_text_blocks = ingest._text_blocks
+
+    def header_only(stream, lineno, *args, **kwargs):
+        for lines in real_text_blocks(stream, lineno, *args, **kwargs):
+            lineno += len(lines)
+            if lineno > 1:
+                raise AssertionError("a line after the header became str")
+            yield lines
+
+    binary = [0, 1, 3]  # bytes, io.BytesIO, path
+    with mock.patch.object(ingest, "_BLOCK", block), mock.patch.object(
+        ingest, "_text_blocks", header_only
+    ):
+        assert [outcome(sources(data)[i], None) for i in binary] == [expected[i] for i in binary]
     assert expected[0][3][1] == (2 * block - 1,)  # a panel of every row
 
 
