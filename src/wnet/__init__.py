@@ -26,7 +26,6 @@ from .graph import (
     build_directed,
     dump_matrix,
     load_matrix,
-    save_matrix,
     symmetrize,
     symmetry_index,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "pearson_with_ci",
     "rank_size",
     "run_pipeline",
-    "save_matrix",
     "save_panel",
     "silverman_bandwidth",
     "symmetrize",

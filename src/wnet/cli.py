@@ -14,13 +14,14 @@ import argparse
 import logging
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 from ._version import __version__
 from .errors import ValidationError, WnetError
-from .graph import WeightScheme, WeightVariant, build_directed, save_matrix, symmetrize
+from .graph import WeightScheme, WeightVariant, build_directed, dump_matrix, symmetrize
 from .ingest import load_panel
-from .pipeline import ANALYSES, PipelineConfig, relabel, run_pipeline
+from .pipeline import ANALYSES, PipelineConfig, relabel, run_pipeline, write_bundle
 
 logger = logging.getLogger(__name__)
 
@@ -198,14 +199,17 @@ def _selected_analyses(args: argparse.Namespace, default: tuple[str, ...]) -> fr
 def _cmd_build(args: argparse.Namespace) -> int:
     config = _pipeline_config(args, frozenset(("stats",)))
     panel = load_panel(config.flows, config.gdp)
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    networks = [
-        symmetrize(build_directed(panel, year, config.scheme))
-        for year in sorted(set(config.years))
-    ]
-    for net in networks:
-        save_matrix(config.out_dir / f"matrix_{net.year}.txt", net)
-    print(f"wrote {len(networks)} matrix dumps to {config.out_dir}")
+    files = {}
+    for year in sorted(set(config.years)):
+        net = symmetrize(build_directed(panel, year, config.scheme))
+        files[f"matrix_{year}.txt"] = partial(dump_matrix, net)
+    echo = config.echo()
+    manifest = {
+        "tool": {"name": "wnet", "version": __version__},
+        "config": {key: echo[key] for key in ("flows", "gdp", "scheme", "threshold", "years")},
+    }
+    write_bundle(config.out_dir, files, manifest)
+    print(f"wrote {len(files)} matrix dumps to {config.out_dir}")
     return 0
 
 

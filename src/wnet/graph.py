@@ -196,10 +196,6 @@ def dump_matrix(net: UndirectedNetwork) -> str:
     return header + "\n" + "\n".join(rows) + "\n"
 
 
-def save_matrix(path: str | Path, net: UndirectedNetwork) -> None:
-    Path(path).write_text(dump_matrix(net), encoding="utf-8")
-
-
 def load_matrix(path: str | Path) -> MatrixDump:
     """Re-read a matrix dump; weight entries round-trip bit-exact."""
     text = Path(path).read_text(encoding="utf-8")

@@ -261,7 +261,8 @@ def _read_table(source, columns: tuple[str, ...], ids: dict, rules, path=False) 
     raw = isinstance(source, (io.RawIOBase, io.BufferedIOBase)) and source.seekable()
     offset, source = (source.tell(), source) if raw else (0, iter(source))
     pulled, head = [], chain.from_iterable(_text_blocks(source, 0, 1, path))  # one line at a time
-    rows = csv.reader(_blanked(pulled.append(line) or line for line in head))
+    lines = (pulled.append(line) or line for line in head)  # as read; csv skips line 1's BOM
+    rows = csv.reader(_blanked(chain([next(lines, "").removeprefix("\ufeff")], lines)))
     try:
         header = next((fields for fields in rows if fields), None)
     except csv.Error as exc:

@@ -1,19 +1,20 @@
 """End-to-end pipeline: ingest -> build -> stats -> analyses -> bundle.
 
-Every bundle file goes through ``_BundleWriter``, which hashes each file as
-it writes it and is the only writer of ``manifest.json``; ``read_manifest``
-is its only reader.  ``relabel`` rewrites a bundle's comparison table.
+``write_bundle`` is the only writer into an output directory and of
+``manifest.json``; ``read_manifest`` is its only reader.  ``relabel``
+rewrites a bundle's comparison table.
 
 A run is deterministic: identical inputs and config produce byte-identical
 output files.  No timestamps are written; the manifest carries the config
 echo (minus the output directory, which has no effect on data), the
 per-year normalizers, and a sha256 digest of every emitted file.
 Nothing is written until every analysis has run over every year, so a
-failing year aborts the run without leaving a partial bundle; files already
-written when a later write fails are removed.  Each file's text is made
-only when that file is written.  Once the new manifest is written, files
-that the directory's previous manifest listed and the new one does not are
-deleted, so a rerun into the same directory leaves no stale outputs.
+failing year aborts the run without leaving a partial bundle.  Each file's
+text is made only when that file is written, into a staging directory; the
+files are then renamed into place, the manifest last, so a write that fails
+leaves the previous bundle as it was.  Files that the directory's previous
+manifest listed and the new one does not are then deleted, so a rerun into
+the same directory leaves no stale outputs.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ import hashlib
 import json
 import logging
 import math
+import os
+import shutil
+import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from functools import cache, partial
@@ -140,33 +144,6 @@ def _year_context(what: str, year: int):
         raise DataError(f"{what} in year {year}: {exc}") from None
 
 
-class _BundleWriter:
-    """Writes bundle files, hashing each as it is written, and tracks them for
-    the manifest and for cleanup."""
-
-    def __init__(self, out_dir: Path) -> None:
-        self.out_dir = out_dir
-        self.written: list[Path] = []
-        self.sha256: dict[str, str] = {}
-
-    def write(self, name: str, text: str) -> None:
-        data = text.encode("utf-8")
-        path = self.out_dir / name
-        path.write_bytes(data)
-        self.written.append(path)
-        self.sha256[name] = hashlib.sha256(data).hexdigest()
-
-    def write_manifest(self, manifest: dict) -> None:
-        """Add the digest of every file written so far to ``manifest["files"]``
-        and write it as ``manifest.json``."""
-        manifest["files"] = {**manifest.get("files", {}), **self.sha256}
-        self.write(MANIFEST, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-
-    def cleanup(self) -> None:
-        for path in self.written:
-            path.unlink(missing_ok=True)
-
-
 def read_correlation_csv(path: str | Path) -> list[CorrelationPoint]:
     """Load a correlation series back from its bundle CSV."""
     points = []
@@ -216,6 +193,46 @@ def _listed_files(out_dir: Path) -> set[str]:
     files = manifest["files"] if manifest else {}
     names = {name for name in files if isinstance(name, str) and Path(name).name == name}
     return names - {"", "..", MANIFEST}
+
+
+def write_bundle(
+    out_dir: Path, files: Mapping[str, Callable[[], str]], manifest: dict | None
+) -> None:
+    """Commit ``files``, each name's text made by its zero-argument maker, into ``out_dir``.
+
+    Every file is written and hashed in a staging directory inside ``out_dir``.
+    Unless ``manifest`` is None, the digests are added to ``manifest["files"]``
+    and it is written as ``manifest.json``.  Only then are the files renamed
+    into place, ``manifest.json`` last, and the staging directory removed; the
+    files that the previous manifest listed and the new one does not are
+    deleted after that.
+    """
+    out_dir.mkdir(parents=True, exist_ok=True)
+    previous = set() if manifest is None else _listed_files(out_dir)
+    staging = Path(tempfile.mkdtemp(prefix=".wnet-", dir=out_dir))
+    try:
+        digests = {}
+        for name, make in files.items():
+            data = make().encode("utf-8")
+            (staging / name).write_bytes(data)
+            digests[name] = hashlib.sha256(data).hexdigest()
+        names = list(files)
+        if manifest is not None:
+            manifest["files"] = {**manifest.get("files", {}), **digests}
+            text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+            (staging / MANIFEST).write_bytes(text.encode("utf-8"))
+            names.append(MANIFEST)
+        for name in names:
+            os.replace(staging / name, out_dir / name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+    stale = sorted(previous - set(manifest["files"])) if previous else []
+    for name in stale:
+        if (out_dir / name).is_file():
+            (out_dir / name).unlink()
+    logger.info("wrote %d files to %s", len(names), out_dir)
+    if stale:
+        logger.info("removed %d files that only the previous manifest listed", len(stale))
 
 
 def pair_filename(pair: str) -> str:
@@ -311,36 +328,20 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
         files["comparison.csv"] = partial(comparison_csv, comparison)
     files["counts.csv"] = _table("year,name,value", sorted(counts))
 
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    previous = _listed_files(config.out_dir)
-    writer = _BundleWriter(config.out_dir)
-    try:
-        for name, make in files.items():
-            writer.write(name, make())
-        manifest = {
-            "tool": {"name": "wnet", "version": __version__},
-            "config": config.echo(),
-            "conventions": {
-                "moments": "population",
-                "undefined": "excluded (NaN, empty CSV cells)",
-            },
-            "normalizers": normalizers,
-            "density_bandwidths": bandwidths,
-            "missing_gdp_warnings": [
-                [year, code] for year, code in panel.missing_gdp
-            ],
-        }
-        writer.write_manifest(manifest)
-    except Exception:
-        writer.cleanup()
-        raise
-    stale = [config.out_dir / name for name in sorted(previous - set(writer.sha256))]
-    for path in stale:
-        if path.is_file():
-            path.unlink()
-    logger.info("wrote %d files to %s", len(writer.written), config.out_dir)
-    if stale:
-        logger.info("removed %d files that only the previous manifest listed", len(stale))
+    manifest = {
+        "tool": {"name": "wnet", "version": __version__},
+        "config": config.echo(),
+        "conventions": {
+            "moments": "population",
+            "undefined": "excluded (NaN, empty CSV cells)",
+        },
+        "normalizers": normalizers,
+        "density_bandwidths": bandwidths,
+        "missing_gdp_warnings": [
+            [year, code] for year, code in panel.missing_gdp
+        ],
+    }
+    write_bundle(config.out_dir, files, manifest)
     return ReportBundle(manifest, tables, comparison)
 
 
@@ -423,9 +424,7 @@ def relabel(
     paths = {pair: out_dir / pair_filename(pair) for pair in pairs}
     series = {pair: read_correlation_csv(path) for pair, path in paths.items() if path.exists()}
     rows = compare_views(series, strong_cut, moderate_cut)
-    writer = _BundleWriter(out_dir)
-    writer.write("comparison.csv", comparison_csv(rows))
     if manifest is not None:
         manifest["config"].update(strong_cut=strong_cut, moderate_cut=moderate_cut)
-        writer.write_manifest(manifest)
+    write_bundle(out_dir, {"comparison.csv": partial(comparison_csv, rows)}, manifest)
     return rows

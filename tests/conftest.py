@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -108,6 +111,17 @@ def random_panel(
         for c in codes:
             sizes.append((year, c, float(np.exp(rng.normal(24, 1)))))
     return panel_from_rows(flows, sizes)
+
+
+def assert_bundle_intact(out, keep=()):
+    """Every file that ``out``'s manifest lists has its listed digest, and ``out``
+    holds nothing else but the manifest and ``keep``: no staging leftover."""
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    for name, digest in manifest["files"].items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+    assert not list(out.glob(".wnet-*"))
+    expected = {*manifest["files"], "manifest.json", *keep}
+    assert sorted(p.name for p in out.iterdir()) == sorted(expected)
 
 
 def write_panel_csvs(tmp_path, n=60, years=(1999, 2000), seed=7, p=0.5):

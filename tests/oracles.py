@@ -140,7 +140,8 @@ def _lines_rowwise(source: str | Path | bytes | IO) -> Iterator[str]:
     """Yield the text lines of a path, raw bytes or open stream, one at a time.
 
     Comment and blank lines come out empty, so the CSV reader skips them but
-    still counts them.  A line that is not UTF-8 raises when it is reached.
+    still counts them.  One byte-order mark at the start of line 1 is
+    dropped.  A line that is not UTF-8 raises when it is reached.
     """
     if isinstance(source, (str, Path)):
         with open(source, encoding="utf-8", errors="surrogateescape", newline="") as fh:
@@ -151,6 +152,8 @@ def _lines_rowwise(source: str | Path | bytes | IO) -> Iterator[str]:
     ):
         if isinstance(line, bytes):
             line = line.decode("utf-8", "surrogateescape")
+        if lineno == 1:  # one byte-order mark is skipped, as the utf-8-sig codec does
+            line = line.removeprefix("\ufeff")
         if not line.isascii():
             try:
                 line.encode("utf-8")

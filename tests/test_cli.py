@@ -1,10 +1,11 @@
 from __future__ import annotations
 
-import hashlib
+import errno
 import json
 import os
 import subprocess
 import sys
+from itertools import count
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ import pytest
 from wnet import load_matrix
 from wnet.cli import main, read_config_file
 
-from conftest import write_panel_csvs
+from conftest import assert_bundle_intact, write_panel_csvs
 
 
 def run_cli(*argv):
@@ -75,7 +76,41 @@ def test_build_builds_each_repeated_year_once(toy_csvs, tmp_path, monkeypatch):
         "--years", "2000,1999,2000", "--out", str(out),
     ) == 0
     assert built == [1999, 2000]
-    assert sorted(p.name for p in out.iterdir()) == ["matrix_1999.txt", "matrix_2000.txt"]
+    assert sorted(p.name for p in out.iterdir()) == [
+        "manifest.json", "matrix_1999.txt", "matrix_2000.txt"
+    ]
+
+
+def test_build_writes_a_manifest_and_drops_stale_dumps(toy_csvs, tmp_path):
+    flows, gdp = toy_csvs
+    out = tmp_path / "matrices"
+    for years in ("1999:2000", "2000"):
+        assert run_cli(
+            "build", "--flows", str(flows), "--gdp", str(gdp), "--years", years, "--out", str(out)
+        ) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "matrix_2000.txt"]
+    assert_bundle_intact(out)
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest == {
+        "tool": {"name": "wnet", "version": "0.1.0"},
+        "files": {"matrix_2000.txt": manifest["files"]["matrix_2000.txt"]},
+        "config": {
+            "flows": str(flows), "gdp": str(gdp), "scheme": "exporter-gdp",
+            "threshold": 0.0, "years": [2000],
+        },
+    }
+
+
+def test_build_replaces_the_files_of_an_all_bundle(toy_csvs, tmp_path):
+    flows, gdp = toy_csvs
+    out = tmp_path / "bundle"
+    inputs = ["--flows", str(flows), "--gdp", str(gdp), "--years", "2000", "--out", str(out)]
+    assert run_cli("all", *inputs) == 0
+    (out / "notes.txt").write_text("not a bundle file", encoding="utf-8")
+    assert run_cli("build", *inputs) == 0
+    names = sorted(p.name for p in out.iterdir())
+    assert names == ["manifest.json", "matrix_2000.txt", "notes.txt"]
+    assert_bundle_intact(out, keep=("notes.txt",))
 
 
 def test_analyze_subcommand_default_excludes_stats(toy_csvs, tmp_path):
@@ -156,8 +191,7 @@ def test_report_keeps_manifest_in_step(toy_csvs, tmp_path, capsys):
     assert text == json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     assert manifest["config"]["strong_cut"] == 0.5
     assert manifest["config"]["moderate_cut"] == 0.15
-    for name, digest in manifest["files"].items():
-        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+    assert_bundle_intact(out)
 
 
 def test_report_defaults_to_the_bundle_cuts(toy_csvs, tmp_path):
@@ -177,6 +211,21 @@ def test_report_defaults_to_the_bundle_cuts(toy_csvs, tmp_path):
     (out / "manifest.json").unlink()
     assert run_cli("report", "--out", str(out)) == 0
     assert (out / "comparison.csv").read_bytes() != table
+
+
+def test_report_without_a_manifest_writes_only_the_table(toy_csvs, tmp_path):
+    flows, gdp = toy_csvs
+    out = tmp_path / "bundle"
+    assert run_cli(
+        "all", "--flows", str(flows), "--gdp", str(gdp),
+        "--years", "1999:2000", "--out", str(out),
+    ) == 0
+    (out / "manifest.json").unlink()
+    table = (out / "comparison.csv").read_bytes()
+    (out / "comparison.csv").unlink()
+    before = bundle_state(out)
+    assert run_cli("report", "--out", str(out)) == 0
+    assert bundle_state(out) == {**before, "comparison.csv": table}
 
 
 def test_report_rejects_a_broken_manifest(toy_csvs, tmp_path, capsys):
@@ -279,6 +328,46 @@ def test_io_errors_are_data_errors(toy_csvs, tmp_path, capsys, target):
     assert "Traceback" not in err
     errors = [line for line in err.splitlines() if line.startswith("error: ")]
     assert len(errors) == 1 and str(paths[target]) in errors[0]
+
+
+def fail_write(monkeypatch, k: int) -> None:
+    """Make the ``k``-th ``write_bytes`` or ``write_text`` from now on fail as on a full disk."""
+    calls = iter(range(1, k + 1))
+    for method in ("write_bytes", "write_text"):
+        def write(self, *args, _real=getattr(Path, method), **kwargs):
+            if next(calls, None) == k:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(self))
+            return _real(self, *args, **kwargs)
+        monkeypatch.setattr(Path, method, write)
+
+
+@pytest.mark.parametrize("first, rerun", [
+    (["all", "--years", "1999:2000"], ["all", "--years", "2000", "--strong-cut", "0.5"]),
+    (["all", "--years", "1999:2000"], ["report", "--strong-cut", "0.5", "--moderate-cut", "0.1"]),
+    (["build", "--years", "1999:2000"], ["build", "--years", "2000", "--threshold", "1000"]),
+])
+def test_a_failed_write_leaves_the_previous_bundle(
+    toy_csvs, tmp_path, capsys, monkeypatch, first, rerun
+):
+    flows, gdp = toy_csvs
+    out = tmp_path / "bundle"
+    inputs = ["--flows", str(flows), "--gdp", str(gdp)]
+    assert run_cli(*first, *inputs, "--out", str(out)) == 0
+    before = bundle_state(out)
+    rerun = [*rerun, "--out", str(out), *(inputs if rerun[0] != "report" else [])]
+    for k in count(1):  # until the rerun makes fewer than k writes
+        with monkeypatch.context() as patch:
+            fail_write(patch, k)
+            code = run_cli(*rerun)
+        err = capsys.readouterr().err
+        if code == 0:
+            break
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, (k, err)
+        assert "No space left on device" in err
+        assert not list(out.glob(".wnet-*")) and bundle_state(out) == before, k
+    assert k > 2  # a data file and the manifest, at least
+    assert bundle_state(out) != before
+    assert_bundle_intact(out)
 
 
 @pytest.mark.parametrize("flags", [

@@ -11,7 +11,6 @@ from wnet import (
     build_directed,
     dump_matrix,
     load_matrix,
-    save_matrix,
     symmetrize,
     symmetry_index,
 )
@@ -209,7 +208,7 @@ def test_matrix_dump_round_trip(tmp_path, rng):
     panel = random_panel(rng, n=8, p=0.5)
     und = symmetrize(build_directed(panel, 2000, WeightScheme()))
     path = tmp_path / "matrix_2000.txt"
-    save_matrix(path, und)
+    path.write_text(dump_matrix(und), encoding="utf-8")
     text = path.read_text(encoding="utf-8")
     assert text.startswith(f"# year=2000 scheme=exporter-gdp normalizer=")
     loaded = load_matrix(path)

@@ -249,6 +249,42 @@ def test_load_panel_logs_one_info_line(caplog):
     )
 
 
+@pytest.mark.parametrize("flows", [
+    "year,exporter,importer,value\n2000,A,B,1\n2000,B,A,2\n",
+    "# exported from a spreadsheet\nyear,exporter,importer,value\n2000,A,B,1\n2000,B,A,2\n",
+    '"year","exporter","importer","value"\n2000,A,B,1\n2000,B,A,2\n',
+], ids=["plain", "comment", "quoted"])
+@pytest.mark.parametrize("kind", ["bytes", "binary", "text", "path"])
+def test_one_byte_order_mark_is_skipped(tmp_path, caplog, flows, kind):
+    sizes = "year,country,gdp\n2000,A,5\n2000,B,7\n"
+
+    def source(text: str, name: str):
+        data = ("\ufeff" + text).encode("utf-8")
+        (tmp_path / name).write_bytes(data)
+        return {"bytes": data, "binary": io.BytesIO(data), "text": io.StringIO(data.decode()),
+                "path": tmp_path / name}[kind]
+
+    with caplog.at_level(logging.INFO, logger="wnet.ingest"):
+        panel = load_panel(source(flows, "flows.csv"), source(sizes, "sizes.csv"))
+    assert flow_rows(panel) == [(2000, "A", "B", 1.0), (2000, "B", "A", 2.0)]
+    assert size_rows(panel) == [(2000, "A", 5.0), (2000, "B", 7.0)]
+    # The rows after the header are read as plain blocks: the bytes path seeks
+    # past the mark's three bytes too.
+    assert "read 2 flow rows (2 in plain blocks, keys in order) and 2 GDP rows (2 in plain " \
+        "blocks, keys in order)" in caplog.records[-1].getMessage()
+    with mock.patch.object(ingest, "_read_table", read_table_rowwise):
+        reference = load_panel(source(flows, "flows.csv"), source(sizes, "sizes.csv"))
+    assert flow_rows(reference) == flow_rows(panel) and size_rows(reference) == size_rows(panel)
+
+
+@pytest.mark.parametrize("data, line", [
+    (b"\xef\xbb\xbf\xef\xbb\xbfyear,exporter,importer,value\n2000,A,B,1\n", 1),
+    (b"\n\xef\xbb\xbfyear,exporter,importer,value\n2000,A,B,1\n", 2),
+])
+def test_only_one_byte_order_mark_on_line_one_is_skipped(data, line):
+    _assert_fault(data, line, "header must name exactly year,exporter,importer,value; got \ufeffyear")
+
+
 def test_load_panel_without_sizes(tmp_path):
     fp = tmp_path / "f.csv"
     fp.write_text("year,exporter,importer,value\n2000,USA,CAN,5\n", encoding="utf-8")

@@ -81,9 +81,9 @@ _ODD_LINES = [
 
 @st.composite
 def _table(draw, columns: tuple[str, ...]) -> bytes:
-    """Encoded file: a header, well-formed rows in the header's column order,
-    a few defects among them, one kind of line break, and sometimes raw
-    bytes after them or raw bytes alone."""
+    """Encoded file: sometimes a byte-order mark or two, a header, well-formed
+    rows in the header's column order, a few defects among them, one kind of
+    line break, and sometimes raw bytes after them or raw bytes alone."""
     if draw(st.integers(0, 9)) == 0:
         return draw(st.binary(max_size=60))
     order = draw(st.permutations(columns) | st.just(list(columns)))
@@ -117,6 +117,7 @@ def _table(draw, columns: tuple[str, ...]) -> bytes:
             lines.insert(at, draw(st.sampled_from(_ODD_LINES)))
     newline = draw(st.sampled_from(["\n"] * 4 + ["\r\n", "\r"]))
     text = newline.join(lines) + draw(st.sampled_from(["\n", "", "\n\n"]))
+    text = draw(st.sampled_from([""] * 4 + ["\ufeff", "\ufeff\ufeff"])) + text  # byte-order marks
     return text.encode("utf-8", "surrogateescape") + draw(
         st.sampled_from([b""] * 5 + [b"\xff", b"\n", b"\r\n"])
     )

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
+import ast
 import csv
-import hashlib
 import json
 import math
 import re
@@ -29,6 +29,7 @@ from wnet.pipeline import (
     read_manifest,
 )
 
+from conftest import assert_bundle_intact
 from oracles import pearson_oracle
 
 
@@ -112,10 +113,8 @@ def test_manifest_digests_and_metadata(toy_csvs, tmp_path):
     assert manifest["config"]["scheme"] == "exporter-gdp"
     assert "out" not in manifest["config"]
     assert set(manifest["normalizers"]) == {"1999", "2000"}
-    for name, digest in manifest["files"].items():
-        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
     assert "manifest.json" not in manifest["files"]
-    assert len(manifest["files"]) == len(list(out.iterdir())) - 1
+    assert_bundle_intact(out)
 
 
 def test_manifest_is_strict_json(toy_csvs, tmp_path):
@@ -210,9 +209,7 @@ def test_rerun_removes_files_only_the_previous_manifest_listed(toy_csvs, tmp_pat
     run_pipeline(config_for(toy_csvs, out, years=(2000,), analyses=frozenset(("stats",))))
     manifest = json.loads((out / "manifest.json").read_text())
     assert set(manifest["files"]) == {"stats_2000.csv", "counts.csv"}
-    assert {p.name for p in out.iterdir()} == {*manifest["files"], "manifest.json", "notes.txt"}
-    for name, digest in manifest["files"].items():
-        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+    assert_bundle_intact(out, keep=("notes.txt",))
 
 
 def test_rerun_deletes_only_plain_names_of_a_parsed_manifest(toy_csvs, tmp_path):
@@ -350,3 +347,62 @@ def test_comparison_csv_layout():
     text = comparison_csv(rows)
     assert text.startswith("view,assortativity_pair,assortativity_r,")
     assert "BNA,ND-ANND,-0.9,strong negative,BCC-ND,-0.96,strong negative" in text
+
+
+#: Where the package may write a file: the bundle commit and the panel export.
+_WRITERS = {"pipeline.write_bundle", "ingest.save_panel"}
+
+
+def _writes(tree: ast.AST, scope: str = ""):
+    """(scope, line) of each call in ``tree`` that writes a file: ``write_text``,
+    ``write_bytes``, ``os.replace``, or ``open`` with a mode that is not plainly a
+    read mode; ``scope`` is the dotted name of the enclosing functions and classes."""
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{node.name}"
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            owner = getattr(func, "value", None)
+            module = owner.id if isinstance(owner, ast.Name) else None
+            if name == "open":  # open(file, mode), os.open/io.open(file, mode), path.open(mode)
+                at = 1 if isinstance(func, ast.Name) or module in ("os", "io") else 0
+                modes = [kw.value for kw in node.keywords if kw.arg in ("mode", "flags")]
+                mode = (modes or node.args[at : at + 1] or [ast.Constant("r")])[0]
+                writes = not (isinstance(mode, ast.Constant) and set(str(mode.value)) <= set("rbt"))
+            else:
+                writes = name in ("write_text", "write_bytes")
+                writes |= (name, module) == ("replace", "os")
+            if writes:
+                yield scope, node.lineno
+        yield from _writes(node, inner)
+
+
+def test_write_bundle_is_the_only_writer():
+    src = Path(wnet.pipeline.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for scope, line in _writes(ast.parse(path.read_text(encoding="utf-8"))):
+            if f"{path.stem}{scope}" not in _WRITERS:
+                found.append(f"{path.name}:{line} in {path.stem}{scope or ' (module)'}")
+    assert not found, "files written outside write_bundle: " + ", ".join(found)
+
+
+def test_the_writer_guard_sees_every_kind_of_write():
+    code = """
+def f(p, q):
+    p.write_text("x")
+    q.write_bytes(b"x")
+    os.replace(p, q)
+    open(p, "w")
+    open(p, mode="ab")
+    io.open(p, "r+")
+    p.open("x")
+    open(p, m)
+    open(p)
+    open(p, "rb")
+    p.open()
+    "a-b".replace("-", "_")
+"""
+    assert [line for _, line in _writes(ast.parse(code))] == list(range(3, 11))
