@@ -2,7 +2,8 @@
 
 Subcommands: build (dump per-year weight matrices), stats (per-year node
 statistics CSVs), analyze (distributional analyses), report (comparison
-table from an existing bundle), all (everything plus comparison).
+table from an existing bundle), all (everything plus comparison), verify
+(re-hash a bundle against its manifest).
 
 Exit codes: 0 success, 1 validation error, 2 data or I/O error (OSError),
 3 internal error.  The WNET_LOG environment variable sets the logging level.
@@ -18,10 +19,17 @@ from functools import partial
 from pathlib import Path
 
 from ._version import __version__
-from .errors import ValidationError, WnetError
+from .errors import DataError, ValidationError, WnetError
 from .graph import WeightScheme, WeightVariant, build_directed, dump_matrix, symmetrize
 from .ingest import load_panel
-from .pipeline import ANALYSES, PipelineConfig, relabel, run_pipeline, write_bundle
+from .pipeline import (
+    ANALYSES,
+    PipelineConfig,
+    relabel,
+    run_pipeline,
+    verify_bundle,
+    write_bundle,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -149,6 +157,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_analysis_flags(p_all)
     _add_label_flags(p_all)
 
+    p_verify = sub.add_parser("verify", help="re-hash a bundle against its manifest")
+    p_verify.add_argument("--out", help="bundle directory to check")
+
     return parser
 
 
@@ -251,12 +262,36 @@ def _cmd_all(args: argparse.Namespace) -> int:
     return 0
 
 
+#: How ``verify`` names each kind of entry it reports.
+_VERIFY_LABELS = {
+    "missing": "missing",
+    "changed": "changed",
+    "unlisted": "not in the manifest",
+    "staging": "staging left by an interrupted run",
+}
+
+
+def _cmd_verify(args: argparse.Namespace) -> int:
+    out_dir = Path(_require(args, "out"))
+    found = verify_bundle(out_dir)
+    for kind, label in _VERIFY_LABELS.items():
+        for name in found[kind]:
+            print(f"{label}: {name}")
+    bad = len(found["missing"]) + len(found["changed"])
+    listed = bad + len(found["intact"])
+    if bad:
+        raise DataError(f"{bad} of {listed} listed files in {out_dir} are missing or changed")
+    print(f"verified {listed} files in {out_dir}")
+    return 0
+
+
 _COMMANDS = {
     "build": _cmd_build,
     "stats": _cmd_stats,
     "analyze": _cmd_analyze,
     "report": _cmd_report,
     "all": _cmd_all,
+    "verify": _cmd_verify,
 }
 
 

@@ -14,7 +14,12 @@ text is made only when that file is written, into a staging directory; the
 files are then renamed into place, the manifest last, so a write that fails
 leaves the previous bundle as it was.  Files that the directory's previous
 manifest listed and the new one does not are then deleted, so a rerun into
-the same directory leaves no stale outputs.
+the same directory leaves no stale outputs.  Where ``os.fork`` exists and
+two or more CPUs are usable, a forked helper makes every other file while
+this process makes the rest; the output bytes do not depend on this.  (The
+helper is forked from a process that may hold BLAS threads, so it runs no
+BLAS; Python 3.12 and later warn when a process with threads forks.)
+``verify_bundle`` re-hashes a bundle against its manifest without writing.
 """
 
 from __future__ import annotations
@@ -25,14 +30,16 @@ import json
 import logging
 import math
 import os
+import pickle
 import shutil
 import tempfile
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from functools import cache, partial
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -195,9 +202,79 @@ def _listed_files(out_dir: Path) -> set[str]:
     return names - {"", "..", MANIFEST}
 
 
+def verify_bundle(out_dir: Path) -> dict[str, list[str]]:
+    """Re-hash every file that ``out_dir``'s manifest lists; read only.
+
+    Returns sorted names: the listed files that are ``intact``, ``missing``
+    or ``changed``, the other entries of ``out_dir`` (``unlisted``), and the
+    ``.wnet-*`` directories left by an interrupted write (``staging``).
+    Raises DataError if ``out_dir`` has no manifest or it lists a name that
+    is not a plain file name.
+    """
+    manifest = read_manifest(out_dir)
+    if manifest is None:
+        raise DataError(f"{out_dir} has no {MANIFEST}")
+    found: dict[str, list[str]] = {
+        kind: [] for kind in ("intact", "missing", "changed", "unlisted", "staging")
+    }
+    for name, digest in sorted(manifest["files"].items()):
+        if name in ("", "..", MANIFEST) or Path(name).name != name:
+            raise DataError(f"{out_dir / MANIFEST} lists {name!r}, which is not a bundle file name")
+        path = out_dir / name
+        if not path.is_file():
+            found["missing"].append(name)
+        elif hashlib.sha256(path.read_bytes()).hexdigest() != digest:
+            found["changed"].append(name)
+        else:
+            found["intact"].append(name)
+    for entry in sorted(out_dir.iterdir()):
+        if entry.name == MANIFEST or entry.name in manifest["files"]:
+            continue
+        staging = entry.name.startswith(".wnet-") and entry.is_dir()
+        found["staging" if staging else "unlisted"].append(entry.name)
+    return found
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on, or 1 where the platform cannot say."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _leave(pipe: int, result: dict | BaseException) -> NoReturn:
+    """End ``write_bundle``'s helper process: send ``result``, its digests or the
+    exception it hit, pickled down ``pipe``, and exit without returning."""
+    try:
+        try:
+            data = pickle.dumps(result)
+        except Exception:  # an exception that does not pickle
+            data = pickle.dumps(RuntimeError(f"bundle writer process: {result!r}"))
+        view = memoryview(data)
+        while view:
+            view = view[os.write(pipe, view) :]
+    finally:
+        os._exit(0)
+
+
+def _join(pid: int, pipe: int) -> dict | BaseException:
+    """What the helper process ``pid`` sent down ``pipe``, read to its end; the
+    helper is reaped before this returns or raises."""
+    chunks = []
+    try:
+        while chunk := os.read(pipe, 1 << 16):
+            chunks.append(chunk)
+    finally:
+        os.close(pipe)
+        _, status = os.waitpid(pid, 0)
+    try:
+        return pickle.loads(b"".join(chunks))
+    except Exception:  # the helper died before it could send a result
+        code = os.waitstatus_to_exitcode(status)
+        return RuntimeError(f"bundle writer process {pid} ended with code {code} and no result")
+
+
 def write_bundle(
     out_dir: Path, files: Mapping[str, Callable[[], str]], manifest: dict | None
-) -> None:
+) -> int:
     """Commit ``files``, each name's text made by its zero-argument maker, into ``out_dir``.
 
     Every file is written and hashed in a staging directory inside ``out_dir``.
@@ -205,18 +282,53 @@ def write_bundle(
     and it is written as ``manifest.json``.  Only then are the files renamed
     into place, ``manifest.json`` last, and the staging directory removed; the
     files that the previous manifest listed and the new one does not are
-    deleted after that.
+    deleted after that.  Returns the number of processes that made the files.
+
+    Where ``os.fork`` exists, two or more CPUs are usable and there are two or
+    more files, one forked helper makes, writes and hashes every other file
+    while this process does the rest.  The helper runs only the makers (text
+    formatting, no BLAS call: this process may hold BLAS threads), sends its
+    digests or the exception it hit back through a pipe, and exits; a helper's
+    exception is raised here as itself.  The helper is reaped before the
+    staging directory is removed, whatever fails.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     previous = set() if manifest is None else _listed_files(out_dir)
+    names = list(files)
+    parts = 2 if len(names) >= 2 and hasattr(os, "fork") and _usable_cpus() >= 2 else 1
+    parent = os.getpid()
     staging = Path(tempfile.mkdtemp(prefix=".wnet-", dir=out_dir))
+    helper = None  # pid and pipe read end of the process that makes names[1::2]
     try:
+        if parts == 2:
+            read_end, write_end = os.pipe()
+            try:
+                helper = os.fork(), read_end
+            except OSError:  # no process to spare: this one makes every file
+                os.close(read_end)
+                parts = 1
+            if not helper or helper[0]:
+                os.close(write_end)
+        in_helper = os.getpid() != parent
         digests = {}
-        for name, make in files.items():
-            data = make().encode("utf-8")
-            (staging / name).write_bytes(data)
-            digests[name] = hashlib.sha256(data).hexdigest()
-        names = list(files)
+        try:
+            for name in names[in_helper::parts]:
+                data = files[name]().encode("utf-8")
+                (staging / name).write_bytes(data)
+                digests[name] = hashlib.sha256(data).hexdigest()
+        except BaseException as exc:
+            if not in_helper:
+                raise
+            digests = exc
+        finally:
+            if in_helper:
+                _leave(write_end, digests)
+        if helper:
+            theirs, helper = _join(*helper), None
+            if isinstance(theirs, BaseException):
+                raise theirs
+            digests.update(theirs)
+            digests = {name: digests[name] for name in names}
         if manifest is not None:
             manifest["files"] = {**manifest.get("files", {}), **digests}
             text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
@@ -225,6 +337,10 @@ def write_bundle(
         for name in names:
             os.replace(staging / name, out_dir / name)
     finally:
+        if os.getpid() != parent:  # the helper, interrupted before its loop
+            os._exit(1)
+        if helper:
+            _join(*helper)
         shutil.rmtree(staging, ignore_errors=True)
     stale = sorted(previous - set(manifest["files"])) if previous else []
     for name in stale:
@@ -233,6 +349,7 @@ def write_bundle(
     logger.info("wrote %d files to %s", len(names), out_dir)
     if stale:
         logger.info("removed %d files that only the previous manifest listed", len(stale))
+    return parts
 
 
 def pair_filename(pair: str) -> str:
@@ -251,24 +368,54 @@ def _table(header: str, rows: Iterable[tuple]) -> Callable[[], str]:
     return partial(format_table, header, *zip(*rows))
 
 
+class _StageTimer:
+    """Seconds a run spends in each stage, logged at INFO when it ends.
+
+    Each ``lap`` adds the time since the previous lap (or since the timer was
+    made) to one stage, so the stages always sum to the whole run.
+    """
+
+    def __init__(self) -> None:
+        self.start = self.last = time.perf_counter()
+        self.seconds: dict[str, float] = {}
+
+    def lap(self, stage: str) -> None:
+        now = time.perf_counter()
+        self.seconds[stage] = self.seconds.get(stage, 0.0) + now - self.last
+        self.last = now
+
+    def log(self, notes: Mapping[str, str]) -> None:
+        """One line per stage, in the order first timed, then the whole run."""
+        for stage, seconds in self.seconds.items():
+            logger.info("stage %s: %.4f s%s", stage, seconds, notes.get(stage, ""))
+        logger.info("run: %.4f s in %d stages", self.last - self.start, len(self.seconds))
+
+
 def run_pipeline(config: PipelineConfig) -> ReportBundle:
     """Run the configured analyses over every requested year.
 
     Returns the in-memory bundle after writing every output file plus the
-    manifest to ``config.out_dir``.
+    manifest to ``config.out_dir``.  The seconds of each stage go to the log
+    at INFO, never into the bundle.
     """
+    timer = _StageTimer()
     config.validate()
     panel = load_panel(config.flows, config.gdp)
+    timer.lap("ingest")
     tables: dict[int, NodeStatsTable] = {}
     normalizers: dict[str, float] = {}
     symmetry: dict[int, float] = {}
     for year in sorted(set(config.years)):
         directed = build_directed(panel, year, config.scheme)
+        timer.lap("build")
         if "symmetry" in config.analyses:
             symmetry[year] = symmetry_index(directed)
+            timer.lap("symmetry")
         net = symmetrize(directed)
+        timer.lap("symmetrize")
         tables[year] = node_stats(net)
         normalizers[str(year)] = float(net.normalizer)
+        timer.lap("node stats")
     years = list(tables)
 
     # Bundle file name -> maker of its text, in write order.
@@ -280,6 +427,7 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
         for year in years
         for name in ("annd", "anns", "bcc", "wcc")
     ]
+    timer.lap("node stats")
     if "stats" in config.analyses:
         files.update((f"stats_{year}.csv", tables[year].to_csv) for year in years)
     if "moments" in config.analyses:
@@ -290,6 +438,7 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
                     summaries.append(moments(tables[year].column(name), statistic=name, year=year))
         header = "statistic,year,mean,std,skewness,kurtosis,count"
         files["moments.csv"] = _table(header, map(_fields(MomentSummary), summaries))
+        timer.lap("moments")
     if "correlations" in config.analyses:
         series = {pair: correlation_series(tables, pair, config.ci_level) for pair in SUPPORTED_PAIRS}
         for pair, points in series.items():
@@ -297,6 +446,7 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
                 "year,pair,r,ci_low,ci_high,n", map(_fields(CorrelationPoint), points)
             )
         comparison = compare_views(series, config.strong_cut, config.moderate_cut)
+        timer.lap("correlations")
     if "density" in config.analyses:
         for year in years:
             for name in DENSITY_STATISTICS:
@@ -306,6 +456,7 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
                 files[key] = partial(format_table, "grid,density", est.grid, est.density)
                 bandwidths[key] = est.bandwidth
                 counts.append((year, f"density_{name}_dropped", len(tables[year].codes) - est.n))
+        timer.lap("density")
     if "ranksize" in config.analyses:
         for year in years:
             with _year_context(f"rank-size of {HEAVY_TAIL_STATISTIC}", year):
@@ -313,6 +464,7 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
             key = f"ranksize_{HEAVY_TAIL_STATISTIC}_{year}.csv"
             files[key] = partial(format_table, "rank,size", curve.ranks, curve.sizes)
             counts.append((year, f"ranksize_{HEAVY_TAIL_STATISTIC}_dropped", curve.dropped))
+        timer.lap("ranksize")
     if "tailfit" in config.analyses:
         fits = []
         for year in years:
@@ -322,6 +474,7 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
             counts.append((year, f"tailfit_{HEAVY_TAIL_STATISTIC}_dropped", fit.dropped))
         header = "year,statistic,mu,sigma,alpha,x_min,tail_fraction,n_positive,tail_count,dropped"
         files["tailfit.csv"] = _table(header, fits)
+        timer.lap("tailfit")
     if symmetry:
         files["symmetry.csv"] = _table("year,symmetry_index", symmetry.items())
     if comparison:
@@ -341,7 +494,9 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
             [year, code] for year, code in panel.missing_gdp
         ],
     }
-    write_bundle(config.out_dir, files, manifest)
+    processes = write_bundle(config.out_dir, files, manifest)
+    timer.lap("write")
+    timer.log({"write": f" ({len(files)} files; processes: {processes})"})
     return ReportBundle(manifest, tables, comparison)
 
 

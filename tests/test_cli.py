@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from wnet import load_matrix
+import wnet.pipeline
+from wnet import NodeStatsTable, load_matrix
 from wnet.cli import main, read_config_file
 
 from conftest import assert_bundle_intact, write_panel_csvs
@@ -368,6 +369,213 @@ def test_a_failed_write_leaves_the_previous_bundle(
     assert k > 2  # a data file and the manifest, at least
     assert bundle_state(out) != before
     assert_bundle_intact(out)
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def writer_processes(monkeypatch, parts: int) -> list[int]:
+    """Make ``write_bundle`` see ``parts`` usable CPUs; the returned list
+    gains one entry for each fork this process makes."""
+    forks = []
+    real_fork = os.fork
+    def fork():
+        forks.append(os.getpid())
+        return real_fork()
+    monkeypatch.setattr(wnet.pipeline, "_usable_cpus", lambda: parts)
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def in_helper(parent: int, error: BaseException):
+    """A ``Path.write_bytes`` that raises ``error`` in any process but ``parent``."""
+    real = Path.write_bytes
+    def write_bytes(self, data):
+        if os.getpid() != parent:
+            raise error
+        return real(self, data)
+    return write_bytes
+
+
+@needs_fork
+@pytest.mark.parametrize("commands", [
+    [["all", "--years", "1990:2000"]],
+    [["stats", "--years", "1990:2000"]],
+    [["analyze", "--years", "1990:2000", "--analyses", "density,ranksize,tailfit"]],
+    [["all", "--years", "1990:2000"], ["report", "--strong-cut", "0.5", "--moderate-cut", "0.1"]],
+    [["build", "--years", "1990:2000"]],
+])
+def test_one_and_two_writer_processes_write_the_same_bundle(
+    tmp_path, capsys, monkeypatch, commands
+):
+    flows, gdp = write_panel_csvs(tmp_path, years=tuple(range(1990, 2001)))
+    inputs = ["--flows", str(flows), "--gdp", str(gdp)]
+    bundles, printed = [], []
+    for parts in (1, 2):
+        out = tmp_path / f"out{parts}"
+        with monkeypatch.context() as patch:
+            forks = writer_processes(patch, parts)
+            for command in commands:
+                args = [*command, "--out", str(out), *(inputs if command[0] != "report" else [])]
+                assert run_cli(*args) == 0
+        assert bool(forks) == (parts == 2)
+        assert_no_child_left()
+        assert_bundle_intact(out)
+        bundles.append(bundle_state(out))
+        printed.append(capsys.readouterr().out.replace(str(out), "OUT"))
+    assert len(bundles[0]) >= 12
+    assert bundles[0] == bundles[1] and printed[0] == printed[1]
+
+
+@needs_fork
+def test_a_failed_fork_makes_every_file_in_one_process(toy_csvs, tmp_path, monkeypatch):
+    flows, gdp = toy_csvs
+    args = ["all", "--flows", str(flows), "--gdp", str(gdp), "--years", "1999:2000"]
+    assert run_cli(*args, "--out", str(tmp_path / "one")) == 0
+    def fork():
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+    monkeypatch.setattr(wnet.pipeline, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", fork)
+    fds = sorted(os.listdir("/dev/fd"))
+    assert run_cli(*args, "--out", str(tmp_path / "two")) == 0
+    assert sorted(os.listdir("/dev/fd")) == fds  # the pipe is closed
+    assert bundle_state(tmp_path / "one") == bundle_state(tmp_path / "two")
+
+
+@needs_fork
+def test_a_full_disk_in_the_helper_leaves_the_previous_bundle(
+    toy_csvs, tmp_path, capsys, monkeypatch
+):
+    flows, gdp = toy_csvs
+    out = tmp_path / "bundle"
+    args = ["all", "--flows", str(flows), "--gdp", str(gdp), "--years", "1999:2000", "--out", str(out)]
+    assert run_cli(*args) == 0
+    before = bundle_state(out)
+    capsys.readouterr()
+    full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), "a-file-of-the-helper")
+    with monkeypatch.context() as patch:
+        forks = writer_processes(patch, 2)
+        patch.setattr(Path, "write_bytes", in_helper(os.getpid(), full))
+        assert run_cli(*args, "--strong-cut", "0.5") == 2
+    assert forks == [os.getpid()]
+    assert_no_child_left()
+    err = capsys.readouterr().err
+    assert err == "error: [Errno 28] No space left on device: 'a-file-of-the-helper'\n"
+    assert not list(out.glob(".wnet-*")) and bundle_state(out) == before
+    assert run_cli("verify", "--out", str(out)) == 0
+
+
+class LocalError(Exception):
+    """A maker's own exception; pickles by reference, so it crosses the pipe."""
+
+
+def unpicklable_error():
+    class Unpicklable(Exception):  # a local class: pickle cannot find it by name
+        pass
+    return Unpicklable("x")
+
+
+@needs_fork
+@pytest.mark.parametrize("parts, make_error, message", [
+    (1, lambda: LocalError("bad cell"), "internal error: bad cell"),
+    (2, lambda: LocalError("bad cell"), "internal error: bad cell"),
+    (1, lambda: ValueError("bad cell"), "internal error: bad cell"),
+    (2, lambda: ValueError("bad cell"), "internal error: bad cell"),
+    (1, unpicklable_error, "internal error: x"),
+    (2, unpicklable_error, "internal error: bundle writer process: Unpicklable('x')"),
+    # A helper that dies without sending anything.
+    (2, lambda: os._exit(5), "internal error: bundle writer process "),
+])
+def test_a_maker_error_in_either_process_is_an_internal_error(
+    toy_csvs, tmp_path, capsys, monkeypatch, parts, make_error, message
+):
+    flows, gdp = toy_csvs
+    out = tmp_path / "bundle"
+    args = ["all", "--flows", str(flows), "--gdp", str(gdp), "--years", "1999:2000", "--out", str(out)]
+    parent = os.getpid()
+    real = NodeStatsTable.to_csv
+    def to_csv(self):  # stats_2000.csv is the second file, so the helper makes it
+        if self.year == 2000 and (parts == 1 or os.getpid() != parent):
+            raise make_error()
+        return real(self)
+    with monkeypatch.context() as patch:
+        writer_processes(patch, parts)
+        patch.setattr(NodeStatsTable, "to_csv", to_csv)
+        code = run_cli(*args)
+    assert_no_child_left()
+    err = capsys.readouterr().err
+    assert code == 3 and err.startswith(message) and err.count("\n") == 1, err
+    assert not out.exists() or not list(out.iterdir())
+
+
+@needs_fork
+def test_an_interrupt_in_the_parent_reaps_the_helper(toy_csvs, tmp_path, monkeypatch):
+    flows, gdp = toy_csvs
+    out = tmp_path / "bundle"
+    args = ["all", "--flows", str(flows), "--gdp", str(gdp), "--years", "1999:2000", "--out", str(out)]
+    assert run_cli(*args) == 0
+    before = bundle_state(out)
+    parent = os.getpid()
+    real = Path.write_bytes
+    def write_bytes(self, data):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return real(self, data)
+    with monkeypatch.context() as patch:
+        forks = writer_processes(patch, 2)
+        patch.setattr(Path, "write_bytes", write_bytes)
+        with pytest.raises(KeyboardInterrupt):
+            run_cli(*args, "--strong-cut", "0.5")
+    assert forks == [parent]
+    assert_no_child_left()
+    assert not list(out.glob(".wnet-*")) and bundle_state(out) == before
+
+
+def test_verify_names_missing_changed_unlisted_and_staging(toy_csvs, tmp_path, capsys):
+    flows, gdp = toy_csvs
+    out = tmp_path / "bundle"
+    assert run_cli(
+        "all", "--flows", str(flows), "--gdp", str(gdp), "--years", "1999:2000", "--out", str(out)
+    ) == 0
+    listed = len(json.loads((out / "manifest.json").read_text(encoding="utf-8"))["files"])
+    capsys.readouterr()
+    assert run_cli("verify", "--out", str(out)) == 0
+    assert capsys.readouterr().out == f"verified {listed} files in {out}\n"
+
+    (out / "notes.txt").write_text("mine\n", encoding="utf-8")
+    (out / ".wnet-k1ll3d").mkdir()
+    assert run_cli("verify", "--out", str(out)) == 0
+    assert capsys.readouterr().out == (
+        "not in the manifest: notes.txt\n"
+        "staging left by an interrupted run: .wnet-k1ll3d\n"
+        f"verified {listed} files in {out}\n"
+    )
+
+    (out / "moments.csv").unlink()
+    with open(out / "stats_2000.csv", "a", encoding="utf-8") as fh:
+        fh.write("\n")
+    (out / "counts.csv").write_bytes((out / "counts.csv").read_bytes())  # same bytes: intact
+    assert run_cli("verify", "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[:2] == ["missing: moments.csv", "changed: stats_2000.csv"]
+    assert captured.err == f"error: 2 of {listed} listed files in {out} are missing or changed\n"
+
+
+@pytest.mark.parametrize("files", [None, {"../flows.csv": "0" * 64}, {"": "0" * 64}, []])
+def test_verify_needs_a_manifest_of_bundle_files(toy_csvs, tmp_path, capsys, files):
+    out = tmp_path / "bundle"
+    out.mkdir()
+    if files is not None:
+        (out / "manifest.json").write_text(json.dumps({"files": files}), encoding="utf-8")
+    assert run_cli("verify", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "manifest.json" in err
+    assert run_cli("verify", "--out", str(tmp_path / "absent")) == 2
 
 
 @pytest.mark.parametrize("flags", [

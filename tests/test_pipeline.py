@@ -3,8 +3,13 @@ from __future__ import annotations
 import ast
 import csv
 import json
+import logging
 import math
+import os
 import re
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -160,6 +165,48 @@ def test_determinism_byte_identical(toy_csvs, tmp_path):
     a = run_pipeline(config_for(toy_csvs, tmp_path / "a"))
     b = run_pipeline(config_for(toy_csvs, tmp_path / "b"))
     assert bundle_bytes(tmp_path / "a") == bundle_bytes(tmp_path / "b")
+
+
+@pytest.mark.parametrize("parts", [1, 2])
+def test_stage_timings_go_to_the_log(toy_csvs, tmp_path, caplog, monkeypatch, parts):
+    monkeypatch.setattr(wnet.pipeline, "_usable_cpus", lambda: parts)
+    caplog.set_level(logging.INFO, logger="wnet.pipeline")
+    start = time.perf_counter()
+    run_pipeline(config_for(toy_csvs, tmp_path / "bundle"))
+    wall = time.perf_counter() - start
+    lines = [r.getMessage() for r in caplog.records if r.name == "wnet.pipeline"]
+    stages = {}
+    for line in lines:
+        if match := re.fullmatch(r"stage ([a-z ]+): (\d+\.\d{4}) s(.*)", line):
+            assert match[1] not in stages, line
+            stages[match[1]] = float(match[2])
+            note = match[3]
+    assert list(stages) == [
+        "ingest", "build", "symmetry", "symmetrize", "node stats", "moments",
+        "correlations", "density", "ranksize", "tailfit", "write",
+    ]
+    processes = parts if hasattr(os, "fork") else 1
+    assert note == f" (18 files; processes: {processes})"  # the write line
+    (run,) = [float(m[1]) for line in lines if (m := re.fullmatch(r"run: (\S+) s in 11 stages", line))]
+    rounding = 0.00005 * (len(stages) + 1)
+    assert abs(sum(stages.values()) - run) <= rounding
+    # The run covers the call but its last log lines; 5 ms allows for a descheduled process.
+    assert run <= wall + rounding and wall - run <= 0.05 * wall + 0.005
+
+
+def test_import_starts_no_process_machinery():
+    # wnet forks its bundle writer itself; these modules would only add set-up time.
+    probe = (
+        "import sys, wnet.cli; "
+        "print(*sorted({'multiprocessing', 'concurrent.futures', 'subprocess'} & set(sys.modules)))"
+    )
+    src = str(Path(wnet.pipeline.__file__).parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.split() == []
 
 
 def test_empty_years_fails_before_io(tmp_path):
