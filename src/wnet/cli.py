@@ -100,9 +100,12 @@ def _add_input_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--scheme",
         choices=[v.value for v in WeightVariant],
-        help="weighting scheme (default exporter-gdp)",
+        help=f"weighting scheme (default {WeightScheme().variant.value})",
     )
-    parser.add_argument("--threshold", help="minimum flow for link existence (default 0)")
+    parser.add_argument(
+        "--threshold",
+        help=f"minimum flow for link existence (default {WeightScheme().threshold:g})",
+    )
     parser.add_argument("--years", help="year selection: A:B inclusive, Y, or Y1,Y2,...")
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--config", help="key = value config file; flags override it")
@@ -113,19 +116,22 @@ def _add_analysis_flags(parser: argparse.ArgumentParser) -> None:
         "--analyses",
         help=f"comma list from: {', '.join(ANALYSES)}",
     )
-    parser.add_argument("--ci-level", dest="ci_level", help="two-sided CI coverage (default 0.90)")
     parser.add_argument(
-        "--tail-fraction", dest="tail_fraction", help="Pareto tail fraction (default 0.05)"
+        "--ci-level", help=f"two-sided CI coverage (default {PipelineConfig.ci_level:g})"
+    )
+    parser.add_argument(
+        "--tail-fraction", help=f"Pareto tail fraction (default {PipelineConfig.tail_fraction:g})"
     )
     parser.add_argument("--bandwidth", help="fixed KDE bandwidth (default: Silverman)")
 
 
 def _add_label_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--strong-cut", dest="strong_cut", help="|r| threshold for 'strong' (default 0.7)"
+        "--strong-cut", help=f"|r| threshold for 'strong' (default {PipelineConfig.strong_cut:g})"
     )
     parser.add_argument(
-        "--moderate-cut", dest="moderate_cut", help="|r| threshold for 'moderate' (default 0.3)"
+        "--moderate-cut",
+        help=f"|r| threshold for 'moderate' (default {PipelineConfig.moderate_cut:g})",
     )
 
 
@@ -181,9 +187,10 @@ def _float_arg(args: argparse.Namespace, name: str, default: float | None = None
 
 
 def _pipeline_config(args: argparse.Namespace, analyses: frozenset[str]) -> PipelineConfig:
+    default = WeightScheme()
     scheme = WeightScheme(
-        WeightVariant.from_name(getattr(args, "scheme", None) or "exporter-gdp"),
-        _float_arg(args, "threshold", 0.0),
+        WeightVariant.from_name(getattr(args, "scheme", None) or default.variant.value),
+        _float_arg(args, "threshold", default.threshold),
     )
     gdp = getattr(args, "gdp", None)
     config = PipelineConfig(

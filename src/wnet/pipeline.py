@@ -16,9 +16,11 @@ leaves the previous bundle as it was.  Files that the directory's previous
 manifest listed and the new one does not are then deleted, so a rerun into
 the same directory leaves no stale outputs.  Where ``os.fork`` exists and
 two or more CPUs are usable, a forked helper makes every other file while
-this process makes the rest; the output bytes do not depend on this.  (The
-helper is forked from a process that may hold BLAS threads, so it runs no
-BLAS; Python 3.12 and later warn when a process with threads forks.)
+this process makes the rest.  The helper only speeds the write up: this
+process makes whatever the helper did not finish, so a helper failure costs
+time but does not fail the run, and the output bytes do not depend on it.
+(The helper is forked from a process that may hold BLAS threads, so it runs
+no BLAS; Python 3.12 and later warn when a process with threads forks.)
 ``verify_bundle`` re-hashes a bundle against its manifest without writing.
 """
 
@@ -30,16 +32,15 @@ import json
 import logging
 import math
 import os
-import pickle
 import shutil
 import tempfile
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields
 from functools import cache, partial
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, NoReturn, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -191,15 +192,18 @@ def read_manifest(out_dir: Path) -> dict | None:
     return manifest
 
 
+def _is_file_name(name: str) -> bool:
+    """Whether a manifest may list ``name``: a plain file name, not the manifest's own."""
+    return name not in ("", "..", MANIFEST) and Path(name).name == name
+
+
 def _listed_files(out_dir: Path) -> set[str]:
     """The plain file names that ``out_dir``'s manifest lists, if it parses."""
     try:
         manifest = read_manifest(out_dir)
     except (DataError, OSError):
         return set()
-    files = manifest["files"] if manifest else {}
-    names = {name for name in files if isinstance(name, str) and Path(name).name == name}
-    return names - {"", "..", MANIFEST}
+    return set(filter(_is_file_name, manifest["files"] if manifest else {}))
 
 
 def verify_bundle(out_dir: Path) -> dict[str, list[str]]:
@@ -218,7 +222,7 @@ def verify_bundle(out_dir: Path) -> dict[str, list[str]]:
         kind: [] for kind in ("intact", "missing", "changed", "unlisted", "staging")
     }
     for name, digest in sorted(manifest["files"].items()):
-        if name in ("", "..", MANIFEST) or Path(name).name != name:
+        if not _is_file_name(name):
             raise DataError(f"{out_dir / MANIFEST} lists {name!r}, which is not a bundle file name")
         path = out_dir / name
         if not path.is_file():
@@ -240,38 +244,6 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _leave(pipe: int, result: dict | BaseException) -> NoReturn:
-    """End ``write_bundle``'s helper process: send ``result``, its digests or the
-    exception it hit, pickled down ``pipe``, and exit without returning."""
-    try:
-        try:
-            data = pickle.dumps(result)
-        except Exception:  # an exception that does not pickle
-            data = pickle.dumps(RuntimeError(f"bundle writer process: {result!r}"))
-        view = memoryview(data)
-        while view:
-            view = view[os.write(pipe, view) :]
-    finally:
-        os._exit(0)
-
-
-def _join(pid: int, pipe: int) -> dict | BaseException:
-    """What the helper process ``pid`` sent down ``pipe``, read to its end; the
-    helper is reaped before this returns or raises."""
-    chunks = []
-    try:
-        while chunk := os.read(pipe, 1 << 16):
-            chunks.append(chunk)
-    finally:
-        os.close(pipe)
-        _, status = os.waitpid(pid, 0)
-    try:
-        return pickle.loads(b"".join(chunks))
-    except Exception:  # the helper died before it could send a result
-        code = os.waitstatus_to_exitcode(status)
-        return RuntimeError(f"bundle writer process {pid} ended with code {code} and no result")
-
-
 def write_bundle(
     out_dir: Path, files: Mapping[str, Callable[[], str]], manifest: dict | None
 ) -> int:
@@ -287,48 +259,57 @@ def write_bundle(
     Where ``os.fork`` exists, two or more CPUs are usable and there are two or
     more files, one forked helper makes, writes and hashes every other file
     while this process does the rest.  The helper runs only the makers (text
-    formatting, no BLAS call: this process may hold BLAS threads), sends its
-    digests or the exception it hit back through a pipe, and exits; a helper's
-    exception is raised here as itself.  The helper is reaped before the
-    staging directory is removed, whatever fails.
+    formatting, no BLAS call: this process may hold BLAS threads).  However it
+    ends, it sends back one ``"<name> <sha256>"`` line for each file it
+    finished.  The helper only speeds the write up: this process makes
+    whatever it did not finish, with one WARNING giving how many and its exit
+    code (None if it could not be forked), so a helper that fails costs time
+    but does not fail the write; an error in this process does.  The helper
+    is reaped before the staging directory is removed, whatever fails.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     previous = set() if manifest is None else _listed_files(out_dir)
     names = list(files)
     parts = 2 if len(names) >= 2 and hasattr(os, "fork") and _usable_cpus() >= 2 else 1
-    parent = os.getpid()
     staging = Path(tempfile.mkdtemp(prefix=".wnet-", dir=out_dir))
-    helper = None  # pid and pipe read end of the process that makes names[1::2]
+    digests: dict[str, str] = {}
+    # The helper that makes names[1::2]: its pid until it is reaped (0 inside it),
+    # and the read end of the pipe it sends its digests down, until read.
+    pid = read_end = None
     try:
         if parts == 2:
             read_end, write_end = os.pipe()
+            with suppress(OSError):  # no process to spare: nothing will come back
+                pid = os.fork()
+            os.close(read_end if pid == 0 else write_end)
+        processes = 2 if pid else 1
+        todo = names[pid == 0 :: parts]
+        while todo:
             try:
-                helper = os.fork(), read_end
-            except OSError:  # no process to spare: this one makes every file
-                os.close(read_end)
-                parts = 1
-            if not helper or helper[0]:
-                os.close(write_end)
-        in_helper = os.getpid() != parent
-        digests = {}
-        try:
-            for name in names[in_helper::parts]:
-                data = files[name]().encode("utf-8")
-                (staging / name).write_bytes(data)
-                digests[name] = hashlib.sha256(data).hexdigest()
-        except BaseException as exc:
-            if not in_helper:
-                raise
-            digests = exc
-        finally:
-            if in_helper:
-                _leave(write_end, digests)
-        if helper:
-            theirs, helper = _join(*helper), None
-            if isinstance(theirs, BaseException):
-                raise theirs
-            digests.update(theirs)
-            digests = {name: digests[name] for name in names}
+                for name in todo:
+                    data = files[name]().encode("utf-8")
+                    (staging / name).write_bytes(data)
+                    digests[name] = hashlib.sha256(data).hexdigest()
+            finally:
+                if pid == 0:  # the helper sends what it finished, whatever happened
+                    try:
+                        with open(write_end, "w", encoding="utf-8") as pipe:
+                            pipe.writelines(f"{name} {digests[name]}\n" for name in digests)
+                    finally:
+                        os._exit(0 if len(digests) == len(todo) else 1)
+            if read_end is not None:  # this process's share is made: collect the helper's
+                with open(read_end, encoding="utf-8") as pipe:
+                    read_end = None
+                    digests.update(line.split() for line in pipe if line.endswith("\n"))
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) if pid else None
+                pid = None
+            todo = [name for name in names if name not in digests]
+            if todo:
+                logger.warning(
+                    "making %d files that the writer helper did not finish (its exit code: %s)",
+                    len(todo), code,
+                )
+        digests = {name: digests[name] for name in names}
         if manifest is not None:
             manifest["files"] = {**manifest.get("files", {}), **digests}
             text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
@@ -337,10 +318,12 @@ def write_bundle(
         for name in names:
             os.replace(staging / name, out_dir / name)
     finally:
-        if os.getpid() != parent:  # the helper, interrupted before its loop
+        if pid == 0:  # the helper, interrupted before its loop
             os._exit(1)
-        if helper:
-            _join(*helper)
+        if read_end is not None:
+            os.close(read_end)
+        if pid:
+            os.waitpid(pid, 0)
         shutil.rmtree(staging, ignore_errors=True)
     stale = sorted(previous - set(manifest["files"])) if previous else []
     for name in stale:
@@ -349,7 +332,7 @@ def write_bundle(
     logger.info("wrote %d files to %s", len(names), out_dir)
     if stale:
         logger.info("removed %d files that only the previous manifest listed", len(stale))
-    return parts
+    return processes
 
 
 def pair_filename(pair: str) -> str:
@@ -507,7 +490,11 @@ VIEW_PAIRS = {
 }
 
 
-def qualitative_label(r: float, strong_cut: float = 0.7, moderate_cut: float = 0.3) -> str:
+def qualitative_label(
+    r: float,
+    strong_cut: float = PipelineConfig.strong_cut,
+    moderate_cut: float = PipelineConfig.moderate_cut,
+) -> str:
     """Bucket a correlation into strength + sign, e.g. 'strong negative'."""
     magnitude = abs(r)
     if magnitude >= strong_cut:
@@ -525,8 +512,8 @@ def qualitative_label(r: float, strong_cut: float = 0.7, moderate_cut: float = 0
 
 def compare_views(
     series: Mapping[str, Sequence[CorrelationPoint]],
-    strong_cut: float = 0.7,
-    moderate_cut: float = 0.3,
+    strong_cut: float = PipelineConfig.strong_cut,
+    moderate_cut: float = PipelineConfig.moderate_cut,
 ) -> list[dict]:
     """Two-row binary-vs-weighted comparison of mean correlations.
 
@@ -562,12 +549,12 @@ def relabel(
 ) -> list[dict]:
     """Rewrite ``out_dir``'s comparison table from its correlation series.
 
-    Cuts left as None default to those in the bundle's manifest, or to 0.7
-    and 0.3 without one.  A manifest is rewritten with the new table's
+    Cuts left as None default to those in the bundle's manifest, or to the
+    ``PipelineConfig`` defaults without one.  A manifest is rewritten with the new table's
     digest and cuts; without one, only ``comparison.csv`` is written.
     """
     manifest = read_manifest(out_dir)
-    labelled = [0.7, 0.3]
+    labelled = [PipelineConfig.strong_cut, PipelineConfig.moderate_cut]
     if manifest is not None:
         with _manifest_context(out_dir / MANIFEST):
             labelled = [float(manifest["config"][k]) for k in ("strong_cut", "moderate_cut")]

@@ -3,8 +3,10 @@ from __future__ import annotations
 import errno
 import json
 import os
+import shutil
 import subprocess
 import sys
+from functools import partial
 from itertools import count
 from pathlib import Path
 
@@ -392,12 +394,14 @@ def writer_processes(monkeypatch, parts: int) -> list[int]:
     return forks
 
 
-def in_helper(parent: int, error: BaseException):
-    """A ``Path.write_bytes`` that raises ``error`` in any process but ``parent``."""
-    real = Path.write_bytes
+def fail_writes(name: str, helper_only: bool):
+    """A ``Path.write_bytes`` that writes half of ``name``'s bytes and then fails
+    as on a full disk, in the helper process only or in every process."""
+    parent, real = os.getpid(), Path.write_bytes
     def write_bytes(self, data):
-        if os.getpid() != parent:
-            raise error
+        if self.name == name and not (helper_only and os.getpid() == parent):
+            real(self, data[: len(data) // 2])
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(self))
         return real(self, data)
     return write_bytes
 
@@ -447,8 +451,86 @@ def test_a_failed_fork_makes_every_file_in_one_process(toy_csvs, tmp_path, monke
     assert bundle_state(tmp_path / "one") == bundle_state(tmp_path / "two")
 
 
+class LocalError(Exception):
+    """A maker's own exception type."""
+
+
+def fail_stats_2000(make_error, helper_only: bool):
+    """A ``NodeStatsTable.to_csv`` that calls ``make_error`` for year 2000, in the
+    helper process only or in every process; stats_2000.csv is a bundle's second
+    file, so the helper makes it first."""
+    parent, real = os.getpid(), NodeStatsTable.to_csv
+    def to_csv(self):
+        if self.year == 2000 and not (helper_only and os.getpid() == parent):
+            raise make_error()
+        return real(self)
+    return to_csv
+
+
 @needs_fork
-def test_a_full_disk_in_the_helper_leaves_the_previous_bundle(
+def test_the_main_process_makes_only_its_own_share(tmp_path, monkeypatch):
+    names = [f"f{i}.csv" for i in range(7)]
+    made = []  # by this process; the helper's list is its own copy
+    def maker(name):
+        made.append(name)
+        return f"{name}\n"
+    files = {name: partial(maker, name) for name in names}
+    with monkeypatch.context() as patch:
+        forks = writer_processes(patch, 2)
+        assert wnet.pipeline.write_bundle(tmp_path, files, {}) == 2
+    assert forks == [os.getpid()]
+    assert made == names[0::2]
+    assert_no_child_left()
+    assert_bundle_intact(tmp_path)
+    assert all((tmp_path / name).read_text() == f"{name}\n" for name in names)
+
+
+@needs_fork
+@pytest.mark.parametrize("fault, finished, code", [
+    ("full disk", 2, 1),  # at the helper's third file, which is left half written
+    ("maker error", 0, 1),
+    ("exit", 0, 5),  # a helper that dies without sending anything
+])
+def test_a_failure_in_the_helper_alone_is_recovered(
+    toy_csvs, tmp_path, capsys, caplog, monkeypatch, fault, finished, code
+):
+    flows, gdp = toy_csvs
+    args = ["all", "--flows", str(flows), "--gdp", str(gdp), "--years", "1999:2000"]
+    names = []  # in the order they are written
+    real = wnet.pipeline.write_bundle
+    def write_bundle(out_dir, files, manifest):
+        names.extend(files)
+        return real(out_dir, files, manifest)
+    with monkeypatch.context() as patch:
+        writer_processes(patch, 1)
+        patch.setattr(wnet.pipeline, "write_bundle", write_bundle)
+        assert run_cli(*args, "--out", str(tmp_path / "one")) == 0
+    one, share = bundle_state(tmp_path / "one"), names[1::2]
+    out = tmp_path / "two"
+    capsys.readouterr()
+    caplog.clear()
+    with monkeypatch.context() as patch:
+        forks = writer_processes(patch, 2)
+        if fault == "full disk":
+            patch.setattr(Path, "write_bytes", fail_writes(share[finished], helper_only=True))
+        else:
+            make_error = (lambda: os._exit(5)) if fault == "exit" else (lambda: LocalError("x"))
+            patch.setattr(NodeStatsTable, "to_csv", fail_stats_2000(make_error, helper_only=True))
+        assert run_cli(*args, "--out", str(out)) == 0
+    assert forks == [os.getpid()]
+    assert_no_child_left()
+    assert not capsys.readouterr().err
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert warnings == [
+        f"making {len(share) - finished} files that the writer helper did not finish "
+        f"(its exit code: {code})"
+    ]
+    assert not list(out.glob(".wnet-*")) and bundle_state(out) == one
+    assert run_cli("verify", "--out", str(out)) == 0
+
+
+@needs_fork
+def test_a_full_disk_in_both_processes_leaves_the_previous_bundle(
     toy_csvs, tmp_path, capsys, monkeypatch
 ):
     flows, gdp = toy_csvs
@@ -457,59 +539,37 @@ def test_a_full_disk_in_the_helper_leaves_the_previous_bundle(
     assert run_cli(*args) == 0
     before = bundle_state(out)
     capsys.readouterr()
-    full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), "a-file-of-the-helper")
     with monkeypatch.context() as patch:
         forks = writer_processes(patch, 2)
-        patch.setattr(Path, "write_bytes", in_helper(os.getpid(), full))
+        patch.setattr(Path, "write_bytes", fail_writes("stats_2000.csv", helper_only=False))
         assert run_cli(*args, "--strong-cut", "0.5") == 2
     assert forks == [os.getpid()]
     assert_no_child_left()
     err = capsys.readouterr().err
-    assert err == "error: [Errno 28] No space left on device: 'a-file-of-the-helper'\n"
+    errors = [line for line in err.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1 and "Traceback" not in err and "internal error" not in err, err
+    assert errors[0].startswith("error: [Errno 28] No space left on device: ")
+    assert errors[0].endswith("stats_2000.csv'")
     assert not list(out.glob(".wnet-*")) and bundle_state(out) == before
     assert run_cli("verify", "--out", str(out)) == 0
 
 
-class LocalError(Exception):
-    """A maker's own exception; pickles by reference, so it crosses the pipe."""
-
-
-def unpicklable_error():
-    class Unpicklable(Exception):  # a local class: pickle cannot find it by name
-        pass
-    return Unpicklable("x")
-
-
 @needs_fork
-@pytest.mark.parametrize("parts, make_error, message", [
-    (1, lambda: LocalError("bad cell"), "internal error: bad cell"),
-    (2, lambda: LocalError("bad cell"), "internal error: bad cell"),
-    (1, lambda: ValueError("bad cell"), "internal error: bad cell"),
-    (2, lambda: ValueError("bad cell"), "internal error: bad cell"),
-    (1, unpicklable_error, "internal error: x"),
-    (2, unpicklable_error, "internal error: bundle writer process: Unpicklable('x')"),
-    # A helper that dies without sending anything.
-    (2, lambda: os._exit(5), "internal error: bundle writer process "),
-])
-def test_a_maker_error_in_either_process_is_an_internal_error(
-    toy_csvs, tmp_path, capsys, monkeypatch, parts, make_error, message
+@pytest.mark.parametrize("parts", [1, 2])
+@pytest.mark.parametrize("error", [LocalError, ValueError])
+def test_a_maker_error_in_the_main_process_is_an_internal_error(
+    toy_csvs, tmp_path, capsys, monkeypatch, parts, error
 ):
     flows, gdp = toy_csvs
     out = tmp_path / "bundle"
     args = ["all", "--flows", str(flows), "--gdp", str(gdp), "--years", "1999:2000", "--out", str(out)]
-    parent = os.getpid()
-    real = NodeStatsTable.to_csv
-    def to_csv(self):  # stats_2000.csv is the second file, so the helper makes it
-        if self.year == 2000 and (parts == 1 or os.getpid() != parent):
-            raise make_error()
-        return real(self)
     with monkeypatch.context() as patch:
         writer_processes(patch, parts)
-        patch.setattr(NodeStatsTable, "to_csv", to_csv)
+        patch.setattr(NodeStatsTable, "to_csv", fail_stats_2000(partial(error, "bad cell"), False))
         code = run_cli(*args)
     assert_no_child_left()
     err = capsys.readouterr().err
-    assert code == 3 and err.startswith(message) and err.count("\n") == 1, err
+    assert code == 3 and err == "internal error: bad cell\n", err
     assert not out.exists() or not list(out.iterdir())
 
 
@@ -534,6 +594,35 @@ def test_an_interrupt_in_the_parent_reaps_the_helper(toy_csvs, tmp_path, monkeyp
     assert forks == [parent]
     assert_no_child_left()
     assert not list(out.glob(".wnet-*")) and bundle_state(out) == before
+
+
+@needs_fork
+@pytest.mark.parametrize("fault", [None, "helper", "main"])
+def test_the_helper_is_reaped_before_the_staging_directory_goes(
+    toy_csvs, tmp_path, monkeypatch, fault
+):
+    flows, gdp = toy_csvs
+    args = ["all", "--flows", str(flows), "--gdp", str(gdp), "--years", "1999:2000"]
+    children = []  # for each rmtree: whether this process still had a child
+    real = shutil.rmtree
+    def rmtree(path, *a, **kw):
+        try:
+            os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            children.append(False)
+        else:
+            children.append(True)
+        return real(path, *a, **kw)
+    with monkeypatch.context() as patch:
+        writer_processes(patch, 2)
+        patch.setattr(shutil, "rmtree", rmtree)
+        if fault == "helper":
+            patch.setattr(NodeStatsTable, "to_csv", fail_stats_2000(partial(os._exit, 5), True))
+        if fault == "main":
+            patch.setattr(Path, "write_bytes", fail_writes("stats_1999.csv", helper_only=False))
+        assert run_cli(*args, "--out", str(tmp_path / "bundle")) == (2 if fault == "main" else 0)
+    assert children == [False]
+    assert_no_child_left()
 
 
 def test_verify_names_missing_changed_unlisted_and_staging(toy_csvs, tmp_path, capsys):
