@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -115,6 +116,7 @@ def _polevl(x: float, coef: tuple[float, ...]) -> float:
     return ans
 
 
+@cache
 def _ndtri(p: float) -> float:
     """Standard normal quantile for 0 <= p <= 1, a port of Cephes ``ndtri``.
 

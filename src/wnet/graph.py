@@ -89,10 +89,6 @@ class UndirectedNetwork:
     weights: np.ndarray
     normalizer: float
 
-    @property
-    def n_nodes(self) -> int:
-        return len(self.registry)
-
 
 def build_directed(
     panel: PanelDataset, year: int, scheme: WeightScheme

@@ -1,26 +1,34 @@
 """End-to-end pipeline: ingest -> build -> stats -> analyses -> bundle.
 
 ``write_bundle`` is the only writer into an output directory and of
-``manifest.json``; ``read_manifest`` is its only reader.  ``relabel``
+``manifest.json``, apart from the empty files its staging directory's child
+creates; ``read_manifest`` is the manifest's only reader.  ``relabel``
 rewrites a bundle's comparison table.
 
 A run is deterministic: identical inputs and config produce byte-identical
 output files.  No timestamps are written; the manifest carries the config
 echo (minus the output directory, which has no effect on data), the
 per-year normalizers, and a sha256 digest of every emitted file.
-Nothing is written until every analysis has run over every year, so a
-failing year aborts the run without leaving a partial bundle.  Each file's
-text is made only when that file is written, into a staging directory; the
-files are then renamed into place, the manifest last, so a write that fails
-leaves the previous bundle as it was.  Files that the directory's previous
-manifest listed and the new one does not are then deleted, so a rerun into
-the same directory leaves no stale outputs.  Where ``os.fork`` exists and
-two or more CPUs are usable, a forked helper makes every other file while
-this process makes the rest.  The helper only speeds the write up: this
-process makes whatever the helper did not finish, so a helper failure costs
-time but does not fail the run, and the output bytes do not depend on it.
-(The helper is forked from a process that may hold BLAS threads, so it runs
-no BLAS; Python 3.12 and later warn when a process with threads forks.)
+Nothing is written until the inputs have been read.  Then the output
+directory and a ``.wnet-*`` staging directory inside it are made, and,
+where ``os.fork`` exists and two or more CPUs are usable, a forked child
+creates every bundle file there, empty, while this process computes:
+creating a file is costly on virtualised and network filesystems, and
+filling one that exists is not.  A run that fails before the write (a
+failing year, say) reaps the child and removes the staging directory, and
+the output directory if the run made it, so it leaves no partial bundle.
+Each file's text is made only when that file is written, into the staging
+directory; the files are then renamed into place, the manifest last, so a
+write that fails leaves the previous bundle as it was.  Files that the
+directory's previous manifest listed and the new one does not are then
+deleted, so a rerun into the same directory leaves no stale outputs.
+Under the same condition, a forked helper makes every other file while
+this process makes the rest.  The child and the helper only speed the
+write up: this process creates and makes whatever they did not finish, so
+their failure costs time but does not fail the run, and the output bytes
+do not depend on them.  (Both are forked from a process that may hold BLAS
+threads, so they run no BLAS; Python 3.12 and later warn at each fork of a
+process with threads.)
 ``verify_bundle`` re-hashes a bundle against its manifest without writing.
 """
 
@@ -40,7 +48,7 @@ from dataclasses import dataclass, fields
 from functools import cache, partial
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -56,7 +64,7 @@ from .distributions import (
 )
 from .errors import DataError, ValidationError
 from .graph import WeightScheme, build_directed, symmetrize, symmetry_index
-from .ingest import load_panel
+from .ingest import PanelDataset, load_panel
 from .stats import MomentSummary, NodeStatsTable, format_table, moments, node_stats
 
 logger = logging.getLogger(__name__)
@@ -211,7 +219,7 @@ def verify_bundle(out_dir: Path) -> dict[str, list[str]]:
 
     Returns sorted names: the listed files that are ``intact``, ``missing``
     or ``changed``, the other entries of ``out_dir`` (``unlisted``), and the
-    ``.wnet-*`` directories left by an interrupted write (``staging``).
+    ``.wnet-*`` directories left by an interrupted run (``staging``).
     Raises DataError if ``out_dir`` has no manifest or it lists a name that
     is not a plain file name.
     """
@@ -244,15 +252,73 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
+def _may_fork() -> bool:
+    """Whether the bundle writer may fork: ``os.fork`` exists and two or more CPUs are usable."""
+    return hasattr(os, "fork") and _usable_cpus() >= 2
+
+
+class _Staging:
+    """The ``.wnet-*`` staging directory of one write into ``out_dir``.
+
+    Making it makes ``out_dir`` too, if missing.  Given the ``names`` of the
+    files to come, and where the writer may fork, it also forks a child that
+    creates each of them there, empty, and exits, so that the write only
+    fills them: creating a file is costly on virtualised and network
+    filesystems, and the child does it while this process computes the text.
+    The child only speeds the write up (its exit status is not read, and the
+    write creates whatever it did not) and runs no BLAS, since this process
+    may hold BLAS threads.
+    """
+
+    def __init__(self, out_dir: Path, names: Collection[str] = ()) -> None:
+        self.out_dir = out_dir
+        self.made_out_dir = not out_dir.is_dir()
+        out_dir.mkdir(parents=True, exist_ok=True)
+        self.path = Path(tempfile.mkdtemp(prefix=".wnet-", dir=out_dir))
+        self.pid: int | None = None  # the child's, until it is reaped (0 inside it)
+        if names and _may_fork():
+            try:
+                with suppress(OSError):  # no process to spare: the write creates them
+                    self.pid = os.fork()
+                if self.pid == 0:
+                    for name in names:
+                        os.close(os.open(self.path / name, os.O_WRONLY | os.O_CREAT, 0o666))
+            finally:
+                if self.pid == 0:  # the child, done, failed or interrupted
+                    os._exit(0)
+
+    def reap(self) -> None:
+        """Wait for the child, if there is one left."""
+        if self.pid:
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+    def remove(self) -> None:
+        """Reap the child, then remove the staging directory, and ``out_dir``
+        too if it was made here and is still empty (as only a failure leaves it)."""
+        self.reap()
+        shutil.rmtree(self.path, ignore_errors=True)
+        if self.made_out_dir:
+            with suppress(OSError):  # not empty: the write went through
+                self.out_dir.rmdir()
+
+
 def write_bundle(
-    out_dir: Path, files: Mapping[str, Callable[[], str]], manifest: dict | None
+    out_dir: Path,
+    files: Mapping[str, Callable[[], str]],
+    manifest: dict | None,
+    staging: _Staging | None = None,
 ) -> int:
     """Commit ``files``, each name's text made by its zero-argument maker, into ``out_dir``.
 
-    Every file is written and hashed in a staging directory inside ``out_dir``.
-    Unless ``manifest`` is None, the digests are added to ``manifest["files"]``
-    and it is written as ``manifest.json``.  Only then are the files renamed
-    into place, ``manifest.json`` last, and the staging directory removed; the
+    Every file is written and hashed in a staging directory inside ``out_dir``:
+    ``staging`` if given (``run_pipeline`` makes it right after ingest, with a
+    child that creates the files, empty, while the run computes), else a new
+    one without a child.  The child is reaped before any file is made, so the
+    write fills the files it created and creates the rest.  Unless
+    ``manifest`` is None, the digests are added to ``manifest["files"]`` and
+    it is written as ``manifest.json``.  Only then are the files renamed into
+    place, ``manifest.json`` last, and the staging directory removed; the
     files that the previous manifest listed and the new one does not are
     deleted after that.  Returns the number of processes that made the files.
 
@@ -265,18 +331,21 @@ def write_bundle(
     whatever it did not finish, with one WARNING giving how many and its exit
     code (None if it could not be forked), so a helper that fails costs time
     but does not fail the write; an error in this process does.  The helper
-    is reaped before the staging directory is removed, whatever fails.
+    and the staging directory's child are reaped before the staging directory
+    is removed, whatever fails.  Python 3.12 and later warn at the helper's
+    fork and at the child's when this process holds threads (BLAS's, say).
     """
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if staging is None:
+        staging = _Staging(out_dir)
     previous = set() if manifest is None else _listed_files(out_dir)
     names = list(files)
-    parts = 2 if len(names) >= 2 and hasattr(os, "fork") and _usable_cpus() >= 2 else 1
-    staging = Path(tempfile.mkdtemp(prefix=".wnet-", dir=out_dir))
+    parts = 2 if len(names) >= 2 and _may_fork() else 1
     digests: dict[str, str] = {}
     # The helper that makes names[1::2]: its pid until it is reaped (0 inside it),
     # and the read end of the pipe it sends its digests down, until read.
     pid = read_end = None
     try:
+        staging.reap()
         if parts == 2:
             read_end, write_end = os.pipe()
             with suppress(OSError):  # no process to spare: nothing will come back
@@ -288,7 +357,7 @@ def write_bundle(
             try:
                 for name in todo:
                     data = files[name]().encode("utf-8")
-                    (staging / name).write_bytes(data)
+                    (staging.path / name).write_bytes(data)
                     digests[name] = hashlib.sha256(data).hexdigest()
             finally:
                 if pid == 0:  # the helper sends what it finished, whatever happened
@@ -313,10 +382,10 @@ def write_bundle(
         if manifest is not None:
             manifest["files"] = {**manifest.get("files", {}), **digests}
             text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-            (staging / MANIFEST).write_bytes(text.encode("utf-8"))
+            (staging.path / MANIFEST).write_bytes(text.encode("utf-8"))
             names.append(MANIFEST)
         for name in names:
-            os.replace(staging / name, out_dir / name)
+            os.replace(staging.path / name, out_dir / name)
     finally:
         if pid == 0:  # the helper, interrupted before its loop
             os._exit(1)
@@ -324,7 +393,7 @@ def write_bundle(
             os.close(read_end)
         if pid:
             os.waitpid(pid, 0)
-        shutil.rmtree(staging, ignore_errors=True)
+        staging.remove()
     stale = sorted(previous - set(manifest["files"])) if previous else []
     for name in stale:
         if (out_dir / name).is_file():
@@ -337,6 +406,42 @@ def write_bundle(
 
 def pair_filename(pair: str) -> str:
     return f"correlation_{pair.lower().replace('-', '_')}.csv"
+
+
+def bundle_names(analyses: Collection[str], years: Sequence[int]) -> dict:
+    """The names of the files a run of ``analyses`` over ``years`` writes, in write order.
+
+    Each name is keyed by what its file holds: ``("stats", year)``,
+    ``"moments"``, ``("correlations", pair)``, ``("density", statistic,
+    year)``, ``("ranksize", year)``, ``"tailfit"``, ``"symmetry"``,
+    ``"comparison"`` or ``"counts"``.  ``run_pipeline`` takes every name
+    from here, both to stage the files and to make them.
+    """
+    names: dict = {}
+    if "stats" in analyses:
+        names.update({("stats", year): f"stats_{year}.csv" for year in years})
+    if "moments" in analyses:
+        names["moments"] = "moments.csv"
+    if "correlations" in analyses:
+        names.update({("correlations", pair): pair_filename(pair) for pair in SUPPORTED_PAIRS})
+    if "density" in analyses:
+        names.update({
+            ("density", name, year): f"density_{name}_{year}.csv"
+            for year in years
+            for name in DENSITY_STATISTICS
+        })
+    if "ranksize" in analyses:
+        names.update({
+            ("ranksize", year): f"ranksize_{HEAVY_TAIL_STATISTIC}_{year}.csv" for year in years
+        })
+    if "tailfit" in analyses:
+        names["tailfit"] = "tailfit.csv"
+    if "symmetry" in analyses:
+        names["symmetry"] = "symmetry.csv"
+    if "correlations" in analyses:
+        names["comparison"] = "comparison.csv"
+    names["counts"] = "counts.csv"
+    return names
 
 
 @cache
@@ -378,17 +483,43 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
     """Run the configured analyses over every requested year.
 
     Returns the in-memory bundle after writing every output file plus the
-    manifest to ``config.out_dir``.  The seconds of each stage go to the log
-    at INFO, never into the bundle.
+    manifest to ``config.out_dir``.  Nothing is written before the inputs
+    are read; the staging directory is then made, and a run that fails
+    before the write removes it again (with ``config.out_dir`` if the run
+    made it).  The seconds of each stage go to the log at INFO, never into
+    the bundle.
     """
     timer = _StageTimer()
     config.validate()
     panel = load_panel(config.flows, config.gdp)
+    years = sorted(set(config.years))
+    names = bundle_names(config.analyses, years)
+    staging = _Staging(config.out_dir, names.values())
     timer.lap("ingest")
+    try:
+        tables, comparison, files, manifest = _analyse(config, panel, years, names, timer)
+    except BaseException:
+        staging.remove()
+        raise
+    processes = write_bundle(config.out_dir, files, manifest, staging)
+    timer.lap("write")
+    timer.log({"write": f" ({len(files)} files; processes: {processes})"})
+    return ReportBundle(manifest, tables, comparison)
+
+
+def _analyse(
+    config: PipelineConfig,
+    panel: PanelDataset,
+    years: Sequence[int],
+    names: Mapping,
+    timer: _StageTimer,
+) -> tuple[dict[int, NodeStatsTable], list[dict], dict[str, Callable[[], str]], dict]:
+    """The node statistics, the comparison rows, each bundle file's maker (by
+    its name from ``names``, in write order) and the manifest of a run."""
     tables: dict[int, NodeStatsTable] = {}
     normalizers: dict[str, float] = {}
     symmetry: dict[int, float] = {}
-    for year in sorted(set(config.years)):
+    for year in years:
         directed = build_directed(panel, year, config.scheme)
         timer.lap("build")
         if "symmetry" in config.analyses:
@@ -399,7 +530,6 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
         tables[year] = node_stats(net)
         normalizers[str(year)] = float(net.normalizer)
         timer.lap("node stats")
-    years = list(tables)
 
     # Bundle file name -> maker of its text, in write order.
     files: dict[str, Callable[[], str]] = {}
@@ -412,7 +542,7 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
     ]
     timer.lap("node stats")
     if "stats" in config.analyses:
-        files.update((f"stats_{year}.csv", tables[year].to_csv) for year in years)
+        files.update((names["stats", year], tables[year].to_csv) for year in years)
     if "moments" in config.analyses:
         summaries = []
         for year in years:
@@ -420,12 +550,12 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
                 with _year_context(f"moments of {name}", year):
                     summaries.append(moments(tables[year].column(name), statistic=name, year=year))
         header = "statistic,year,mean,std,skewness,kurtosis,count"
-        files["moments.csv"] = _table(header, map(_fields(MomentSummary), summaries))
+        files[names["moments"]] = _table(header, map(_fields(MomentSummary), summaries))
         timer.lap("moments")
     if "correlations" in config.analyses:
         series = {pair: correlation_series(tables, pair, config.ci_level) for pair in SUPPORTED_PAIRS}
         for pair, points in series.items():
-            files[pair_filename(pair)] = _table(
+            files[names["correlations", pair]] = _table(
                 "year,pair,r,ci_low,ci_high,n", map(_fields(CorrelationPoint), points)
             )
         comparison = compare_views(series, config.strong_cut, config.moderate_cut)
@@ -435,7 +565,7 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
             for name in DENSITY_STATISTICS:
                 with _year_context(f"density of {name}", year):
                     est = kde(tables[year].column(name), config.bandwidth)
-                key = f"density_{name}_{year}.csv"
+                key = names["density", name, year]
                 files[key] = partial(format_table, "grid,density", est.grid, est.density)
                 bandwidths[key] = est.bandwidth
                 counts.append((year, f"density_{name}_dropped", len(tables[year].codes) - est.n))
@@ -444,7 +574,7 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
         for year in years:
             with _year_context(f"rank-size of {HEAVY_TAIL_STATISTIC}", year):
                 curve = rank_size(tables[year].column(HEAVY_TAIL_STATISTIC))
-            key = f"ranksize_{HEAVY_TAIL_STATISTIC}_{year}.csv"
+            key = names["ranksize", year]
             files[key] = partial(format_table, "rank,size", curve.ranks, curve.sizes)
             counts.append((year, f"ranksize_{HEAVY_TAIL_STATISTIC}_dropped", curve.dropped))
         timer.lap("ranksize")
@@ -456,13 +586,13 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
             fits.append((year, HEAVY_TAIL_STATISTIC, *_fields(TailFit)(fit)))
             counts.append((year, f"tailfit_{HEAVY_TAIL_STATISTIC}_dropped", fit.dropped))
         header = "year,statistic,mu,sigma,alpha,x_min,tail_fraction,n_positive,tail_count,dropped"
-        files["tailfit.csv"] = _table(header, fits)
+        files[names["tailfit"]] = _table(header, fits)
         timer.lap("tailfit")
     if symmetry:
-        files["symmetry.csv"] = _table("year,symmetry_index", symmetry.items())
+        files[names["symmetry"]] = _table("year,symmetry_index", symmetry.items())
     if comparison:
-        files["comparison.csv"] = partial(comparison_csv, comparison)
-    files["counts.csv"] = _table("year,name,value", sorted(counts))
+        files[names["comparison"]] = partial(comparison_csv, comparison)
+    files[names["counts"]] = _table("year,name,value", sorted(counts))
 
     manifest = {
         "tool": {"name": "wnet", "version": __version__},
@@ -477,10 +607,7 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
             [year, code] for year, code in panel.missing_gdp
         ],
     }
-    processes = write_bundle(config.out_dir, files, manifest)
-    timer.lap("write")
-    timer.log({"write": f" ({len(files)} files; processes: {processes})"})
-    return ReportBundle(manifest, tables, comparison)
+    return tables, comparison, files, manifest
 
 
 #: Correlation pairs backing each row of the comparison table.

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import errno
 import json
+import logging
 import os
 import shutil
 import subprocess
@@ -498,9 +499,9 @@ def test_a_failure_in_the_helper_alone_is_recovered(
     args = ["all", "--flows", str(flows), "--gdp", str(gdp), "--years", "1999:2000"]
     names = []  # in the order they are written
     real = wnet.pipeline.write_bundle
-    def write_bundle(out_dir, files, manifest):
+    def write_bundle(out_dir, files, *args):
         names.extend(files)
-        return real(out_dir, files, manifest)
+        return real(out_dir, files, *args)
     with monkeypatch.context() as patch:
         writer_processes(patch, 1)
         patch.setattr(wnet.pipeline, "write_bundle", write_bundle)
@@ -517,7 +518,7 @@ def test_a_failure_in_the_helper_alone_is_recovered(
             make_error = (lambda: os._exit(5)) if fault == "exit" else (lambda: LocalError("x"))
             patch.setattr(NodeStatsTable, "to_csv", fail_stats_2000(make_error, helper_only=True))
         assert run_cli(*args, "--out", str(out)) == 0
-    assert forks == [os.getpid()]
+    assert forks == [os.getpid()] * 2  # the staging's creator and the writer's helper
     assert_no_child_left()
     assert not capsys.readouterr().err
     warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
@@ -543,7 +544,7 @@ def test_a_full_disk_in_both_processes_leaves_the_previous_bundle(
         forks = writer_processes(patch, 2)
         patch.setattr(Path, "write_bytes", fail_writes("stats_2000.csv", helper_only=False))
         assert run_cli(*args, "--strong-cut", "0.5") == 2
-    assert forks == [os.getpid()]
+    assert forks == [os.getpid()] * 2  # the staging's creator and the writer's helper
     assert_no_child_left()
     err = capsys.readouterr().err
     errors = [line for line in err.splitlines() if line.startswith("error: ")]
@@ -591,7 +592,7 @@ def test_an_interrupt_in_the_parent_reaps_the_helper(toy_csvs, tmp_path, monkeyp
         patch.setattr(Path, "write_bytes", write_bytes)
         with pytest.raises(KeyboardInterrupt):
             run_cli(*args, "--strong-cut", "0.5")
-    assert forks == [parent]
+    assert forks == [parent] * 2  # the staging's creator and the writer's helper
     assert_no_child_left()
     assert not list(out.glob(".wnet-*")) and bundle_state(out) == before
 
@@ -623,6 +624,161 @@ def test_the_helper_is_reaped_before_the_staging_directory_goes(
         assert run_cli(*args, "--out", str(tmp_path / "bundle")) == (2 if fault == "main" else 0)
     assert children == [False]
     assert_no_child_left()
+
+
+def one_process_bundle(tmp_path, monkeypatch, args) -> dict[str, bytes]:
+    """The bundle ``args`` give with one writer process and no staging child."""
+    out = tmp_path / "one"
+    with monkeypatch.context() as patch:
+        assert not writer_processes(patch, 1)
+        assert run_cli(*args, "--out", str(out)) == 0
+    return bundle_state(out)
+
+
+@needs_fork
+def test_the_staging_child_creates_every_file_before_the_write(toy_csvs, tmp_path, monkeypatch):
+    flows, gdp = toy_csvs
+    args = ["all", "--flows", str(flows), "--gdp", str(gdp), "--years", "1999:2000"]
+    out = tmp_path / "bundle"
+    staged = []  # (name, size) in the staging directory once its child is reaped
+    real = wnet.pipeline._Staging.reap
+    def reap(self):
+        child = self.pid
+        real(self)
+        if child:
+            staged.extend((p.name, p.stat().st_size) for p in sorted(self.path.iterdir()))
+    with monkeypatch.context() as patch:
+        forks = writer_processes(patch, 2)
+        patch.setattr(wnet.pipeline._Staging, "reap", reap)
+        assert run_cli(*args, "--out", str(out)) == 0
+    assert forks == [os.getpid()] * 2
+    listed = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["files"]
+    assert staged == [(name, 0) for name in sorted(listed)]
+    assert_no_child_left()
+    assert_bundle_intact(out)
+    assert bundle_state(out) == one_process_bundle(tmp_path, monkeypatch, args)
+    modes = [{p.name: p.stat().st_mode for p in d.iterdir()} for d in (out, tmp_path / "one")]
+    assert modes[0] == modes[1]
+
+
+@needs_fork
+@pytest.mark.parametrize("made, how", [
+    (0, "exit"),  # a child that dies before it creates anything
+    (5, "exit"),  # one that stops part way with a non-zero status
+    (5, "error"),  # one whose sixth create fails
+])
+def test_a_staging_child_that_stops_short_is_made_up_for(
+    toy_csvs, tmp_path, capsys, caplog, monkeypatch, made, how
+):
+    flows, gdp = toy_csvs
+    args = ["all", "--flows", str(flows), "--gdp", str(gdp), "--years", "1999:2000"]
+    one = one_process_bundle(tmp_path, monkeypatch, args)
+    out = tmp_path / "two"
+    parent, real, calls = os.getpid(), os.open, count()
+    def open_(path, flags, *rest, **kw):
+        if os.getpid() != parent and next(calls) == made:
+            if how == "exit":
+                os._exit(3)
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+        return real(path, flags, *rest, **kw)
+    caplog.clear()
+    with monkeypatch.context() as patch:
+        forks = writer_processes(patch, 2)
+        patch.setattr(os, "open", open_)
+        assert run_cli(*args, "--out", str(out)) == 0
+    assert forks == [os.getpid()] * 2
+    assert_no_child_left()
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+    assert_bundle_intact(out)
+    assert bundle_state(out) == one
+    capsys.readouterr()
+    assert run_cli("verify", "--out", str(out)) == 0
+    assert "not in the manifest" not in capsys.readouterr().out
+
+
+@needs_fork
+def test_a_failed_staging_fork_gives_the_one_process_bundle(toy_csvs, tmp_path, monkeypatch):
+    flows, gdp = toy_csvs
+    args = ["all", "--flows", str(flows), "--gdp", str(gdp), "--years", "1999:2000"]
+    one = one_process_bundle(tmp_path, monkeypatch, args)
+    forks, real = count(), os.fork
+    def fork():  # the first fork, the staging child's, fails
+        if next(forks) == 0:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return real()
+    monkeypatch.setattr(wnet.pipeline, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", fork)
+    fds = sorted(os.listdir("/dev/fd"))
+    out = tmp_path / "two"
+    assert run_cli(*args, "--out", str(out)) == 0
+    assert next(forks) == 2  # the helper's fork went through
+    assert sorted(os.listdir("/dev/fd")) == fds
+    assert_no_child_left()
+    assert_bundle_intact(out)
+    assert bundle_state(out) == one
+
+
+@needs_fork
+@pytest.mark.parametrize("previous", [False, True])
+@pytest.mark.parametrize("fault", ["later year", "interrupt", "full disk"])
+def test_a_run_that_fails_after_staging_leaves_no_trace(
+    toy_csvs, tmp_path, capsys, monkeypatch, fault, previous
+):
+    flows, gdp = toy_csvs
+    out = tmp_path / "bundle"
+    args = ["all", "--flows", str(flows), "--gdp", str(gdp), "--out", str(out)]
+    if previous:
+        assert run_cli(*args, "--years", "1999:2000") == 0
+        before = bundle_state(out)
+    years = "1999,2030" if fault == "later year" else "1999:2000"  # 2030 has no flows
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+    with monkeypatch.context() as patch:
+        forks = writer_processes(patch, 2)
+        if fault == "interrupt":
+            patch.setattr(wnet.pipeline, "kde", interrupt)
+        if fault == "full disk":
+            patch.setattr(Path, "write_bytes", fail_writes("stats_1999.csv", helper_only=False))
+        try:
+            code = run_cli(*args, "--years", years, "--strong-cut", "0.5")
+        except KeyboardInterrupt:
+            code = "interrupted"
+    assert code == ("interrupted" if fault == "interrupt" else 2)
+    assert forks[0] == os.getpid() and len(forks) == (2 if fault == "full disk" else 1)
+    assert_no_child_left()
+    err = capsys.readouterr().err
+    assert fault == "interrupt" or ("2030" if fault == "later year" else "Errno 28") in err
+    if previous:
+        assert not list(out.glob(".wnet-*")) and bundle_state(out) == before
+    else:
+        assert not out.exists()
+
+
+def test_missing_flows_fail_before_the_output_directory_is_made(toy_csvs, tmp_path, capsys):
+    _, gdp = toy_csvs
+    out = tmp_path / "bundle"
+    missing = tmp_path / "no-flows.csv"
+    assert run_cli(
+        "all", "--flows", str(missing), "--gdp", str(gdp), "--years", "1999:2000",
+        "--out", str(out),
+    ) == 2
+    assert str(missing) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@needs_fork
+def test_report_and_build_write_without_a_staging_child(toy_csvs, tmp_path, monkeypatch):
+    flows, gdp = toy_csvs
+    out = tmp_path / "bundle"
+    inputs = ["--flows", str(flows), "--gdp", str(gdp), "--years", "1999:2000", "--out", str(out)]
+    assert run_cli("all", *inputs) == 0
+    for command, helpers in ((["report", "--out", str(out)], 0), (["build", *inputs], 1)):
+        with monkeypatch.context() as patch:
+            forks = writer_processes(patch, 2)
+            assert run_cli(*command) == 0
+        assert forks == [os.getpid()] * helpers, command
+        assert_no_child_left()
+        assert_bundle_intact(out)
 
 
 def test_verify_names_missing_changed_unlisted_and_staging(toy_csvs, tmp_path, capsys):

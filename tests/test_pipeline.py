@@ -27,6 +27,8 @@ from wnet import (
     run_pipeline,
 )
 from wnet.pipeline import (
+    ANALYSES,
+    bundle_names,
     comparison_csv,
     pair_filename,
     qualitative_label,
@@ -242,6 +244,25 @@ def test_failing_year_leaves_no_partial_bundle(toy_csvs, tmp_path):
     assert not out.exists() or not list(out.iterdir())
 
 
+@pytest.mark.parametrize("analyses", [
+    ANALYSES,  # all
+    ("stats",),  # stats
+    tuple(a for a in ANALYSES if a != "stats"),  # analyze
+    ("density", "symmetry", "correlations"),
+])
+def test_bundle_names_are_the_files_written(toy_csvs, tmp_path, monkeypatch, analyses):
+    written = []
+    real = wnet.pipeline.write_bundle
+    def write_bundle(out_dir, files, *args):
+        written.extend(files)
+        return real(out_dir, files, *args)
+    monkeypatch.setattr(wnet.pipeline, "write_bundle", write_bundle)
+    years = (2000, 1999, 2000)
+    run_pipeline(config_for(toy_csvs, tmp_path / "out", years=years, analyses=frozenset(analyses)))
+    names = bundle_names(frozenset(analyses), sorted(set(years)))
+    assert list(names.values()) == written
+
+
 def test_stats_only_subset(toy_csvs, tmp_path):
     out = tmp_path / "bundle"
     run_pipeline(config_for(toy_csvs, out, analyses=frozenset(("stats",))))
@@ -396,8 +417,9 @@ def test_comparison_csv_layout():
     assert "BNA,ND-ANND,-0.9,strong negative,BCC-ND,-0.96,strong negative" in text
 
 
-#: Where the package may write a file: the bundle commit and the panel export.
-_WRITERS = {"pipeline.write_bundle", "ingest.save_panel"}
+#: Where the package may write a file: the bundle commit, the staging that
+#: creates its files empty, and the panel export.
+_WRITERS = {"pipeline.write_bundle", "pipeline._Staging.__init__", "ingest.save_panel"}
 
 
 def _writes(tree: ast.AST, scope: str = ""):
@@ -447,9 +469,10 @@ def f(p, q):
     io.open(p, "r+")
     p.open("x")
     open(p, m)
+    os.open(p, flags)
     open(p)
     open(p, "rb")
     p.open()
     "a-b".replace("-", "_")
 """
-    assert [line for _, line in _writes(ast.parse(code))] == list(range(3, 11))
+    assert [line for _, line in _writes(ast.parse(code))] == list(range(3, 12))
