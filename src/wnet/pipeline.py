@@ -10,23 +10,25 @@ output files.  No timestamps are written; the manifest carries the config
 echo (minus the output directory, which has no effect on data), the
 per-year normalizers, and a sha256 digest of every emitted file.
 Nothing is written until the inputs have been read.  Then the output
-directory and a ``.wnet-*`` staging directory inside it are made, and,
-where ``os.fork`` exists and two or more CPUs are usable, a forked child
-creates every bundle file there, empty, while this process computes:
-creating a file is costly on virtualised and network filesystems, and
-filling one that exists is not.  A run that fails before the write (a
-failing year, say) reaps the child and removes the staging directory, and
-the output directory if the run made it, so it leaves no partial bundle.
-Each file's text is made only when that file is written, into the staging
-directory; the files are then renamed into place, the manifest last, so a
-write that fails leaves the previous bundle as it was.  Files that the
-directory's previous manifest listed and the new one does not are then
-deleted, so a rerun into the same directory leaves no stale outputs.
-Under the same condition, a forked helper makes every other file while
-this process makes the rest.  The child and the helper only speed the
-write up: this process creates and makes whatever they did not finish, so
-their failure costs time but does not fail the run, and the output bytes
-do not depend on them.  (Both are forked from a process that may hold BLAS
+directory (with any missing directory above it) and a ``.wnet-*`` staging
+directory inside it are made, and, where ``os.fork`` exists and two or more
+CPUs are usable, a forked child creates every bundle file there, empty,
+while this process computes: creating a file is costly on virtualised and
+network filesystems, and filling one that exists is not.  A run that fails
+before the write (a failing year, say) reaps the child and removes the
+staging directory, and the directories the run made while they are empty,
+so it leaves no partial bundle.  Each file's text is made only when that
+file is written, into the staging directory; the files are then renamed
+into place, the manifest last, so a write that fails leaves the previous
+bundle as it was.  Files that the directory's previous manifest listed and
+the new one does not are then deleted, so a rerun into the same directory
+leaves no stale outputs.  Under the same condition, a forked helper makes
+every other file while this process makes the rest.  Both forks go through
+``_fork``, under one rule: a forked process only speeds the write up, and
+its work counts only if it exits 0; otherwise this process redoes it.  So
+their failure costs time but does not fail the run, every digest comes
+from this process, from the staged bytes, and the output bytes do not
+depend on the forks.  (Both are forked from a process that may hold BLAS
 threads, so they run no BLAS; Python 3.12 and later warn at each fork of a
 process with threads.)
 ``verify_bundle`` re-hashes a bundle against its manifest without writing.
@@ -46,6 +48,7 @@ import time
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields
 from functools import cache, partial
+from itertools import takewhile
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Collection, Iterable, Mapping, Sequence
@@ -214,6 +217,10 @@ def _listed_files(out_dir: Path) -> set[str]:
     return set(filter(_is_file_name, manifest["files"] if manifest else {}))
 
 
+def _digest(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def verify_bundle(out_dir: Path) -> dict[str, list[str]]:
     """Re-hash every file that ``out_dir``'s manifest lists; read only.
 
@@ -235,7 +242,7 @@ def verify_bundle(out_dir: Path) -> dict[str, list[str]]:
         path = out_dir / name
         if not path.is_file():
             found["missing"].append(name)
-        elif hashlib.sha256(path.read_bytes()).hexdigest() != digest:
+        elif _digest(path) != digest:
             found["changed"].append(name)
         else:
             found["intact"].append(name)
@@ -257,50 +264,70 @@ def _may_fork() -> bool:
     return hasattr(os, "fork") and _usable_cpus() >= 2
 
 
+def _fork(job: Callable[[], object]) -> int | None:
+    """Run ``job`` in a forked child and return the child's pid, or None
+    where the bundle writer may not fork or ``os.fork`` fails.
+
+    The child exits 0 once ``job`` returns and 1 however else it ends, so its
+    exit status alone says whether its work is complete.
+    """
+    if not _may_fork():
+        return None
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare
+        return None
+    if pid == 0:
+        try:
+            job()
+            os._exit(0)
+        finally:
+            os._exit(1)
+    return pid
+
+
 class _Staging:
     """The ``.wnet-*`` staging directory of one write into ``out_dir``.
 
-    Making it makes ``out_dir`` too, if missing.  Given the ``names`` of the
-    files to come, and where the writer may fork, it also forks a child that
-    creates each of them there, empty, and exits, so that the write only
-    fills them: creating a file is costly on virtualised and network
-    filesystems, and the child does it while this process computes the text.
-    The child only speeds the write up (its exit status is not read, and the
-    write creates whatever it did not) and runs no BLAS, since this process
-    may hold BLAS threads.
+    Making it makes ``out_dir`` too, and any missing directory above it.
+    Given the ``names`` of the files to come, it also forks (``_fork``) a
+    child that creates each of them there, empty, and exits, so that the
+    write only fills them: creating a file is costly on virtualised and
+    network filesystems, and the child does it while this process computes
+    the text.  The child only speeds the write up: the write creates
+    whatever it did not, so its exit status is not read.  It runs no BLAS,
+    since this process may hold BLAS threads.
     """
 
     def __init__(self, out_dir: Path, names: Collection[str] = ()) -> None:
-        self.out_dir = out_dir
-        self.made_out_dir = not out_dir.is_dir()
+        # The directories this makes, from out_dir up, so deepest first.
+        self.made = list(takewhile(lambda path: not path.exists(), (out_dir, *out_dir.parents)))
         out_dir.mkdir(parents=True, exist_ok=True)
         self.path = Path(tempfile.mkdtemp(prefix=".wnet-", dir=out_dir))
-        self.pid: int | None = None  # the child's, until it is reaped (0 inside it)
-        if names and _may_fork():
-            try:
-                with suppress(OSError):  # no process to spare: the write creates them
-                    self.pid = os.fork()
-                if self.pid == 0:
-                    for name in names:
-                        os.close(os.open(self.path / name, os.O_WRONLY | os.O_CREAT, 0o666))
-            finally:
-                if self.pid == 0:  # the child, done, failed or interrupted
-                    os._exit(0)
+        self.pid = _fork(partial(self._create, names)) if names else None
+        self.waited = 0.0  # seconds that reap blocked for the child
+
+    def _create(self, names: Iterable[str]) -> None:
+        for name in names:
+            os.close(os.open(self.path / name, os.O_WRONLY | os.O_CREAT, 0o666))
 
     def reap(self) -> None:
         """Wait for the child, if there is one left."""
         if self.pid:
+            start = time.perf_counter()
             os.waitpid(self.pid, 0)
+            self.waited += time.perf_counter() - start
             self.pid = None
 
     def remove(self) -> None:
-        """Reap the child, then remove the staging directory, and ``out_dir``
-        too if it was made here and is still empty (as only a failure leaves it)."""
+        """Reap the child, then remove the staging directory, and the
+        directories made here too, deepest first, each only while it is
+        empty (as only a failure leaves them)."""
         self.reap()
         shutil.rmtree(self.path, ignore_errors=True)
-        if self.made_out_dir:
-            with suppress(OSError):  # not empty: the write went through
-                self.out_dir.rmdir()
+        with suppress(OSError):  # not empty: the write went through
+            for path in self.made:
+                path.rmdir()
 
 
 def write_bundle(
@@ -311,73 +338,60 @@ def write_bundle(
 ) -> int:
     """Commit ``files``, each name's text made by its zero-argument maker, into ``out_dir``.
 
-    Every file is written and hashed in a staging directory inside ``out_dir``:
+    Every file is written in a staging directory inside ``out_dir``:
     ``staging`` if given (``run_pipeline`` makes it right after ingest, with a
     child that creates the files, empty, while the run computes), else a new
     one without a child.  The child is reaped before any file is made, so the
     write fills the files it created and creates the rest.  Unless
-    ``manifest`` is None, the digests are added to ``manifest["files"]`` and
-    it is written as ``manifest.json``.  Only then are the files renamed into
-    place, ``manifest.json`` last, and the staging directory removed; the
-    files that the previous manifest listed and the new one does not are
-    deleted after that.  Returns the number of processes that made the files.
+    ``manifest`` is None, the files' sha256 digests are added to
+    ``manifest["files"]`` and it is written as ``manifest.json``.  Only then
+    are the files renamed into place, ``manifest.json`` last, and the staging
+    directory removed; the files that the previous manifest listed and the
+    new one does not are deleted after that.  Returns the number of processes
+    that made the files.
 
-    Where ``os.fork`` exists, two or more CPUs are usable and there are two or
-    more files, one forked helper makes, writes and hashes every other file
-    while this process does the rest.  The helper runs only the makers (text
-    formatting, no BLAS call: this process may hold BLAS threads).  However it
-    ends, it sends back one ``"<name> <sha256>"`` line for each file it
-    finished.  The helper only speeds the write up: this process makes
-    whatever it did not finish, with one WARNING giving how many and its exit
-    code (None if it could not be forked), so a helper that fails costs time
-    but does not fail the write; an error in this process does.  The helper
-    and the staging directory's child are reaped before the staging directory
-    is removed, whatever fails.  Python 3.12 and later warn at the helper's
-    fork and at the child's when this process holds threads (BLAS's, say).
+    Given two or more files, a helper forked through ``_fork`` makes and
+    writes every other file while this process makes, writes and hashes the
+    rest.  The helper runs only the makers (text formatting, no BLAS call:
+    this process may hold BLAS threads).  It only speeds the write up: its
+    work counts only if it exits 0, and this process then hashes its files by
+    reading them back; otherwise this process logs one WARNING with the
+    count and the exit code and makes the helper's whole share again.  So
+    every digest comes from this process, from the staged bytes, a helper
+    that fails costs time but does not fail the write, and an error in this
+    process does.  The helper and the staging directory's child are reaped
+    before the staging directory is removed, whatever fails.
     """
     if staging is None:
         staging = _Staging(out_dir)
     previous = set() if manifest is None else _listed_files(out_dir)
     names = list(files)
-    parts = 2 if len(names) >= 2 and _may_fork() else 1
     digests: dict[str, str] = {}
-    # The helper that makes names[1::2]: its pid until it is reaped (0 inside it),
-    # and the read end of the pipe it sends its digests down, until read.
-    pid = read_end = None
+
+    def make(share: Iterable[str]) -> None:
+        for name in share:
+            data = files[name]().encode("utf-8")
+            (staging.path / name).write_bytes(data)
+            digests[name] = hashlib.sha256(data).hexdigest()
+
+    helper = names[1::2]
+    pid = None  # the helper's, until it is reaped
     try:
         staging.reap()
-        if parts == 2:
-            read_end, write_end = os.pipe()
-            with suppress(OSError):  # no process to spare: nothing will come back
-                pid = os.fork()
-            os.close(read_end if pid == 0 else write_end)
+        pid = _fork(partial(make, helper)) if helper else None
         processes = 2 if pid else 1
-        todo = names[pid == 0 :: parts]
-        while todo:
-            try:
-                for name in todo:
-                    data = files[name]().encode("utf-8")
-                    (staging.path / name).write_bytes(data)
-                    digests[name] = hashlib.sha256(data).hexdigest()
-            finally:
-                if pid == 0:  # the helper sends what it finished, whatever happened
-                    try:
-                        with open(write_end, "w", encoding="utf-8") as pipe:
-                            pipe.writelines(f"{name} {digests[name]}\n" for name in digests)
-                    finally:
-                        os._exit(0 if len(digests) == len(todo) else 1)
-            if read_end is not None:  # this process's share is made: collect the helper's
-                with open(read_end, encoding="utf-8") as pipe:
-                    read_end = None
-                    digests.update(line.split() for line in pipe if line.endswith("\n"))
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) if pid else None
-                pid = None
-            todo = [name for name in names if name not in digests]
-            if todo:
+        make(names[::processes])  # every file, or every other one
+        if pid:
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            pid = None
+            if code == 0:
+                digests.update((name, _digest(staging.path / name)) for name in helper)
+            else:
                 logger.warning(
-                    "making %d files that the writer helper did not finish (its exit code: %s)",
-                    len(todo), code,
+                    "making the %d files of the writer helper again (its exit code: %d)",
+                    len(helper), code,
                 )
+                make(helper)
         digests = {name: digests[name] for name in names}
         if manifest is not None:
             manifest["files"] = {**manifest.get("files", {}), **digests}
@@ -387,10 +401,6 @@ def write_bundle(
         for name in names:
             os.replace(staging.path / name, out_dir / name)
     finally:
-        if pid == 0:  # the helper, interrupted before its loop
-            os._exit(1)
-        if read_end is not None:
-            os.close(read_end)
         if pid:
             os.waitpid(pid, 0)
         staging.remove()
@@ -485,9 +495,9 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
     Returns the in-memory bundle after writing every output file plus the
     manifest to ``config.out_dir``.  Nothing is written before the inputs
     are read; the staging directory is then made, and a run that fails
-    before the write removes it again (with ``config.out_dir`` if the run
-    made it).  The seconds of each stage go to the log at INFO, never into
-    the bundle.
+    before the write removes it again (with the directories the run made,
+    ``config.out_dir`` among them, while they are empty).  The seconds of
+    each stage go to the log at INFO, never into the bundle.
     """
     timer = _StageTimer()
     config.validate()
@@ -503,7 +513,8 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
         raise
     processes = write_bundle(config.out_dir, files, manifest, staging)
     timer.lap("write")
-    timer.log({"write": f" ({len(files)} files; processes: {processes})"})
+    waited = f"waited {staging.waited:.4f} s for the creating child"
+    timer.log({"write": f" ({len(files)} files; processes: {processes}; {waited})"})
     return ReportBundle(manifest, tables, comparison)
 
 

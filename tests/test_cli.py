@@ -5,6 +5,7 @@ import json
 import logging
 import os
 import shutil
+import signal
 import subprocess
 import sys
 from functools import partial
@@ -395,13 +396,16 @@ def writer_processes(monkeypatch, parts: int) -> list[int]:
     return forks
 
 
-def fail_writes(name: str, helper_only: bool):
+def fail_writes(name: str, helper_only: bool, kill: bool = False):
     """A ``Path.write_bytes`` that writes half of ``name``'s bytes and then fails
-    as on a full disk, in the helper process only or in every process."""
+    as on a full disk, or has its process killed with SIGKILL, in the helper
+    process only or in every process."""
     parent, real = os.getpid(), Path.write_bytes
     def write_bytes(self, data):
         if self.name == name and not (helper_only and os.getpid() == parent):
             real(self, data[: len(data) // 2])
+            if kill:
+                os.kill(os.getpid(), signal.SIGKILL)
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(self))
         return real(self, data)
     return write_bytes
@@ -448,7 +452,7 @@ def test_a_failed_fork_makes_every_file_in_one_process(toy_csvs, tmp_path, monke
     monkeypatch.setattr(os, "fork", fork)
     fds = sorted(os.listdir("/dev/fd"))
     assert run_cli(*args, "--out", str(tmp_path / "two")) == 0
-    assert sorted(os.listdir("/dev/fd")) == fds  # the pipe is closed
+    assert sorted(os.listdir("/dev/fd")) == fds  # no descriptor is left open
     assert bundle_state(tmp_path / "one") == bundle_state(tmp_path / "two")
 
 
@@ -487,13 +491,14 @@ def test_the_main_process_makes_only_its_own_share(tmp_path, monkeypatch):
 
 
 @needs_fork
-@pytest.mark.parametrize("fault, finished, code", [
-    ("full disk", 2, 1),  # at the helper's third file, which is left half written
+@pytest.mark.parametrize("fault, at, code", [  # at: the helper's file where it fails
+    ("full disk", 2, 1),  # the file is left half written
     ("maker error", 0, 1),
-    ("exit", 0, 5),  # a helper that dies without sending anything
+    ("exit", 0, 5),
+    ("kill", 2, -9),  # SIGKILL, with the file left half written
 ])
 def test_a_failure_in_the_helper_alone_is_recovered(
-    toy_csvs, tmp_path, capsys, caplog, monkeypatch, fault, finished, code
+    toy_csvs, tmp_path, capsys, caplog, monkeypatch, fault, at, code
 ):
     flows, gdp = toy_csvs
     args = ["all", "--flows", str(flows), "--gdp", str(gdp), "--years", "1999:2000"]
@@ -512,8 +517,9 @@ def test_a_failure_in_the_helper_alone_is_recovered(
     caplog.clear()
     with monkeypatch.context() as patch:
         forks = writer_processes(patch, 2)
-        if fault == "full disk":
-            patch.setattr(Path, "write_bytes", fail_writes(share[finished], helper_only=True))
+        if fault in ("full disk", "kill"):
+            write_bytes = fail_writes(share[at], helper_only=True, kill=fault == "kill")
+            patch.setattr(Path, "write_bytes", write_bytes)
         else:
             make_error = (lambda: os._exit(5)) if fault == "exit" else (lambda: LocalError("x"))
             patch.setattr(NodeStatsTable, "to_csv", fail_stats_2000(make_error, helper_only=True))
@@ -522,10 +528,7 @@ def test_a_failure_in_the_helper_alone_is_recovered(
     assert_no_child_left()
     assert not capsys.readouterr().err
     warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
-    assert warnings == [
-        f"making {len(share) - finished} files that the writer helper did not finish "
-        f"(its exit code: {code})"
-    ]
+    assert warnings == [f"making the {len(share)} files of the writer helper again (its exit code: {code})"]
     assert not list(out.glob(".wnet-*")) and bundle_state(out) == one
     assert run_cli("verify", "--out", str(out)) == 0
 
@@ -752,6 +755,19 @@ def test_a_run_that_fails_after_staging_leaves_no_trace(
         assert not list(out.glob(".wnet-*")) and bundle_state(out) == before
     else:
         assert not out.exists()
+
+
+def test_a_failed_run_removes_every_directory_it_made(toy_csvs, tmp_path, capsys, monkeypatch):
+    flows, gdp = toy_csvs
+    inputs = ["--flows", str(flows), "--gdp", str(gdp), "--years", "1999,2030"]  # 2030 has no flows
+    (tmp_path / "empty").mkdir()
+    before = sorted(os.listdir(tmp_path))
+    monkeypatch.chdir(tmp_path)
+    for out in ("new/deeper/out", "empty/out"):
+        assert run_cli("all", *inputs, "--out", out) == 2
+        assert "2030" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == before
+    assert not os.listdir(tmp_path / "empty")
 
 
 def test_missing_flows_fail_before_the_output_directory_is_made(toy_csvs, tmp_path, capsys):

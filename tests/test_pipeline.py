@@ -188,12 +188,36 @@ def test_stage_timings_go_to_the_log(toy_csvs, tmp_path, caplog, monkeypatch, pa
         "correlations", "density", "ranksize", "tailfit", "write",
     ]
     processes = parts if hasattr(os, "fork") else 1
-    assert note == f" (18 files; processes: {processes})"  # the write line
+    waited = re.fullmatch(  # the write line
+        rf" \(18 files; processes: {processes}; waited (\d+\.\d{{4}}) s for the creating child\)", note
+    )
+    assert waited and float(waited[1]) <= stages["write"] + 0.00005
+    assert processes == 2 or waited[1] == "0.0000"  # no child, no wait
     (run,) = [float(m[1]) for line in lines if (m := re.fullmatch(r"run: (\S+) s in 11 stages", line))]
     rounding = 0.00005 * (len(stages) + 1)
     assert abs(sum(stages.values()) - run) <= rounding
     # The run covers the call but its last log lines; 5 ms allows for a descheduled process.
     assert run <= wall + rounding and wall - run <= 0.05 * wall + 0.005
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_the_write_line_gives_the_wait_for_the_creating_child(toy_csvs, tmp_path, caplog, monkeypatch):
+    real = wnet.pipeline._Staging._create
+    def create(self, names):  # a child still creating when the write starts
+        time.sleep(0.3)
+        real(self, names)
+    monkeypatch.setattr(wnet.pipeline, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(wnet.pipeline._Staging, "_create", create)
+    caplog.set_level(logging.INFO, logger="wnet.pipeline")
+    run_pipeline(config_for(toy_csvs, tmp_path / "bundle"))
+    stages, waited = {}, []
+    for record in caplog.records:
+        if match := re.fullmatch(r"stage ([a-z ]+): (\S+) s(.*)", record.getMessage()):
+            stages[match[1]] = float(match[2])
+            waited += re.findall(r"; waited (\S+) s for the creating child\)$", match[3])
+    # The child was forked at the end of ingest and the write reaps it first.
+    computed = sum(stages.values()) - stages["ingest"] - stages["write"]
+    assert 0.3 - computed - 0.02 <= float(*waited) <= stages["write"]
 
 
 def test_import_starts_no_process_machinery():
@@ -417,9 +441,12 @@ def test_comparison_csv_layout():
     assert "BNA,ND-ANND,-0.9,strong negative,BCC-ND,-0.96,strong negative" in text
 
 
-#: Where the package may write a file: the bundle commit, the staging that
-#: creates its files empty, and the panel export.
-_WRITERS = {"pipeline.write_bundle", "pipeline._Staging.__init__", "ingest.save_panel"}
+#: Where the package may write a file: the bundle commit and its makers' loop,
+#: the staging child that creates the files empty, and the panel export.
+_WRITERS = {
+    "pipeline.write_bundle", "pipeline.write_bundle.make", "pipeline._Staging._create",
+    "ingest.save_panel",
+}
 
 
 def _writes(tree: ast.AST, scope: str = ""):
@@ -476,3 +503,30 @@ def f(p, q):
     "a-b".replace("-", "_")
 """
     assert [line for _, line in _writes(ast.parse(code))] == list(range(3, 12))
+
+
+def _process_calls(tree: ast.AST, scope: str = ""):
+    """(scope, name, line) of each use of ``os.fork``, ``os._exit`` or ``os.pipe``
+    in ``tree``, as an attribute or an import; ``scope`` as in ``_writes``."""
+    names = {"fork", "_exit", "pipe"}
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{node.name}"
+        if isinstance(node, ast.Attribute) and node.attr in names:
+            if isinstance(node.value, ast.Name) and node.value.id == "os":
+                yield scope, node.attr, node.lineno
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            yield from ((scope, alias.name, node.lineno) for alias in node.names if alias.name in names)
+        yield from _process_calls(node, inner)
+
+
+def test_fork_is_the_only_place_that_forks():
+    # The bundle writer's forked processes report by exit status alone.
+    src = Path(wnet.pipeline.__file__).parent
+    found = {}
+    for path in sorted(src.glob("*.py")):
+        for scope, name, line in _process_calls(ast.parse(path.read_text(encoding="utf-8"))):
+            found.setdefault((f"{path.stem}{scope}", name), []).append(line)
+    assert set(found) == {("pipeline._fork", "fork"), ("pipeline._fork", "_exit")}, found
+    assert len(found["pipeline._fork", "fork"]) == 1
