@@ -1,11 +1,13 @@
 """Ingestion of bilateral flow and GDP files into a columnar panel.
 
-Files are header-labeled UTF-8 CSV, read ``_BLOCK`` lines at a time.  After
-the csv module reads the header, numpy tokenizes each *plain* block on its
-bytes (read raw from a path, bytes or seekable binary stream) and the csv
-module the rest as text lines from the first block that is not plain.  The
-first bad row, CSV error or non-UTF-8 line raises DataError with its line
-number.  Rows already in key order are not sorted again.
+Files are header-labeled UTF-8 CSV.  Every source is read as a seekable binary
+stream: a path is opened, bytes are wrapped, and a text stream or a stream that
+cannot seek is read whole first.  After the csv module reads the header, numpy
+tokenizes each *plain* block of ``_BLOCK`` lines on its bytes, and the csv
+module the rest as text lines from the first block that is not plain, a line
+ending at ``\\n``, ``\\r\\n`` or a lone ``\\r``.  The first bad row, CSV error or
+non-UTF-8 line raises DataError with its line number.  Rows already in key
+order are not sorted again.
 """
 
 from __future__ import annotations
@@ -32,7 +34,9 @@ logger = logging.getLogger(__name__)
 FLOW_COLUMNS = ("year", "exporter", "importer", "value")
 SIZE_COLUMNS = ("year", "country", "gdp")
 
-#: Lines or rows converted and checked together; memory stays bounded by one block.
+#: Lines or rows converted and checked together.  Memory stays bounded by one
+#: block for a path to a regular file, bytes and a seekable binary stream; a
+#: text stream or a stream that cannot seek is read whole first.
 _BLOCK = 1 << 14
 _SURROGATE = re.compile(r"[\ud800-\udfff]")  # what undecodable bytes turn into
 _TEXT = partial(io.TextIOWrapper, encoding="utf-8", errors="surrogateescape", newline="")
@@ -87,20 +91,22 @@ class PanelDataset:
     missing_gdp: tuple[tuple[int, str], ...] = ()
 
 
-def _text_blocks(stream: Iterator, lineno: int, size=0, path=False) -> Iterator[list[str]]:
-    """Text lines from line ``lineno + 1`` on, ``size`` at a time or else up to each
-    ``_BLOCK``-th line; a ``path``'s unbuffered file is read from its offset as text."""
-    lines = _TEXT(open(stream.fileno(), "rb", closefd=False)) if path else stream
-    while block := list(islice(lines, size or _BLOCK - lineno % _BLOCK)):
-        if isinstance(block[0], bytes):
-            block = [line.decode("utf-8", "surrogateescape") for line in block]
-        good = len(block)
-        if not all(map(str.isascii, block)):
-            good = next((at for at, line in enumerate(block) if _SURROGATE.search(line)), good)
-        yield block[:good]
-        if good < len(block):
-            raise DataError(f"line {lineno + good + 1}: not valid UTF-8")
-        lineno += good
+def _text_blocks(stream: IO[bytes], lineno: int, size=0) -> Iterator[list[str]]:
+    """Text lines of a binary stream from where it stands, numbered from ``lineno + 1``,
+    ``size`` at a time or else up to each ``_BLOCK``-th line; the stream stays open."""
+    lines = _TEXT(stream)
+    try:
+        while block := list(islice(lines, size or _BLOCK - lineno % _BLOCK)):
+            good = len(block)
+            if not all(map(str.isascii, block)):
+                good = next((at for at, line in enumerate(block) if _SURROGATE.search(line)), good)
+            yield block[:good]
+            if good < len(block):
+                raise DataError(f"line {lineno + good + 1}: not valid UTF-8")
+            lineno += good
+    finally:
+        if not stream.closed:  # a path's file may be closed before this runs
+            lines.detach()
 
 
 def _byte_blocks(fh: IO[bytes], lineno: int) -> Iterator[bytes]:
@@ -224,14 +230,10 @@ def _plain_cells(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndar
     return cells
 
 
-def _plain_block(block: bytes | list[str], first: int, columns, at, ids, rules) -> tuple | None:
-    """Columns of lines numbered from ``first``, bytes or str lines that must each
-    end at their only newline, or None if not plain: k - 1 commas and a newline
-    a line, no byte csv reads otherwise (see _KIND), no cell wider than _WIDE."""
-    ends = None
-    if isinstance(block, list):
-        ends = np.fromiter(map(len, block), np.int64, len(block)).cumsum()
-        block = "".join(block).encode("utf-8", "surrogateescape")
+def _plain_block(block: bytes, first: int, columns, at, ids, rules) -> tuple | None:
+    """Columns of the lines of ``block``, numbered from ``first``, or None if it is
+    not plain: k - 1 commas and a newline a line, no byte csv reads otherwise (see
+    _KIND), no cell wider than _WIDE."""
     if block[-1:] not in (b"", b"\n"):  # the last line of a file
         block += b"\n"
     buf, k = np.frombuffer(block + bytes(_WIDE), np.uint8), len(columns)  # NULs for _plain_cells
@@ -241,8 +243,7 @@ def _plain_block(block: bytes | list[str], first: int, columns, at, ids, rules) 
     if buf.max() > 127 or len(kind) % k or (kind.reshape(-1, k) != [1] * (k - 1) + [2]).any():
         return None
     end, start = sep.reshape(-1, k), (sep + 1 - np.diff(sep, prepend=-1)).reshape(-1, k)
-    if (end - start).max(initial=0) > _WIDE or ends is not None and not np.array_equal(
-            np.minimum(end[:, -1] + 1, ends[-1:]), ends):  # a last line may lack its newline
+    if (end - start).max(initial=0) > _WIDE:
         return None
     years, *codes, values = (_plain_cells(buf, start[:, i], end[:, i]) for i in at)
     return _checked_block(
@@ -251,16 +252,20 @@ def _plain_block(block: bytes | list[str], first: int, columns, at, ids, rules) 
     )
 
 
-def _read_table(source, columns: tuple[str, ...], ids: dict, rules, path=False) -> tuple:
+def _read_table(source, columns: tuple[str, ...], ids: dict, rules) -> tuple:
     """(year, country ids, value, line number) columns of a file of ``columns`` and
     ``rules``, codes getting ids from ``ids``, and its count of rows in plain blocks."""
     if isinstance(source, (str, Path)):
-        with open(source, "rb", buffering=0) as fh, (fh if fh.seekable() else _TEXT(fh)) as view:
-            return _read_table(view, columns, ids, rules, path=fh.seekable())  # pipes: as text
-    source = io.BytesIO(source) if isinstance(source, (bytes, bytearray)) else source
-    raw = isinstance(source, (io.RawIOBase, io.BufferedIOBase)) and source.seekable()
-    offset, source = (source.tell(), source) if raw else (0, iter(source))
-    pulled, head = [], chain.from_iterable(_text_blocks(source, 0, 1, path))  # one line at a time
+        with open(source, "rb") as fh:
+            return _read_table(fh, columns, ids, rules)
+    if isinstance(source, (bytes, bytearray)):
+        source = io.BytesIO(source)
+    elif isinstance(source, io.TextIOBase):  # read whole; lone surrogates stay bad UTF-8
+        source = io.BytesIO(source.read().encode("utf-8", "surrogatepass"))
+    elif not source.seekable():  # a pipe: read whole first
+        source = io.BytesIO(source.read())
+    offset = source.tell()
+    pulled, head = [], chain.from_iterable(_text_blocks(source, 0, 1))  # one line at a time
     lines = (pulled.append(line) or line for line in head)  # as read; csv skips line 1's BOM
     rows = csv.reader(_blanked(chain([next(lines, "").removeprefix("\ufeff")], lines)))
     try:
@@ -275,16 +280,12 @@ def _read_table(source, columns: tuple[str, ...], ids: dict, rules, path=False) 
         raise DataError(f"line {rows.line_num}: header must name exactly {want}; got {got}")
     spec = (columns, [names.index(c) for c in columns], ids, rules)
     done = rows.line_num
-    if raw:  # a seekable binary stream: read on from the header's end in byte blocks
-        source.seek(offset := offset + len("".join(pulled).encode("utf-8", "surrogateescape")))
-    blocks = _byte_blocks(source, done) if raw else chain([[]], _text_blocks(source, done))
+    source.seek(offset := offset + len("".join(pulled).encode("utf-8", "surrogateescape")))
     parts = []
-    for block in blocks:
+    for block in _byte_blocks(source, done):
         if (part := _plain_block(block, done + 1, *spec)) is None:
-            if raw:  # read the rest again as text lines, which the csv module tokenizes
-                source.seek(offset)
-                block, blocks = [], _text_blocks(source, done, path=path)
-            parts += _csv_blocks(chain(block, chain.from_iterable(blocks)), done + 1, *spec)
+            source.seek(offset)  # read the rest again as text lines, which csv tokenizes
+            parts += _csv_blocks(chain.from_iterable(_text_blocks(source, done)), done + 1, *spec)
             break
         parts.append(part)
         done, offset = done + len(part[3]), offset + len(block)

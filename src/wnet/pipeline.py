@@ -351,12 +351,12 @@ def write_bundle(
     that made the files.
 
     Given two or more files, a helper forked through ``_fork`` makes and
-    writes every other file while this process makes, writes and hashes the
-    rest.  The helper runs only the makers (text formatting, no BLAS call:
-    this process may hold BLAS threads).  It only speeds the write up: its
-    work counts only if it exits 0, and this process then hashes its files by
-    reading them back; otherwise this process logs one WARNING with the
-    count and the exit code and makes the helper's whole share again.  So
+    writes every other file while this process makes and writes the rest.
+    The helper runs only the makers (text formatting, no BLAS call: this
+    process may hold BLAS threads).  It only speeds the write up: its work
+    counts only if it exits 0; otherwise this process logs one WARNING with
+    the count and the exit code and makes the helper's whole share again.
+    Then this process hashes every staged file once, reading it back.  So
     every digest comes from this process, from the staged bytes, a helper
     that fails costs time but does not fail the write, and an error in this
     process does.  The helper and the staging directory's child are reaped
@@ -366,13 +366,10 @@ def write_bundle(
         staging = _Staging(out_dir)
     previous = set() if manifest is None else _listed_files(out_dir)
     names = list(files)
-    digests: dict[str, str] = {}
 
     def make(share: Iterable[str]) -> None:
         for name in share:
-            data = files[name]().encode("utf-8")
-            (staging.path / name).write_bytes(data)
-            digests[name] = hashlib.sha256(data).hexdigest()
+            (staging.path / name).write_bytes(files[name]().encode("utf-8"))
 
     helper = names[1::2]
     pid = None  # the helper's, until it is reaped
@@ -384,15 +381,13 @@ def write_bundle(
         if pid:
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             pid = None
-            if code == 0:
-                digests.update((name, _digest(staging.path / name)) for name in helper)
-            else:
+            if code != 0:
                 logger.warning(
                     "making the %d files of the writer helper again (its exit code: %d)",
                     len(helper), code,
                 )
                 make(helper)
-        digests = {name: digests[name] for name in names}
+        digests = {name: _digest(staging.path / name) for name in names}
         if manifest is not None:
             manifest["files"] = {**manifest.get("files", {}), **digests}
             text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"

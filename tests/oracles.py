@@ -139,19 +139,22 @@ def assert_vectors_match(actual, expected, tol: float = 1e-10) -> None:
 def _lines_rowwise(source: str | Path | bytes | IO) -> Iterator[str]:
     """Yield the text lines of a path, raw bytes or open stream, one at a time.
 
+    Every source is read whole as bytes (a text stream's lone surrogates
+    encoded as bytes that are not UTF-8), then split as a path's file opened
+    with ``newline=""`` is: a line ends at ``\\n``, ``\\r\\n`` or a lone ``\\r``.
     Comment and blank lines come out empty, so the CSV reader skips them but
     still counts them.  One byte-order mark at the start of line 1 is
     dropped.  A line that is not UTF-8 raises when it is reached.
     """
     if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8", errors="surrogateescape", newline="") as fh:
-            yield from _lines_rowwise(fh)
+        with open(source, "rb") as fh:
+            yield from _lines_rowwise(fh.read())
         return
-    for lineno, line in enumerate(
-        io.BytesIO(source) if isinstance(source, (bytes, bytearray)) else source, start=1
-    ):
-        if isinstance(line, bytes):
-            line = line.decode("utf-8", "surrogateescape")
+    data = source if isinstance(source, (bytes, bytearray)) else source.read()
+    if isinstance(data, str):
+        data = data.encode("utf-8", "surrogatepass")
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape", newline="")
+    for lineno, line in enumerate(text, start=1):
         if lineno == 1:  # one byte-order mark is skipped, as the utf-8-sig codec does
             line = line.removeprefix("\ufeff")
         if not line.isascii():

@@ -331,7 +331,7 @@ def _assert_fault(data: bytes, lineno: int, message: str) -> None:
     "fault,message",
     [
         ([b"2000,USA,USA,5"], "self-flow for 'USA'"),
-        ([b"2000,USA,C\rAN,5"], "new-line character seen in unquoted field"),
+        ([b"2000,USA,C\rAN,5"], "expected 4 fields, got 3"),  # a lone CR ends a line
         ([b"2000,US\xff,CAN,5"], "not valid UTF-8"),
         ([_LAST_ROW.encode()], f"duplicate flow {(2000, *_LAST_ROW.split(',')[1:3])}"),
         ([b"2000,USA,CAN,-1", b"2000,US\xff,CAN,5"], "negative flow value -1.0"),
@@ -351,7 +351,7 @@ def test_fault_in_the_second_block(full_block, lead, fault, message):
         (b"2000,USA,CAN,5\r", _LAST_ROW.encode(), "duplicate flow"),
         (b"2000,USA,CAN,5\r", b"2000,US\xff,CAN,5", "not valid UTF-8"),
         (b"2000,\"US\nA\",CAN,5", b"2000,USA,-", "expected 4 fields, got 3"),
-        (b"# note", b"2000,USA,C\rAN,5", "new-line character seen in unquoted field"),
+        (b"# note", b"2000,USA,C\rAN,5", "expected 4 fields, got 3"),
     ],
 )
 def test_fault_after_the_switch_off_the_plain_path(full_block, lead, switch, fault, message):
@@ -434,7 +434,7 @@ def test_cell_bytes_below_the_comma_stay_plain(caplog):
 def test_byte_blocks_stop_at_lines_no_plain_block_holds():
     # A line longer than 1 KiB is never plain, so a block that cannot reach its
     # last line within 1 KiB a line is cut short instead of read whole (here a
-    # file of lone-CR line ends, which a path splits only after reading).
+    # file of lone-CR line ends, which only the text lines split).
     data = b"2000,A,B,1\r" * (300_000)
     with mock.patch.object(ingest, "_BLOCK", 2):
         first = next(ingest._byte_blocks(io.BytesIO(data), 0))
@@ -444,10 +444,11 @@ def test_byte_blocks_stop_at_lines_no_plain_block_holds():
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-def test_path_to_a_pipe(tmp_path):
-    # A pipe cannot seek back, so it is read as text lines throughout, which
-    # end at a lone CR as those of a regular file do.
-    data = b"year,exporter,importer,value\r2000,A,B,1\n2000,B,A,2\r\n2001,A,B,3\n2001,B,A,4\n"
+def test_path_to_a_pipe(tmp_path, caplog):
+    # A pipe cannot seek back, so it is read whole first; then its lines end
+    # where those of a regular file do (here at a lone CR after the header),
+    # and its plain rows are read as plain blocks.
+    data = b"year,exporter,importer,value\r2000,A,B,1\n2000,B,A,2\n2001,A,B,3\n2001,B,A,4\n"
     fifo, regular = tmp_path / "flows.pipe", tmp_path / "flows.csv"
     os.mkfifo(fifo)
     regular.write_bytes(data)
@@ -460,6 +461,9 @@ def test_path_to_a_pipe(tmp_path):
         finally:
             writer.join(timeout=10)
 
-    assert read_pipe() == flow_rows(load_panel(regular))
+    with caplog.at_level(logging.INFO, logger="wnet.ingest"):
+        assert read_pipe() == flow_rows(load_panel(regular))
+    [note, _] = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+    assert note.startswith("read 4 flow rows (4 in plain blocks")
     with mock.patch.object(ingest, "_read_table", read_table_rowwise):
         assert read_pipe() == flow_rows(load_panel(regular))

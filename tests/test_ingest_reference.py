@@ -50,15 +50,22 @@ def _files(tmp_path_factory):
     _FILES = tmp_path_factory.mktemp("sources")
 
 
+class _Unseekable(io.BytesIO):
+    """A binary stream that cannot seek, as a pipe or standard input."""
+
+    def seekable(self) -> bool:
+        return False
+
+
 def sources(data: bytes | None, slot: str = "flows"):
-    """Fresh bytes, binary, text and path sources over the same content; the
-    path is the file ``slot`` of a temporary directory, rewritten each call."""
+    """Fresh bytes, binary, unseekable binary, text and path sources over the same
+    content; the path is the file ``slot`` of a temporary directory, rewritten each call."""
     if data is None:
-        return [None] * 4
+        return [None] * 5
     path = _FILES / f"{slot}.csv"
     path.write_bytes(data)
     text = io.StringIO(data.decode("utf-8", "surrogateescape"))
-    return [data, io.BytesIO(data), text, path]
+    return [data, io.BytesIO(data), _Unseekable(data), text, path]
 
 
 _CODES = ["A", "B", " C ", "D", "e", "é"]
@@ -134,6 +141,7 @@ def test_block_reader_matches_row_reader(flows, sizes, block):
     with mock.patch.object(ingest, "_BLOCK", block):
         actual = [outcome(*pair) for pair in zip(sources(flows), sources(sizes, "sizes"))]
     assert actual == expected
+    assert actual == [actual[-1]] * len(actual)  # every source as the path
 
 
 def _plain_flows(rows: int) -> bytes:
@@ -148,6 +156,7 @@ def _assert_same_flows(data: bytes, block: int) -> list:
     expected = [reference_outcome(flows, None) for flows in sources(data)]
     with mock.patch.object(ingest, "_BLOCK", block):
         assert [outcome(flows, None) for flows in sources(data)] == expected
+    assert expected == [expected[-1]] * len(expected)  # every source as the path
     return expected
 
 
@@ -172,11 +181,10 @@ def test_odd_line_among_plain_rows(line, at, block):
 
 
 def test_a_line_holds_one_line_break_at_its_end():
-    # Any iterable of lines is a source; the csv module reads each item as
-    # one line, so a line break inside an item is an error, not a row end.
-    lines = ["year,exporter,importer,value\n", "2000,A,B,1\n2000,C,D,2", "\n"]
-    assert outcome(lines, None) == reference_outcome(lines, None)
-    assert outcome(lines, None).startswith("DataError: line 2: new-line character seen")
+    # A line ends at its one line break, \n, \r\n or a lone \r, whatever the
+    # source: every line of this file holds a row, from each source alike.
+    data = b"year,exporter,importer,value\r2000,A,B,1\n2000,B,A,2\r\n2001,A,B,3\n"
+    assert _assert_same_flows(data, ingest._BLOCK)[-1][3][1] == (3,)
 
 
 @pytest.mark.parametrize("block", [2, 5, ingest._BLOCK])
@@ -208,14 +216,14 @@ def test_plain_blocks_bypass_the_csv_module(block):
         ingest.csv, "reader", HeaderOnly
     ):
         assert [outcome(flows, None) for flows in sources(data)] == expected
-    assert len(made) == 2 * 4  # one reader per file (flows, sizes) and source
+    assert len(made) == 2 * 5  # one reader per file (flows, sizes) and source
     assert expected[0][3][1] == (2 * block - 1,)  # a panel of every row
 
 
 @pytest.mark.parametrize("block", [2, 5, ingest._BLOCK])
 def test_plain_blocks_of_binary_sources_stay_bytes(block):
-    # A header and two blocks of lines, all plain: from a path, bytes or a
-    # binary stream, the str-line reader may yield the header and nothing after.
+    # A header and two blocks of lines, all plain: from every kind of source,
+    # the str-line reader may yield the header and nothing after.
     data = _plain_flows(2 * block - 1)
     expected = [reference_outcome(flows, None) for flows in sources(data)]
     real_text_blocks = ingest._text_blocks
@@ -227,11 +235,10 @@ def test_plain_blocks_of_binary_sources_stay_bytes(block):
                 raise AssertionError("a line after the header became str")
             yield lines
 
-    binary = [0, 1, 3]  # bytes, io.BytesIO, path
     with mock.patch.object(ingest, "_BLOCK", block), mock.patch.object(
         ingest, "_text_blocks", header_only
     ):
-        assert [outcome(sources(data)[i], None) for i in binary] == [expected[i] for i in binary]
+        assert [outcome(flows, None) for flows in sources(data)] == expected
     assert expected[0][3][1] == (2 * block - 1,)  # a panel of every row
 
 
