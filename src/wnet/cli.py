@@ -17,6 +17,7 @@ import os
 import sys
 from functools import partial
 from pathlib import Path
+from typing import Sequence
 
 from ._version import __version__
 from .errors import DataError, ValidationError, WnetError
@@ -27,6 +28,7 @@ from .pipeline import (
     PipelineConfig,
     relabel,
     run_pipeline,
+    select_years,
     verify_bundle,
     write_bundle,
 )
@@ -36,8 +38,8 @@ logger = logging.getLogger(__name__)
 _ANALYZE_DEFAULT = tuple(a for a in ANALYSES if a != "stats")
 
 
-def _parse_years(text: str) -> tuple[int, ...]:
-    """Accept 'A:B' (inclusive), 'Y', or a comma list 'Y1,Y2'."""
+def _parse_years(text: str) -> Sequence[int]:
+    """Accept 'A:B' (inclusive, kept a range however long), 'Y', or a comma list 'Y1,Y2'."""
     text = text.strip()
     try:
         if ":" in text:
@@ -45,7 +47,7 @@ def _parse_years(text: str) -> tuple[int, ...]:
             start, end = int(lo), int(hi)
             if end < start:
                 raise ValidationError(f"empty year range {text!r}")
-            return tuple(range(start, end + 1))
+            return range(start, end + 1)
         if "," in text:
             return tuple(int(part) for part in text.split(",") if part.strip())
         if not text:
@@ -217,16 +219,18 @@ def _selected_analyses(args: argparse.Namespace, default: tuple[str, ...]) -> fr
 def _cmd_build(args: argparse.Namespace) -> int:
     config = _pipeline_config(args, frozenset(("stats",)))
     panel = load_panel(config.flows, config.gdp)
-    files = {}
-    for year in sorted(set(config.years)):
-        net = symmetrize(build_directed(panel, year, config.scheme))
-        files[f"matrix_{year}.txt"] = partial(dump_matrix, net)
-    echo = config.echo()
-    manifest = {
-        "tool": {"name": "wnet", "version": __version__},
-        "config": {key: echo[key] for key in ("flows", "gdp", "scheme", "threshold", "years")},
-    }
-    write_bundle(config.out_dir, files, manifest)
+    names = {year: f"matrix_{year}.txt" for year in panel.years if year in config.years}
+    with write_bundle(config.out_dir, names.values()) as commit:
+        files = {}
+        for year in select_years(panel, config.years):
+            net = symmetrize(build_directed(panel, year, config.scheme))
+            files[names[year]] = partial(dump_matrix, net)
+        echo = config.echo()
+        manifest = {
+            "tool": {"name": "wnet", "version": __version__},
+            "config": {key: echo[key] for key in ("flows", "gdp", "scheme", "threshold", "years")},
+        }
+        commit(files, manifest)
     print(f"wrote {len(files)} matrix dumps to {config.out_dir}")
     return 0
 

@@ -262,6 +262,11 @@ def _read_table(source, columns: tuple[str, ...], ids: dict, rules) -> tuple:
         source = io.BytesIO(source)
     elif isinstance(source, io.TextIOBase):  # read whole; lone surrogates stay bad UTF-8
         source = io.BytesIO(source.read().encode("utf-8", "surrogatepass"))
+    elif not hasattr(source, "read"):
+        raise TypeError(
+            f"cannot read a table from {type(source).__name__}: "
+            "give a path, bytes, a text stream or a binary stream"
+        )
     elif not source.seekable():  # a pipe: read whole first
         source = io.BytesIO(source.read())
     offset = source.tell()
@@ -314,7 +319,8 @@ def load_panel(
     flows: str | Path | bytes | IO, sizes: str | Path | bytes | IO | None = None
 ) -> PanelDataset:
     """Read a flow file and an optional size file, each a path, bytes or a text or binary
-    stream, into a panel whose registry and ``years`` are the unions over both."""
+    stream (anything else is a TypeError), into a panel whose registry and ``years`` are
+    the unions over both."""
     start = time.perf_counter()
     ids: dict[str, int] = {}
     f_year, f_ids, f_value, f_line, f_plain = _read_table(flows, FLOW_COLUMNS, ids, _FLOW_RULES)

@@ -1,36 +1,32 @@
 """End-to-end pipeline: ingest -> build -> stats -> analyses -> bundle.
 
 ``write_bundle`` is the only writer into an output directory and of
-``manifest.json``, apart from the empty files its staging directory's child
-creates; ``read_manifest`` is the manifest's only reader.  ``relabel``
-rewrites a bundle's comparison table.
+``manifest.json``; ``read_manifest`` is the manifest's only reader.
+``relabel`` rewrites a bundle's comparison table.
 
 A run is deterministic: identical inputs and config produce byte-identical
 output files.  No timestamps are written; the manifest carries the config
 echo (minus the output directory, which has no effect on data), the
 per-year normalizers, and a sha256 digest of every emitted file.
-Nothing is written until the inputs have been read.  Then the output
-directory (with any missing directory above it) and a ``.wnet-*`` staging
-directory inside it are made, and, where ``os.fork`` exists and two or more
-CPUs are usable, a forked child creates every bundle file there, empty,
-while this process computes: creating a file is costly on virtualised and
-network filesystems, and filling one that exists is not.  A run that fails
-before the write (a failing year, say) reaps the child and removes the
-staging directory, and the directories the run made while they are empty,
-so it leaves no partial bundle.  Each file's text is made only when that
-file is written, into the staging directory; the files are then renamed
-into place, the manifest last, so a write that fails leaves the previous
-bundle as it was.  Files that the directory's previous manifest listed and
-the new one does not are then deleted, so a rerun into the same directory
-leaves no stale outputs.  Under the same condition, a forked helper makes
-every other file while this process makes the rest.  Both forks go through
-``_fork``, under one rule: a forked process only speeds the write up, and
-its work counts only if it exits 0; otherwise this process redoes it.  So
-their failure costs time but does not fail the run, every digest comes
-from this process, from the staged bytes, and the output bytes do not
-depend on the forks.  (Both are forked from a process that may hold BLAS
-threads, so they run no BLAS; Python 3.12 and later warn at each fork of a
-process with threads.)
+Nothing is written until the inputs have been read.  Every command then
+writes in one lifecycle, ``with write_bundle(out_dir, names) as commit``.
+Entering makes the output directory and a ``.wnet-*`` staging directory in
+it, and, for two or more files, forks a child that creates them there,
+empty, while the command computes: creating a file is costly on virtualised
+and network filesystems, and filling one that exists is not.  ``commit``
+makes each file's text only as it writes the file there, a forked helper
+making every other one, and renames them into place, the manifest last.
+Leaving, however it happens, reaps every fork and removes the staging
+directory, and the directories it made while they are empty.  So a run that
+fails leaves no partial bundle, and the previous bundle as it was; a
+committed run then deletes the files that only the previous manifest listed.
+Both forks go through ``_fork``, under one rule: a forked process only
+speeds the write up, and its work counts only if it exits 0; otherwise this
+process redoes it.  So their failure costs time but does not fail the run,
+every digest comes from this process, from the staged bytes, and the output
+bytes do not depend on the forks.  (Both are forked from a process that may
+hold BLAS threads, so they run no BLAS; Python 3.12 and later warn at each
+fork of a process with threads.)
 ``verify_bundle`` re-hashes a bundle against its manifest without writing.
 """
 
@@ -51,7 +47,7 @@ from functools import cache, partial
 from itertools import takewhile
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Collection, Iterable, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -86,7 +82,7 @@ class PipelineConfig:
     flows: Path
     gdp: Path | None
     scheme: WeightScheme
-    years: tuple[int, ...]
+    years: Sequence[int]  # a tuple, or a range for A:B
     out_dir: Path
     analyses: frozenset[str] = frozenset(ANALYSES)
     ci_level: float = 0.90
@@ -286,127 +282,108 @@ def _fork(job: Callable[[], object]) -> int | None:
     return pid
 
 
-class _Staging:
-    """The ``.wnet-*`` staging directory of one write into ``out_dir``.
-
-    Making it makes ``out_dir`` too, and any missing directory above it.
-    Given the ``names`` of the files to come, it also forks (``_fork``) a
-    child that creates each of them there, empty, and exits, so that the
-    write only fills them: creating a file is costly on virtualised and
-    network filesystems, and the child does it while this process computes
-    the text.  The child only speeds the write up: the write creates
-    whatever it did not, so its exit status is not read.  It runs no BLAS,
-    since this process may hold BLAS threads.
-    """
-
-    def __init__(self, out_dir: Path, names: Collection[str] = ()) -> None:
-        # The directories this makes, from out_dir up, so deepest first.
-        self.made = list(takewhile(lambda path: not path.exists(), (out_dir, *out_dir.parents)))
-        out_dir.mkdir(parents=True, exist_ok=True)
-        self.path = Path(tempfile.mkdtemp(prefix=".wnet-", dir=out_dir))
-        self.pid = _fork(partial(self._create, names)) if names else None
-        self.waited = 0.0  # seconds that reap blocked for the child
-
-    def _create(self, names: Iterable[str]) -> None:
-        for name in names:
-            os.close(os.open(self.path / name, os.O_WRONLY | os.O_CREAT, 0o666))
-
-    def reap(self) -> None:
-        """Wait for the child, if there is one left."""
-        if self.pid:
-            start = time.perf_counter()
-            os.waitpid(self.pid, 0)
-            self.waited += time.perf_counter() - start
-            self.pid = None
-
-    def remove(self) -> None:
-        """Reap the child, then remove the staging directory, and the
-        directories made here too, deepest first, each only while it is
-        empty (as only a failure leaves them)."""
-        self.reap()
-        shutil.rmtree(self.path, ignore_errors=True)
-        with suppress(OSError):  # not empty: the write went through
-            for path in self.made:
-                path.rmdir()
-
-
+@contextmanager
 def write_bundle(
-    out_dir: Path,
-    files: Mapping[str, Callable[[], str]],
-    manifest: dict | None,
-    staging: _Staging | None = None,
-) -> int:
-    """Commit ``files``, each name's text made by its zero-argument maker, into ``out_dir``.
+    out_dir: Path, names: Collection[str]
+) -> Iterator[Callable[[Mapping[str, Callable[[], str]], dict | None], str]]:
+    """The one write of a bundle into ``out_dir``, from staging to cleanup.
 
-    Every file is written in a staging directory inside ``out_dir``:
-    ``staging`` if given (``run_pipeline`` makes it right after ingest, with a
-    child that creates the files, empty, while the run computes), else a new
-    one without a child.  The child is reaped before any file is made, so the
-    write fills the files it created and creates the rest.  Unless
-    ``manifest`` is None, the files' sha256 digests are added to
-    ``manifest["files"]`` and it is written as ``manifest.json``.  Only then
-    are the files renamed into place, ``manifest.json`` last, and the staging
-    directory removed; the files that the previous manifest listed and the
-    new one does not are deleted after that.  Returns the number of processes
-    that made the files.
+    On entry it makes ``out_dir`` (with any missing directory above it) and a
+    ``.wnet-*`` staging directory inside it.  Given two or more ``names``, the
+    files to come, it also forks a child that creates each of them there,
+    empty, while the caller computes; the commit creates whatever the child
+    did not, so its exit status is not read.
 
-    Given two or more files, a helper forked through ``_fork`` makes and
-    writes every other file while this process makes and writes the rest.
-    The helper runs only the makers (text formatting, no BLAS call: this
-    process may hold BLAS threads).  It only speeds the write up: its work
-    counts only if it exits 0; otherwise this process logs one WARNING with
-    the count and the exit code and makes the helper's whole share again.
-    Then this process hashes every staged file once, reading it back.  So
-    every digest comes from this process, from the staged bytes, a helper
-    that fails costs time but does not fail the write, and an error in this
-    process does.  The helper and the staging directory's child are reaped
-    before the staging directory is removed, whatever fails.
+    It yields ``commit(files, manifest)``, which commits ``files``, each
+    name's text made by its zero-argument maker.  It reaps the child, then,
+    given two or more files, forks a helper that makes and writes every other
+    file while this process makes and writes the rest.  If the helper exits
+    other than 0, this process logs one WARNING with the count and the exit
+    code and makes the helper's whole share again.  Then this process hashes
+    every staged file, reading it back.  Unless ``manifest`` is None, the
+    digests are added to ``manifest["files"]`` and it is written as
+    ``manifest.json``.  Only then are the files renamed into place,
+    ``manifest.json`` last.  ``commit`` returns the note of the write's stage
+    line: the file count, the processes that made the files and the wait for
+    the child.
+
+    On exit, however it happens, every fork is reaped, then the staging
+    directory is removed, and the directories made on entry, deepest first,
+    each only while it is empty.  After a commit, the files that the previous
+    manifest listed and the new one does not are deleted.
     """
-    if staging is None:
-        staging = _Staging(out_dir)
-    previous = set() if manifest is None else _listed_files(out_dir)
-    names = list(files)
+    # The directories made here, from out_dir up, so deepest first.
+    made = list(takewhile(lambda path: not path.exists(), (out_dir, *out_dir.parents)))
+    staging = None
+    pids: list[int] = []  # the forks not reaped yet
+    stale: list[str] = []
 
-    def make(share: Iterable[str]) -> None:
+    def create(share: Iterable[str]) -> None:
         for name in share:
-            (staging.path / name).write_bytes(files[name]().encode("utf-8"))
+            os.close(os.open(staging / name, os.O_WRONLY | os.O_CREAT, 0o666))
 
-    helper = names[1::2]
-    pid = None  # the helper's, until it is reaped
-    try:
-        staging.reap()
-        pid = _fork(partial(make, helper)) if helper else None
-        processes = 2 if pid else 1
-        make(names[::processes])  # every file, or every other one
-        if pid:
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            pid = None
-            if code != 0:
-                logger.warning(
-                    "making the %d files of the writer helper again (its exit code: %d)",
-                    len(helper), code,
-                )
-                make(helper)
-        digests = {name: _digest(staging.path / name) for name in names}
+    def make(files: Mapping[str, Callable[[], str]], share: Iterable[str]) -> None:
+        for name in share:
+            (staging / name).write_bytes(files[name]().encode("utf-8"))
+
+    def reap(pid: int) -> int:
+        """Wait for the fork ``pid`` and return its exit code."""
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        pids.remove(pid)
+        return code
+
+    def commit(files: Mapping[str, Callable[[], str]], manifest: dict | None) -> str:
+        previous = set() if manifest is None else _listed_files(out_dir)
+        order = list(files)
+        waited = 0.0
+        if pids:  # the creating child
+            start = time.perf_counter()
+            reap(pids[0])
+            waited = time.perf_counter() - start
+        helper = order[1::2]
+        if helper and (pid := _fork(partial(make, files, helper))):
+            pids.append(pid)
+        processes = 1 + len(pids)
+        make(files, order[::processes])  # every file, or every other one
+        if pids and (code := reap(pids[0])) != 0:
+            logger.warning(
+                "making the %d files of the writer helper again (its exit code: %d)",
+                len(helper), code,
+            )
+            make(files, helper)
+        digests = {name: _digest(staging / name) for name in order}
         if manifest is not None:
             manifest["files"] = {**manifest.get("files", {}), **digests}
             text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-            (staging.path / MANIFEST).write_bytes(text.encode("utf-8"))
-            names.append(MANIFEST)
-        for name in names:
-            os.replace(staging.path / name, out_dir / name)
+            (staging / MANIFEST).write_bytes(text.encode("utf-8"))
+            order.append(MANIFEST)
+        for name in order:
+            os.replace(staging / name, out_dir / name)
+        logger.info("wrote %d files to %s", len(order), out_dir)
+        if previous:
+            stale.extend(sorted(previous - set(manifest["files"])))
+        note = f"processes: {processes}; waited {waited:.4f} s for the creating child"
+        return f"{len(files)} files; {note}"
+
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        staging = Path(tempfile.mkdtemp(prefix=".wnet-", dir=out_dir))
+        if len(names) >= 2 and (pid := _fork(partial(create, names))):
+            pids.append(pid)
+        yield commit
     finally:
-        if pid:
-            os.waitpid(pid, 0)
-        staging.remove()
-    stale = sorted(previous - set(manifest["files"])) if previous else []
+        while pids:
+            reap(pids[0])
+        if staging is not None:
+            shutil.rmtree(staging, ignore_errors=True)
+        with suppress(OSError):  # not empty: the write went through
+            for path in made:
+                path.rmdir()
     for name in stale:
         if (out_dir / name).is_file():
             (out_dir / name).unlink()
-    logger.info("wrote %d files to %s", len(names), out_dir)
     if stale:
         logger.info("removed %d files that only the previous manifest listed", len(stale))
-    return processes
 
 
 def pair_filename(pair: str) -> str:
@@ -484,32 +461,43 @@ class _StageTimer:
         logger.info("run: %.4f s in %d stages", self.last - self.start, len(self.seconds))
 
 
+def select_years(panel: PanelDataset, selection: Sequence[int]) -> list[int]:
+    """The years of ``selection`` in order, each once.
+
+    Raises DataError at the first of them that ``panel`` lacks.  A range is
+    walked in order, so that takes at most ``len(panel.years) + 1`` steps,
+    however long the range.
+    """
+    present = set(panel.years)
+    if not (isinstance(selection, range) and selection.step > 0):
+        selection = sorted(set(selection))
+    for year in selection:
+        if year not in present:
+            raise DataError(f"year {year} not present in panel")
+    return list(selection)
+
+
 def run_pipeline(config: PipelineConfig) -> ReportBundle:
     """Run the configured analyses over every requested year.
 
     Returns the in-memory bundle after writing every output file plus the
     manifest to ``config.out_dir``.  Nothing is written before the inputs
-    are read; the staging directory is then made, and a run that fails
-    before the write removes it again (with the directories the run made,
-    ``config.out_dir`` among them, while they are empty).  The seconds of
-    each stage go to the log at INFO, never into the bundle.
+    are read; the write (``write_bundle``) is then staged for the selected
+    years that the panel has, and a run that fails, on a selected year the
+    panel lacks among other causes, leaves no trace.  The seconds of each
+    stage go to the log at INFO, never into the bundle.
     """
     timer = _StageTimer()
     config.validate()
     panel = load_panel(config.flows, config.gdp)
-    years = sorted(set(config.years))
-    names = bundle_names(config.analyses, years)
-    staging = _Staging(config.out_dir, names.values())
-    timer.lap("ingest")
-    try:
+    names = bundle_names(config.analyses, [year for year in panel.years if year in config.years])
+    with write_bundle(config.out_dir, names.values()) as commit:
+        timer.lap("ingest")
+        years = select_years(panel, config.years)
         tables, comparison, files, manifest = _analyse(config, panel, years, names, timer)
-    except BaseException:
-        staging.remove()
-        raise
-    processes = write_bundle(config.out_dir, files, manifest, staging)
+        note = commit(files, manifest)
     timer.lap("write")
-    waited = f"waited {staging.waited:.4f} s for the creating child"
-    timer.log({"write": f" ({len(files)} files; processes: {processes}; {waited})"})
+    timer.log({"write": f" ({note})"})
     return ReportBundle(manifest, tables, comparison)
 
 
@@ -701,5 +689,6 @@ def relabel(
     rows = compare_views(series, strong_cut, moderate_cut)
     if manifest is not None:
         manifest["config"].update(strong_cut=strong_cut, moderate_cut=moderate_cut)
-    write_bundle(out_dir, {"comparison.csv": partial(comparison_csv, rows)}, manifest)
+    with write_bundle(out_dir, ["comparison.csv"]) as commit:
+        commit({"comparison.csv": partial(comparison_csv, rows)}, manifest)
     return rows

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
+import wnet.pipeline
 from wnet import CountryRegistry, UndirectedNetwork, WeightScheme, load_panel
 
 try:
@@ -122,6 +124,24 @@ def assert_bundle_intact(out, keep=()):
     assert not list(out.glob(".wnet-*"))
     expected = {*manifest["files"], "manifest.json", *keep}
     assert sorted(p.name for p in out.iterdir()) == sorted(expected)
+
+
+def record_commits(monkeypatch) -> list[str]:
+    """Make ``run_pipeline``'s bundle writes add the name of each file they
+    commit, in write order, to the returned list."""
+    committed = []
+    real = wnet.pipeline.write_bundle
+
+    @contextmanager
+    def write_bundle(out_dir, names):
+        with real(out_dir, names) as commit:
+            def record(files, manifest):
+                committed.extend(files)
+                return commit(files, manifest)
+            yield record
+
+    monkeypatch.setattr(wnet.pipeline, "write_bundle", write_bundle)
+    return committed
 
 
 def write_panel_csvs(tmp_path, n=60, years=(1999, 2000), seed=7, p=0.5):

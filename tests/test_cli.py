@@ -8,17 +8,19 @@ import shutil
 import signal
 import subprocess
 import sys
+import time
 from functools import partial
 from itertools import count
 from pathlib import Path
 
 import pytest
 
+import wnet.cli
 import wnet.pipeline
-from wnet import NodeStatsTable, load_matrix
+from wnet import DataError, NodeStatsTable, load_matrix
 from wnet.cli import main, read_config_file
 
-from conftest import assert_bundle_intact, write_panel_csvs
+from conftest import assert_bundle_intact, record_commits, write_panel_csvs
 
 
 def run_cli(*argv):
@@ -482,7 +484,8 @@ def test_the_main_process_makes_only_its_own_share(tmp_path, monkeypatch):
     files = {name: partial(maker, name) for name in names}
     with monkeypatch.context() as patch:
         forks = writer_processes(patch, 2)
-        assert wnet.pipeline.write_bundle(tmp_path, files, {}) == 2
+        with wnet.pipeline.write_bundle(tmp_path, ()) as commit:  # no names: no creating child
+            assert "; processes: 2; " in commit(files, {})
     assert forks == [os.getpid()]
     assert made == names[0::2]
     assert_no_child_left()
@@ -502,14 +505,9 @@ def test_a_failure_in_the_helper_alone_is_recovered(
 ):
     flows, gdp = toy_csvs
     args = ["all", "--flows", str(flows), "--gdp", str(gdp), "--years", "1999:2000"]
-    names = []  # in the order they are written
-    real = wnet.pipeline.write_bundle
-    def write_bundle(out_dir, files, *args):
-        names.extend(files)
-        return real(out_dir, files, *args)
     with monkeypatch.context() as patch:
         writer_processes(patch, 1)
-        patch.setattr(wnet.pipeline, "write_bundle", write_bundle)
+        names = record_commits(patch)  # in the order they are written
         assert run_cli(*args, "--out", str(tmp_path / "one")) == 0
     one, share = bundle_state(tmp_path / "one"), names[1::2]
     out = tmp_path / "two"
@@ -644,15 +642,16 @@ def test_the_staging_child_creates_every_file_before_the_write(toy_csvs, tmp_pat
     args = ["all", "--flows", str(flows), "--gdp", str(gdp), "--years", "1999:2000"]
     out = tmp_path / "bundle"
     staged = []  # (name, size) in the staging directory once its child is reaped
-    real = wnet.pipeline._Staging.reap
-    def reap(self):
-        child = self.pid
-        real(self)
-        if child:
-            staged.extend((p.name, p.stat().st_size) for p in sorted(self.path.iterdir()))
+    real, reaps = os.waitpid, count()
+    def waitpid(pid, options):
+        reaped = real(pid, options)
+        if next(reaps) == 0:  # the creating child's, the write's first
+            (staging,) = out.glob(".wnet-*")
+            staged.extend((p.name, p.stat().st_size) for p in sorted(staging.iterdir()))
+        return reaped
     with monkeypatch.context() as patch:
         forks = writer_processes(patch, 2)
-        patch.setattr(wnet.pipeline._Staging, "reap", reap)
+        patch.setattr(os, "waitpid", waitpid)
         assert run_cli(*args, "--out", str(out)) == 0
     assert forks == [os.getpid()] * 2
     listed = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["files"]
@@ -783,18 +782,77 @@ def test_missing_flows_fail_before_the_output_directory_is_made(toy_csvs, tmp_pa
 
 
 @needs_fork
-def test_report_and_build_write_without_a_staging_child(toy_csvs, tmp_path, monkeypatch):
+def test_a_creating_child_is_forked_exactly_for_two_or_more_files(toy_csvs, tmp_path, monkeypatch):
+    for names in ([], ["a.csv"], ["a.csv", "b.csv"]):
+        out = tmp_path / f"names{len(names)}"
+        with monkeypatch.context() as patch:
+            forks = writer_processes(patch, 2)
+            with wnet.pipeline.write_bundle(out, names):
+                assert forks == [os.getpid()] * (len(names) >= 2), names
+        assert_no_child_left()
+        assert not out.exists()  # nothing committed: the write removes what it made
     flows, gdp = toy_csvs
     out = tmp_path / "bundle"
     inputs = ["--flows", str(flows), "--gdp", str(gdp), "--years", "1999:2000", "--out", str(out)]
     assert run_cli("all", *inputs) == 0
-    for command, helpers in ((["report", "--out", str(out)], 0), (["build", *inputs], 1)):
+    # report writes one file; build writes two, so the child and the helper fork.
+    for command, forked in ((["report", "--out", str(out)], 0), (["build", *inputs], 2)):
         with monkeypatch.context() as patch:
             forks = writer_processes(patch, 2)
             assert run_cli(*command) == 0
-        assert forks == [os.getpid()] * helpers, command
+        assert forks == [os.getpid()] * forked, command
         assert_no_child_left()
         assert_bundle_intact(out)
+
+
+@needs_fork
+def test_a_build_that_fails_in_its_second_year_leaves_no_trace(
+    toy_csvs, tmp_path, capsys, monkeypatch
+):
+    flows, gdp = toy_csvs
+    out = tmp_path / "new" / "out"
+    real = wnet.cli.build_directed
+    def build_directed(panel, year, scheme):
+        if year == 2000:
+            raise DataError(f"year {year}: no flow exceeds the link threshold")
+        return real(panel, year, scheme)
+    with monkeypatch.context() as patch:
+        forks = writer_processes(patch, 2)
+        patch.setattr(wnet.cli, "build_directed", build_directed)
+        code = run_cli(
+            "build", "--flows", str(flows), "--gdp", str(gdp), "--years", "1999:2000",
+            "--out", str(out),
+        )
+    assert code == 2
+    assert capsys.readouterr().err == "error: year 2000: no flow exceeds the link threshold\n"
+    assert forks == [os.getpid()]  # the creating child, forked after ingest
+    assert_no_child_left()
+    assert not (tmp_path / "new").exists() and not list(tmp_path.rglob(".wnet-*"))
+
+
+@pytest.mark.parametrize("command", ["all", "build"])
+@pytest.mark.parametrize("years", ["0:9223372036854775806", "0:100000000000000000000"])
+def test_a_huge_year_range_is_a_data_error(toy_csvs, tmp_path, capsys, command, years):
+    flows, gdp = toy_csvs
+    out = tmp_path / "bundle"
+    start = time.perf_counter()
+    code = run_cli(
+        command, "--flows", str(flows), "--gdp", str(gdp), "--years", years, "--out", str(out)
+    )
+    assert time.perf_counter() - start < 1
+    assert code == 2 and capsys.readouterr().err == "error: year 0 not present in panel\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["all", "build"])
+def test_the_manifest_echoes_a_year_range_as_its_years(toy_csvs, tmp_path, command):
+    flows, gdp = toy_csvs
+    out = tmp_path / "bundle"
+    assert run_cli(
+        command, "--flows", str(flows), "--gdp", str(gdp), "--years", "1999:2000", "--out", str(out)
+    ) == 0
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["config"]["years"] == [1999, 2000]
 
 
 def test_verify_names_missing_changed_unlisted_and_staging(toy_csvs, tmp_path, capsys):

@@ -96,6 +96,14 @@ def test_parse_flows_duplicate_reports_line():
         load_panel(io.StringIO(text))
 
 
+@pytest.mark.parametrize("source", [["year,exporter,importer,value\n", "2000,A,B,1\n"], 12])
+def test_an_unsupported_source_names_the_accepted_kinds(source):
+    message = f"cannot read a table from {type(source).__name__}: "
+    message += "give a path, bytes, a text stream or a binary stream"
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        load_panel(source)
+
+
 def test_parse_flows_bad_header():
     with pytest.raises(DataError, match="header"):
         load_panel(io.StringIO("year,exporter,importer\n"))

@@ -36,7 +36,7 @@ from wnet.pipeline import (
     read_manifest,
 )
 
-from conftest import assert_bundle_intact
+from conftest import assert_bundle_intact, record_commits
 from oracles import pearson_oracle
 
 
@@ -202,12 +202,14 @@ def test_stage_timings_go_to_the_log(toy_csvs, tmp_path, caplog, monkeypatch, pa
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_the_write_line_gives_the_wait_for_the_creating_child(toy_csvs, tmp_path, caplog, monkeypatch):
-    real = wnet.pipeline._Staging._create
-    def create(self, names):  # a child still creating when the write starts
-        time.sleep(0.3)
-        real(self, names)
+    parent, real, slept = os.getpid(), os.open, []
+    def open_(path, flags, *rest, **kw):  # a child still creating when the write starts
+        if os.getpid() != parent and not slept:
+            slept.append(True)
+            time.sleep(0.3)
+        return real(path, flags, *rest, **kw)
     monkeypatch.setattr(wnet.pipeline, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(wnet.pipeline._Staging, "_create", create)
+    monkeypatch.setattr(os, "open", open_)
     caplog.set_level(logging.INFO, logger="wnet.pipeline")
     run_pipeline(config_for(toy_csvs, tmp_path / "bundle"))
     stages, waited = {}, []
@@ -275,12 +277,7 @@ def test_failing_year_leaves_no_partial_bundle(toy_csvs, tmp_path):
     ("density", "symmetry", "correlations"),
 ])
 def test_bundle_names_are_the_files_written(toy_csvs, tmp_path, monkeypatch, analyses):
-    written = []
-    real = wnet.pipeline.write_bundle
-    def write_bundle(out_dir, files, *args):
-        written.extend(files)
-        return real(out_dir, files, *args)
-    monkeypatch.setattr(wnet.pipeline, "write_bundle", write_bundle)
+    written = record_commits(monkeypatch)
     years = (2000, 1999, 2000)
     run_pipeline(config_for(toy_csvs, tmp_path / "out", years=years, analyses=frozenset(analyses)))
     names = bundle_names(frozenset(analyses), sorted(set(years)))
@@ -444,7 +441,7 @@ def test_comparison_csv_layout():
 #: Where the package may write a file: the bundle commit and its makers' loop,
 #: the staging child that creates the files empty, and the panel export.
 _WRITERS = {
-    "pipeline.write_bundle", "pipeline.write_bundle.make", "pipeline._Staging._create",
+    "pipeline.write_bundle.commit", "pipeline.write_bundle.make", "pipeline.write_bundle.create",
     "ingest.save_panel",
 }
 
@@ -521,12 +518,31 @@ def _process_calls(tree: ast.AST, scope: str = ""):
         yield from _process_calls(node, inner)
 
 
+def _uses(name: str, tree: ast.AST, scope: str = ""):
+    """(scope, line) of each use of ``name`` in ``tree``, as a name, an attribute
+    or an import, other than its definition; ``scope`` as in ``_writes``."""
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{node.name}"
+        used = isinstance(node, ast.Name) and node.id == name
+        used |= isinstance(node, ast.Attribute) and node.attr == name
+        used |= isinstance(node, ast.ImportFrom) and name in (alias.name for alias in node.names)
+        if used:
+            yield scope, node.lineno
+        yield from _uses(name, node, inner)
+
+
 def test_fork_is_the_only_place_that_forks():
     # The bundle writer's forked processes report by exit status alone.
     src = Path(wnet.pipeline.__file__).parent
-    found = {}
+    found, forks = {}, []
     for path in sorted(src.glob("*.py")):
-        for scope, name, line in _process_calls(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for scope, name, line in _process_calls(tree):
             found.setdefault((f"{path.stem}{scope}", name), []).append(line)
+        forks += [f"{path.stem}{scope}" for scope, _ in _uses("_fork", tree)]
     assert set(found) == {("pipeline._fork", "fork"), ("pipeline._fork", "_exit")}, found
     assert len(found["pipeline._fork", "fork"]) == 1
+    # Two fork sites, both in write_bundle: the creating child on entry, the helper in commit.
+    assert sorted(forks) == ["pipeline.write_bundle", "pipeline.write_bundle.commit"], forks
