@@ -219,10 +219,10 @@ def _selected_analyses(args: argparse.Namespace, default: tuple[str, ...]) -> fr
 def _cmd_build(args: argparse.Namespace) -> int:
     config = _pipeline_config(args, frozenset(("stats",)))
     panel = load_panel(config.flows, config.gdp)
-    names = {year: f"matrix_{year}.txt" for year in panel.years if year in config.years}
+    names = {year: f"matrix_{year}.txt" for year in select_years(panel, config.years)}
     with write_bundle(config.out_dir, names.values()) as commit:
         files = {}
-        for year in select_years(panel, config.years):
+        for year in names:
             net = symmetrize(build_directed(panel, year, config.scheme))
             files[names[year]] = partial(dump_matrix, net)
         echo = config.echo()

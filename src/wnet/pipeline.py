@@ -8,14 +8,15 @@ A run is deterministic: identical inputs and config produce byte-identical
 output files.  No timestamps are written; the manifest carries the config
 echo (minus the output directory, which has no effect on data), the
 per-year normalizers, and a sha256 digest of every emitted file.
-Nothing is written until the inputs have been read.  Every command then
-writes in one lifecycle, ``with write_bundle(out_dir, names) as commit``.
-Entering makes the output directory and a ``.wnet-*`` staging directory in
-it, and, for two or more files, forks a child that creates them there,
-empty, while the command computes: creating a file is costly on virtualised
-and network filesystems, and filling one that exists is not.  ``commit``
-makes each file's text only as it writes the file there, a forked helper
-making every other one, and renames them into place, the manifest last.
+Nothing is written until the inputs have been read and every selected year
+found in them.  Every command then writes in one lifecycle,
+``with write_bundle(out_dir, names) as commit``.  Entering makes the output
+directory and a ``.wnet-*`` staging directory in it, and, for two or more
+files, forks a child that creates them there, empty, while the command
+computes: creating a file is costly on virtualised and network filesystems,
+and filling one that exists is not.  ``commit`` makes each file's text only
+as it writes the file there, a forked helper making every other one, and
+renames them into place, the manifest last.
 Leaving, however it happens, reaps every fork and removes the staging
 directory, and the directories it made while they are empty.  So a run that
 fails leaves no partial bundle, and the previous bundle as it was; a
@@ -304,8 +305,8 @@ def write_bundle(
     digests are added to ``manifest["files"]`` and it is written as
     ``manifest.json``.  Only then are the files renamed into place,
     ``manifest.json`` last.  ``commit`` returns the note of the write's stage
-    line: the file count, the processes that made the files and the wait for
-    the child.
+    line: the file count, the processes that made the files, the seconds this
+    process spent in the makers and the wait for the child.
 
     On exit, however it happens, every fork is reaped, then the staging
     directory is removed, and the directories made on entry, deepest first,
@@ -322,9 +323,15 @@ def write_bundle(
         for name in share:
             os.close(os.open(staging / name, os.O_WRONLY | os.O_CREAT, 0o666))
 
-    def make(files: Mapping[str, Callable[[], str]], share: Iterable[str]) -> None:
+    def make(files: Mapping[str, Callable[[], str]], share: Iterable[str]) -> float:
+        """Make and write each file of ``share``; return the seconds spent in its makers."""
+        seconds = 0.0
         for name in share:
-            (staging / name).write_bytes(files[name]().encode("utf-8"))
+            start = time.perf_counter()
+            text = files[name]()
+            seconds += time.perf_counter() - start
+            (staging / name).write_bytes(text.encode("utf-8"))
+        return seconds
 
     def reap(pid: int) -> int:
         """Wait for the fork ``pid`` and return its exit code."""
@@ -344,13 +351,13 @@ def write_bundle(
         if helper and (pid := _fork(partial(make, files, helper))):
             pids.append(pid)
         processes = 1 + len(pids)
-        make(files, order[::processes])  # every file, or every other one
+        texts = make(files, order[::processes])  # every file, or every other one
         if pids and (code := reap(pids[0])) != 0:
             logger.warning(
                 "making the %d files of the writer helper again (its exit code: %d)",
                 len(helper), code,
             )
-            make(files, helper)
+            texts += make(files, helper)
         digests = {name: _digest(staging / name) for name in order}
         if manifest is not None:
             manifest["files"] = {**manifest.get("files", {}), **digests}
@@ -362,7 +369,10 @@ def write_bundle(
         logger.info("wrote %d files to %s", len(order), out_dir)
         if previous:
             stale.extend(sorted(previous - set(manifest["files"])))
-        note = f"processes: {processes}; waited {waited:.4f} s for the creating child"
+        note = (
+            f"processes: {processes}; texts {texts:.2f} s; "
+            f"waited {waited:.4f} s for the creating child"
+        )
         return f"{len(files)} files; {note}"
 
     try:
@@ -482,18 +492,18 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
 
     Returns the in-memory bundle after writing every output file plus the
     manifest to ``config.out_dir``.  Nothing is written before the inputs
-    are read; the write (``write_bundle``) is then staged for the selected
-    years that the panel has, and a run that fails, on a selected year the
-    panel lacks among other causes, leaves no trace.  The seconds of each
-    stage go to the log at INFO, never into the bundle.
+    are read and the year selection is checked against them; the write
+    (``write_bundle``) is then staged for the selected years, and a run that
+    fails after that leaves no trace.  The seconds of each stage go to the
+    log at INFO, never into the bundle.
     """
     timer = _StageTimer()
     config.validate()
     panel = load_panel(config.flows, config.gdp)
-    names = bundle_names(config.analyses, [year for year in panel.years if year in config.years])
+    years = select_years(panel, config.years)
+    names = bundle_names(config.analyses, years)
     with write_bundle(config.out_dir, names.values()) as commit:
         timer.lap("ingest")
-        years = select_years(panel, config.years)
         tables, comparison, files, manifest = _analyse(config, panel, years, names, timer)
         note = commit(files, manifest)
     timer.lap("write")

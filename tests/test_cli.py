@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import ast
 import errno
 import json
 import logging
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -278,6 +280,21 @@ def test_cli_import_does_not_load_scipy():
         check=True,
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_declared_dependencies_are_the_imported_modules():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parent.parent
+    project = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    declared = {re.match(r"[\w.-]+", dep)[0].lower() for dep in project["dependencies"]}
+    imported = set()
+    for path in (root / "src" / "wnet").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert declared == imported - set(sys.stdlib_module_names) - {"wnet"}
 
 
 def bundle_state(out: Path) -> dict[str, bytes]:
@@ -720,6 +737,13 @@ def test_a_failed_staging_fork_gives_the_one_process_bundle(toy_csvs, tmp_path, 
     assert bundle_state(out) == one
 
 
+def add_gdp_only_year(gdp, year):
+    """Give ``year`` a GDP row and no flows: it passes the year selection and
+    fails after staging, in ``build_directed``."""
+    with open(gdp, "a", encoding="utf-8") as fh:
+        fh.write(f"{year},C00,1e24\n")
+
+
 @needs_fork
 @pytest.mark.parametrize("previous", [False, True])
 @pytest.mark.parametrize("fault", ["later year", "interrupt", "full disk"])
@@ -732,7 +756,9 @@ def test_a_run_that_fails_after_staging_leaves_no_trace(
     if previous:
         assert run_cli(*args, "--years", "1999:2000") == 0
         before = bundle_state(out)
-    years = "1999,2030" if fault == "later year" else "1999:2000"  # 2030 has no flows
+    if fault == "later year":
+        add_gdp_only_year(gdp, 2030)
+    years = "1999,2030" if fault == "later year" else "1999:2000"
     def interrupt(*args, **kwargs):
         raise KeyboardInterrupt
     with monkeypatch.context() as patch:
@@ -749,7 +775,9 @@ def test_a_run_that_fails_after_staging_leaves_no_trace(
     assert forks[0] == os.getpid() and len(forks) == (2 if fault == "full disk" else 1)
     assert_no_child_left()
     err = capsys.readouterr().err
-    assert fault == "interrupt" or ("2030" if fault == "later year" else "Errno 28") in err
+    assert fault == "interrupt" or (
+        "year 2030: no flow exceeds" if fault == "later year" else "Errno 28"
+    ) in err
     if previous:
         assert not list(out.glob(".wnet-*")) and bundle_state(out) == before
     else:
@@ -758,13 +786,14 @@ def test_a_run_that_fails_after_staging_leaves_no_trace(
 
 def test_a_failed_run_removes_every_directory_it_made(toy_csvs, tmp_path, capsys, monkeypatch):
     flows, gdp = toy_csvs
-    inputs = ["--flows", str(flows), "--gdp", str(gdp), "--years", "1999,2030"]  # 2030 has no flows
+    add_gdp_only_year(gdp, 2030)
+    inputs = ["--flows", str(flows), "--gdp", str(gdp), "--years", "1999,2030"]
     (tmp_path / "empty").mkdir()
     before = sorted(os.listdir(tmp_path))
     monkeypatch.chdir(tmp_path)
     for out in ("new/deeper/out", "empty/out"):
         assert run_cli("all", *inputs, "--out", out) == 2
-        assert "2030" in capsys.readouterr().err
+        assert "year 2030: no flow exceeds" in capsys.readouterr().err
     assert sorted(os.listdir(tmp_path)) == before
     assert not os.listdir(tmp_path / "empty")
 
@@ -827,6 +856,25 @@ def test_a_build_that_fails_in_its_second_year_leaves_no_trace(
     assert capsys.readouterr().err == "error: year 2000: no flow exceeds the link threshold\n"
     assert forks == [os.getpid()]  # the creating child, forked after ingest
     assert_no_child_left()
+    assert not (tmp_path / "new").exists() and not list(tmp_path.rglob(".wnet-*"))
+
+
+@needs_fork
+@pytest.mark.parametrize("command", ["all", "build"])
+def test_a_missing_year_forks_nothing_and_makes_no_directory(
+    toy_csvs, tmp_path, capsys, monkeypatch, command
+):
+    flows, gdp = toy_csvs
+    out = tmp_path / "new" / "out"
+    with monkeypatch.context() as patch:
+        forks = writer_processes(patch, 2)
+        code = run_cli(
+            command, "--flows", str(flows), "--gdp", str(gdp), "--years", "1999,2000,2030",
+            "--out", str(out),
+        )
+    assert code == 2
+    assert capsys.readouterr().err == "error: year 2030 not present in panel\n"
+    assert forks == []
     assert not (tmp_path / "new").exists() and not list(tmp_path.rglob(".wnet-*"))
 
 

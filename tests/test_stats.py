@@ -206,6 +206,51 @@ def test_format_table_cells():
         format_table("a,b", [1.0, 2.0], ["x"])
 
 
+def repr_table(header: str, *columns) -> str:
+    """``format_table`` of float columns as one ``repr`` a cell writes it: the oracle."""
+    cells = [["" if v != v else repr(v) for v in np.asarray(c).tolist()] for c in columns]
+    return "\n".join([header, *map(",".join, zip(*cells, strict=True))]) + "\n"
+
+
+def test_float_cells_are_repr_on_any_bits():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    # Bit patterns bring NaN payloads, both infinities, subnormals and -0.0.
+    @hypothesis.settings(max_examples=400, deadline=None)
+    @hypothesis.given(st.lists(st.integers(0, 2**64 - 1)), st.lists(st.floats()))
+    def check(bits, floats):
+        values = np.array(bits, dtype=np.uint64).view(np.float64)
+        assert format_table("x", values) == repr_table("x", values)
+        assert format_table("x", floats) == repr_table("x", floats)
+
+    check()
+
+
+def test_float_cells_are_repr():
+    rng = np.random.default_rng(20261019)
+    bits = np.frombuffer(rng.bytes(8 * 10**6), np.float64)
+    mantissas = [repr(m) for m in [1.0, 9.999999999999998, *rng.uniform(1, 10, 20).tolist()]]
+    decades = np.array([float(f"{sign}{m}e{k}") for k in range(-324, 309) for m in mantissas
+                        for sign in "+-"])
+    decades = np.concatenate([decades, np.nextafter(decades, 0), np.nextafter(decades, np.inf)])
+    # Where repr switches form: 1e-4 and 1e16 with their neighbours, the
+    # largest double below 1e16 and the smallest subnormal.
+    switches = np.array([1e-4, 1e16, 9999999999999998.0, 5e-324])
+    switches = np.concatenate([switches, np.nextafter(switches, 0), np.nextafter(switches, np.inf)])
+    switches = np.concatenate([switches, -switches])
+    for values in (bits, decades, switches):
+        assert format_table("x", values) == repr_table("x", values)
+    # Columns as callers pass them: a reversed view (as rank_size's sizes),
+    # columns of a 2-D array, float32, an empty column, numpy floats in a list.
+    grid = np.geomspace(1e-6, 1e18, 3000).reshape(1000, 3)
+    for columns in (
+        (decades[::-1],), (grid[:, 1], grid[:, 2]), (grid[:, 0].astype(np.float32),),
+        (np.array([]),), ([],), ([np.float64(v) for v in switches],),
+    ):
+        assert format_table("a", *columns) == repr_table("a", *columns)
+
+
 def test_moments_closed_form():
     m = moments(np.array([1.0, 2.0, 3.0]))
     assert m.mean == pytest.approx(2.0)
