@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, ValidationError
-from .ingest import CountryRegistry, PanelDataset
+from .ingest import CountryRegistry, PanelDataset, float_cells
 
 
 class WeightVariant(enum.Enum):
@@ -143,13 +143,16 @@ def symmetrize(net: DirectedTradeNetwork) -> UndirectedNetwork:
     """Symmetrize and max-normalize a directed network.
 
     a_ij = 1 iff a~_ij = 1 or a~_ji = 1; w_ij = (w~_ij + w~_ji)/2, then all
-    entries are divided by their maximum, so max(W) == 1 exactly.
+    entries are divided by their maximum, so max(W) == 1 exactly.  Raises
+    DataError when there is no link or the maximum is infinite.
     """
     adjacency = np.maximum(net.adjacency, net.adjacency.T)
     averaged = 0.5 * (net.weights + net.weights.T)
     normalizer = float(averaged.max())
     if normalizer <= 0:
         raise DataError(f"year {net.year}: cannot normalize a network with no links")
+    if normalizer == math.inf:  # a flow over a tiny GDP: the weights would be NaN
+        raise DataError(f"year {net.year}: a link weight overflows to infinity")
     weights = averaged / normalizer
     return UndirectedNetwork(
         net.year, net.registry, net.scheme, adjacency, weights, normalizer
@@ -182,14 +185,13 @@ def dump_matrix(net: UndirectedNetwork) -> str:
     """Render the normalized weight matrix as plain text.
 
     One header line ``# year=<y> scheme=<s> normalizer=<v>`` followed by N
-    whitespace-delimited rows at 17 significant digits (bit-exact on re-read).
+    space-delimited rows.  The normalizer is its ``repr`` and each weight its
+    ``float_cells`` cell: the shortest digits that read back as the same
+    double, so ``load_matrix`` re-reads the dump bit-exact.
     """
-    header = (
-        f"# year={net.year} scheme={net.scheme.variant.value} "
-        f"normalizer={net.normalizer:.17g}"
-    )
-    rows = [" ".join(f"{v:.17g}" for v in row) for row in net.weights]
-    return header + "\n" + "\n".join(rows) + "\n"
+    header = f"# year={net.year} scheme={net.scheme.variant.value} normalizer={net.normalizer!r}"
+    cells, n = float_cells(net.weights.ravel()), len(net.weights)
+    return "\n".join([header, *(" ".join(cells[i : i + n]) for i in range(0, n * n, n))]) + "\n"
 
 
 def load_matrix(path: str | Path) -> MatrixDump:

@@ -1,4 +1,5 @@
-"""Ingestion of bilateral flow and GDP files into a columnar panel.
+"""Ingestion of bilateral flow and GDP files into a columnar panel, and wnet's
+CSV text both ways.
 
 Files are header-labeled UTF-8 CSV.  Every source is read as a seekable binary
 stream: a path is opened, bytes are wrapped, and a text stream or a stream that
@@ -8,6 +9,11 @@ module the rest as text lines from the first block that is not plain, a line
 ending at ``\\n``, ``\\r\\n`` or a lone ``\\r``.  The first bad row, CSV error or
 non-UTF-8 line raises DataError with its line number.  Rows already in key
 order are not sorted again.
+
+The other way, ``format_table`` makes the text of every file wnet writes: each
+bundle CSV, the panel that ``save_panel`` writes back and, through
+``float_cells``, the matrix dumps.  It quotes a label that would not read back
+as one cell, so every table it makes reads back with the csv module.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator
 
 import numpy as np
+import orjson
 
 from .errors import DataError
 
@@ -123,9 +130,24 @@ def _byte_blocks(fh: IO[bytes], lineno: int) -> Iterator[bytes]:
         at, ends, want = int(ends[want - 1]), ends[want:], _BLOCK
 
 
-def _blanked(lines: Iterable[str]) -> Iterator[str]:
-    """Comment and blank lines come out empty: the CSV reader skips but counts them."""
-    return (ln if (head := ln.lstrip()[:1]) and head != "#" else "" for ln in lines)
+def _csv_rows(lines: Iterable[str]) -> tuple:
+    """A csv reader of ``lines`` and an iterator of its rows.  A comment or blank line
+    where a row starts comes out empty, so the reader skips but counts it; a line that
+    goes on with a quoted cell is kept whole."""
+    ended = [0]  # the reader's line count where its last row ended
+
+    def fed() -> Iterator[str]:
+        for line in lines:  # a row starts when the reader has read no line since the last
+            blank = reader.line_num == ended[0] and line.lstrip()[:1] in ("", "#")
+            yield "" if blank else line
+
+    def rows() -> Iterator[list[str]]:
+        for fields in reader:
+            ended[0] = reader.line_num
+            yield fields
+
+    reader = csv.reader(fed())
+    return reader, rows()
 
 
 #: Defects particular to one file, in check order: (test, message) of value v
@@ -193,7 +215,7 @@ def _checked_block(years, codes, values, line, fields, columns, at, ids, rules) 
 def _csv_blocks(lines: Iterable[str], first: int, columns, at, ids, rules) -> list[tuple]:
     """Columns of ``lines``, numbered from ``first``, tokenized by the csv module
     a block of rows at a time; all rows are checked if one has the wrong width."""
-    k, parts, rows = len(columns), [], csv.reader(_blanked(lines))
+    k, parts, (reader, rows) = len(columns), [], _csv_rows(lines)
     try:
         while not parts or len(widths) == _BLOCK:
             flat, widths, line = [], [], []
@@ -201,7 +223,7 @@ def _csv_blocks(lines: Iterable[str], first: int, columns, at, ids, rules) -> li
                 for fields in islice(rows, _BLOCK):
                     flat += fields
                     widths.append(len(fields))
-                    line.append(rows.line_num + first - 1)
+                    line.append(reader.line_num + first - 1)
             finally:  # a bad row before a CSV or UTF-8 error is reported first
                 if not set(widths) <= {0, k}:
                     for end, width, n in zip(accumulate(widths), widths, line):
@@ -214,7 +236,7 @@ def _csv_blocks(lines: Iterable[str], first: int, columns, at, ids, rules) -> li
                     lambda row: flat[row * k : row * k + k], columns, at, ids, rules,
                 ))
     except csv.Error as exc:
-        raise DataError(f"line {rows.line_num + first - 1}: {exc}") from None
+        raise DataError(f"line {reader.line_num + first - 1}: {exc}") from None
     return parts
 
 
@@ -272,19 +294,19 @@ def _read_table(source, columns: tuple[str, ...], ids: dict, rules) -> tuple:
     offset = source.tell()
     pulled, head = [], chain.from_iterable(_text_blocks(source, 0, 1))  # one line at a time
     lines = (pulled.append(line) or line for line in head)  # as read; csv skips line 1's BOM
-    rows = csv.reader(_blanked(chain([next(lines, "").removeprefix("\ufeff")], lines)))
+    reader, rows = _csv_rows(chain([next(lines, "").removeprefix("\ufeff")], lines))
     try:
         header = next((fields for fields in rows if fields), None)
     except csv.Error as exc:
-        raise DataError(f"line {rows.line_num}: {exc}") from None
+        raise DataError(f"line {reader.line_num}: {exc}") from None
     if header is None:
         raise DataError(f"{'flow' if columns == FLOW_COLUMNS else 'size'} input is empty")
     names = [f.strip().lower() for f in header]
     if sorted(names) != sorted(columns):
         want, got = ",".join(columns), ",".join(names)
-        raise DataError(f"line {rows.line_num}: header must name exactly {want}; got {got}")
+        raise DataError(f"line {reader.line_num}: header must name exactly {want}; got {got}")
     spec = (columns, [names.index(c) for c in columns], ids, rules)
-    done = rows.line_num
+    done = reader.line_num
     source.seek(offset := offset + len("".join(pulled).encode("utf-8", "surrogateescape")))
     parts = []
     for block in _byte_blocks(source, done):
@@ -294,7 +316,7 @@ def _read_table(source, columns: tuple[str, ...], ids: dict, rules) -> tuple:
             break
         parts.append(part)
         done, offset = done + len(part[3]), offset + len(block)
-    return (*map(np.concatenate, zip(*parts)), done - rows.line_num)
+    return (*map(np.concatenate, zip(*parts)), done - reader.line_num)
 
 
 def _key_order(what: str, codes: tuple, line, year, *countries) -> np.ndarray | slice:
@@ -355,13 +377,70 @@ def load_panel(
     return PanelDataset(registry, years, flow_year, exporter, importer, value, gdp, missing_gdp)
 
 
+def float_cells(values: np.ndarray) -> list[str]:
+    """``"" if v != v else repr(v)`` for each float64 of the 1-D ``values``: the
+    shortest digits that read back as the same double.
+
+    The digits come from orjson's Ryū.  orjson writes ``1e16``, ``1e-7`` and
+    ``0.00001`` where ``repr`` writes ``1e+16``, ``1e-07`` and ``1e-05``, and
+    ``null`` for NaN and both infinities; so the cells ``repr`` writes in
+    scientific form (``|x| >= 1e16`` or ``0 < |x| < 1e-4``) and the infinite ones
+    come from ``repr`` itself, and the nulls left are NaN.
+    """
+    x = np.ascontiguousarray(values, np.float64)
+    if not x.size:
+        return []
+    text = orjson.dumps(x, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].replace(b"null", b"")
+    cells = text.decode("ascii").split(",")
+    magnitude = np.abs(x)
+    scientific = np.flatnonzero((magnitude >= 1e16) | ((magnitude > 0) & (magnitude < 1e-4)))
+    for i, v in zip(scientific.tolist(), x[scientific].tolist()):
+        cells[i] = repr(v)
+    return cells
+
+
+_QUOTED = re.compile(r'[,"\r\n]')  # what a label cell may not hold unquoted
+
+
+def _label_cells(labels) -> list[str]:
+    """``str`` of each label, quoted where it holds ``_QUOTED``; one scan of the
+    joined column finds whether any does."""
+    cells = list(map(str, labels))
+    if _QUOTED.search("".join(cells)):
+        cells = ['"' + c.replace('"', '""') + '"' if _QUOTED.search(c) else c for c in cells]
+    return cells
+
+
+def format_table(header: str, *columns) -> str:
+    """CSV text: ``header``, then one line per row of the equal-length columns.
+
+    A float column's cells are ``float_cells``, empty for NaN, and an integer
+    column's are ``str``; neither is ever quoted.  Any other column holds labels,
+    written as ``str``, except that a label holding a comma, a double quote, CR or
+    LF is quoted as RFC 4180 has it: in double quotes, each inner quote doubled.
+    So the csv module reads every cell back as it was given.  Every line ends in
+    a newline.  Raises ValueError on unequal lengths.
+    """
+    cells = []
+    for column in columns:
+        values = np.asarray(column)
+        if values.dtype.kind == "f":
+            cells.append(float_cells(values))
+        elif values.dtype.kind in "biu":
+            cells.append(map(str, values.tolist()))
+        else:  # a str array drops a label's trailing NULs, so labels are taken as given
+            cells.append(_label_cells(values.tolist() if isinstance(column, np.ndarray) else column))
+    return "\n".join([header, *map(",".join, zip(*cells, strict=True))]) + "\n"
+
+
 def save_panel(panel: PanelDataset, flows_path: str | Path, sizes_path: str | Path) -> None:
-    """Write a panel back to canonical flow/size CSV files (round-trip exact)."""
+    """Write a panel back to canonical flow/size CSV files through ``format_table``.
+    ``load_panel`` reads them back to the same panel whatever the country codes, since
+    a code that holds a comma, a double quote or a line break is quoted."""
     codes = np.array(panel.registry.codes, dtype=object)
     t, c = np.nonzero(~np.isnan(panel.gdp))
     flows = (panel.flow_year, codes[panel.exporter], codes[panel.importer], panel.value)
     sizes = (np.array(panel.years, dtype=np.int64)[t], codes[c], panel.gdp[t, c])
     for path, names, table in (flows_path, FLOW_COLUMNS, flows), (sizes_path, SIZE_COLUMNS, sizes):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(names) + "\n")
-            fh.writelines(",".join(map(str, r)) + "\n" for r in zip(*(c.tolist() for c in table)))
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(format_table(",".join(names), *table))

@@ -64,8 +64,8 @@ from .distributions import (
 )
 from .errors import DataError, ValidationError
 from .graph import WeightScheme, build_directed, symmetrize, symmetry_index
-from .ingest import PanelDataset, load_panel
-from .stats import MomentSummary, NodeStatsTable, format_table, moments, node_stats
+from .ingest import PanelDataset, format_table, load_panel
+from .stats import MomentSummary, NodeStatsTable, moments, node_stats
 
 logger = logging.getLogger(__name__)
 

@@ -21,51 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import orjson
 
 from .errors import DataError
 from .graph import UndirectedNetwork
-
-
-def _float_cells(values: np.ndarray) -> list[str]:
-    """``"" if v != v else repr(v)`` for each float64 of ``values``.
-
-    orjson writes ``1e16``, ``1e-7`` and ``0.00001`` where ``repr`` writes
-    ``1e+16``, ``1e-07`` and ``1e-05``, and ``null`` for NaN and both
-    infinities; the range that ``repr`` remakes takes in the infinities, so
-    the nulls left are NaN.
-    """
-    x = np.ascontiguousarray(values, np.float64)
-    if not x.size:
-        return []
-    text = orjson.dumps(x, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].replace(b"null", b"")
-    cells = text.decode("ascii").split(",")
-    magnitude = np.abs(x)
-    scientific = np.flatnonzero((magnitude >= 1e16) | ((magnitude > 0) & (magnitude < 1e-4)))
-    for i, v in zip(scientific.tolist(), x[scientific].tolist()):
-        cells[i] = repr(v)
-    return cells
-
-
-def format_table(header: str, *columns) -> str:
-    """CSV text: ``header``, then one line per row of the equal-length columns.
-
-    A float column's cells are the shortest round-trip ``repr`` of each
-    value as a float64, empty for NaN.  The digits come from orjson's Ryū;
-    the cells ``repr`` writes in scientific form (``|x| >= 1e16`` or
-    ``0 < |x| < 1e-4``) and the infinite ones come from ``repr`` itself, so
-    every cell is ``repr``'s bytes.  Any other column's cells are ``str``
-    (plain integers, labels).  Every line ends in a newline.  Raises
-    ValueError on unequal lengths.
-    """
-    cells = []
-    for column in columns:
-        values = np.asarray(column)
-        if values.dtype.kind == "f":
-            cells.append(_float_cells(values))
-        else:
-            cells.append(map(str, values.tolist()))
-    return "\n".join([header, *map(",".join, zip(*cells, strict=True))]) + "\n"
+from .ingest import format_table
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 from contextlib import contextmanager
 
@@ -173,3 +175,35 @@ def rng() -> np.random.Generator:
 @pytest.fixture
 def toy_csvs(tmp_path):
     return write_panel_csvs(tmp_path)
+
+
+def hostile_panels(st):
+    """Strategy of (codes, flow CSV bytes, GDP CSV bytes) over 2 to 5 distinct country
+    codes that hold commas, double quotes, CR, LF, ``#``, spaces and non-ASCII
+    characters, with no whitespace at either end (ingest strips it).  The csv module
+    writes the files, quoting every code.  Each year holds the flow from the first
+    code to the second; any other flow or GDP record may be missing."""
+    char = st.sampled_from('Ab ,"\r\n#') | st.characters(min_codepoint=0x80, exclude_categories=["Cs"])
+    code = st.text(char, min_size=1, max_size=6).filter(lambda c: c == c.strip())
+    value = st.floats(1e-3, 1e12)
+
+    @st.composite
+    def panels(draw):
+        codes = draw(st.lists(code, min_size=2, max_size=5, unique=True))
+        flows, sizes = io.StringIO(), io.StringIO()
+        flow_rows, size_rows = (
+            csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC) for fh in (flows, sizes)
+        )
+        flow_rows.writerow(["year", "exporter", "importer", "value"])
+        size_rows.writerow(["year", "country", "gdp"])
+        for year in draw(st.sampled_from([(2000,), (1999, 2000)])):
+            flow_rows.writerow([year, codes[0], codes[1], draw(value)])
+            for a, b in ((a, b) for a in codes for b in codes if a != b):
+                if (a, b) != tuple(codes[:2]) and draw(st.booleans()):
+                    flow_rows.writerow([year, a, b, draw(value)])
+            for c in codes:
+                if draw(st.booleans()):
+                    size_rows.writerow([year, c, draw(value)])
+        return codes, flows.getvalue().encode(), sizes.getvalue().encode()
+
+    return panels()

@@ -142,9 +142,8 @@ def _lines_rowwise(source: str | Path | bytes | IO) -> Iterator[str]:
     Every source is read whole as bytes (a text stream's lone surrogates
     encoded as bytes that are not UTF-8), then split as a path's file opened
     with ``newline=""`` is: a line ends at ``\\n``, ``\\r\\n`` or a lone ``\\r``.
-    Comment and blank lines come out empty, so the CSV reader skips them but
-    still counts them.  One byte-order mark at the start of line 1 is
-    dropped.  A line that is not UTF-8 raises when it is reached.
+    One byte-order mark at the start of line 1 is dropped.  A line that is
+    not UTF-8 raises when it is reached.
     """
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fh:
@@ -162,8 +161,7 @@ def _lines_rowwise(source: str | Path | bytes | IO) -> Iterator[str]:
                 line.encode("utf-8")
             except UnicodeEncodeError:
                 raise DataError(f"line {lineno}: not valid UTF-8") from None
-        stripped = line.strip()
-        yield line if stripped and not stripped.startswith("#") else ""
+        yield line
 
 
 def _flow_problem(value: float, codes: list[str]) -> str | None:
@@ -188,7 +186,24 @@ def read_table_rowwise(
     from plain blocks, which ``_read_table`` also returns, is 0 here.
     """
     problem = _flow_problem if columns == FLOW_COLUMNS else _size_problem
-    rows = csv.reader(_lines_rowwise(source))
+    # A comment or blank line where a record starts is passed on empty, so the
+    # reader skips but counts it; a line inside a quoted cell is passed whole.
+    starts = [True]
+
+    def skipping(lines):
+        for line in lines:
+            stripped = line.strip()
+            blank = starts[0] and (not stripped or stripped.startswith("#"))
+            starts[0] = False
+            yield "" if blank else line
+
+    def records():
+        for fields in reader:
+            starts[0] = True
+            yield fields
+
+    reader = csv.reader(skipping(_lines_rowwise(source)))
+    rows = records()
     try:
         header = next((fields for fields in rows if fields), None)
         if header is None:
@@ -196,7 +211,7 @@ def read_table_rowwise(
         names = [f.strip().lower() for f in header]
         if sorted(names) != sorted(columns):
             raise DataError(
-                f"line {rows.line_num}: header must name exactly {','.join(columns)}; "
+                f"line {reader.line_num}: header must name exactly {','.join(columns)}; "
                 f"got {','.join(names)}"
             )
         at_year, *at_codes, at_value = (names.index(c) for c in columns)
@@ -204,7 +219,7 @@ def read_table_rowwise(
         for fields in rows:
             if not fields:
                 continue
-            lineno = rows.line_num
+            lineno = reader.line_num
             if len(fields) != len(columns):
                 raise DataError(
                     f"line {lineno}: expected {len(columns)} fields, got {len(fields)}"
@@ -229,6 +244,6 @@ def read_table_rowwise(
             values.append(value)
             line.append(lineno)
     except csv.Error as exc:
-        raise DataError(f"line {rows.line_num}: {exc}") from None
+        raise DataError(f"line {reader.line_num}: {exc}") from None
     ids_by_row = np.array(country_ids).reshape(-1, len(at_codes))
     return np.array(years), ids_by_row, np.array(values), np.array(line), 0

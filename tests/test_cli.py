@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import csv
 import errno
 import json
 import logging
@@ -19,10 +20,10 @@ import pytest
 
 import wnet.cli
 import wnet.pipeline
-from wnet import DataError, NodeStatsTable, load_matrix
+from wnet import DataError, NodeStatsTable, load_matrix, load_panel
 from wnet.cli import main, read_config_file
 
-from conftest import assert_bundle_intact, record_commits, write_panel_csvs
+from conftest import assert_bundle_intact, hostile_panels, record_commits, write_panel_csvs
 
 
 def run_cli(*argv):
@@ -52,6 +53,30 @@ def test_stats_subcommand(toy_csvs, tmp_path):
     ) == 0
     assert (out / "stats_2000.csv").exists()
     assert not (out / "moments.csv").exists()
+
+
+def test_stats_tables_of_any_country_codes_read_back(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    runs = count()
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(hostile_panels(hypothesis.strategies))
+    def check(drawn):
+        _, flows, sizes = drawn
+        (tmp_path / "f.csv").write_bytes(flows)
+        (tmp_path / "s.csv").write_bytes(sizes)
+        out, panel = tmp_path / f"out{next(runs)}", load_panel(flows, sizes)
+        assert run_cli(
+            "stats", "--flows", str(tmp_path / "f.csv"), "--gdp", str(tmp_path / "s.csv"),
+            "--scheme", "raw", "--years", ",".join(map(str, panel.years)), "--out", str(out),
+        ) == 0
+        for year in panel.years:
+            with open(out / f"stats_{year}.csv", encoding="utf-8", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert all(len(row) == 7 and None not in row and None not in row.values() for row in rows)
+            assert [row["country"] for row in rows] == list(panel.registry.codes)
+
+    check()
 
 
 def test_build_subcommand_dumps_matrices(toy_csvs, tmp_path):

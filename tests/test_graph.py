@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from wnet import (
     symmetry_index,
 )
 
-from conftest import panel_from_rows, random_panel, rescaled_panel
+from conftest import make_undirected, panel_from_rows, random_panel, rescaled_panel
 from oracles import frobenius_oracle
 
 
@@ -222,7 +224,30 @@ def test_dump_matrix_header_contains_normalizer(rng):
     panel = random_panel(rng, n=5, p=0.8)
     und = symmetrize(build_directed(panel, 2000, WeightScheme()))
     header = dump_matrix(und).splitlines()[0]
-    assert f"normalizer={und.normalizer:.17g}" in header
+    assert f"normalizer={und.normalizer!r}" in header
+
+
+def test_dump_matrix_cells_are_the_shortest_round_trip_digits(tmp_path, rng):
+    # Zeros, cells below 1e-4 (which repr writes in scientific form), the
+    # smallest subnormal and the maximum's 1.0.
+    n = 12
+    upper = np.triu(rng.random((n, n)) * 10.0 ** rng.integers(-12, 0, (n, n)), 1)
+    upper[rng.random((n, n)) < 0.3] = 0.0
+    w = upper + upper.T
+    w[0, 1] = w[1, 0] = 1.0
+    w[0, 2] = w[2, 0] = 5e-324
+    assert (w == 0).any() and ((w > 0) & (w < 1e-4)).sum() > 10
+    net = dataclasses.replace(make_undirected(w, normalize=False), normalizer=2 / 3)
+    text = dump_matrix(net)
+    assert text.splitlines() == [
+        f"# year=2000 scheme=exporter-gdp normalizer={net.normalizer!r}",
+        *(" ".join(map(repr, row)) for row in w.tolist()),
+    ]
+    path = tmp_path / "matrix_2000.txt"
+    path.write_text(text, encoding="utf-8")
+    loaded = load_matrix(path)
+    assert loaded.normalizer == net.normalizer
+    assert np.array_equal(loaded.weights.view(np.uint64), w.view(np.uint64))  # bit-exact
 
 
 def test_load_matrix_rejects_garbage(tmp_path):
@@ -246,3 +271,14 @@ def test_symmetrize_rejects_linkless_network():
         symmetrize(empty)
     with pytest.raises(DataError, match="without links"):
         symmetry_index(empty)
+
+
+def test_a_weight_that_overflows_is_a_data_error():
+    # 1e10 over a GDP of 1e-300 is infinite, and W would be NaN.
+    panel = panel_from_rows(
+        [(2000, "A", "B", 1e10), (2000, "B", "A", 5.0)], [(2000, "A", 1e-300), (2000, "B", 1.0)]
+    )
+    with np.errstate(over="ignore"):
+        net = build_directed(panel, 2000, WeightScheme())
+    with pytest.raises(DataError, match=r"^year 2000: a link weight overflows to infinity$"):
+        symmetrize(net)

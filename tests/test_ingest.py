@@ -13,7 +13,7 @@ import pytest
 
 from wnet import DataError, ingest, load_panel, save_panel
 
-from conftest import flow_rows, panel_from_rows, size_rows
+from conftest import flow_rows, hostile_panels, panel_from_rows, size_rows
 from oracles import read_table_rowwise
 
 FLOWS = """\
@@ -228,6 +228,36 @@ def test_panel_round_trip(tmp_path):
     saved = saved_bytes(panel, tmp_path)
     assert saved_bytes(load_panel(*saved), tmp_path) == saved
     assert flow_rows(load_panel(saved[0])) == flow_rows(panel)
+
+
+def test_any_country_code_survives_a_round_trip(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(hostile_panels(hypothesis.strategies))
+    def check(drawn):
+        codes, flows, sizes = drawn
+        panel = load_panel(flows, sizes)
+        assert set(codes[:2]) <= set(panel.registry.codes) <= set(codes)
+        fp, sp = tmp_path / "f.csv", tmp_path / "s.csv"
+        save_panel(panel, fp, sp)
+        again = load_panel(fp, sp)
+        assert again.registry == panel.registry and again.years == panel.years
+        for name in ("flow_year", "exporter", "importer", "value"):
+            assert np.array_equal(getattr(again, name), getattr(panel, name)), name
+        assert np.array_equal(again.gdp, panel.gdp, equal_nan=True)
+
+    check()
+
+
+def test_a_quoted_code_keeps_its_blank_and_comment_lines():
+    # Only a line where a row starts is a comment or blank line: inside a
+    # quoted cell, such a line is part of the cell, and still counts as a line.
+    code = "A\n\n# b\r\r  #c"
+    flows = f'year,exporter,importer,value\n# note\n\n2000,"{code}",B,1\n\n2000,B,"{code}",2\n# end\n'
+    assert flow_rows(load_panel(flows.encode())) == [(2000, code, "B", 1.0), (2000, "B", code, 2.0)]
+    with pytest.raises(DataError, match=r"^line 16: self-flow for 'C'$"):
+        load_panel((flows + "2000,C,C,1\n").encode())
 
 
 def test_panel_round_trip_awkward_values(tmp_path):

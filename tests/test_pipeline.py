@@ -7,6 +7,7 @@ import logging
 import math
 import os
 import re
+import string
 import subprocess
 import sys
 import time
@@ -503,6 +504,60 @@ def f(p, q):
     "a-b".replace("-", "_")
 """
     assert [line for _, line in _writes(ast.parse(code))] == list(range(3, 12))
+
+
+def _float_specs(tree: ast.AST):
+    """Line of each f-string field and ``format`` call in ``tree`` (the builtin, or
+    the method of a literal string) whose format spec asks for a float's e, f or g form."""
+    for node in ast.walk(tree):
+        specs = []
+        if isinstance(node, ast.FormattedValue) and node.format_spec is not None:
+            specs = ["".join(str(part.value) for part in node.format_spec.values
+                             if isinstance(part, ast.Constant))]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id == "format" and len(node.args) == 2:
+                specs = [getattr(node.args[1], "value", "")]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr == "format" and isinstance(node.func.value, ast.Constant):
+                specs = [spec for *_, spec, _ in string.Formatter().parse(node.func.value.value)]
+        if any(str(spec or "")[-1:] in ("e", "E", "f", "F", "g", "G") for spec in specs):
+            yield node.lineno
+
+
+def test_one_module_makes_the_text_of_every_file():
+    # One function turns values into file text: format_table and its float
+    # cells, the one user of orjson.  No other float formatting reaches a file
+    # from the modules that make file text; the CLI's help and stdout and the
+    # pipeline's log line keep theirs.
+    src = Path(wnet.pipeline.__file__).parent
+    importers, definers, specs = [], [], []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) and any(a.name == "orjson" for a in node.names):
+                importers.append(path.stem)
+            if isinstance(node, ast.ImportFrom) and node.module == "orjson" and not node.level:
+                importers.append(path.stem)
+            if isinstance(node, ast.FunctionDef) and node.name == "format_table":
+                definers.append(path.stem)
+        if path.stem in ("ingest", "graph", "stats"):
+            specs += [f"{path.name}:{line}" for line in _float_specs(tree)]
+    assert not specs, "float format specs outside format_table: " + ", ".join(specs)
+    assert importers == definers == ["ingest"]
+
+
+def test_the_float_spec_guard_sees_every_kind_of_spec():
+    code = """
+f"{x:.17g}"
+f"{x:>{w}.3f}"
+format(x, "e")
+"{} {:.1F}".format(x, y)
+f"{x!r} {n:d} {s:>8} {x}"
+format(x)
+"{!r}".format(x)
+"%.3f" % x
+"""
+    assert sorted(_float_specs(ast.parse(code))) == [2, 3, 4, 5]
 
 
 def _process_calls(tree: ast.AST, scope: str = ""):

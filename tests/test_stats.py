@@ -204,6 +204,12 @@ def test_format_table_cells():
     assert format_table("v") == "v\n"
     with pytest.raises(ValueError):
         format_table("a,b", [1.0, 2.0], ["x"])
+    # A label that holds a comma, a double quote, CR or LF is quoted, inner
+    # quotes doubled; a trailing NUL stays; numbers are never quoted.
+    labels = ("Korea, Rep.", 'say "hi"', "a\rb", "a\nb", "a\x00", "plain")
+    assert format_table("s,n", labels, range(6)) == (
+        's,n\n"Korea, Rep.",0\n"say ""hi""",1\n"a\rb",2\n"a\nb",3\na\x00,4\nplain,5\n'
+    )
 
 
 def repr_table(header: str, *columns) -> str:
