@@ -5,6 +5,15 @@ rule, Pearson correlations with Fisher-z confidence bands, rank-size curves,
 and the log-normal-body / Pareto-tail fit (Hill estimator above a fixed
 top-fraction cutoff).  Undefined entries (NaN) are dropped pairwise or
 per-sample, with counts reported.
+
+Each analysis is a ``*_rows`` function over a 2-D array, one sample per row
+(``pearson_rows`` pairs the rows of two).  It works on the groups of rows
+with the same count of defined values, each compressed to a (rows × count)
+block and reduced along axis 1, so every row gets the bits its sample alone
+would get.  A row that an analysis rejects raises DataError for the first
+such row, named by the caller's ``where``.  ``silverman_bandwidth``,
+``kde``, ``pearson_with_ci``, ``correlation_series``, ``rank_size`` and
+``fit_tail`` are one-row (or one-row-per-year) calls of these functions.
 """
 
 from __future__ import annotations
@@ -12,12 +21,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .errors import DataError, ValidationError
-from .stats import NodeStatsTable
+from .errors import ValidationError
+from .stats import NodeStatsTable, fail_first_row, row_groups
 
 #: Cross-statistic pairs supported by correlation_series, in report order.
 SUPPORTED_PAIRS: dict[str, tuple[str, str]] = {
@@ -149,46 +158,134 @@ def _ndtri(p: float) -> float:
     return -x if negate else x
 
 
-def _defined(values: np.ndarray) -> np.ndarray:
-    x = np.asarray(values, dtype=float).ravel()
-    return x[np.isfinite(x)]
+def _rows(values: np.ndarray) -> np.ndarray:
+    """``values``' entries as the one row of a 2-D float array."""
+    return np.asarray(values, dtype=float).reshape(1, -1)
+
+
+def silverman_rows(rows: np.ndarray) -> np.ndarray:
+    """Silverman's bandwidth of each row's defined (finite) entries:
+    0.9 * min(std, IQR/1.34) * n^(-1/5), falling back to std if IQR is 0."""
+    rows = np.asarray(rows, dtype=float)
+    out = np.full(len(rows), np.nan)
+    for at, x in row_groups(np.isfinite(rows), rows):
+        std = x.std(axis=1)
+        q75, q25 = np.percentile(x, [75, 25], axis=1)
+        iqr = q75 - q25
+        scale = np.where(iqr > 0, np.minimum(std, iqr / 1.34), std)
+        out[at] = 0.9 * scale * x.shape[1] ** (-0.2)
+    return out
 
 
 def silverman_bandwidth(values: np.ndarray) -> float:
-    """0.9 * min(std, IQR/1.34) * n^(-1/5), falling back to std if IQR is 0."""
-    x = _defined(values)
-    std = float(x.std())
-    q75, q25 = np.percentile(x, [75, 25])
-    iqr = float(q75 - q25)
-    scale = min(std, iqr / 1.34) if iqr > 0 else std
-    return 0.9 * scale * len(x) ** (-0.2)
+    """``silverman_rows`` of ``values``' entries as one row."""
+    return float(silverman_rows(_rows(values))[0])
 
 
 #: Number of evenly spaced points on which ``kde`` evaluates the density.
 KDE_GRID_SIZE = 512
 
 
+def kde_bandwidths(
+    rows: np.ndarray, bandwidth: float | None = None, where: Callable[[int], str] | None = None
+) -> np.ndarray:
+    """The bandwidth ``kde`` smooths each row with: ``bandwidth``, or by
+    default Silverman's rule.
+
+    Raises DataError, named by ``where`` (see ``fail_first_row``), at the
+    first row with fewer than 5 defined values or none of nonzero spread, and
+    ValidationError for a ``bandwidth`` that is not positive and finite.
+    """
+    rows = np.asarray(rows, dtype=float)
+    defined = np.isfinite(rows)
+    count = defined.sum(axis=1)
+    high = np.where(defined, rows, -np.inf).max(axis=1, initial=-np.inf)
+    constant = high == np.where(defined, rows, np.inf).min(axis=1, initial=np.inf)
+    fail_first_row(
+        where,
+        (count < 5, lambda i: f"kde needs >= 5 defined values, got {count[i]}"),
+        (constant, lambda i: "kde input is constant"),
+    )
+    if bandwidth is None:
+        return silverman_rows(rows)
+    h = float(bandwidth)
+    if not math.isfinite(h) or h <= 0:
+        raise ValidationError(f"bandwidth must be positive, got {bandwidth!r}")
+    return np.full(len(rows), h)
+
+
 def kde(values: np.ndarray, bandwidth: float | None = None) -> DensityEstimate:
     """Gaussian-kernel density on ``KDE_GRID_SIZE`` points spanning [min-3h, max+3h].
 
-    Bandwidth defaults to Silverman's rule.  Needs at least 5 defined values
+    The bandwidth h is ``kde_bandwidths`` of ``values``' entries as one row,
+    so it defaults to Silverman's rule; it needs at least 5 defined values
     with nonzero spread.
     """
-    x = _defined(values)
-    if x.size < 5:
-        raise DataError(f"kde needs >= 5 defined values, got {x.size}")
-    if x.max() == x.min():
-        raise DataError("kde input is constant")
-    if bandwidth is None:
-        h = silverman_bandwidth(x)
-    else:
-        h = float(bandwidth)
-        if not math.isfinite(h) or h <= 0:
-            raise ValidationError(f"bandwidth must be positive, got {bandwidth!r}")
+    x = np.asarray(values, dtype=float).ravel()
+    x = x[np.isfinite(x)]
+    (h,) = kde_bandwidths(x[None], bandwidth).tolist()
     grid = np.linspace(x.min() - 3 * h, x.max() + 3 * h, KDE_GRID_SIZE)
     z = (grid[:, None] - x[None, :]) / h
     density = np.exp(-0.5 * z**2).sum(axis=1) / (x.size * h * math.sqrt(2 * math.pi))
     return DensityEstimate(grid, density, h, int(x.size))
+
+
+def pearson_rows(
+    xs: np.ndarray,
+    ys: np.ndarray,
+    level: float = 0.90,
+    where: Callable[[int], str] | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Pearson r with a Fisher-z interval, and the pair count, of each row pair.
+
+    Row i of ``xs`` and row i of ``ys`` are paired entry by entry, over the
+    entries defined in both.  ``level`` is the two-sided coverage; the
+    default 0.90 puts the band endpoints at the 5% and 95% quantiles.
+    Raises DataError, named by ``where`` (see ``fail_first_row``), at the
+    first row pair with fewer than 3 jointly defined pairs or zero variance
+    on either side.
+
+    r repeats ``np.corrcoef``'s operations, so it has its bits: each row's
+    pairs are centred on their means, and their sums of products come from
+    one ``np.dot`` of a C-contiguous (2, n) block with its transpose.
+    """
+    if not 0 < level < 1:
+        raise ValidationError(f"confidence level must be in (0, 1), got {level!r}")
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    if xs.shape != ys.shape:
+        raise ValidationError("x and y must have the same length")
+    joint = np.isfinite(xs) & np.isfinite(ys)
+    n = joint.sum(axis=1)
+    flat = np.zeros(len(xs), dtype=bool)
+    r = np.full(len(xs), np.nan)
+    for at, x, y in row_groups(joint, xs, ys):
+        k = x.shape[1]
+        if k < 3:
+            continue
+        flat[at] = (x.std(axis=1) == 0) | (y.std(axis=1) == 0)
+        keep = ~flat[at]
+        at, pairs = at[keep], np.stack([x[keep], y[keep]], axis=1)
+        pairs -= pairs.mean(axis=2, keepdims=True)
+        products = np.array([np.dot(block, block.T).ravel() for block in pairs]).reshape(-1, 4)
+        products *= np.true_divide(1, k - 1)
+        stddev = np.sqrt(products[:, [0, 3]])
+        r[at] = np.clip(products[:, 1] / stddev[:, 0] / stddev[:, 1], -1, 1)
+    fail_first_row(
+        where,
+        (n < 3, lambda i: f"correlation needs >= 3 jointly defined pairs, got {n[i]}"),
+        (flat, lambda i: "correlation undefined for zero-variance input"),
+    )
+    # n == 3 leaves the band at [-1, 1]: the Fisher standard error
+    # 1/sqrt(n-3) is infinite, so there is no information.
+    low, high = np.full(len(xs), -1.0), np.full(len(xs), 1.0)
+    zcrit = _ndtri(0.5 + level / 2)
+    banded = np.flatnonzero(n > 3)
+    with np.errstate(divide="ignore"):
+        z = np.arctanh(r[banded])
+    for i, zi, m in zip(banded.tolist(), z.tolist(), n[banded].tolist()):
+        se = 1.0 / math.sqrt(m - 3)
+        low[i], high[i] = math.tanh(zi - zcrit * se), math.tanh(zi + zcrit * se)
+    return r, low, high, n
 
 
 def pearson_with_ci(
@@ -199,38 +296,9 @@ def pearson_with_ci(
     year: int | None = None,
     pair: str = "",
 ) -> CorrelationPoint:
-    """Pearson r over jointly defined pairs, with a Fisher-z interval.
-
-    ``level`` is the two-sided coverage; the default 0.90 puts the band
-    endpoints at the 5% and 95% quantiles.  Needs >= 3 jointly defined
-    pairs and nonzero variance on both sides.
-    """
-    if not 0 < level < 1:
-        raise ValidationError(f"confidence level must be in (0, 1), got {level!r}")
-    xa = np.asarray(x, dtype=float).ravel()
-    ya = np.asarray(y, dtype=float).ravel()
-    if xa.shape != ya.shape:
-        raise ValidationError("x and y must have the same length")
-    mask = np.isfinite(xa) & np.isfinite(ya)
-    n = int(mask.sum())
-    if n < 3:
-        raise DataError(f"correlation needs >= 3 jointly defined pairs, got {n}")
-    xa, ya = xa[mask], ya[mask]
-    if xa.std() == 0 or ya.std() == 0:
-        raise DataError("correlation undefined for zero-variance input")
-
-    r = float(np.corrcoef(xa, ya)[0, 1])
-    r = max(-1.0, min(1.0, r))
-    if n == 3:
-        # Fisher standard error 1/sqrt(n-3) is infinite: no information.
-        return CorrelationPoint(year, pair, r, -1.0, 1.0, n)
-    zcrit = _ndtri(0.5 + level / 2)
-    with np.errstate(divide="ignore"):
-        z = float(np.arctanh(r))
-    se = 1.0 / math.sqrt(n - 3)
-    ci_low = math.tanh(z - zcrit * se)
-    ci_high = math.tanh(z + zcrit * se)
-    return CorrelationPoint(year, pair, r, ci_low, ci_high, n)
+    """``pearson_rows`` of ``x`` and ``y``'s entries as one row pair, as a CorrelationPoint."""
+    r, low, high, n = pearson_rows(_rows(x), _rows(y), level)
+    return CorrelationPoint(year, pair, float(r[0]), float(low[0]), float(high[0]), int(n[0]))
 
 
 def correlation_series(
@@ -238,7 +306,9 @@ def correlation_series(
     pair: str,
     level: float = 0.90,
 ) -> list[CorrelationPoint]:
-    """One correlation point per year for a supported statistic pair."""
+    """One correlation point per year for a supported statistic pair: the
+    ``pearson_rows`` of the years' two columns.  A table with fewer codes than
+    the longest is padded with undefined entries."""
     if pair not in SUPPORTED_PAIRS:
         raise ValidationError(
             f"unsupported pair {pair!r} (supported: {', '.join(SUPPORTED_PAIRS)})"
@@ -249,73 +319,91 @@ def correlation_series(
         tables = sorted(tables, key=lambda t: t.year)
     if not tables:
         raise ValidationError("correlation series needs at least one year")
-    first, second = SUPPORTED_PAIRS[pair]
-    points = []
-    for t in tables:
-        try:
-            points.append(
-                pearson_with_ci(
-                    t.column(first), t.column(second), level, year=t.year, pair=pair
-                )
-            )
-        except DataError as exc:
-            raise DataError(f"{pair} in year {t.year}: {exc}") from None
-    return points
+    width = max(len(t.codes) for t in tables)
+    xs, ys = np.full((2, len(tables), width), np.nan)
+    for row, t in enumerate(tables):
+        first, second = (t.column(name) for name in SUPPORTED_PAIRS[pair])
+        xs[row, : first.size], ys[row, : second.size] = first, second
+    columns = pearson_rows(xs, ys, level, where=lambda i: f"{pair} in year {tables[i].year}")
+    return [
+        CorrelationPoint(t.year, pair, r, low, high, n)
+        for t, r, low, high, n in zip(tables, *(c.tolist() for c in columns))
+    ]
+
+
+def rank_size_rows(
+    rows: np.ndarray, where: Callable[[int], str] | None = None
+) -> list[RankSizeCurve]:
+    """The rank-size curve of each row: its strictly positive entries sorted
+    descending, against ranks 1..n.
+
+    Zeros, negatives, and undefined entries are dropped; each curve carries
+    its dropped count.  Raises DataError, named by ``where`` (see
+    ``fail_first_row``), at the first row with no positive entry.
+    """
+    rows = np.asarray(rows, dtype=float)
+    positive = np.isfinite(rows) & (rows > 0)
+    count = positive.sum(axis=1)
+    fail_first_row(where, (count == 0, lambda i: "rank-size needs at least one positive value"))
+    ordered = np.sort(np.where(positive, rows, np.nan), axis=1)  # NaN last
+    width = rows.shape[1]
+    return [
+        RankSizeCurve(row[:k][::-1], np.arange(1, k + 1), width - k)
+        for row, k in zip(ordered, count.tolist())
+    ]
 
 
 def rank_size(values: np.ndarray) -> RankSizeCurve:
-    """Sort strictly positive values descending and pair them with ranks.
-
-    Zeros, negatives, and undefined entries are dropped; the dropped count
-    is carried on the curve.
-    """
-    x = np.asarray(values, dtype=float).ravel()
-    positive = x[np.isfinite(x) & (x > 0)]
-    dropped = int(x.size - positive.size)
-    if positive.size == 0:
-        raise DataError("rank-size needs at least one positive value")
-    sizes = np.sort(positive)[::-1]
-    ranks = np.arange(1, sizes.size + 1)
-    return RankSizeCurve(sizes, ranks, dropped)
+    """``rank_size_rows`` of ``values``' entries as one row."""
+    return rank_size_rows(_rows(values))[0]
 
 
-def fit_tail(values: np.ndarray, tail_fraction: float = 0.05) -> TailFit:
-    """Log-normal body fit plus Hill exponent on the top tail_fraction.
+def fit_tail_rows(
+    rows: np.ndarray, tail_fraction: float = 0.05, where: Callable[[int], str] | None = None
+) -> list[TailFit]:
+    """Log-normal body fit plus Hill exponent on the top tail_fraction of each row.
 
     The body parameters are the MLE mean/std of log values over every
-    positive entry.  x_min is the empirical (1 - tail_fraction) quantile and
-    alpha = k / sum(log(x_i / x_min)) over the k values at or above it.
+    positive entry of the row.  x_min is the empirical (1 - tail_fraction)
+    quantile and alpha = k / sum(log(x_i / x_min)) over the k values at or
+    above it.  Raises DataError, named by ``where`` (see ``fail_first_row``),
+    at the first row with fewer than 50 positive entries, a constant sample
+    or no spread above the cutoff.
     """
     if not 0 < tail_fraction < 1:
         raise ValidationError(
             f"tail fraction must be in (0, 1), got {tail_fraction!r}"
         )
-    x = np.asarray(values, dtype=float).ravel()
-    positive = x[np.isfinite(x) & (x > 0)]
-    dropped = int(x.size - positive.size)
-    if positive.size < 50:
-        raise DataError(
-            f"tail fit needs >= 50 positive values, got {positive.size}"
-        )
-    logs = np.log(positive)
-    mu = float(logs.mean())
-    sigma = float(logs.std())
-    if sigma == 0:
-        raise DataError("tail fit undefined for a constant sample")
-
-    x_min = float(np.quantile(positive, 1 - tail_fraction))
-    tail = positive[positive >= x_min]
-    log_excess = float(np.sum(np.log(tail / x_min)))
-    if log_excess <= 0:
-        raise DataError("tail is degenerate (no spread above the cutoff)")
-    alpha = tail.size / log_excess
-    return TailFit(
-        mu=mu,
-        sigma=sigma,
-        alpha=float(alpha),
-        x_min=x_min,
-        tail_fraction=float(tail_fraction),
-        n=int(positive.size),
-        tail_count=int(tail.size),
-        dropped=dropped,
+    rows = np.asarray(rows, dtype=float)
+    positive = np.isfinite(rows) & (rows > 0)
+    count = positive.sum(axis=1)
+    mu, sigma, x_min, log_excess = np.full((4, len(rows)), np.nan)
+    tail_count = np.zeros(len(rows), dtype=np.int64)
+    for at, x in row_groups(positive, rows):
+        if x.shape[1] < 50:
+            continue
+        logs = np.log(x)
+        mu[at], sigma[at] = logs.mean(axis=1), logs.std(axis=1)
+        x_min[at] = np.quantile(x, 1 - tail_fraction, axis=1)
+        for within, tail in row_groups(x >= x_min[at, None], x):
+            fitted = at[within]
+            tail_count[fitted] = tail.shape[1]
+            log_excess[fitted] = np.sum(np.log(tail / x_min[fitted, None]), axis=1)
+    fail_first_row(
+        where,
+        (count < 50, lambda i: f"tail fit needs >= 50 positive values, got {count[i]}"),
+        (sigma == 0, lambda i: "tail fit undefined for a constant sample"),
+        (~(log_excess > 0), lambda i: "tail is degenerate (no spread above the cutoff)"),
     )
+    dropped = rows.shape[1] - count
+    return [
+        TailFit(m, s, k / excess, xm, float(tail_fraction), n, k, d)
+        for m, s, xm, excess, n, k, d in zip(
+            *(c.tolist() for c in (mu, sigma, x_min, log_excess, count, tail_count, dropped))
+        )
+    ]
+
+
+def fit_tail(values: np.ndarray, tail_fraction: float = 0.05) -> TailFit:
+    """``fit_tail_rows`` of ``values``' entries as one row."""
+    return fit_tail_rows(_rows(values), tail_fraction)[0]

@@ -130,10 +130,12 @@ def build_directed(
                 f"missing for {', '.join(names)}"
             )
         divisor = np.where(np.isnan(gdp), 1.0, gdp)
-        if scheme.variant is WeightVariant.EXPORTER_GDP:
-            scaled = flows / divisor[:, None]
-        else:
-            scaled = flows / divisor[None, :]
+        # A flow over a tiny GDP may overflow to inf: symmetrize rejects it.
+        with np.errstate(over="ignore"):
+            if scheme.variant is WeightVariant.EXPORTER_GDP:
+                scaled = flows / divisor[:, None]
+            else:
+                scaled = flows / divisor[None, :]
         weights = np.where(adjacency == 1, scaled, 0.0)
 
     return DirectedTradeNetwork(year, registry, scheme, adjacency, weights)

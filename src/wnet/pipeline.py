@@ -8,6 +8,9 @@ A run is deterministic: identical inputs and config produce byte-identical
 output files.  No timestamps are written; the manifest carries the config
 echo (minus the output directory, which has no effect on data), the
 per-year normalizers, and a sha256 digest of every emitted file.
+The analyses are row reductions: the six node statistics of every year are
+stacked once into one (years × statistics × countries) array, and each
+analysis takes its rows of it in one call of the ``*_rows`` functions.
 Nothing is written until the inputs have been read and every selected year
 found in them.  Every command then writes in one lifecycle,
 ``with write_bundle(out_dir, names) as commit``.  Entering makes the output
@@ -16,11 +19,14 @@ files, forks a child that creates them there, empty, while the command
 computes: creating a file is costly on virtualised and network filesystems,
 and filling one that exists is not.  ``commit`` makes each file's text only
 as it writes the file there, a forked helper making every other one, and
-renames them into place, the manifest last.
-Leaving, however it happens, reaps every fork and removes the staging
-directory, and the directories it made while they are empty.  So a run that
-fails leaves no partial bundle, and the previous bundle as it was; a
-committed run then deletes the files that only the previous manifest listed.
+renames them into place, the manifest last.  It does not wait for the
+creating child: whichever process opens a file first creates it, and the
+child is stopped once every file is made.
+Leaving, however it happens, stops and reaps every fork left and removes
+the staging directory, and the directories it made while they are empty.
+So a run that fails leaves no partial bundle, and the previous bundle as it
+was; a committed run then deletes the files that only the previous manifest
+listed.
 Both forks go through ``_fork``, under one rule: a forked process only
 speeds the write up, and its work counts only if it exits 0; otherwise this
 process redoes it.  So their failure costs time but does not fail the run,
@@ -45,7 +51,7 @@ import time
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields
 from functools import cache, partial
-from itertools import takewhile
+from itertools import product, takewhile
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
@@ -58,14 +64,19 @@ from .distributions import (
     CorrelationPoint,
     TailFit,
     correlation_series,
-    fit_tail,
     kde,
-    rank_size,
+    kde_bandwidths,
 )
 from .errors import DataError, ValidationError
 from .graph import WeightScheme, build_directed, symmetrize, symmetry_index
 from .ingest import PanelDataset, format_table, load_panel
-from .stats import MomentSummary, NodeStatsTable, moments, node_stats
+from .stats import NodeStatsTable, node_stats
+
+# Row functions under the names of the one-row functions they batch:
+# perfbench/spans.py times each analysis by the name it is called by here.
+from .distributions import fit_tail_rows as fit_tail
+from .distributions import rank_size_rows as rank_size
+from .stats import moments_rows as moments
 
 logger = logging.getLogger(__name__)
 
@@ -149,15 +160,6 @@ class ReportBundle:
     manifest: dict
     tables: dict[int, NodeStatsTable]
     comparison: list[dict]
-
-
-@contextmanager
-def _year_context(what: str, year: int):
-    """Re-raise analysis data errors with the offending year attached."""
-    try:
-        yield
-    except DataError as exc:
-        raise DataError(f"{what} in year {year}: {exc}") from None
 
 
 def read_correlation_csv(path: str | Path) -> list[CorrelationPoint]:
@@ -251,6 +253,11 @@ def verify_bundle(out_dir: Path) -> dict[str, list[str]]:
     return found
 
 
+#: SIGKILL's number, which POSIX fixes at 9: ``signal`` would add about 1 ms
+#: of import for this one constant.
+_SIGKILL = 9
+
+
 def _usable_cpus() -> int:
     """CPUs this process may run on, or 1 where the platform cannot say."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -292,26 +299,30 @@ def write_bundle(
     On entry it makes ``out_dir`` (with any missing directory above it) and a
     ``.wnet-*`` staging directory inside it.  Given two or more ``names``, the
     files to come, it also forks a child that creates each of them there,
-    empty, while the caller computes; the commit creates whatever the child
-    did not, so its exit status is not read.
+    empty, while the caller computes.  The child opens each with ``O_CREAT``
+    and never truncates, so whichever process opens a file first creates it,
+    and the child's exit status is not read.
 
     It yields ``commit(files, manifest)``, which commits ``files``, each
-    name's text made by its zero-argument maker.  It reaps the child, then,
-    given two or more files, forks a helper that makes and writes every other
-    file while this process makes and writes the rest.  If the helper exits
+    name's text made by its zero-argument maker.  It does not wait for the
+    creating child.  Given two or more files, it forks a helper that makes
+    and writes every other file while this process makes and writes the rest;
+    each write creates its file if the child has not.  If the helper exits
     other than 0, this process logs one WARNING with the count and the exit
-    code and makes the helper's whole share again.  Then this process hashes
-    every staged file, reading it back.  Unless ``manifest`` is None, the
-    digests are added to ``manifest["files"]`` and it is written as
+    code and makes the helper's whole share again.  Once every file is made,
+    the creating child is stopped (SIGKILL) and reaped.  Then this process
+    hashes every staged file, reading it back.  Unless ``manifest`` is None,
+    the digests are added to ``manifest["files"]`` and it is written as
     ``manifest.json``.  Only then are the files renamed into place,
     ``manifest.json`` last.  ``commit`` returns the note of the write's stage
     line: the file count, the processes that made the files, the seconds this
-    process spent in the makers and the wait for the child.
+    process spent in the makers and the seconds it took to stop the child.
 
-    On exit, however it happens, every fork is reaped, then the staging
-    directory is removed, and the directories made on entry, deepest first,
-    each only while it is empty.  After a commit, the files that the previous
-    manifest listed and the new one does not are deleted.
+    On exit, however it happens, every fork not reaped yet is stopped and
+    reaped, then the staging directory is removed, and the directories made
+    on entry, deepest first, each only while it is empty.  After a commit,
+    the files that the previous manifest listed and the new one does not are
+    deleted.
     """
     # The directories made here, from out_dir up, so deepest first.
     made = list(takewhile(lambda path: not path.exists(), (out_dir, *out_dir.parents)))
@@ -339,25 +350,30 @@ def write_bundle(
         pids.remove(pid)
         return code
 
+    def stop() -> float:
+        """Kill (SIGKILL) and reap every fork not reaped yet; return the seconds it took."""
+        start = time.perf_counter()
+        while pids:
+            os.kill(pids[0], _SIGKILL)
+            reap(pids[0])
+        return time.perf_counter() - start
+
     def commit(files: Mapping[str, Callable[[], str]], manifest: dict | None) -> str:
         previous = set() if manifest is None else _listed_files(out_dir)
         order = list(files)
-        waited = 0.0
-        if pids:  # the creating child
-            start = time.perf_counter()
-            reap(pids[0])
-            waited = time.perf_counter() - start
         helper = order[1::2]
-        if helper and (pid := _fork(partial(make, files, helper))):
+        pid = _fork(partial(make, files, helper)) if helper else None
+        if pid:
             pids.append(pid)
-        processes = 1 + len(pids)
+        processes = 2 if pid else 1
         texts = make(files, order[::processes])  # every file, or every other one
-        if pids and (code := reap(pids[0])) != 0:
+        if pid and (code := reap(pid)) != 0:
             logger.warning(
                 "making the %d files of the writer helper again (its exit code: %d)",
                 len(helper), code,
             )
             texts += make(files, helper)
+        waited = stop()  # the creating child: every file is made without it
         digests = {name: _digest(staging / name) for name in order}
         if manifest is not None:
             manifest["files"] = {**manifest.get("files", {}), **digests}
@@ -382,8 +398,7 @@ def write_bundle(
             pids.append(pid)
         yield commit
     finally:
-        while pids:
-            reap(pids[0])
+        stop()
         if staging is not None:
             shutil.rmtree(staging, ignore_errors=True)
         with suppress(OSError):  # not empty: the write went through
@@ -523,7 +538,10 @@ def _analyse(
     tables: dict[int, NodeStatsTable] = {}
     normalizers: dict[str, float] = {}
     symmetry: dict[int, float] = {}
-    for year in years:
+    # Every table has the registry's codes: statistic j of year i is row
+    # stack[i, j], ordered as MOMENT_STATISTICS.
+    stack = np.empty((len(years), len(MOMENT_STATISTICS), len(panel.registry)))
+    for i, year in enumerate(years):
         directed = build_directed(panel, year, config.scheme)
         timer.lap("build")
         if "symmetry" in config.analyses:
@@ -531,30 +549,41 @@ def _analyse(
             timer.lap("symmetry")
         net = symmetrize(directed)
         timer.lap("symmetrize")
-        tables[year] = node_stats(net)
+        tables[year] = table = node_stats(net)
+        stack[i] = [table.column(name) for name in MOMENT_STATISTICS]
         normalizers[str(year)] = float(net.normalizer)
         timer.lap("node stats")
+
+    def rows(what: str, *statistics: str) -> tuple[np.ndarray, Callable[[int], str]]:
+        """The rows of ``statistics``, year-major as ``product(years,
+        statistics)``, and the namer of each in the analysis ``what``:
+        "moments of nd in year 2000"."""
+        def where(i: int) -> str:
+            year, at = divmod(i, len(statistics))
+            return f"{what} of {statistics[at]} in year {years[year]}"
+        at = [MOMENT_STATISTICS.index(name) for name in statistics]
+        return stack[:, at].reshape(-1, stack.shape[2]), where
 
     # Bundle file name -> maker of its text, in write order.
     files: dict[str, Callable[[], str]] = {}
     bandwidths: dict[str, float] = {}
     comparison: list[dict] = []
+    undefined = np.isnan(stack[:, 2:]).sum(axis=2).tolist()  # annd, anns, bcc, wcc
     counts = [
-        (year, f"{name}_undefined", int(np.isnan(tables[year].column(name)).sum()))
-        for year in years
-        for name in ("annd", "anns", "bcc", "wcc")
+        (year, f"{name}_undefined", count)
+        for year, row in zip(years, undefined)
+        for name, count in zip(MOMENT_STATISTICS[2:], row)
     ]
     timer.lap("node stats")
     if "stats" in config.analyses:
         files.update((names["stats", year], tables[year].to_csv) for year in years)
     if "moments" in config.analyses:
-        summaries = []
-        for year in years:
-            for name in MOMENT_STATISTICS:
-                with _year_context(f"moments of {name}", year):
-                    summaries.append(moments(tables[year].column(name), statistic=name, year=year))
+        values, where = rows("moments", *MOMENT_STATISTICS)
         header = "statistic,year,mean,std,skewness,kurtosis,count"
-        files[names["moments"]] = _table(header, map(_fields(MomentSummary), summaries))
+        files[names["moments"]] = partial(
+            format_table, header, MOMENT_STATISTICS * len(years),
+            np.repeat(years, len(MOMENT_STATISTICS)), *moments(values, where),
+        )
         timer.lap("moments")
     if "correlations" in config.analyses:
         series = {pair: correlation_series(tables, pair, config.ci_level) for pair in SUPPORTED_PAIRS}
@@ -565,28 +594,26 @@ def _analyse(
         comparison = compare_views(series, config.strong_cut, config.moderate_cut)
         timer.lap("correlations")
     if "density" in config.analyses:
-        for year in years:
-            for name in DENSITY_STATISTICS:
-                with _year_context(f"density of {name}", year):
-                    est = kde(tables[year].column(name), config.bandwidth)
-                key = names["density", name, year]
-                files[key] = partial(format_table, "grid,density", est.grid, est.density)
-                bandwidths[key] = est.bandwidth
-                counts.append((year, f"density_{name}_dropped", len(tables[year].codes) - est.n))
+        values, where = rows("density", *DENSITY_STATISTICS)
+        hs = kde_bandwidths(values, config.bandwidth, where).tolist()
+        for (year, name), row, h in zip(product(years, DENSITY_STATISTICS), values, hs):
+            est = kde(row, h)
+            key = names["density", name, year]
+            files[key] = partial(format_table, "grid,density", est.grid, est.density)
+            bandwidths[key] = est.bandwidth
+            counts.append((year, f"density_{name}_dropped", len(row) - est.n))
         timer.lap("density")
     if "ranksize" in config.analyses:
-        for year in years:
-            with _year_context(f"rank-size of {HEAVY_TAIL_STATISTIC}", year):
-                curve = rank_size(tables[year].column(HEAVY_TAIL_STATISTIC))
+        values, where = rows("rank-size", HEAVY_TAIL_STATISTIC)
+        for year, curve in zip(years, rank_size(values, where)):
             key = names["ranksize", year]
             files[key] = partial(format_table, "rank,size", curve.ranks, curve.sizes)
             counts.append((year, f"ranksize_{HEAVY_TAIL_STATISTIC}_dropped", curve.dropped))
         timer.lap("ranksize")
     if "tailfit" in config.analyses:
+        values, where = rows("tail fit", HEAVY_TAIL_STATISTIC)
         fits = []
-        for year in years:
-            with _year_context(f"tail fit of {HEAVY_TAIL_STATISTIC}", year):
-                fit = fit_tail(tables[year].column(HEAVY_TAIL_STATISTIC), config.tail_fraction)
+        for year, fit in zip(years, fit_tail(values, config.tail_fraction, where)):
             fits.append((year, HEAVY_TAIL_STATISTIC, *_fields(TailFit)(fit)))
             counts.append((year, f"tailfit_{HEAVY_TAIL_STATISTIC}_dropped", fit.dropped))
         header = "year,statistic,mu,sigma,alpha,x_min,tail_fraction,n_positive,tail_count,dropped"

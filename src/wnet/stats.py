@@ -19,6 +19,7 @@ would bias the downstream moment and correlation analyses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -138,26 +139,72 @@ def node_stats(net: UndirectedNetwork) -> NodeStatsTable:
     )
 
 
+def row_groups(keep: np.ndarray, *arrays: np.ndarray) -> Iterator[tuple]:
+    """The rows of ``arrays`` grouped by their count of ``keep`` cells, fewest first.
+
+    Yields, for each count k, the indices of the rows with k kept cells, then
+    each array's kept cells of those rows as a C-contiguous (rows × k) block,
+    every row in its own order.  Reducing such a block along axis 1 gives each
+    row the bits that reducing its kept cells alone gives.
+    """
+    counts = keep.sum(axis=1)
+    for k in np.unique(counts).tolist():
+        at = np.flatnonzero(counts == k)
+        rows = keep[at]
+        yield at, *(a[at][rows].reshape(at.size, k) for a in arrays)
+
+
+def fail_first_row(
+    where: Callable[[int], str] | None, *checks: tuple[np.ndarray, Callable[[int], str]]
+) -> None:
+    """Raise DataError for the first row that any check flags.
+
+    Each check is a boolean flag per row and a maker of the message for row
+    ``i``; a row flagged by several gets the message of the first.  Given
+    ``where``, the message starts with ``where(i)``, naming the row.
+    """
+    flagged = [(int(np.argmax(flags)), n) for n, (flags, _) in enumerate(checks) if flags.any()]
+    if flagged:
+        i, n = min(flagged)
+        message = checks[n][1](i)
+        raise DataError(message if where is None else f"{where(i)}: {message}")
+
+
+def moments_rows(
+    rows: np.ndarray, where: Callable[[int], str] | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Mean, std, skewness, kurtosis and count of each row's defined entries.
+
+    Population moments over the finite entries of each row of the 2-D
+    ``rows``: skewness is the third standardized moment and kurtosis the
+    fourth (a normal sample gives ~3, no excess subtraction).  Both are NaN
+    for a zero-variance row.  Raises DataError, named by ``where`` (see
+    ``fail_first_row``), at the first row with fewer than two defined entries.
+    """
+    rows = np.asarray(rows, dtype=float)
+    defined = np.isfinite(rows)
+    count = defined.sum(axis=1)
+    fail_first_row(where, (count < 2, lambda i: f"moments need >= 2 defined values, got {count[i]}"))
+    mean, std, skew, kurt = np.full((4, len(rows)), np.nan)
+    for at, x in row_groups(defined, rows):
+        m = x.mean(axis=1)
+        centered = x - m[:, None]
+        s = np.sqrt(np.mean(centered**2, axis=1))
+        # Python float powers: numpy's array power differs in the last bits.
+        cube, fourth = np.array([(v**3, v**4) for v in s.tolist()]).T
+        mean[at], std[at] = m, s
+        for out, power, scale in (skew, 3, cube), (kurt, 4, fourth):
+            out[at] = np.divide(
+                np.mean(centered**power, axis=1), scale, out=np.full(at.size, np.nan), where=s != 0
+            )
+    return mean, std, skew, kurt, count
+
+
 def moments(
     values: np.ndarray, *, statistic: str = "", year: int | None = None
 ) -> MomentSummary:
-    """First four population moments over the defined (finite) entries.
-
-    Skewness is the third standardized moment and kurtosis the fourth (a
-    normal sample gives ~3, no excess subtraction).  Both are NaN for a
-    zero-variance sample.  Raises DataError with fewer than two defined
-    entries.
-    """
-    x = np.asarray(values, dtype=float)
-    x = x[np.isfinite(x)]
-    if x.size < 2:
-        raise DataError(f"moments need >= 2 defined values, got {x.size}")
-    mean = float(x.mean())
-    centered = x - mean
-    std = float(np.sqrt(np.mean(centered**2)))
-    if std == 0:
-        skew = kurt = float("nan")
-    else:
-        skew = float(np.mean(centered**3) / std**3)
-        kurt = float(np.mean(centered**4) / std**4)
-    return MomentSummary(statistic, year, mean, std, skew, kurt, int(x.size))
+    """``moments_rows`` of ``values``' entries as one row, as a MomentSummary."""
+    mean, std, skew, kurt, count = moments_rows(np.asarray(values, dtype=float).reshape(1, -1))
+    return MomentSummary(
+        statistic, year, float(mean[0]), float(std[0]), float(skew[0]), float(kurt[0]), int(count[0])
+    )

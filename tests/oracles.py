@@ -124,6 +124,103 @@ def fisher_ci_oracle(
     return math.tanh(z - zcrit * se), math.tanh(z + zcrit * se)
 
 
+def moments_oracle(values) -> tuple[float, float, float, float, int]:
+    """Population mean, std, skewness, kurtosis and count of one sample's
+    finite entries, one numpy call after another as ``wnet`` computed them
+    before its analyses became row reductions."""
+    x = np.asarray(values, dtype=float)
+    x = x[np.isfinite(x)]
+    if x.size < 2:
+        raise DataError(f"moments need >= 2 defined values, got {x.size}")
+    mean = float(x.mean())
+    centered = x - mean
+    std = float(np.sqrt(np.mean(centered**2)))
+    if std == 0:
+        skew = kurt = float("nan")
+    else:
+        skew = float(np.mean(centered**3) / std**3)
+        kurt = float(np.mean(centered**4) / std**4)
+    return mean, std, skew, kurt, int(x.size)
+
+
+def pearson_ci_oracle(x, y, level: float = 0.90) -> tuple[float, float, float, int]:
+    """r from ``np.corrcoef`` over the jointly finite pairs, with its Fisher-z band."""
+    from wnet.distributions import _ndtri
+
+    xa = np.asarray(x, dtype=float).ravel()
+    ya = np.asarray(y, dtype=float).ravel()
+    mask = np.isfinite(xa) & np.isfinite(ya)
+    n = int(mask.sum())
+    if n < 3:
+        raise DataError(f"correlation needs >= 3 jointly defined pairs, got {n}")
+    xa, ya = xa[mask], ya[mask]
+    if xa.std() == 0 or ya.std() == 0:
+        raise DataError("correlation undefined for zero-variance input")
+    r = float(np.corrcoef(xa, ya)[0, 1])
+    r = max(-1.0, min(1.0, r))
+    if n == 3:
+        return r, -1.0, 1.0, n
+    zcrit = _ndtri(0.5 + level / 2)
+    with np.errstate(divide="ignore"):
+        z = float(np.arctanh(r))
+    se = 1.0 / math.sqrt(n - 3)
+    return r, math.tanh(z - zcrit * se), math.tanh(z + zcrit * se), n
+
+
+def silverman_oracle(values) -> float:
+    """Silverman's bandwidth from ``x.std()`` and ``np.percentile`` of one sample."""
+    x = np.asarray(values, dtype=float).ravel()
+    x = x[np.isfinite(x)]
+    std = float(x.std())
+    q75, q25 = np.percentile(x, [75, 25])
+    iqr = float(q75 - q25)
+    scale = min(std, iqr / 1.34) if iqr > 0 else std
+    return 0.9 * scale * len(x) ** (-0.2)
+
+
+def kde_bandwidth_oracle(values, bandwidth: float | None = None) -> float:
+    """The bandwidth ``kde`` smooths one sample with, after its checks."""
+    x = np.asarray(values, dtype=float).ravel()
+    x = x[np.isfinite(x)]
+    if x.size < 5:
+        raise DataError(f"kde needs >= 5 defined values, got {x.size}")
+    if x.max() == x.min():
+        raise DataError("kde input is constant")
+    return silverman_oracle(x) if bandwidth is None else float(bandwidth)
+
+
+def rank_size_oracle(values) -> tuple[list[float], int]:
+    """Positive entries sorted descending, and the count of the others."""
+    x = np.asarray(values, dtype=float).ravel()
+    positive = x[np.isfinite(x) & (x > 0)]
+    if positive.size == 0:
+        raise DataError("rank-size needs at least one positive value")
+    return np.sort(positive)[::-1].tolist(), int(x.size - positive.size)
+
+
+def fit_tail_oracle(values, tail_fraction: float = 0.05) -> tuple:
+    """mu, sigma, alpha, x_min, tail_fraction, n, tail count and dropped count
+    of one sample, with ``np.quantile`` for the cutoff."""
+    x = np.asarray(values, dtype=float).ravel()
+    positive = x[np.isfinite(x) & (x > 0)]
+    if positive.size < 50:
+        raise DataError(f"tail fit needs >= 50 positive values, got {positive.size}")
+    logs = np.log(positive)
+    mu = float(logs.mean())
+    sigma = float(logs.std())
+    if sigma == 0:
+        raise DataError("tail fit undefined for a constant sample")
+    x_min = float(np.quantile(positive, 1 - tail_fraction))
+    tail = positive[positive >= x_min]
+    log_excess = float(np.sum(np.log(tail / x_min)))
+    if log_excess <= 0:
+        raise DataError("tail is degenerate (no spread above the cutoff)")
+    return (
+        mu, sigma, tail.size / log_excess, x_min, float(tail_fraction),
+        int(positive.size), int(tail.size), int(x.size - positive.size),
+    )
+
+
 def assert_vectors_match(actual, expected, tol: float = 1e-10) -> None:
     """Entrywise comparison treating NaN as 'undefined' markers."""
     a = np.asarray(actual, dtype=float)

@@ -12,6 +12,7 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
 from functools import partial
 from itertools import count
 from pathlib import Path
@@ -679,25 +680,46 @@ def one_process_bundle(tmp_path, monkeypatch, args) -> dict[str, bytes]:
 
 
 @needs_fork
-def test_the_staging_child_creates_every_file_before_the_write(toy_csvs, tmp_path, monkeypatch):
+def test_the_staging_child_is_stopped_once_every_file_is_made(toy_csvs, tmp_path, monkeypatch):
     flows, gdp = toy_csvs
     args = ["all", "--flows", str(flows), "--gdp", str(gdp), "--years", "1999:2000"]
     out = tmp_path / "bundle"
-    staged = []  # (name, size) in the staging directory once its child is reaped
-    real, reaps = os.waitpid, count()
+    children, events = [], []  # events: ("kill" | "reap", pid, sizes staged) or ("rename", name)
+    real_kill, real_waitpid, real_replace = os.kill, os.waitpid, os.replace
+    def staged():
+        (staging,) = out.glob(".wnet-*")
+        return {p.name: p.stat().st_size for p in staging.iterdir()}
+    def kill(pid, sig):
+        events.append(("kill", pid, sig))
+        return real_kill(pid, sig)
     def waitpid(pid, options):
-        reaped = real(pid, options)
-        if next(reaps) == 0:  # the creating child's, the write's first
-            (staging,) = out.glob(".wnet-*")
-            staged.extend((p.name, p.stat().st_size) for p in sorted(staging.iterdir()))
+        reaped = real_waitpid(pid, options)
+        events.append(("reap", pid, staged()))
         return reaped
+    def replace(src, dst):
+        events.append(("rename", Path(dst).name))
+        return real_replace(src, dst)
     with monkeypatch.context() as patch:
         forks = writer_processes(patch, 2)
-        patch.setattr(os, "waitpid", waitpid)
+        counting_fork = os.fork
+        def fork():
+            pid = counting_fork()
+            children.extend([pid] if pid else [])
+            return pid
+        for name, fake in ("fork", fork), ("kill", kill), ("waitpid", waitpid), ("replace", replace):
+            patch.setattr(os, name, fake)
         assert run_cli(*args, "--out", str(out)) == 0
     assert forks == [os.getpid()] * 2
+    creator, helper = children
     listed = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["files"]
-    assert staged == [(name, 0) for name in sorted(listed)]
+    # The helper is reaped, then the creating child is killed and reaped, and
+    # only then is anything renamed: by then every file is made, none empty.
+    assert [event[:2] for event in events[:3]] == [("reap", helper), ("kill", creator), ("reap", creator)]
+    assert events[1][2] == signal.SIGKILL
+    assert events[2][2] == {name: (out / name).stat().st_size for name in listed}
+    assert all(events[2][2].values())
+    renamed = [name for kind, name in events[3:]]
+    assert sorted(renamed[:-1]) == sorted(listed) and renamed[-1] == "manifest.json"
     assert_no_child_left()
     assert_bundle_intact(out)
     assert bundle_state(out) == one_process_bundle(tmp_path, monkeypatch, args)
@@ -857,6 +879,21 @@ def test_a_creating_child_is_forked_exactly_for_two_or_more_files(toy_csvs, tmp_
         assert forks == [os.getpid()] * forked, command
         assert_no_child_left()
         assert_bundle_intact(out)
+
+
+def test_a_flow_over_a_tiny_gdp_is_one_error_line_and_no_warning(tmp_path, capsys):
+    flows, gdp = tmp_path / "flows.csv", tmp_path / "gdp.csv"
+    flows.write_text("year,exporter,importer,value\n2000,A,B,1e300\n2000,B,C,5\n2000,C,A,7\n")
+    gdp.write_text("year,country,gdp\n2000,A,1e-300\n2000,B,2\n2000,C,3\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(
+            "build", "--flows", str(flows), "--gdp", str(gdp), "--years", "2000",
+            "--out", str(tmp_path / "out"),
+        )
+    assert code == 2
+    assert not caught, [str(w.message) for w in caught]
+    assert capsys.readouterr().err == "error: year 2000: a link weight overflows to infinity\n"
 
 
 @needs_fork

@@ -223,8 +223,11 @@ def test_matrix_dump_round_trip(tmp_path, rng):
 def test_dump_matrix_header_contains_normalizer(rng):
     panel = random_panel(rng, n=5, p=0.8)
     und = symmetrize(build_directed(panel, 2000, WeightScheme()))
+    # 0.1 is "0.1" as repr and "0.10000000000000001" as .17g.
+    und = dataclasses.replace(und, normalizer=0.1)
     header = dump_matrix(und).splitlines()[0]
-    assert f"normalizer={und.normalizer!r}" in header
+    assert header.endswith(" normalizer=0.1")
+    assert f"{und.normalizer:.17g}" not in header
 
 
 def test_dump_matrix_cells_are_the_shortest_round_trip_digits(tmp_path, rng):
