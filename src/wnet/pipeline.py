@@ -72,8 +72,11 @@ from .graph import WeightScheme, build_directed, symmetrize, symmetry_index
 from .ingest import PanelDataset, format_table, load_panel
 from .stats import NodeStatsTable, node_stats
 
-# Row functions under the names of the one-row functions they batch:
-# perfbench/spans.py times each analysis by the name it is called by here.
+# Row functions under the names of the one-row functions they batch, only
+# because perfbench/spans.py times each analysis by the name it is called by
+# here.  Unlike ``stats.moments`` and ``distributions.rank_size`` and
+# ``fit_tail``, these take a stack of rows and return one result a row.  The
+# aliases go when the span targets are renamed (ROADMAP item 4).
 from .distributions import fit_tail_rows as fit_tail
 from .distributions import rank_size_rows as rank_size
 from .stats import moments_rows as moments
@@ -253,8 +256,9 @@ def verify_bundle(out_dir: Path) -> dict[str, list[str]]:
     return found
 
 
-#: SIGKILL's number, which POSIX fixes at 9: ``signal`` would add about 1 ms
-#: of import for this one constant.
+#: SIGKILL's number, which POSIX fixes at 9.  ``import signal`` after
+#: ``wnet.cli`` takes 0.7-1.3 ms (``python -X importtime``, 15 runs on a
+#: 2-vCPU Xeon) for this one constant.
 _SIGKILL = 9
 
 

@@ -728,6 +728,28 @@ def test_the_staging_child_is_stopped_once_every_file_is_made(toy_csvs, tmp_path
 
 
 @needs_fork
+def test_the_creating_child_makes_every_file_empty_while_the_caller_computes(
+    tmp_path, monkeypatch
+):
+    names = [f"f{i}.csv" for i in range(50)]
+    out = tmp_path / "out"
+    with monkeypatch.context() as patch:
+        forks = writer_processes(patch, 2)
+        with wnet.pipeline.write_bundle(out, names) as commit:
+            (staging,) = out.glob(".wnet-*")
+            deadline = time.monotonic() + 30
+            while len(list(staging.iterdir())) < len(names) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            # This process has made nothing yet, so the child made each file, empty.
+            assert {p.name: p.stat().st_size for p in staging.iterdir()} == dict.fromkeys(names, 0)
+            commit({name: partial(str, name) for name in names}, {})
+    assert forks == [os.getpid()] * 2
+    assert_no_child_left()
+    assert {name: (out / name).read_text() for name in names} == {name: name for name in names}
+    assert sorted(p.name for p in out.iterdir()) == sorted([*names, "manifest.json"])
+
+
+@needs_fork
 @pytest.mark.parametrize("made, how", [
     (0, "exit"),  # a child that dies before it creates anything
     (5, "exit"),  # one that stops part way with a non-zero status
