@@ -96,7 +96,8 @@ def build_directed(
     """Build the directed network of one panel year under a weighting scheme.
 
     Raises DataError when the year is absent, when a country the scheme
-    divides by lacks GDP, or when no flow exceeds the threshold.
+    divides by lacks GDP, when no flow exceeds the threshold, or when a
+    link weight overflows to infinity.
     """
     if year not in panel.years:
         raise DataError(f"year {year} not present in panel")
@@ -130,13 +131,14 @@ def build_directed(
                 f"missing for {', '.join(names)}"
             )
         divisor = np.where(np.isnan(gdp), 1.0, gdp)
-        # A flow over a tiny GDP may overflow to inf: symmetrize rejects it.
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore"):  # a flow over a tiny GDP: rejected below
             if scheme.variant is WeightVariant.EXPORTER_GDP:
                 scaled = flows / divisor[:, None]
             else:
                 scaled = flows / divisor[None, :]
         weights = np.where(adjacency == 1, scaled, 0.0)
+        if np.isinf(weights).any():
+            raise DataError(f"year {year}: a link weight overflows to infinity")
 
     return DirectedTradeNetwork(year, registry, scheme, adjacency, weights)
 

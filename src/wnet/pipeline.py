@@ -18,22 +18,21 @@ directory and a ``.wnet-*`` staging directory in it, and, for two or more
 files, forks a child that creates them there, empty, while the command
 computes: creating a file is costly on virtualised and network filesystems,
 and filling one that exists is not.  ``commit`` makes each file's text only
-as it writes the file there, a forked helper making every other one, and
-renames them into place, the manifest last.  It does not wait for the
-creating child: whichever process opens a file first creates it, and the
-child is stopped once every file is made.
-Leaving, however it happens, stops and reaps every fork left and removes
-the staging directory, and the directories it made while they are empty.
-So a run that fails leaves no partial bundle, and the previous bundle as it
-was; a committed run then deletes the files that only the previous manifest
-listed.
-Both forks go through ``_fork``, under one rule: a forked process only
-speeds the write up, and its work counts only if it exits 0; otherwise this
-process redoes it.  So their failure costs time but does not fail the run,
-every digest comes from this process, from the staged bytes, and the output
-bytes do not depend on the forks.  (Both are forked from a process that may
-hold BLAS threads, so they run no BLAS; Python 3.12 and later warn at each
-fork of a process with threads.)
+as it writes the file there, every file in this process, and renames them
+into place, the manifest last.  It does not wait for the creating child:
+whichever process opens a file first creates it, and the child is stopped
+once every file is made.
+Leaving, however it happens, stops and reaps the child if it is still there
+and removes the staging directory, and the directories it made while they
+are empty.  So a run that fails leaves no partial bundle, and the previous
+bundle as it was; a committed run then deletes the files that only the
+previous manifest listed.
+The child only speeds the write up: its exit status is not read, and a child
+that fails or cannot be forked costs time but does not fail the run.  Every
+digest comes from this process, from the staged bytes, and the output bytes
+do not depend on the child.  (It is forked from a process that may hold
+BLAS threads, so it runs no BLAS; Python 3.12 and later warn at each fork of
+a process with threads.)
 ``verify_bundle`` re-hashes a bundle against its manifest without writing.
 """
 
@@ -267,33 +266,6 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _may_fork() -> bool:
-    """Whether the bundle writer may fork: ``os.fork`` exists and two or more CPUs are usable."""
-    return hasattr(os, "fork") and _usable_cpus() >= 2
-
-
-def _fork(job: Callable[[], object]) -> int | None:
-    """Run ``job`` in a forked child and return the child's pid, or None
-    where the bundle writer may not fork or ``os.fork`` fails.
-
-    The child exits 0 once ``job`` returns and 1 however else it ends, so its
-    exit status alone says whether its work is complete.
-    """
-    if not _may_fork():
-        return None
-    try:
-        pid = os.fork()
-    except OSError:  # no process to spare
-        return None
-    if pid == 0:
-        try:
-            job()
-            os._exit(0)
-        finally:
-            os._exit(1)
-    return pid
-
-
 @contextmanager
 def write_bundle(
     out_dir: Path, names: Collection[str]
@@ -303,81 +275,59 @@ def write_bundle(
     On entry it makes ``out_dir`` (with any missing directory above it) and a
     ``.wnet-*`` staging directory inside it.  Given two or more ``names``, the
     files to come, it also forks a child that creates each of them there,
-    empty, while the caller computes.  The child opens each with ``O_CREAT``
-    and never truncates, so whichever process opens a file first creates it,
-    and the child's exit status is not read.
+    empty, while the caller computes, where ``os.fork`` exists and two or
+    more CPUs are usable.  The child opens each with ``O_CREAT`` and never
+    truncates, so whichever process opens a file first creates it, and the
+    child's exit status is not read.
 
     It yields ``commit(files, manifest)``, which commits ``files``, each
     name's text made by its zero-argument maker.  It does not wait for the
-    creating child.  Given two or more files, it forks a helper that makes
-    and writes every other file while this process makes and writes the rest;
-    each write creates its file if the child has not.  If the helper exits
-    other than 0, this process logs one WARNING with the count and the exit
-    code and makes the helper's whole share again.  Once every file is made,
+    creating child: it makes and writes every file in this process, each
+    write creating its file if the child has not.  Once every file is made,
     the creating child is stopped (SIGKILL) and reaped.  Then this process
     hashes every staged file, reading it back.  Unless ``manifest`` is None,
     the digests are added to ``manifest["files"]`` and it is written as
     ``manifest.json``.  Only then are the files renamed into place,
     ``manifest.json`` last.  ``commit`` returns the note of the write's stage
-    line: the file count, the processes that made the files, the seconds this
-    process spent in the makers and the seconds it took to stop the child.
+    line: the file count, the seconds spent in the makers and the seconds it
+    took to stop the child.
 
-    On exit, however it happens, every fork not reaped yet is stopped and
-    reaped, then the staging directory is removed, and the directories made
-    on entry, deepest first, each only while it is empty.  After a commit,
-    the files that the previous manifest listed and the new one does not are
-    deleted.
+    On exit, however it happens, the child is stopped and reaped if it is
+    still there, then the staging directory is removed, and the directories
+    made on entry, deepest first, each only while it is empty.  After a
+    commit, the files that the previous manifest listed and the new one does
+    not are deleted.
     """
     # The directories made here, from out_dir up, so deepest first.
     made = list(takewhile(lambda path: not path.exists(), (out_dir, *out_dir.parents)))
     staging = None
-    pids: list[int] = []  # the forks not reaped yet
+    child: int | None = None  # the creating child, until it is reaped
     stale: list[str] = []
 
-    def create(share: Iterable[str]) -> None:
-        for name in share:
+    def create() -> None:
+        for name in names:
             os.close(os.open(staging / name, os.O_WRONLY | os.O_CREAT, 0o666))
 
-    def make(files: Mapping[str, Callable[[], str]], share: Iterable[str]) -> float:
-        """Make and write each file of ``share``; return the seconds spent in its makers."""
-        seconds = 0.0
-        for name in share:
-            start = time.perf_counter()
-            text = files[name]()
-            seconds += time.perf_counter() - start
-            (staging / name).write_bytes(text.encode("utf-8"))
-        return seconds
-
-    def reap(pid: int) -> int:
-        """Wait for the fork ``pid`` and return its exit code."""
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        pids.remove(pid)
-        return code
-
     def stop() -> float:
-        """Kill (SIGKILL) and reap every fork not reaped yet; return the seconds it took."""
+        """Kill (SIGKILL) and reap the creating child if it is there; return the seconds taken."""
+        nonlocal child
         start = time.perf_counter()
-        while pids:
-            os.kill(pids[0], _SIGKILL)
-            reap(pids[0])
+        if child:
+            os.kill(child, _SIGKILL)
+            os.waitpid(child, 0)
+            child = None
         return time.perf_counter() - start
 
     def commit(files: Mapping[str, Callable[[], str]], manifest: dict | None) -> str:
         previous = set() if manifest is None else _listed_files(out_dir)
-        order = list(files)
-        helper = order[1::2]
-        pid = _fork(partial(make, files, helper)) if helper else None
-        if pid:
-            pids.append(pid)
-        processes = 2 if pid else 1
-        texts = make(files, order[::processes])  # every file, or every other one
-        if pid and (code := reap(pid)) != 0:
-            logger.warning(
-                "making the %d files of the writer helper again (its exit code: %d)",
-                len(helper), code,
-            )
-            texts += make(files, helper)
+        texts = 0.0
+        for name, maker in files.items():
+            start = time.perf_counter()
+            text = maker()
+            texts += time.perf_counter() - start
+            (staging / name).write_bytes(text.encode("utf-8"))
         waited = stop()  # the creating child: every file is made without it
+        order = list(files)
         digests = {name: _digest(staging / name) for name in order}
         if manifest is not None:
             manifest["files"] = {**manifest.get("files", {}), **digests}
@@ -389,17 +339,20 @@ def write_bundle(
         logger.info("wrote %d files to %s", len(order), out_dir)
         if previous:
             stale.extend(sorted(previous - set(manifest["files"])))
-        note = (
-            f"processes: {processes}; texts {texts:.2f} s; "
-            f"waited {waited:.4f} s for the creating child"
-        )
+        note = f"texts {texts:.2f} s; waited {waited:.4f} s for the creating child"
         return f"{len(files)} files; {note}"
 
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         staging = Path(tempfile.mkdtemp(prefix=".wnet-", dir=out_dir))
-        if len(names) >= 2 and (pid := _fork(partial(create, names))):
-            pids.append(pid)
+        if len(names) >= 2 and hasattr(os, "fork") and _usable_cpus() >= 2:
+            with suppress(OSError):  # no process to spare: the commit creates every file
+                child = os.fork()
+            if child == 0:
+                try:
+                    create()
+                finally:
+                    os._exit(0)
         yield commit
     finally:
         stop()

@@ -24,7 +24,7 @@ import wnet.pipeline
 from wnet import DataError, NodeStatsTable, load_matrix, load_panel
 from wnet.cli import main, read_config_file
 
-from conftest import assert_bundle_intact, hostile_panels, record_commits, write_panel_csvs
+from conftest import assert_bundle_intact, hostile_panels, write_panel_csvs
 
 
 def run_cli(*argv):
@@ -441,16 +441,13 @@ def writer_processes(monkeypatch, parts: int) -> list[int]:
     return forks
 
 
-def fail_writes(name: str, helper_only: bool, kill: bool = False):
+def fail_writes(name: str):
     """A ``Path.write_bytes`` that writes half of ``name``'s bytes and then fails
-    as on a full disk, or has its process killed with SIGKILL, in the helper
-    process only or in every process."""
-    parent, real = os.getpid(), Path.write_bytes
+    as on a full disk."""
+    real = Path.write_bytes
     def write_bytes(self, data):
-        if self.name == name and not (helper_only and os.getpid() == parent):
+        if self.name == name:
             real(self, data[: len(data) // 2])
-            if kill:
-                os.kill(os.getpid(), signal.SIGKILL)
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(self))
         return real(self, data)
     return write_bytes
@@ -505,73 +502,14 @@ class LocalError(Exception):
     """A maker's own exception type."""
 
 
-def fail_stats_2000(make_error, helper_only: bool):
-    """A ``NodeStatsTable.to_csv`` that calls ``make_error`` for year 2000, in the
-    helper process only or in every process; stats_2000.csv is a bundle's second
-    file, so the helper makes it first."""
-    parent, real = os.getpid(), NodeStatsTable.to_csv
+def fail_stats_2000(make_error):
+    """A ``NodeStatsTable.to_csv`` that raises what ``make_error`` returns for year 2000."""
+    real = NodeStatsTable.to_csv
     def to_csv(self):
-        if self.year == 2000 and not (helper_only and os.getpid() == parent):
+        if self.year == 2000:
             raise make_error()
         return real(self)
     return to_csv
-
-
-@needs_fork
-def test_the_main_process_makes_only_its_own_share(tmp_path, monkeypatch):
-    names = [f"f{i}.csv" for i in range(7)]
-    made = []  # by this process; the helper's list is its own copy
-    def maker(name):
-        made.append(name)
-        return f"{name}\n"
-    files = {name: partial(maker, name) for name in names}
-    with monkeypatch.context() as patch:
-        forks = writer_processes(patch, 2)
-        with wnet.pipeline.write_bundle(tmp_path, ()) as commit:  # no names: no creating child
-            assert "; processes: 2; " in commit(files, {})
-    assert forks == [os.getpid()]
-    assert made == names[0::2]
-    assert_no_child_left()
-    assert_bundle_intact(tmp_path)
-    assert all((tmp_path / name).read_text() == f"{name}\n" for name in names)
-
-
-@needs_fork
-@pytest.mark.parametrize("fault, at, code", [  # at: the helper's file where it fails
-    ("full disk", 2, 1),  # the file is left half written
-    ("maker error", 0, 1),
-    ("exit", 0, 5),
-    ("kill", 2, -9),  # SIGKILL, with the file left half written
-])
-def test_a_failure_in_the_helper_alone_is_recovered(
-    toy_csvs, tmp_path, capsys, caplog, monkeypatch, fault, at, code
-):
-    flows, gdp = toy_csvs
-    args = ["all", "--flows", str(flows), "--gdp", str(gdp), "--years", "1999:2000"]
-    with monkeypatch.context() as patch:
-        writer_processes(patch, 1)
-        names = record_commits(patch)  # in the order they are written
-        assert run_cli(*args, "--out", str(tmp_path / "one")) == 0
-    one, share = bundle_state(tmp_path / "one"), names[1::2]
-    out = tmp_path / "two"
-    capsys.readouterr()
-    caplog.clear()
-    with monkeypatch.context() as patch:
-        forks = writer_processes(patch, 2)
-        if fault in ("full disk", "kill"):
-            write_bytes = fail_writes(share[at], helper_only=True, kill=fault == "kill")
-            patch.setattr(Path, "write_bytes", write_bytes)
-        else:
-            make_error = (lambda: os._exit(5)) if fault == "exit" else (lambda: LocalError("x"))
-            patch.setattr(NodeStatsTable, "to_csv", fail_stats_2000(make_error, helper_only=True))
-        assert run_cli(*args, "--out", str(out)) == 0
-    assert forks == [os.getpid()] * 2  # the staging's creator and the writer's helper
-    assert_no_child_left()
-    assert not capsys.readouterr().err
-    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
-    assert warnings == [f"making the {len(share)} files of the writer helper again (its exit code: {code})"]
-    assert not list(out.glob(".wnet-*")) and bundle_state(out) == one
-    assert run_cli("verify", "--out", str(out)) == 0
 
 
 @needs_fork
@@ -586,9 +524,9 @@ def test_a_full_disk_in_both_processes_leaves_the_previous_bundle(
     capsys.readouterr()
     with monkeypatch.context() as patch:
         forks = writer_processes(patch, 2)
-        patch.setattr(Path, "write_bytes", fail_writes("stats_2000.csv", helper_only=False))
+        patch.setattr(Path, "write_bytes", fail_writes("stats_2000.csv"))
         assert run_cli(*args, "--strong-cut", "0.5") == 2
-    assert forks == [os.getpid()] * 2  # the staging's creator and the writer's helper
+    assert forks == [os.getpid()]  # the creating child
     assert_no_child_left()
     err = capsys.readouterr().err
     errors = [line for line in err.splitlines() if line.startswith("error: ")]
@@ -610,7 +548,7 @@ def test_a_maker_error_in_the_main_process_is_an_internal_error(
     args = ["all", "--flows", str(flows), "--gdp", str(gdp), "--years", "1999:2000", "--out", str(out)]
     with monkeypatch.context() as patch:
         writer_processes(patch, parts)
-        patch.setattr(NodeStatsTable, "to_csv", fail_stats_2000(partial(error, "bad cell"), False))
+        patch.setattr(NodeStatsTable, "to_csv", fail_stats_2000(partial(error, "bad cell")))
         code = run_cli(*args)
     assert_no_child_left()
     err = capsys.readouterr().err
@@ -619,31 +557,27 @@ def test_a_maker_error_in_the_main_process_is_an_internal_error(
 
 
 @needs_fork
-def test_an_interrupt_in_the_parent_reaps_the_helper(toy_csvs, tmp_path, monkeypatch):
+def test_an_interrupt_in_the_parent_reaps_the_creating_child(toy_csvs, tmp_path, monkeypatch):
     flows, gdp = toy_csvs
     out = tmp_path / "bundle"
     args = ["all", "--flows", str(flows), "--gdp", str(gdp), "--years", "1999:2000", "--out", str(out)]
     assert run_cli(*args) == 0
     before = bundle_state(out)
-    parent = os.getpid()
-    real = Path.write_bytes
     def write_bytes(self, data):
-        if os.getpid() == parent:
-            raise KeyboardInterrupt
-        return real(self, data)
+        raise KeyboardInterrupt
     with monkeypatch.context() as patch:
         forks = writer_processes(patch, 2)
         patch.setattr(Path, "write_bytes", write_bytes)
         with pytest.raises(KeyboardInterrupt):
             run_cli(*args, "--strong-cut", "0.5")
-    assert forks == [parent] * 2  # the staging's creator and the writer's helper
+    assert forks == [os.getpid()]  # the creating child
     assert_no_child_left()
     assert not list(out.glob(".wnet-*")) and bundle_state(out) == before
 
 
 @needs_fork
-@pytest.mark.parametrize("fault", [None, "helper", "main"])
-def test_the_helper_is_reaped_before_the_staging_directory_goes(
+@pytest.mark.parametrize("fault", [None, "main"])
+def test_the_creating_child_is_reaped_before_the_staging_directory_goes(
     toy_csvs, tmp_path, monkeypatch, fault
 ):
     flows, gdp = toy_csvs
@@ -661,10 +595,8 @@ def test_the_helper_is_reaped_before_the_staging_directory_goes(
     with monkeypatch.context() as patch:
         writer_processes(patch, 2)
         patch.setattr(shutil, "rmtree", rmtree)
-        if fault == "helper":
-            patch.setattr(NodeStatsTable, "to_csv", fail_stats_2000(partial(os._exit, 5), True))
         if fault == "main":
-            patch.setattr(Path, "write_bytes", fail_writes("stats_1999.csv", helper_only=False))
+            patch.setattr(Path, "write_bytes", fail_writes("stats_1999.csv"))
         assert run_cli(*args, "--out", str(tmp_path / "bundle")) == (2 if fault == "main" else 0)
     assert children == [False]
     assert_no_child_left()
@@ -709,16 +641,16 @@ def test_the_staging_child_is_stopped_once_every_file_is_made(toy_csvs, tmp_path
         for name, fake in ("fork", fork), ("kill", kill), ("waitpid", waitpid), ("replace", replace):
             patch.setattr(os, name, fake)
         assert run_cli(*args, "--out", str(out)) == 0
-    assert forks == [os.getpid()] * 2
-    creator, helper = children
+    assert forks == [os.getpid()]
+    (creator,) = children
     listed = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["files"]
-    # The helper is reaped, then the creating child is killed and reaped, and
-    # only then is anything renamed: by then every file is made, none empty.
-    assert [event[:2] for event in events[:3]] == [("reap", helper), ("kill", creator), ("reap", creator)]
-    assert events[1][2] == signal.SIGKILL
-    assert events[2][2] == {name: (out / name).stat().st_size for name in listed}
-    assert all(events[2][2].values())
-    renamed = [name for kind, name in events[3:]]
+    # The creating child is killed and reaped, and only then is anything
+    # renamed: by then every file is made, none empty.
+    assert [event[:2] for event in events[:2]] == [("kill", creator), ("reap", creator)]
+    assert events[0][2] == signal.SIGKILL
+    assert events[1][2] == {name: (out / name).stat().st_size for name in listed}
+    assert all(events[1][2].values())
+    renamed = [name for kind, name in events[2:]]
     assert sorted(renamed[:-1]) == sorted(listed) and renamed[-1] == "manifest.json"
     assert_no_child_left()
     assert_bundle_intact(out)
@@ -743,7 +675,7 @@ def test_the_creating_child_makes_every_file_empty_while_the_caller_computes(
             # This process has made nothing yet, so the child made each file, empty.
             assert {p.name: p.stat().st_size for p in staging.iterdir()} == dict.fromkeys(names, 0)
             commit({name: partial(str, name) for name in names}, {})
-    assert forks == [os.getpid()] * 2
+    assert forks == [os.getpid()]
     assert_no_child_left()
     assert {name: (out / name).read_text() for name in names} == {name: name for name in names}
     assert sorted(p.name for p in out.iterdir()) == sorted([*names, "manifest.json"])
@@ -774,7 +706,7 @@ def test_a_staging_child_that_stops_short_is_made_up_for(
         forks = writer_processes(patch, 2)
         patch.setattr(os, "open", open_)
         assert run_cli(*args, "--out", str(out)) == 0
-    assert forks == [os.getpid()] * 2
+    assert forks == [os.getpid()]
     assert_no_child_left()
     assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
     assert_bundle_intact(out)
@@ -789,17 +721,16 @@ def test_a_failed_staging_fork_gives_the_one_process_bundle(toy_csvs, tmp_path, 
     flows, gdp = toy_csvs
     args = ["all", "--flows", str(flows), "--gdp", str(gdp), "--years", "1999:2000"]
     one = one_process_bundle(tmp_path, monkeypatch, args)
-    forks, real = count(), os.fork
-    def fork():  # the first fork, the staging child's, fails
-        if next(forks) == 0:
-            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-        return real()
+    forks = count()
+    def fork():  # the staging child's fork fails
+        next(forks)
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
     monkeypatch.setattr(wnet.pipeline, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(os, "fork", fork)
     fds = sorted(os.listdir("/dev/fd"))
     out = tmp_path / "two"
     assert run_cli(*args, "--out", str(out)) == 0
-    assert next(forks) == 2  # the helper's fork went through
+    assert next(forks) == 1  # the one fork, which failed
     assert sorted(os.listdir("/dev/fd")) == fds
     assert_no_child_left()
     assert_bundle_intact(out)
@@ -835,13 +766,13 @@ def test_a_run_that_fails_after_staging_leaves_no_trace(
         if fault == "interrupt":
             patch.setattr(wnet.pipeline, "kde", interrupt)
         if fault == "full disk":
-            patch.setattr(Path, "write_bytes", fail_writes("stats_1999.csv", helper_only=False))
+            patch.setattr(Path, "write_bytes", fail_writes("stats_1999.csv"))
         try:
             code = run_cli(*args, "--years", years, "--strong-cut", "0.5")
         except KeyboardInterrupt:
             code = "interrupted"
     assert code == ("interrupted" if fault == "interrupt" else 2)
-    assert forks[0] == os.getpid() and len(forks) == (2 if fault == "full disk" else 1)
+    assert forks == [os.getpid()]  # the creating child
     assert_no_child_left()
     err = capsys.readouterr().err
     assert fault == "interrupt" or (
@@ -893,8 +824,8 @@ def test_a_creating_child_is_forked_exactly_for_two_or_more_files(toy_csvs, tmp_
     out = tmp_path / "bundle"
     inputs = ["--flows", str(flows), "--gdp", str(gdp), "--years", "1999:2000", "--out", str(out)]
     assert run_cli("all", *inputs) == 0
-    # report writes one file; build writes two, so the child and the helper fork.
-    for command, forked in ((["report", "--out", str(out)], 0), (["build", *inputs], 2)):
+    # report writes one file, so nothing forks; build writes two, so the child forks.
+    for command, forked in ((["report", "--out", str(out)], 0), (["build", *inputs], 1)):
         with monkeypatch.context() as patch:
             forks = writer_processes(patch, 2)
             assert run_cli(*command) == 0
@@ -907,15 +838,18 @@ def test_a_flow_over_a_tiny_gdp_is_one_error_line_and_no_warning(tmp_path, capsy
     flows, gdp = tmp_path / "flows.csv", tmp_path / "gdp.csv"
     flows.write_text("year,exporter,importer,value\n2000,A,B,1e300\n2000,B,C,5\n2000,C,A,7\n")
     gdp.write_text("year,country,gdp\n2000,A,1e-300\n2000,B,2\n2000,C,3\n")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = run_cli(
-            "build", "--flows", str(flows), "--gdp", str(gdp), "--years", "2000",
-            "--out", str(tmp_path / "out"),
-        )
-    assert code == 2
-    assert not caught, [str(w.message) for w in caught]
-    assert capsys.readouterr().err == "error: year 2000: a link weight overflows to infinity\n"
+    for command in ("build", "all"):  # all computes the symmetry index too
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(
+                command, "--flows", str(flows), "--gdp", str(gdp), "--years", "2000",
+                "--out", str(tmp_path / "out"),
+            )
+        assert code == 2, command
+        assert not caught, (command, [str(w.message) for w in caught])
+        err = capsys.readouterr().err
+        assert err == "error: year 2000: a link weight overflows to infinity\n", command
+        assert not (tmp_path / "out").exists()
 
 
 @needs_fork

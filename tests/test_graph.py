@@ -7,6 +7,7 @@ import pytest
 
 from wnet import (
     DataError,
+    DirectedTradeNetwork,
     ValidationError,
     WeightScheme,
     WeightVariant,
@@ -281,7 +282,13 @@ def test_a_weight_that_overflows_is_a_data_error():
     panel = panel_from_rows(
         [(2000, "A", "B", 1e10), (2000, "B", "A", 5.0)], [(2000, "A", 1e-300), (2000, "B", 1.0)]
     )
-    with np.errstate(over="ignore"):
-        net = build_directed(panel, 2000, WeightScheme())
-    with pytest.raises(DataError, match=r"^year 2000: a link weight overflows to infinity$"):
+    message = r"^year 2000: a link weight overflows to infinity$"
+    with pytest.raises(DataError, match=message):
+        build_directed(panel, 2000, WeightScheme())
+    # symmetrize keeps its own check, for a network built otherwise.
+    weights = np.array([[0.0, np.inf], [5.0, 0.0]])
+    net = DirectedTradeNetwork(
+        2000, panel.registry, WeightScheme(), (weights > 0).astype(np.int64), weights
+    )
+    with pytest.raises(DataError, match=message):
         symmetrize(net)

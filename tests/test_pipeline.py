@@ -188,15 +188,13 @@ def test_stage_timings_go_to_the_log(toy_csvs, tmp_path, caplog, monkeypatch, pa
         "ingest", "build", "symmetry", "symmetrize", "node stats", "moments",
         "correlations", "density", "ranksize", "tailfit", "write",
     ]
-    processes = parts if hasattr(os, "fork") else 1
     write = re.fullmatch(  # the write line
-        rf" \(18 files; processes: {processes}; texts (\d+\.\d\d) s; "
-        r"waited (\d+\.\d{4}) s for the creating child\)",
+        r" \(18 files; texts (\d+\.\d\d) s; waited (\d+\.\d{4}) s for the creating child\)",
         note,
     )
     assert write and float(write[1]) <= stages["write"] + 0.005
     assert float(write[2]) <= stages["write"] + 0.00005
-    assert processes == 2 or write[2] == "0.0000"  # no child, no wait
+    assert (parts == 2 and hasattr(os, "fork")) or write[2] == "0.0000"  # no child, no wait
     (run,) = [float(m[1]) for line in lines if (m := re.fullmatch(r"run: (\S+) s in 11 stages", line))]
     rounding = 0.00005 * (len(stages) + 1)
     assert abs(sum(stages.values()) - run) <= rounding
@@ -583,31 +581,15 @@ def _process_calls(tree: ast.AST, scope: str = ""):
         yield from _process_calls(node, inner)
 
 
-def _uses(name: str, tree: ast.AST, scope: str = ""):
-    """(scope, line) of each use of ``name`` in ``tree``, as a name, an attribute
-    or an import, other than its definition; ``scope`` as in ``_writes``."""
-    for node in ast.iter_child_nodes(tree):
-        inner = scope
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            inner = f"{scope}.{node.name}"
-        used = isinstance(node, ast.Name) and node.id == name
-        used |= isinstance(node, ast.Attribute) and node.attr == name
-        used |= isinstance(node, ast.ImportFrom) and name in (alias.name for alias in node.names)
-        if used:
-            yield scope, node.lineno
-        yield from _uses(name, node, inner)
-
-
 def test_fork_is_the_only_place_that_forks():
-    # The bundle writer's forked processes report by exit status alone.
+    # One fork site, on entry to write_bundle: the creating child, whose exit
+    # status is not read.  commit, and everything else, forks nothing.
     src = Path(wnet.pipeline.__file__).parent
-    found, forks = {}, []
+    found = {}
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for scope, name, line in _process_calls(tree):
             found.setdefault((f"{path.stem}{scope}", name), []).append(line)
-        forks += [f"{path.stem}{scope}" for scope, _ in _uses("_fork", tree)]
-    assert set(found) == {("pipeline._fork", "fork"), ("pipeline._fork", "_exit")}, found
-    assert len(found["pipeline._fork", "fork"]) == 1
-    # Two fork sites, both in write_bundle: the creating child on entry, the helper in commit.
-    assert sorted(forks) == ["pipeline.write_bundle", "pipeline.write_bundle.commit"], forks
+    site = "pipeline.write_bundle"
+    assert set(found) == {(site, "fork"), (site, "_exit")}, found
+    assert len(found[site, "fork"]) == 1
