@@ -151,7 +151,7 @@ def symmetrize(net: DirectedTradeNetwork) -> UndirectedNetwork:
     DataError when there is no link or the maximum is infinite.
     """
     adjacency = np.maximum(net.adjacency, net.adjacency.T)
-    averaged = 0.5 * (net.weights + net.weights.T)
+    averaged = 0.5 * net.weights + 0.5 * net.weights.T  # halves first: no overflow
     normalizer = float(averaged.max())
     if normalizer <= 0:
         raise DataError(f"year {net.year}: cannot normalize a network with no links")
@@ -167,12 +167,17 @@ def symmetry_index(net: DirectedTradeNetwork) -> float:
     """Frobenius-norm asymmetry ratio ||W~ - W~'|| / ||W~ + W~'|| in [0, 1].
 
     0 for a perfectly symmetric weight matrix, 1 when no weight is
-    reciprocated.  Invariant under global rescaling of the weights.
+    reciprocated.  Invariant under global rescaling of the weights: they are
+    first scaled, exactly, by the power of two that brings the largest below
+    1, so its squares cannot overflow, and a power-of-two rescaling of
+    normal weights leaves the index bit-identical.
     """
-    denom = np.linalg.norm(net.weights + net.weights.T, "fro")
+    peak = float(np.abs(net.weights).max())
+    weights = np.ldexp(net.weights, -math.frexp(peak)[1])
+    denom = np.linalg.norm(weights + weights.T, "fro")
     if denom == 0:
         raise DataError(f"year {net.year}: symmetry index undefined without links")
-    return float(np.linalg.norm(net.weights - net.weights.T, "fro") / denom)
+    return float(np.linalg.norm(weights - weights.T, "fro") / denom)
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,21 +18,21 @@ directory and a ``.wnet-*`` staging directory in it, and, for two or more
 files, forks a child that creates them there, empty, while the command
 computes: creating a file is costly on virtualised and network filesystems,
 and filling one that exists is not.  ``commit`` makes each file's text only
-as it writes the file there, every file in this process, and renames them
-into place, the manifest last.  It does not wait for the creating child:
-whichever process opens a file first creates it, and the child is stopped
-once every file is made.
+as it writes the file there, every file in this process, hashes the bytes
+it writes, renames the files into place, the manifest last, and then deletes
+the files that only the previous manifest listed.  It does not wait for the
+creating child: whichever process opens a file first creates it, and the
+child is stopped once every file is made.
 Leaving, however it happens, stops and reaps the child if it is still there
 and removes the staging directory, and the directories it made while they
 are empty.  So a run that fails leaves no partial bundle, and the previous
-bundle as it was; a committed run then deletes the files that only the
-previous manifest listed.
+bundle as it was.
 The child only speeds the write up: its exit status is not read, and a child
 that fails or cannot be forked costs time but does not fail the run.  Every
-digest comes from this process, from the staged bytes, and the output bytes
-do not depend on the child.  (It is forked from a process that may hold
-BLAS threads, so it runs no BLAS; Python 3.12 and later warn at each fork of
-a process with threads.)
+byte and every digest comes from this process, so the output does not depend
+on the child.  (It is forked from a process that may hold BLAS threads, so
+it runs no BLAS; Python 3.12 and later warn at each fork of a process with
+threads.)
 ``verify_bundle`` re-hashes a bundle against its manifest without writing.
 """
 
@@ -283,64 +283,65 @@ def write_bundle(
     It yields ``commit(files, manifest)``, which commits ``files``, each
     name's text made by its zero-argument maker.  It does not wait for the
     creating child: it makes and writes every file in this process, each
-    write creating its file if the child has not.  Once every file is made,
-    the creating child is stopped (SIGKILL) and reaped.  Then this process
-    hashes every staged file, reading it back.  Unless ``manifest`` is None,
-    the digests are added to ``manifest["files"]`` and it is written as
-    ``manifest.json``.  Only then are the files renamed into place,
-    ``manifest.json`` last.  ``commit`` returns the note of the write's stage
-    line: the file count, the seconds spent in the makers and the seconds it
-    took to stop the child.
+    write creating its file if the child has not.  Each file's digest is the
+    sha256 of the bytes written, so no staged file is read back.  Once every
+    file is made, the creating child is stopped (SIGKILL) and reaped.  Unless
+    ``manifest`` is None, the digests are added to ``manifest["files"]`` and
+    it is written as ``manifest.json``.  Only then are the files renamed into
+    place, ``manifest.json`` last, and the files that the previous manifest
+    listed and the new one does not are deleted.  ``commit`` returns the note
+    of the write's stage line: the file count and the seconds spent in the
+    makers.
 
     On exit, however it happens, the child is stopped and reaped if it is
     still there, then the staging directory is removed, and the directories
-    made on entry, deepest first, each only while it is empty.  After a
-    commit, the files that the previous manifest listed and the new one does
-    not are deleted.
+    made on entry, deepest first, each only while it is empty.
     """
     # The directories made here, from out_dir up, so deepest first.
     made = list(takewhile(lambda path: not path.exists(), (out_dir, *out_dir.parents)))
     staging = None
     child: int | None = None  # the creating child, until it is reaped
-    stale: list[str] = []
 
     def create() -> None:
         for name in names:
             os.close(os.open(staging / name, os.O_WRONLY | os.O_CREAT, 0o666))
 
-    def stop() -> float:
-        """Kill (SIGKILL) and reap the creating child if it is there; return the seconds taken."""
+    def stop() -> None:
+        """Kill (SIGKILL) and reap the creating child if it is there."""
         nonlocal child
-        start = time.perf_counter()
         if child:
             os.kill(child, _SIGKILL)
             os.waitpid(child, 0)
             child = None
-        return time.perf_counter() - start
 
     def commit(files: Mapping[str, Callable[[], str]], manifest: dict | None) -> str:
-        previous = set() if manifest is None else _listed_files(out_dir)
         texts = 0.0
+        digests = {}
         for name, maker in files.items():
             start = time.perf_counter()
             text = maker()
             texts += time.perf_counter() - start
-            (staging / name).write_bytes(text.encode("utf-8"))
-        waited = stop()  # the creating child: every file is made without it
-        order = list(files)
-        digests = {name: _digest(staging / name) for name in order}
+            data = text.encode("utf-8")
+            (staging / name).write_bytes(data)
+            digests[name] = hashlib.sha256(data).hexdigest()
+        stop()  # the creating child: every file is made without it
         if manifest is not None:
+            previous = _listed_files(out_dir)
             manifest["files"] = {**manifest.get("files", {}), **digests}
             text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
             (staging / MANIFEST).write_bytes(text.encode("utf-8"))
-            order.append(MANIFEST)
-        for name in order:
+        for name in files:
             os.replace(staging / name, out_dir / name)
-        logger.info("wrote %d files to %s", len(order), out_dir)
-        if previous:
-            stale.extend(sorted(previous - set(manifest["files"])))
-        note = f"texts {texts:.2f} s; waited {waited:.4f} s for the creating child"
-        return f"{len(files)} files; {note}"
+        if manifest is not None:
+            os.replace(staging / MANIFEST, out_dir / MANIFEST)
+            stale = sorted(previous - set(manifest["files"]))
+            for name in stale:
+                if (out_dir / name).is_file():
+                    (out_dir / name).unlink()
+            if stale:
+                logger.info("removed %d files that only the previous manifest listed", len(stale))
+        logger.info("wrote %d files to %s", len(files) + (manifest is not None), out_dir)
+        return f"{len(files)} files; texts {texts:.2f} s"
 
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -361,11 +362,6 @@ def write_bundle(
         with suppress(OSError):  # not empty: the write went through
             for path in made:
                 path.rmdir()
-    for name in stale:
-        if (out_dir / name).is_file():
-            (out_dir / name).unlink()
-    if stale:
-        logger.info("removed %d files that only the previous manifest listed", len(stale))
 
 
 def pair_filename(pair: str) -> str:

@@ -483,19 +483,20 @@ def test_one_and_two_writer_processes_write_the_same_bundle(
     assert bundles[0] == bundles[1] and printed[0] == printed[1]
 
 
-@needs_fork
-def test_a_failed_fork_makes_every_file_in_one_process(toy_csvs, tmp_path, monkeypatch):
+def test_the_commit_reads_no_staged_file_back(toy_csvs, tmp_path, monkeypatch):
     flows, gdp = toy_csvs
-    args = ["all", "--flows", str(flows), "--gdp", str(gdp), "--years", "1999:2000"]
-    assert run_cli(*args, "--out", str(tmp_path / "one")) == 0
-    def fork():
-        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-    monkeypatch.setattr(wnet.pipeline, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(os, "fork", fork)
-    fds = sorted(os.listdir("/dev/fd"))
-    assert run_cli(*args, "--out", str(tmp_path / "two")) == 0
-    assert sorted(os.listdir("/dev/fd")) == fds  # no descriptor is left open
-    assert bundle_state(tmp_path / "one") == bundle_state(tmp_path / "two")
+    real = Path.read_bytes
+    def read_bytes(self):  # each digest must come from the bytes as they are written
+        if any(part.startswith(".wnet-") for part in self.parts):
+            raise OSError(errno.EIO, os.strerror(errno.EIO), str(self))
+        return real(self)
+    out = tmp_path / "bundle"
+    with monkeypatch.context() as patch:
+        patch.setattr(Path, "read_bytes", read_bytes)
+        assert run_cli(
+            "all", "--flows", str(flows), "--gdp", str(gdp), "--years", "1999:2000", "--out", str(out)
+        ) == 0
+    assert_bundle_intact(out)
 
 
 class LocalError(Exception):
@@ -850,6 +851,28 @@ def test_a_flow_over_a_tiny_gdp_is_one_error_line_and_no_warning(tmp_path, capsy
         err = capsys.readouterr().err
         assert err == "error: year 2000: a link weight overflows to infinity\n", command
         assert not (tmp_path / "out").exists()
+
+
+def test_raw_flows_near_the_largest_double_are_finite_weights(tmp_path, capsys):
+    flows = tmp_path / "flows.csv"
+    flows.write_text("year,exporter,importer,value\n2000,A,B,1.5e308\n2000,B,A,1.5e308\n2000,B,C,5\n")
+    for command in ("build", "analyze"):
+        out = tmp_path / command
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(
+                command, "--flows", str(flows), "--scheme", "raw", "--years", "2000",
+                "--out", str(out), *(["--analyses", "symmetry"] if command == "analyze" else []),
+            )
+        assert code == 0, command
+        assert not caught, (command, [str(w.message) for w in caught])
+        assert "error" not in capsys.readouterr().err
+    dump = load_matrix(tmp_path / "build" / "matrix_2000.txt")
+    assert dump.normalizer == 1.5e308 and dump.weights[0, 1] == dump.weights[1, 0] == 1.0
+    assert dump.weights.max() == 1.0 and dump.weights.min() == 0.0  # every weight finite
+    table = (tmp_path / "analyze" / "symmetry.csv").read_text(encoding="utf-8")
+    assert table.startswith("year,symmetry_index\n2000,")
+    assert 0 <= float(table.split(",")[-1]) < 1e-300
 
 
 @needs_fork

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -205,6 +206,17 @@ def test_symmetry_index_scale_invariant(rng):
         rescaled_panel(panel, 9.25), 2000, WeightScheme(WeightVariant.RAW)
     )
     assert symmetry_index(scaled_net) == pytest.approx(symmetry_index(net), abs=1e-12)
+
+
+@pytest.mark.parametrize("exponent", [-560, 520, 1020])
+def test_symmetry_index_is_exact_at_any_power_of_two_scale(exponent):
+    # Unscaled, the squared norms underflow to 0 at 2**-560 and overflow at
+    # 2**520; scaled by a power of two first, the index keeps every bit.
+    flows = [(2000, "A", "B", 3.0), (2000, "B", "A", 1.0), (2000, "B", "C", 2.5)]
+    scheme = WeightScheme(WeightVariant.RAW)
+    base = symmetry_index(build_directed(panel_of(flows), 2000, scheme))
+    scaled = [(y, a, b, math.ldexp(v, exponent)) for y, a, b, v in flows]
+    assert symmetry_index(build_directed(panel_of(scaled), 2000, scheme)) == base
 
 
 def test_matrix_dump_round_trip(tmp_path, rng):

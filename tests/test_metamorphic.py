@@ -1,16 +1,28 @@
-"""Bundle-level metamorphic relation: selecting years selects rows.
+"""Bundle-level metamorphic relations: transformed inputs, predictable bundles.
 
-A run over some of a panel's years must write, for each of those years, the
-very bytes the run over every year writes: the per-year files are identical,
-and each multi-year table holds exactly the full run's rows of those years.
-The analyses are row reductions over a stack of every selected year, so a
-year's result must not depend on which other years share its stack.
+- Selecting years selects rows.  A run over some of a panel's years must
+  write, for each of those years, the very bytes the run over every year
+  writes: the per-year files are identical, and each multi-year table holds
+  exactly the full run's rows of those years.  The analyses are row
+  reductions over a stack of every selected year, so a year's result must
+  not depend on which other years share its stack.
+- Rescaling by powers of two changes only the normalizers.  Every flow times
+  2**520 and every GDP times 2**-8 multiply each link weight by 2**528
+  exactly, and every statistic is invariant under a global rescaling of the
+  weights, so every file is byte-identical and each normalizer is exactly
+  2**528 times the original, with no numpy warning at that scale.
+- Shifting every year shifts only the year labels.  After the year cells
+  and file names are mapped back, every file is byte-identical, so years are
+  labels to the writer and nothing else.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -87,3 +99,88 @@ def test_the_kept_years_manifest_entries_are_the_full_runs(bundles):
     assert sorted(p.name for p in bundles[1].iterdir()) == sorted(
         [*per_year, *MULTI_YEAR, "comparison.csv", "manifest.json"]
     )
+
+
+FOUR = (1990, 1991, 1992, 1993)
+SHIFT = 100
+
+
+def rewrite(src: Path, dst: Path, *, year=lambda y: y, value=lambda v: v) -> Path:
+    """``src``'s panel CSV with each row's first (year) and last (value) cell mapped."""
+    header, *lines = src.read_text(encoding="utf-8").splitlines()
+    rows = []
+    for line in lines:
+        cells = line.split(",")
+        cells[0], cells[-1] = str(year(int(cells[0]))), repr(value(float(cells[-1])))
+        rows.append(",".join(cells))
+    dst.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    return dst
+
+
+def run_all(flows: Path, gdp: Path, years, out: Path) -> dict[str, bytes]:
+    assert main(
+        ["all", "--flows", str(flows), "--gdp", str(gdp), "--years", f"{years[0]}:{years[-1]}", "--out", str(out)]
+    ) == 0
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def data_files(bundle: dict[str, bytes]) -> dict[str, bytes]:
+    return {name: text for name, text in bundle.items() if name != "manifest.json"}
+
+
+@pytest.fixture(scope="module")
+def four_years(tmp_path_factory):
+    """The gravity panel's inputs over ``FOUR`` and its ``all`` bundle."""
+    tmp = tmp_path_factory.mktemp("relations")
+    flows, gdp = write_gravity_panel(tmp, n=159, years=FOUR)
+    return tmp, flows, gdp, run_all(flows, gdp, FOUR, tmp / "base")
+
+
+def test_power_of_two_rescaling_moves_only_the_normalizers(four_years):
+    tmp, flows, gdp, base = four_years
+    scaled = run_all(
+        rewrite(flows, tmp / "flows_up.csv", value=lambda v: math.ldexp(v, 520)),
+        rewrite(gdp, tmp / "gdp_down.csv", value=lambda v: math.ldexp(v, -8)),
+        FOUR,
+        tmp / "scaled",
+    )
+    assert data_files(scaled) == data_files(base)
+    manifests = [json.loads(bundle["manifest.json"]) for bundle in (base, scaled)]
+    for manifest in manifests:
+        del manifest["config"]["flows"], manifest["config"]["gdp"]
+    normalizers = [manifest.pop("normalizers") for manifest in manifests]
+    assert manifests[0] == manifests[1]
+    assert normalizers[1] == {year: math.ldexp(h, 528) for year, h in normalizers[0].items()}
+    assert len(normalizers[0]) == len(FOUR)
+
+
+def unshift(name: str, text: bytes) -> tuple[str, bytes]:
+    """A shifted run's file under its unshifted name, its ``year`` cells mapped back."""
+    name = re.sub(r"\d{4}(?=\.csv$)", lambda m: str(int(m[0]) - SHIFT), name)
+    assert b'"' not in text  # plain cells: a comma always separates two
+    header, *lines = text.decode("utf-8").splitlines(keepends=True)
+    columns = header.rstrip("\n").split(",")
+    if "year" in columns:
+        at = columns.index("year")
+        for i, line in enumerate(lines):
+            cells = line.split(",")
+            cells[at] = str(int(cells[at]) - SHIFT)
+            lines[i] = ",".join(cells)
+    return name, "".join([header, *lines]).encode("utf-8")
+
+
+def test_shifting_every_year_shifts_only_the_year_labels(four_years):
+    tmp, flows, gdp, base = four_years
+    later = tuple(year + SHIFT for year in FOUR)
+    shifted = run_all(
+        rewrite(flows, tmp / "flows_later.csv", year=lambda y: y + SHIFT),
+        rewrite(gdp, tmp / "gdp_later.csv", year=lambda y: y + SHIFT),
+        later,
+        tmp / "shifted",
+    )
+    assert dict(unshift(name, text) for name, text in data_files(shifted).items()) == data_files(base)
+    normalizers = json.loads(shifted["manifest.json"])["normalizers"]
+    assert {str(int(year) - SHIFT): h for year, h in normalizers.items()} == json.loads(
+        base["manifest.json"]
+    )["normalizers"]
+    assert len(base) > 4 * len(FOUR)
