@@ -186,6 +186,18 @@ def silverman_bandwidth(values: np.ndarray) -> float:
 KDE_GRID_SIZE = 512
 
 
+def check_bandwidth(bandwidth: float) -> float:
+    """``bandwidth`` as a float h.  Raises ValidationError unless h is
+    positive and h, 3h and 1/h are finite: without that, no data gives h a
+    usable density grid."""
+    h = float(bandwidth)
+    if not (h > 0 and math.isfinite(3 * h) and math.isfinite(1 / h)):
+        raise ValidationError(
+            f"bandwidth must be positive and finite with 3h and 1/h finite, got {bandwidth!r}"
+        )
+    return h
+
+
 def kde_bandwidths(
     rows: np.ndarray, bandwidth: float | None = None, where: Callable[[int], str] | None = None
 ) -> np.ndarray:
@@ -193,25 +205,36 @@ def kde_bandwidths(
     default Silverman's rule.
 
     Raises DataError, named by ``where`` (see ``fail_first_row``), at the
-    first row with fewer than 5 defined values or none of nonzero spread, and
-    ValidationError for a ``bandwidth`` that is not positive and finite.
+    first row with fewer than 5 defined values or none of nonzero spread, or
+    whose bandwidth h puts the density grid out of range: a grid end
+    (min - 3h or max + 3h), the grid's span or the largest squared
+    ``(grid - x) / h`` is not finite.  Raises ValidationError for a
+    ``bandwidth`` that is not positive or whose 3h or 1/h is not finite,
+    whatever the data.
     """
     rows = np.asarray(rows, dtype=float)
     defined = np.isfinite(rows)
     count = defined.sum(axis=1)
     high = np.where(defined, rows, -np.inf).max(axis=1, initial=-np.inf)
-    constant = high == np.where(defined, rows, np.inf).min(axis=1, initial=np.inf)
+    low = np.where(defined, rows, np.inf).min(axis=1, initial=np.inf)
     fail_first_row(
         where,
         (count < 5, lambda i: f"kde needs >= 5 defined values, got {count[i]}"),
-        (constant, lambda i: "kde input is constant"),
+        (high == low, lambda i: "kde input is constant"),
     )
     if bandwidth is None:
-        return silverman_rows(rows)
-    h = float(bandwidth)
-    if not math.isfinite(h) or h <= 0:
-        raise ValidationError(f"bandwidth must be positive, got {bandwidth!r}")
-    return np.full(len(rows), h)
+        hs = silverman_rows(rows)
+    else:
+        hs = np.full(len(rows), check_bandwidth(bandwidth))
+    with np.errstate(over="ignore", invalid="ignore"):  # flagged as a DataError below
+        start, stop = low - 3 * hs, high + 3 * hs
+        reach = np.maximum(stop - low, high - start) / hs  # the largest |grid - x| / h
+        # A finite span has finite ends.
+        out = ~(np.isfinite(stop - start) & np.isfinite(reach * reach))
+    fail_first_row(where, (
+        out, lambda i: f"bandwidth {float(hs[i])!r} puts the density grid out of float range"
+    ))
+    return hs
 
 
 def kde(values: np.ndarray, bandwidth: float | None = None) -> DensityEstimate:

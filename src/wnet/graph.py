@@ -151,7 +151,13 @@ def symmetrize(net: DirectedTradeNetwork) -> UndirectedNetwork:
     DataError when there is no link or the maximum is infinite.
     """
     adjacency = np.maximum(net.adjacency, net.adjacency.T)
-    averaged = 0.5 * net.weights + 0.5 * net.weights.T  # halves first: no overflow
+    # Halving before adding would round away a subnormal weight's last bit,
+    # so only a sum that overflows is averaged by halves.
+    with np.errstate(over="ignore"):
+        averaged = 0.5 * (net.weights + net.weights.T)
+    over = np.isinf(averaged)
+    if over.any():
+        averaged[over] = 0.5 * net.weights[over] + 0.5 * net.weights.T[over]
     normalizer = float(averaged.max())
     if normalizer <= 0:
         raise DataError(f"year {net.year}: cannot normalize a network with no links")

@@ -21,8 +21,12 @@ and filling one that exists is not.  ``commit`` makes each file's text only
 as it writes the file there, every file in this process, hashes the bytes
 it writes, renames the files into place, the manifest last, and then deletes
 the files that only the previous manifest listed.  It does not wait for the
-creating child: whichever process opens a file first creates it, and the
-child is stopped once every file is made.
+creating child: both processes open a staged file by one rule, create it or
+open it and never truncate, so whichever opens it first creates it, and the
+child is stopped once every file is made.  Nothing staged needs truncating,
+since the staging directory is new and the child writes no byte; and
+truncating costs, since ext4 (``auto_da_alloc``) flushes a file truncated
+and rewritten to disk when it is closed.
 Leaving, however it happens, stops and reaps the child if it is still there
 and removes the staging directory, and the directories it made while they
 are empty.  So a run that fails leaves no partial bundle, and the previous
@@ -62,6 +66,7 @@ from .distributions import (
     SUPPORTED_PAIRS,
     CorrelationPoint,
     TailFit,
+    check_bandwidth,
     correlation_series,
     kde,
     kde_bandwidths,
@@ -126,10 +131,8 @@ class PipelineConfig:
             raise ValidationError(
                 f"tail fraction must be in (0, 1), got {self.tail_fraction!r}"
             )
-        if self.bandwidth is not None and not 0 < self.bandwidth < math.inf:
-            raise ValidationError(
-                f"bandwidth must be positive and finite, got {self.bandwidth!r}"
-            )
+        if self.bandwidth is not None:
+            check_bandwidth(self.bandwidth)
         _check_cuts(self.strong_cut, self.moderate_cut)
 
     def echo(self) -> dict:
@@ -266,6 +269,19 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
+def _open_staged(path: Path) -> int:
+    """A descriptor to write the staged file ``path``, which is created if it
+    is absent and never truncated: the one way either writer process opens
+    a staged file."""
+    return os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+
+
+def _write_staged(path: Path, data: bytes) -> None:
+    """Write all of ``data`` to the staged file ``path``, which is empty or absent."""
+    with open(_open_staged(path), "wb") as fh:
+        fh.write(data)
+
+
 @contextmanager
 def write_bundle(
     out_dir: Path, names: Collection[str]
@@ -276,21 +292,24 @@ def write_bundle(
     ``.wnet-*`` staging directory inside it.  Given two or more ``names``, the
     files to come, it also forks a child that creates each of them there,
     empty, while the caller computes, where ``os.fork`` exists and two or
-    more CPUs are usable.  The child opens each with ``O_CREAT`` and never
-    truncates, so whichever process opens a file first creates it, and the
-    child's exit status is not read.
+    more CPUs are usable.  The child's exit status is not read.
 
     It yields ``commit(files, manifest)``, which commits ``files``, each
     name's text made by its zero-argument maker.  It does not wait for the
     creating child: it makes and writes every file in this process, each
-    write creating its file if the child has not.  Each file's digest is the
-    sha256 of the bytes written, so no staged file is read back.  Once every
-    file is made, the creating child is stopped (SIGKILL) and reaped.  Unless
-    ``manifest`` is None, the digests are added to ``manifest["files"]`` and
-    it is written as ``manifest.json``.  Only then are the files renamed into
-    place, ``manifest.json`` last, and the files that the previous manifest
-    listed and the new one does not are deleted.  ``commit`` returns the note
-    of the write's stage line: the file count and the seconds spent in the
+    write creating its file if the child has not.  Both processes open a
+    staged file by ``_open_staged``'s one rule, create it or open it and
+    never truncate, so whichever opens a file first creates it.  No staged
+    file needs truncating, since the staging directory is new and the child
+    writes nothing, and on ext4 a truncated file is flushed to disk when it
+    is closed.  Each file's digest is the sha256 of the bytes written, so no
+    staged file is read back.  Once every file is made, the creating child
+    is stopped (SIGKILL) and reaped.  Unless ``manifest`` is None, the
+    digests are added to ``manifest["files"]`` and it is written as
+    ``manifest.json``.  Only then are the files renamed into place,
+    ``manifest.json`` last, and the files that the previous manifest listed
+    and the new one does not are deleted.  ``commit`` returns the note of
+    the write's stage line: the file count and the seconds spent in the
     makers.
 
     On exit, however it happens, the child is stopped and reaped if it is
@@ -304,7 +323,7 @@ def write_bundle(
 
     def create() -> None:
         for name in names:
-            os.close(os.open(staging / name, os.O_WRONLY | os.O_CREAT, 0o666))
+            os.close(_open_staged(staging / name))
 
     def stop() -> None:
         """Kill (SIGKILL) and reap the creating child if it is there."""
@@ -322,14 +341,14 @@ def write_bundle(
             text = maker()
             texts += time.perf_counter() - start
             data = text.encode("utf-8")
-            (staging / name).write_bytes(data)
+            _write_staged(staging / name, data)
             digests[name] = hashlib.sha256(data).hexdigest()
         stop()  # the creating child: every file is made without it
         if manifest is not None:
             previous = _listed_files(out_dir)
             manifest["files"] = {**manifest.get("files", {}), **digests}
             text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-            (staging / MANIFEST).write_bytes(text.encode("utf-8"))
+            _write_staged(staging / MANIFEST, text.encode("utf-8"))
         for name in files:
             os.replace(staging / name, out_dir / name)
         if manifest is not None:
@@ -630,7 +649,8 @@ def compare_views(
 
     Each row reports the period-mean assortativity and clustering
     correlations of one view with qualitative labels.  Raises DataError if
-    a required series is missing.
+    a required series is missing, or has an r that is not in [-1, 1] (NaN
+    and infinities included), which no label would fit.
     """
     rows = []
     for view, pairs in VIEW_PAIRS.items():
@@ -639,6 +659,11 @@ def compare_views(
             points = series.get(pair)
             if not points:
                 raise DataError(f"bundle is missing the {pair} correlation series")
+            for p in points:
+                if not -1 <= p.r <= 1:
+                    raise DataError(
+                        f"the {pair} correlation of year {p.year} is {p.r!r}, not in [-1, 1]"
+                    )
             mean_r = float(np.mean([p.r for p in points]))
             row[f"{role}_pair"] = pair
             row[f"{role}_r"] = mean_r

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import ast
+import builtins
 import csv
 import errno
+import io
 import json
 import logging
 import os
@@ -349,6 +351,33 @@ def test_report_rejects_a_broken_correlation_series(toy_csvs, tmp_path, capsys, 
     assert bundle_state(out) == {**before, broken.name: body.encode()}
 
 
+@pytest.mark.parametrize("r", ["nan", "inf", "-inf", "1.5", "-1.0000000000000002"])
+def test_report_refuses_a_correlation_it_cannot_label(toy_csvs, tmp_path, capsys, r):
+    flows, gdp = toy_csvs
+    out = tmp_path / "bundle"
+    assert run_cli(
+        "all", "--flows", str(flows), "--gdp", str(gdp),
+        "--years", "1999:2000", "--out", str(out),
+    ) == 0
+    edited = out / "correlation_nd_annd.csv"
+    rows = list(csv.DictReader(io.StringIO(edited.read_text(encoding="utf-8"))))
+    assert [row["year"] for row in rows] == ["1999", "2000"]
+    rows[1]["r"] = r
+    text = io.StringIO()
+    writer = csv.DictWriter(text, fieldnames=list(rows[0]), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    edited.write_text(text.getvalue(), encoding="utf-8")
+    before = bundle_state(out)
+    capsys.readouterr()
+    assert run_cli("report", "--out", str(out), "--strong-cut", "0.5") == 2
+    captured = capsys.readouterr()
+    message = f"the ND-ANND correlation of year 2000 is {float(r)!r}, not in [-1, 1]"
+    assert captured.err == f"error: {message}\n"
+    assert not captured.out
+    assert bundle_state(out) == before
+
+
 def test_report_does_not_read_the_nd_ns_series(toy_csvs, tmp_path):
     flows, gdp = toy_csvs
     out = tmp_path / "bundle"
@@ -381,14 +410,14 @@ def test_io_errors_are_data_errors(toy_csvs, tmp_path, capsys, target):
 
 
 def fail_write(monkeypatch, k: int) -> None:
-    """Make the ``k``-th ``write_bytes`` or ``write_text`` from now on fail as on a full disk."""
+    """Make the ``k``-th staged file write from now on fail as on a full disk."""
     calls = iter(range(1, k + 1))
-    for method in ("write_bytes", "write_text"):
-        def write(self, *args, _real=getattr(Path, method), **kwargs):
-            if next(calls, None) == k:
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(self))
-            return _real(self, *args, **kwargs)
-        monkeypatch.setattr(Path, method, write)
+    real = wnet.pipeline._write_staged
+    def write(path, data):
+        if next(calls, None) == k:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+        return real(path, data)
+    monkeypatch.setattr(wnet.pipeline, "_write_staged", write)
 
 
 @pytest.mark.parametrize("first, rerun", [
@@ -442,15 +471,15 @@ def writer_processes(monkeypatch, parts: int) -> list[int]:
 
 
 def fail_writes(name: str):
-    """A ``Path.write_bytes`` that writes half of ``name``'s bytes and then fails
+    """A staged file write that writes half of ``name``'s bytes and then fails
     as on a full disk."""
-    real = Path.write_bytes
-    def write_bytes(self, data):
-        if self.name == name:
-            real(self, data[: len(data) // 2])
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(self))
-        return real(self, data)
-    return write_bytes
+    real = wnet.pipeline._write_staged
+    def write(path, data):
+        if path.name == name:
+            real(path, data[: len(data) // 2])
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+        return real(path, data)
+    return write
 
 
 @needs_fork
@@ -499,6 +528,38 @@ def test_the_commit_reads_no_staged_file_back(toy_csvs, tmp_path, monkeypatch):
     assert_bundle_intact(out)
 
 
+@needs_fork
+@pytest.mark.parametrize("parts", [1, 2])
+def test_no_staged_file_is_opened_to_truncate(toy_csvs, tmp_path, monkeypatch, parts):
+    # The staging directory is new and the creating child writes no byte, so
+    # a staged file is empty or absent when the commit writes it; truncating
+    # it would only cost a flush to disk at close on some filesystems.
+    flows, gdp = toy_csvs
+    opened = []  # (path, truncates) of each open of a path in this process
+    real_os_open, real_open = os.open, open
+    def os_open(path, flags, *args, **kwargs):
+        opened.append((Path(path), bool(flags & os.O_TRUNC)))
+        return real_os_open(path, flags, *args, **kwargs)
+    def open_(file, mode="r", *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)):
+            opened.append((Path(file), "w" in mode))
+        return real_open(file, mode, *args, **kwargs)
+    out = tmp_path / "bundle"
+    with monkeypatch.context() as patch:
+        writer_processes(patch, parts)
+        patch.setattr(os, "open", os_open)
+        for module in (builtins, io):
+            patch.setattr(module, "open", open_)
+        assert run_cli(
+            "all", "--flows", str(flows), "--gdp", str(gdp), "--years", "1999:2000", "--out", str(out)
+        ) == 0
+    assert_no_child_left()
+    assert_bundle_intact(out)
+    staged = [(path, truncates) for path, truncates in opened if path.parent.name.startswith(".wnet-")]
+    assert {path.name for path, _ in staged} == {p.name for p in out.iterdir()}
+    assert not [path.name for path, truncates in staged if truncates]
+
+
 class LocalError(Exception):
     """A maker's own exception type."""
 
@@ -525,7 +586,7 @@ def test_a_full_disk_in_both_processes_leaves_the_previous_bundle(
     capsys.readouterr()
     with monkeypatch.context() as patch:
         forks = writer_processes(patch, 2)
-        patch.setattr(Path, "write_bytes", fail_writes("stats_2000.csv"))
+        patch.setattr(wnet.pipeline, "_write_staged", fail_writes("stats_2000.csv"))
         assert run_cli(*args, "--strong-cut", "0.5") == 2
     assert forks == [os.getpid()]  # the creating child
     assert_no_child_left()
@@ -564,11 +625,11 @@ def test_an_interrupt_in_the_parent_reaps_the_creating_child(toy_csvs, tmp_path,
     args = ["all", "--flows", str(flows), "--gdp", str(gdp), "--years", "1999:2000", "--out", str(out)]
     assert run_cli(*args) == 0
     before = bundle_state(out)
-    def write_bytes(self, data):
+    def write(path, data):
         raise KeyboardInterrupt
     with monkeypatch.context() as patch:
         forks = writer_processes(patch, 2)
-        patch.setattr(Path, "write_bytes", write_bytes)
+        patch.setattr(wnet.pipeline, "_write_staged", write)
         with pytest.raises(KeyboardInterrupt):
             run_cli(*args, "--strong-cut", "0.5")
     assert forks == [os.getpid()]  # the creating child
@@ -597,7 +658,7 @@ def test_the_creating_child_is_reaped_before_the_staging_directory_goes(
         writer_processes(patch, 2)
         patch.setattr(shutil, "rmtree", rmtree)
         if fault == "main":
-            patch.setattr(Path, "write_bytes", fail_writes("stats_1999.csv"))
+            patch.setattr(wnet.pipeline, "_write_staged", fail_writes("stats_1999.csv"))
         assert run_cli(*args, "--out", str(tmp_path / "bundle")) == (2 if fault == "main" else 0)
     assert children == [False]
     assert_no_child_left()
@@ -767,7 +828,7 @@ def test_a_run_that_fails_after_staging_leaves_no_trace(
         if fault == "interrupt":
             patch.setattr(wnet.pipeline, "kde", interrupt)
         if fault == "full disk":
-            patch.setattr(Path, "write_bytes", fail_writes("stats_1999.csv"))
+            patch.setattr(wnet.pipeline, "_write_staged", fail_writes("stats_1999.csv"))
         try:
             code = run_cli(*args, "--years", years, "--strong-cut", "0.5")
         except KeyboardInterrupt:
@@ -873,6 +934,19 @@ def test_raw_flows_near_the_largest_double_are_finite_weights(tmp_path, capsys):
     table = (tmp_path / "analyze" / "symmetry.csv").read_text(encoding="utf-8")
     assert table.startswith("year,symmetry_index\n2000,")
     assert 0 <= float(table.split(",")[-1]) < 1e-300
+
+
+def test_a_pair_of_the_smallest_subnormal_flows_averages_to_itself(tmp_path, capsys):
+    # Halving each weight before adding rounds 5e-324 to 0, unlinking A and B.
+    flows = tmp_path / "flows.csv"
+    flows.write_text("year,exporter,importer,value\n2000,A,B,5e-324\n2000,B,A,5e-324\n2000,B,C,1e-323\n")
+    out = tmp_path / "out"
+    code = run_cli("build", "--flows", str(flows), "--scheme", "raw", "--years", "2000", "--out", str(out))
+    assert code == 0, capsys.readouterr().err
+    dump = load_matrix(out / "matrix_2000.txt")
+    assert dump.normalizer == 5e-324
+    assert dump.weights[0, 1] == dump.weights[1, 0] == 1.0
+    assert dump.weights[1, 2] == dump.weights[2, 1] == 1.0
 
 
 @needs_fork
@@ -1006,6 +1080,25 @@ def test_non_finite_floats_fail_before_io(tmp_path, flags):
         out.mkdir()
         assert run_cli("report", "--out", str(out), *flags) == 1
         assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize("bandwidth, code, names", [
+    ("1e308", 1, "got 1e+308"),  # 3h overflows, whatever the data
+    ("1e-320", 1, "got 1e-320"),  # 1/h overflows, whatever the data
+    ("1e-300", 2, "density of nd in year 2000: bandwidth 1e-300 "),  # (max - min) / h squared
+])
+def test_a_bandwidth_that_breaks_the_density_grid_is_one_error_line(
+    toy_csvs, tmp_path, capsys, bandwidth, code, names
+):
+    flows, gdp = toy_csvs
+    out = tmp_path / "out"
+    assert run_cli(
+        "analyze", "--flows", str(flows), "--gdp", str(gdp), "--years", "2000",
+        "--analyses", "density", "--bandwidth", bandwidth, "--out", str(out),
+    ) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and names in err, err
+    assert not out.exists()
 
 
 def test_benchmark_span_targets_exist():

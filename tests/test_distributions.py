@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -77,6 +78,18 @@ def test_kde_explicit_bandwidth():
     assert est.bandwidth == 0.5
     with pytest.raises(ValidationError):
         kde(sample, bandwidth=-1.0)
+
+
+def test_kde_rejects_a_bandwidth_that_breaks_its_grid():
+    sample = np.arange(10.0)
+    for h in (1e308, 1e-320):  # 3h or 1/h overflows
+        with pytest.raises(ValidationError, match=re.escape(repr(h))):
+            kde(sample, bandwidth=h)
+    with pytest.raises(DataError, match="bandwidth 1e-300 puts the density grid"):
+        kde(sample, bandwidth=1e-300)  # ((max - min + 3h) / h) ** 2 overflows
+    with pytest.raises(DataError, match=r"bandwidth 3e\+306 puts the density grid"):
+        kde(np.array([-1.7e308, 0, 1, 2, 0]), bandwidth=3e306)  # its ends are finite, its span not
+    assert np.isfinite(kde(sample, bandwidth=1e-150).density).all()
 
 
 def test_kde_errors():

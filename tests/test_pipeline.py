@@ -147,6 +147,8 @@ def test_read_manifest(tmp_path):
 @pytest.mark.parametrize("overrides, message", [
     ({"bandwidth": math.nan}, "bandwidth must be positive and finite"),
     ({"bandwidth": math.inf}, "bandwidth must be positive and finite"),
+    ({"bandwidth": 1e308}, "with 3h and 1/h finite, got 1e\\+308"),
+    ({"bandwidth": 1e-320}, "with 3h and 1/h finite, got 1e-320"),
     ({"strong_cut": math.inf}, "moderate cut <= strong cut < inf"),
     ({"moderate_cut": math.nan}, "moderate cut <= strong cut < inf"),
 ])
@@ -441,10 +443,11 @@ def test_comparison_csv_layout():
     assert "BNA,ND-ANND,-0.9,strong negative,BCC-ND,-0.96,strong negative" in text
 
 
-#: Where the package may write a file: the bundle commit and its makers' loop,
-#: the staging child that creates the files empty, and the panel export.
+#: Where the package writes a file: the one open of a staged file, which the
+#: creating child and the commit share, the commit's write call built on it,
+#: the commit's renames, and the panel export.
 _WRITERS = {
-    "pipeline.write_bundle.commit", "pipeline.write_bundle.make", "pipeline.write_bundle.create",
+    "pipeline._open_staged", "pipeline._write_staged", "pipeline.write_bundle.commit",
     "ingest.save_panel",
 }
 
@@ -477,12 +480,14 @@ def _writes(tree: ast.AST, scope: str = ""):
 
 def test_write_bundle_is_the_only_writer():
     src = Path(wnet.pipeline.__file__).parent
-    found = []
+    found, writers = [], set()
     for path in sorted(src.glob("*.py")):
         for scope, line in _writes(ast.parse(path.read_text(encoding="utf-8"))):
+            writers.add(f"{path.stem}{scope}")
             if f"{path.stem}{scope}" not in _WRITERS:
                 found.append(f"{path.name}:{line} in {path.stem}{scope or ' (module)'}")
     assert not found, "files written outside write_bundle: " + ", ".join(found)
+    assert writers == _WRITERS  # the guard names no scope that writes nothing
 
 
 def test_the_writer_guard_sees_every_kind_of_write():
