@@ -1,7 +1,9 @@
 """End-to-end pipeline: ingest -> build -> stats -> analyses -> bundle.
 
 ``write_bundle`` is the only writer into an output directory and of
-``manifest.json``; ``read_manifest`` is the manifest's only reader.
+``manifest.json``; ``read_bundle`` is the one reader of bundle files, and
+parses a file only once its bytes match the manifest's digest.  ``LAYOUT``
+spells each file kind's header once, for the writers and the reader.
 ``relabel`` rewrites a bundle's comparison table.
 
 A run is deterministic: identical inputs and config produce byte-identical
@@ -44,6 +46,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import logging
 import math
@@ -74,13 +77,13 @@ from .distributions import (
 from .errors import DataError, ValidationError
 from .graph import WeightScheme, build_directed, symmetrize, symmetry_index
 from .ingest import PanelDataset, format_table, load_panel
-from .stats import NodeStatsTable, node_stats
+from .stats import STATS_LAYOUT, NodeStatsTable, node_stats
 
 # Row functions under the names of the one-row functions they batch, only
 # because perfbench/spans.py times each analysis by the name it is called by
 # here.  Unlike ``stats.moments`` and ``distributions.rank_size`` and
 # ``fit_tail``, these take a stack of rows and return one result a row.  The
-# aliases go when the span targets are renamed (ROADMAP item 4).
+# aliases go when the span targets are renamed (ROADMAP item 2).
 from .distributions import fit_tail_rows as fit_tail
 from .distributions import rank_size_rows as rank_size
 from .stats import moments_rows as moments
@@ -92,6 +95,23 @@ ANALYSES = ("stats", "moments", "correlations", "density", "ranksize", "tailfit"
 MOMENT_STATISTICS = ("nd", "ns", "annd", "anns", "bcc", "wcc")
 DENSITY_STATISTICS = ("nd", "ns")
 HEAVY_TAIL_STATISTIC = "ns"
+
+#: Each bundle file kind, keyed as ``bundle_names`` keys its files: the header
+#: and the type of each column, one letter a column: ``U`` a label, ``i`` an
+#: integer, ``f`` a float, NaN where the cell is empty.
+LAYOUT = {
+    "stats": STATS_LAYOUT,
+    "moments": ("statistic,year,mean,std,skewness,kurtosis,count", "Uiffffi"),
+    "correlations": ("year,pair,r,ci_low,ci_high,n", "iUfffi"),
+    "density": ("grid,density", "ff"),
+    "ranksize": ("rank,size", "if"),
+    "tailfit": ("year,statistic,mu,sigma,alpha,x_min,tail_fraction,n_positive,tail_count,dropped",
+                "iUfffffiii"),
+    "symmetry": ("year,symmetry_index", "if"),
+    "comparison": ("view,assortativity_pair,assortativity_r,assortativity_label,"
+                   "clustering_pair,clustering_r,clustering_label", "UUfUUfU"),
+    "counts": ("year,name,value", "iUi"),
+}
 
 
 @dataclass(frozen=True)
@@ -167,22 +187,6 @@ class ReportBundle:
     comparison: list[dict]
 
 
-def read_correlation_csv(path: str | Path) -> list[CorrelationPoint]:
-    """Load a correlation series back from its bundle CSV."""
-    points = []
-    with open(path, encoding="utf-8") as fh:
-        rows = csv.DictReader(fh)
-        try:
-            for row in rows:
-                r, low, high = (float(row[key]) for key in ("r", "ci_low", "ci_high"))
-                points.append(
-                    CorrelationPoint(int(row["year"]), row["pair"], r, low, high, int(row["n"]))
-                )
-        except (LookupError, TypeError, ValueError, csv.Error) as exc:
-            raise DataError(f"{path}, line {rows.line_num}: bad correlation row: {exc}") from None
-    return points
-
-
 @contextmanager
 def _manifest_context(path: Path):
     """Re-raise what a malformed manifest trips over as DataError."""
@@ -221,8 +225,73 @@ def _listed_files(out_dir: Path) -> set[str]:
     return set(filter(_is_file_name, manifest["files"] if manifest else {}))
 
 
-def _digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _check_listed(path: Path, digest: str) -> tuple[str, bytes | None]:
+    """How ``path`` stands against its ``digest`` in a manifest: ``"intact"``
+    with its bytes, or ``"changed"`` or ``"missing"`` (not a file) with None.
+    The one digest check, which ``verify_bundle`` and ``read_bundle`` share."""
+    if not path.is_file():
+        return "missing", None
+    data = path.read_bytes()
+    return ("intact", data) if hashlib.sha256(data).hexdigest() == digest else ("changed", None)
+
+
+_CELLS = {"U": str, "i": np.int64, "f": lambda cell: float(cell) if cell else math.nan}
+_DTYPES = {"U": object, "i": np.int64, "f": np.float64}
+
+
+def read_bundle(out_dir: Path, names: Mapping) -> tuple[dict | None, dict]:
+    """``out_dir``'s manifest (None if it has none) and the columns of the
+    files that ``names``, a part of ``bundle_names``, names, keyed as it keys
+    them.
+
+    Each file is read once, and its bytes are parsed only once they match
+    the manifest's digest (``_check_listed``, as ``verify_bundle`` checks);
+    without a manifest there is no digest to check.  A named file that is
+    absent and unlisted is left out.  Each file is parsed by one rule, its
+    kind's ``LAYOUT``: the header exactly as written, then one cell a column
+    on every line.  A column is a numpy array of the layout's type, never
+    guessed from the cells (a label stays a ``str``, even ``123`` or
+    ``nan``), keyed by its header name.  Raises DataError, naming the file,
+    if a listed file is missing or changed, an unlisted one is there, or a
+    file does not parse.
+    """
+    manifest = read_manifest(out_dir)
+    listed = manifest["files"] if manifest is not None else {}
+    columns = {}
+    for key, name in names.items():
+        path = out_dir / name
+        if name in listed:
+            state, data = _check_listed(path, listed[name])
+        elif not path.exists():
+            continue
+        elif manifest is not None:
+            state, data = "not listed", None
+        else:
+            data = path.read_bytes()
+        if data is None:
+            raise DataError(f"{path} does not match {MANIFEST}: it is {state}")
+        columns[key] = _parse(path, data, key[0] if isinstance(key, tuple) else key)
+    return manifest, columns
+
+
+def _parse(path: Path, data: bytes, kind: str) -> dict[str, np.ndarray]:
+    """The columns of ``data``, the bytes of ``path``, a file of ``LAYOUT[kind]``."""
+    header, types = LAYOUT[kind]
+    heads, cells = header.split(","), [[] for _ in types]
+    # Lossless: a byte that is not UTF-8 stays in its label cell, or fails its number cell.
+    rows = csv.reader(io.StringIO(data.decode("utf-8", "surrogateescape"), newline=""))
+    try:
+        if next(rows, None) != heads:
+            raise DataError(f"{path}, line 1: the header must be {header}")
+        for row in rows:
+            if len(row) != len(heads):
+                raise ValueError(f"{len(row)} cells, not {len(heads)}")
+            for column, type_, cell in zip(cells, types, row):
+                column.append(_CELLS[type_](cell))
+    except (ValueError, OverflowError, csv.Error) as exc:
+        what = kind.removesuffix("s")  # "bad correlation row"
+        raise DataError(f"{path}, line {rows.line_num}: bad {what} row: {exc}") from None
+    return {h: np.array(c, _DTYPES[t]) for h, c, t in zip(heads, cells, types)}
 
 
 def verify_bundle(out_dir: Path) -> dict[str, list[str]]:
@@ -243,13 +312,7 @@ def verify_bundle(out_dir: Path) -> dict[str, list[str]]:
     for name, digest in sorted(manifest["files"].items()):
         if not _is_file_name(name):
             raise DataError(f"{out_dir / MANIFEST} lists {name!r}, which is not a bundle file name")
-        path = out_dir / name
-        if not path.is_file():
-            found["missing"].append(name)
-        elif _digest(path) != digest:
-            found["changed"].append(name)
-        else:
-            found["intact"].append(name)
+        found[_check_listed(out_dir / name, digest)[0]].append(name)
     for entry in sorted(out_dir.iterdir()):
         if entry.name == MANIFEST or entry.name in manifest["files"]:
             continue
@@ -383,10 +446,6 @@ def write_bundle(
                 path.rmdir()
 
 
-def pair_filename(pair: str) -> str:
-    return f"correlation_{pair.lower().replace('-', '_')}.csv"
-
-
 def bundle_names(analyses: Collection[str], years: Sequence[int]) -> dict:
     """The names of the files a run of ``analyses`` over ``years`` writes, in write order.
 
@@ -402,7 +461,10 @@ def bundle_names(analyses: Collection[str], years: Sequence[int]) -> dict:
     if "moments" in analyses:
         names["moments"] = "moments.csv"
     if "correlations" in analyses:
-        names.update({("correlations", pair): pair_filename(pair) for pair in SUPPORTED_PAIRS})
+        names.update({
+            ("correlations", pair): f"correlation_{pair.lower().replace('-', '_')}.csv"
+            for pair in SUPPORTED_PAIRS
+        })
     if "density" in analyses:
         names.update({
             ("density", name, year): f"density_{name}_{year}.csv"
@@ -551,9 +613,8 @@ def _analyse(
         files.update((names["stats", year], tables[year].to_csv) for year in years)
     if "moments" in config.analyses:
         values, where = rows("moments", *MOMENT_STATISTICS)
-        header = "statistic,year,mean,std,skewness,kurtosis,count"
         files[names["moments"]] = partial(
-            format_table, header, MOMENT_STATISTICS * len(years),
+            format_table, LAYOUT["moments"][0], MOMENT_STATISTICS * len(years),
             np.repeat(years, len(MOMENT_STATISTICS)), *moments(values, where),
         )
         timer.lap("moments")
@@ -561,7 +622,7 @@ def _analyse(
         series = {pair: correlation_series(tables, pair, config.ci_level) for pair in SUPPORTED_PAIRS}
         for pair, points in series.items():
             files[names["correlations", pair]] = _table(
-                "year,pair,r,ci_low,ci_high,n", map(_fields(CorrelationPoint), points)
+                LAYOUT["correlations"][0], map(_fields(CorrelationPoint), points)
             )
         comparison = compare_views(series, config.strong_cut, config.moderate_cut)
         timer.lap("correlations")
@@ -571,7 +632,7 @@ def _analyse(
         for (year, name), row, h in zip(product(years, DENSITY_STATISTICS), values, hs):
             est = kde(row, h)
             key = names["density", name, year]
-            files[key] = partial(format_table, "grid,density", est.grid, est.density)
+            files[key] = partial(format_table, LAYOUT["density"][0], est.grid, est.density)
             bandwidths[key] = est.bandwidth
             counts.append((year, f"density_{name}_dropped", len(row) - est.n))
         timer.lap("density")
@@ -579,7 +640,7 @@ def _analyse(
         values, where = rows("rank-size", HEAVY_TAIL_STATISTIC)
         for year, curve in zip(years, rank_size(values, where)):
             key = names["ranksize", year]
-            files[key] = partial(format_table, "rank,size", curve.ranks, curve.sizes)
+            files[key] = partial(format_table, LAYOUT["ranksize"][0], curve.ranks, curve.sizes)
             counts.append((year, f"ranksize_{HEAVY_TAIL_STATISTIC}_dropped", curve.dropped))
         timer.lap("ranksize")
     if "tailfit" in config.analyses:
@@ -588,14 +649,13 @@ def _analyse(
         for year, fit in zip(years, fit_tail(values, config.tail_fraction, where)):
             fits.append((year, HEAVY_TAIL_STATISTIC, *_fields(TailFit)(fit)))
             counts.append((year, f"tailfit_{HEAVY_TAIL_STATISTIC}_dropped", fit.dropped))
-        header = "year,statistic,mu,sigma,alpha,x_min,tail_fraction,n_positive,tail_count,dropped"
-        files[names["tailfit"]] = _table(header, fits)
+        files[names["tailfit"]] = _table(LAYOUT["tailfit"][0], fits)
         timer.lap("tailfit")
     if symmetry:
-        files[names["symmetry"]] = _table("year,symmetry_index", symmetry.items())
+        files[names["symmetry"]] = _table(LAYOUT["symmetry"][0], symmetry.items())
     if comparison:
         files[names["comparison"]] = partial(comparison_csv, comparison)
-    files[names["counts"]] = _table("year,name,value", sorted(counts))
+    files[names["counts"]] = _table(LAYOUT["counts"][0], sorted(counts))
 
     manifest = {
         "tool": {"name": "wnet", "version": __version__},
@@ -673,10 +733,7 @@ def compare_views(
 
 
 def comparison_csv(rows: Sequence[Mapping]) -> str:
-    header = (
-        "view,assortativity_pair,assortativity_r,assortativity_label,"
-        "clustering_pair,clustering_r,clustering_label"
-    )
+    header = LAYOUT["comparison"][0]
     return format_table(header, *([row[key] for row in rows] for key in header.split(",")))
 
 
@@ -685,11 +742,15 @@ def relabel(
 ) -> list[dict]:
     """Rewrite ``out_dir``'s comparison table from its correlation series.
 
-    Cuts left as None default to those in the bundle's manifest, or to the
-    ``PipelineConfig`` defaults without one.  A manifest is rewritten with the new table's
-    digest and cuts; without one, only ``comparison.csv`` is written.
+    Only the four series the table uses are read, through ``read_bundle``, so
+    each is checked against the manifest first.  Cuts left as None default to
+    those in the bundle's manifest, or to the ``PipelineConfig`` defaults
+    without one.  A manifest is rewritten with the new table's digest and
+    cuts; without one, only ``comparison.csv`` is written.
     """
-    manifest = read_manifest(out_dir)
+    names = bundle_names(("correlations",), ())
+    keys = [("correlations", pair) for roles in VIEW_PAIRS.values() for pair in roles.values()]
+    manifest, files = read_bundle(out_dir, {key: names[key] for key in keys})
     labelled = [PipelineConfig.strong_cut, PipelineConfig.moderate_cut]
     if manifest is not None:
         with _manifest_context(out_dir / MANIFEST):
@@ -697,13 +758,11 @@ def relabel(
     strong_cut = labelled[0] if strong_cut is None else strong_cut
     moderate_cut = labelled[1] if moderate_cut is None else moderate_cut
     _check_cuts(strong_cut, moderate_cut)
-    # Only the series the table uses are read.
-    pairs = [pair for roles in VIEW_PAIRS.values() for pair in roles.values()]
-    paths = {pair: out_dir / pair_filename(pair) for pair in pairs}
-    series = {pair: read_correlation_csv(path) for pair, path in paths.items() if path.exists()}
+    series = {pair: [CorrelationPoint(*row) for row in zip(*(c.tolist() for c in cols.values()))]
+              for (_, pair), cols in files.items()}
     rows = compare_views(series, strong_cut, moderate_cut)
     if manifest is not None:
         manifest["config"].update(strong_cut=strong_cut, moderate_cut=moderate_cut)
-    with write_bundle(out_dir, ["comparison.csv"]) as commit:
-        commit({"comparison.csv": partial(comparison_csv, rows)}, manifest)
+    with write_bundle(out_dir, [names["comparison"]]) as commit:
+        commit({names["comparison"]: partial(comparison_csv, rows)}, manifest)
     return rows

@@ -27,6 +27,9 @@ from .errors import DataError
 from .graph import UndirectedNetwork
 from .ingest import format_table
 
+#: A ``stats_*.csv`` file's header and column types, as ``pipeline.LAYOUT`` has them.
+STATS_LAYOUT = ("country,nd,ns,annd,anns,bcc,wcc", "Uifffff")
+
 
 @dataclass(frozen=True, eq=False)
 class NodeStatsTable:
@@ -50,9 +53,9 @@ class NodeStatsTable:
         return np.asarray(vec, dtype=float)
 
     def to_csv(self) -> str:
-        """CSV text ``country,nd,ns,annd,anns,bcc,wcc``; empty cell = undefined."""
+        """CSV text under ``STATS_LAYOUT``'s header; empty cell = undefined."""
         floats = (self.column(name) for name in ("ns", "annd", "anns", "bcc", "wcc"))
-        return format_table("country,nd,ns,annd,anns,bcc,wcc", self.codes, self.nd, *floats)
+        return format_table(STATS_LAYOUT[0], self.codes, self.nd, *floats)
 
 
 @dataclass(frozen=True)

@@ -167,6 +167,33 @@ def write_panel_csvs(tmp_path, n=60, years=(1999, 2000), seed=7, p=0.5):
     return flows_path, gdp_path
 
 
+def write_gravity_panel(tmp_path, n=159, years=(1998, 1999, 2000), seed=99):
+    """Deterministic gravity-style flow and GDP CSVs: n countries whose GDPs grow
+    each year, flows proportional to both GDP shares with log-normal noise, and
+    flows under a reporting floor left out."""
+    rng = np.random.default_rng(seed)
+    gdp = np.exp(rng.normal(24.0, 2.0, n))
+    codes = [f"C{i:03d}" for i in range(n)]
+    flow_lines = ["year,exporter,importer,value"]
+    size_lines = ["year,country,gdp"]
+    for t, year in enumerate(years):
+        if t:
+            gdp = gdp * np.exp(rng.normal(0.03, 0.02, n))
+        share = gdp / gdp.sum()
+        for i in range(n):
+            values = 2e11 * share[i] * share * np.exp(rng.normal(0, 1.2, n))
+            for j in range(n):
+                if i != j and values[j] > 1e5:  # reporting floor
+                    flow_lines.append(f"{year},{codes[i]},{codes[j]},{values[j]:.6g}")
+        for i in range(n):
+            size_lines.append(f"{year},{codes[i]},{gdp[i]:.6g}")
+    flows = tmp_path / "gravity_flows.csv"
+    sizes = tmp_path / "gravity_gdp.csv"
+    flows.write_text("\n".join(flow_lines) + "\n", encoding="utf-8")
+    sizes.write_text("\n".join(size_lines) + "\n", encoding="utf-8")
+    return flows, sizes
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260809)

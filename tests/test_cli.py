@@ -25,6 +25,7 @@ import wnet.cli
 import wnet.pipeline
 from wnet import DataError, NodeStatsTable, load_matrix, load_panel
 from wnet.cli import main, read_config_file
+from wnet.pipeline import bundle_names, read_bundle
 
 from conftest import assert_bundle_intact, hostile_panels, write_panel_csvs
 
@@ -73,11 +74,12 @@ def test_stats_tables_of_any_country_codes_read_back(tmp_path):
             "stats", "--flows", str(tmp_path / "f.csv"), "--gdp", str(tmp_path / "s.csv"),
             "--scheme", "raw", "--years", ",".join(map(str, panel.years)), "--out", str(out),
         ) == 0
+        _, files = read_bundle(out, bundle_names({"stats"}, panel.years))
         for year in panel.years:
-            with open(out / f"stats_{year}.csv", encoding="utf-8", newline="") as fh:
-                rows = list(csv.DictReader(fh))
-            assert all(len(row) == 7 and None not in row and None not in row.values() for row in rows)
-            assert [row["country"] for row in rows] == list(panel.registry.codes)
+            columns = files["stats", year]
+            assert len(columns) == 7
+            assert all(len(column) == len(panel.registry) for column in columns.values())
+            assert columns["country"].tolist() == list(panel.registry.codes)
 
     check()
 
@@ -325,49 +327,72 @@ def test_declared_dependencies_are_the_imported_modules():
     assert declared == imported - set(sys.stdlib_module_names) - {"wnet"}
 
 
-def bundle_state(out: Path) -> dict[str, bytes]:
-    return {p.name: p.read_bytes() for p in out.iterdir()}
+def bundle_state(out: Path) -> dict[str, bytes | None]:
+    """Each entry of ``out`` by name: a file's bytes, or None for a directory."""
+    return {p.name: p.read_bytes() if p.is_file() else None for p in out.iterdir()}
 
 
-@pytest.mark.parametrize("body", [
+#: Correlation series bodies that ``report`` cannot parse.
+BROKEN_SERIES = [
     "year,pair,ci_low,ci_high,n\n2000,ND-ANND,-0.5,-0.4,60\n",
     "year,pair,r,ci_low,ci_high,n\n2000,ND-ANND,abc,-0.5,-0.4,60\n",
-])
-def test_report_rejects_a_broken_correlation_series(toy_csvs, tmp_path, capsys, body):
-    flows, gdp = toy_csvs
-    out = tmp_path / "bundle"
-    assert run_cli(
-        "all", "--flows", str(flows), "--gdp", str(gdp),
-        "--years", "1999:2000", "--out", str(out),
-    ) == 0
-    before = bundle_state(out)
-    broken = out / "correlation_nd_annd.csv"
-    broken.write_text(body, encoding="utf-8")
-    capsys.readouterr()
-    assert run_cli("report", "--out", str(out), "--strong-cut", "0.5") == 2
-    err = capsys.readouterr().err
-    assert f"{broken}, line 2: bad correlation row" in err
-    assert "Traceback" not in err
-    assert bundle_state(out) == {**before, broken.name: body.encode()}
+    "year,pair,r,ci_low,ci_high,n\n2000,ND-ANND,-0.5,-0.6,-0.4\n",  # a cell short
+    # n past int64:
+    "year,pair,r,ci_low,ci_high,n\n2000,ND-ANND,-0.5,-0.6,-0.4,99999999999999999999\n",
+    "year,pair,r,ci_low,ci_high,n\n2000.0,ND-ANND,-0.5,-0.6,-0.4,60\n",  # the year is an integer
+]
+
+#: r values that no label fits.
+UNLABELLED_R = ["nan", "inf", "-inf", "1.5", "-1.0000000000000002"]
 
 
-@pytest.mark.parametrize("r", ["nan", "inf", "-inf", "1.5", "-1.0000000000000002"])
-def test_report_refuses_a_correlation_it_cannot_label(toy_csvs, tmp_path, capsys, r):
-    flows, gdp = toy_csvs
-    out = tmp_path / "bundle"
-    assert run_cli(
-        "all", "--flows", str(flows), "--gdp", str(gdp),
-        "--years", "1999:2000", "--out", str(out),
-    ) == 0
-    edited = out / "correlation_nd_annd.csv"
-    rows = list(csv.DictReader(io.StringIO(edited.read_text(encoding="utf-8"))))
+def set_r(series: Path, r: str) -> None:
+    """Set the 2000 r of the 1999:2000 correlation series file ``series`` to the text ``r``."""
+    rows = list(csv.DictReader(io.StringIO(series.read_text(encoding="utf-8"))))
     assert [row["year"] for row in rows] == ["1999", "2000"]
     rows[1]["r"] = r
     text = io.StringIO()
     writer = csv.DictWriter(text, fieldnames=list(rows[0]), lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
-    edited.write_text(text.getvalue(), encoding="utf-8")
+    series.write_text(text.getvalue(), encoding="utf-8")
+
+
+@pytest.mark.parametrize("body", BROKEN_SERIES)
+def test_report_rejects_a_broken_correlation_series(toy_csvs, tmp_path, capsys, body):
+    # Without a manifest there is no digest to check, so the parser refuses the body.
+    flows, gdp = toy_csvs
+    out = tmp_path / "bundle"
+    assert run_cli(
+        "all", "--flows", str(flows), "--gdp", str(gdp),
+        "--years", "1999:2000", "--out", str(out),
+    ) == 0
+    (out / "manifest.json").unlink()
+    before = bundle_state(out)
+    broken = out / "correlation_nd_annd.csv"
+    broken.write_text(body, encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("report", "--out", str(out), "--strong-cut", "0.5") == 2
+    err = capsys.readouterr().err
+    # A body without an r column fails the header check, at line 1.
+    has_r = body.startswith("year,pair,r,")
+    where = "line 2: bad correlation row" if has_r else "line 1: the header must be"
+    assert f"{broken}, {where}" in err
+    assert "Traceback" not in err
+    assert bundle_state(out) == {**before, broken.name: body.encode()}
+
+
+@pytest.mark.parametrize("r", UNLABELLED_R)
+def test_report_refuses_a_correlation_it_cannot_label(toy_csvs, tmp_path, capsys, r):
+    # Without a manifest there is no digest to check, so compare_views refuses the r.
+    flows, gdp = toy_csvs
+    out = tmp_path / "bundle"
+    assert run_cli(
+        "all", "--flows", str(flows), "--gdp", str(gdp),
+        "--years", "1999:2000", "--out", str(out),
+    ) == 0
+    (out / "manifest.json").unlink()
+    set_r(out / "correlation_nd_annd.csv", r)
     before = bundle_state(out)
     capsys.readouterr()
     assert run_cli("report", "--out", str(out), "--strong-cut", "0.5") == 2
@@ -375,6 +400,40 @@ def test_report_refuses_a_correlation_it_cannot_label(toy_csvs, tmp_path, capsys
     message = f"the ND-ANND correlation of year 2000 is {float(r)!r}, not in [-1, 1]"
     assert captured.err == f"error: {message}\n"
     assert not captured.out
+    assert bundle_state(out) == before
+
+
+#: Edits of a manifested bundle's ND-ANND series, by name, each given the series' path.
+SERIES_EDITS = {
+    "r 0.9": partial(set_r, r="0.9"),  # a valid r that moves the BNA label
+    **{f"r {r}": partial(set_r, r=r) for r in UNLABELLED_R},
+    **{f"body {i}": partial(Path.write_text, data=body) for i, body in enumerate(BROKEN_SERIES)},
+    "deleted": Path.unlink,
+    "a directory": lambda series: (series.unlink(), series.mkdir()),
+    "unlisted": None,  # every series copied into a bundle run without correlations
+}
+
+
+@pytest.mark.parametrize("edit", list(SERIES_EDITS))
+def test_report_reads_only_series_its_manifest_vouches_for(toy_csvs, tmp_path, capsys, edit):
+    flows, gdp = toy_csvs
+    run = ("all", "--flows", str(flows), "--gdp", str(gdp), "--years", "1999:2000")
+    out = tmp_path / "bundle"
+    series = out / "correlation_nd_annd.csv"
+    if SERIES_EDITS[edit] is None:
+        assert run_cli(*run, "--out", str(tmp_path / "full")) == 0
+        assert run_cli(*run, "--analyses", "stats", "--out", str(out)) == 0
+        for path in (tmp_path / "full").glob("correlation_*.csv"):
+            shutil.copy(path, out)
+    else:
+        assert run_cli(*run, "--out", str(out)) == 0
+        SERIES_EDITS[edit](series)
+    before = bundle_state(out)
+    capsys.readouterr()
+    assert run_cli("report", "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {series} does not match manifest.json: it is ")
+    assert captured.err.count("\n") == 1 and not captured.out
     assert bundle_state(out) == before
 
 

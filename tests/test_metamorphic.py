@@ -28,7 +28,7 @@ import pytest
 
 from wnet.cli import main
 
-from test_integration import write_gravity_panel
+from conftest import write_gravity_panel
 
 YEARS = tuple(range(1990, 2000))
 KEPT = (1991, 1994, 1998)

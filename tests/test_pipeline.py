@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import ast
-import csv
 import json
 import logging
 import math
@@ -18,6 +17,7 @@ import pytest
 
 import wnet.pipeline
 from wnet import (
+    CorrelationPoint,
     DataError,
     NodeStatsTable,
     PipelineConfig,
@@ -31,9 +31,8 @@ from wnet.pipeline import (
     ANALYSES,
     bundle_names,
     comparison_csv,
-    pair_filename,
     qualitative_label,
-    read_correlation_csv,
+    read_bundle,
     read_manifest,
 )
 
@@ -58,11 +57,6 @@ def bundle_bytes(out_dir: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
 
 
-def read_rows(path: Path) -> list[dict[str, str]]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        return list(csv.DictReader(fh))
-
-
 def test_full_bundle_contents(toy_csvs, tmp_path):
     out = tmp_path / "bundle"
     bundle = run_pipeline(config_for(toy_csvs, out))
@@ -73,8 +67,11 @@ def test_full_bundle_contents(toy_csvs, tmp_path):
     assert sum(1 for n in names if n.startswith("density_")) == 4
     assert sum(1 for n in names if n.startswith("ranksize_")) == 2
     assert set(bundle.tables) == {1999, 2000}
-    assert len(read_rows(out / "moments.csv")) == 12  # 6 statistics x 2 years
-    assert [row["year"] for row in read_rows(out / "symmetry.csv")] == ["1999", "2000"]
+    keys = bundle_names(ANALYSES, (1999, 2000))
+    manifest, files = read_bundle(out, keys)
+    assert list(files) == list(keys) and manifest["files"] == bundle.manifest["files"]
+    assert len(files["moments"]["year"]) == 12  # 6 statistics x 2 years
+    assert files["symmetry"]["year"].tolist() == [1999, 2000]
 
 
 def test_bundle_cell_format(toy_csvs, tmp_path):
@@ -340,8 +337,30 @@ def test_unknown_analysis_rejected(toy_csvs, tmp_path):
 def test_correlation_csv_round_trip(toy_csvs, tmp_path):
     out = tmp_path / "bundle"
     bundle = run_pipeline(config_for(toy_csvs, out))
-    points = read_correlation_csv(out / pair_filename("ND-ANND"))
+    key = ("correlations", "ND-ANND")
+    _, files = read_bundle(out, {key: bundle_names(ANALYSES, (1999, 2000))[key]})
+    points = [CorrelationPoint(*row) for row in zip(*(c.tolist() for c in files[key].values()))]
     assert points == correlation_series(bundle.tables, "ND-ANND")
+
+
+def test_read_bundle_takes_column_types_from_the_layout(tmp_path):
+    # Country codes that read as numbers stay labels: the stats layout says so.
+    codes = ["123", "nan", "1e5", "-0.0"]
+    flows = ["year,exporter,importer,value"]
+    flows += [f"2000,{a},{b},{1 + i}.5" for i, (a, b) in enumerate(zip(codes, codes[1:] + codes[:1]))]
+    (tmp_path / "flows.csv").write_text("\n".join(flows) + "\n", encoding="utf-8")
+    sizes = ["year,country,gdp", *(f"2000,{code},1e9" for code in codes)]
+    (tmp_path / "gdp.csv").write_text("\n".join(sizes) + "\n", encoding="utf-8")
+    out = tmp_path / "bundle"
+    bundle = run_pipeline(PipelineConfig(
+        tmp_path / "flows.csv", tmp_path / "gdp.csv", WeightScheme(), (2000,), out,
+        analyses=frozenset(("stats",)),
+    ))
+    _, files = read_bundle(out, bundle_names(("stats",), (2000,)))
+    columns = files["stats", 2000]
+    assert columns["country"].tolist() == list(bundle.tables[2000].codes)
+    assert sorted(columns["country"].tolist()) == sorted(codes)
+    assert columns["nd"].dtype == np.int64 and columns["ns"].dtype == np.float64
 
 
 def test_stats_csv_well_formed(toy_csvs, tmp_path):
@@ -452,10 +471,31 @@ _WRITERS = {
 }
 
 
-def _writes(tree: ast.AST, scope: str = ""):
-    """(scope, line) of each call in ``tree`` that writes a file: ``write_text``,
-    ``write_bytes``, ``os.replace``, or ``open`` with a mode that is not plainly a
-    read mode; ``scope`` is the dotted name of the enclosing functions and classes."""
+#: Where the package reads a file: the input reader, the manifest's reader, the
+#: one digest check, the bundle reader, the matrix dump's reader and the config
+#: file's reader.  Every bundle file is parsed through ``read_bundle``.
+_READERS = {
+    "ingest._read_table", "pipeline.read_manifest", "pipeline._check_listed",
+    "pipeline.read_bundle", "graph.load_matrix", "cli.read_config_file",
+}
+
+
+def _writes(tree: ast.AST):
+    """(scope, line) of each call in ``tree`` that writes a file (see ``_file_calls``)."""
+    return ((scope, line) for scope, line, writes in _file_calls(tree) if writes)
+
+
+def _reads(tree: ast.AST):
+    """(scope, line) of each call in ``tree`` that reads a file (see ``_file_calls``)."""
+    return ((scope, line) for scope, line, writes in _file_calls(tree) if not writes)
+
+
+def _file_calls(tree: ast.AST, scope: str = ""):
+    """(scope, line, writes) of each call in ``tree`` that opens, reads or writes
+    a file.  It writes if it is ``write_text``, ``write_bytes``, ``os.replace``, or
+    ``open`` with a mode that is not plainly a read mode; it reads if it is
+    ``read_text``, ``read_bytes`` or ``open`` with a read mode.  ``scope`` is the
+    dotted name of the enclosing functions and classes."""
     for node in ast.iter_child_nodes(tree):
         inner = scope
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -469,13 +509,14 @@ def _writes(tree: ast.AST, scope: str = ""):
                 at = 1 if isinstance(func, ast.Name) or module in ("os", "io") else 0
                 modes = [kw.value for kw in node.keywords if kw.arg in ("mode", "flags")]
                 mode = (modes or node.args[at : at + 1] or [ast.Constant("r")])[0]
-                writes = not (isinstance(mode, ast.Constant) and set(str(mode.value)) <= set("rbt"))
-            else:
-                writes = name in ("write_text", "write_bytes")
-                writes |= (name, module) == ("replace", "os")
-            if writes:
-                yield scope, node.lineno
-        yield from _writes(node, inner)
+                yield scope, node.lineno, not (
+                    isinstance(mode, ast.Constant) and set(str(mode.value)) <= set("rbt")
+                )
+            elif name in ("write_text", "write_bytes") or (name, module) == ("replace", "os"):
+                yield scope, node.lineno, True
+            elif name in ("read_text", "read_bytes"):
+                yield scope, node.lineno, False
+        yield from _file_calls(node, inner)
 
 
 def test_write_bundle_is_the_only_writer():
@@ -508,6 +549,36 @@ def f(p, q):
     "a-b".replace("-", "_")
 """
     assert [line for _, line in _writes(ast.parse(code))] == list(range(3, 12))
+
+
+def test_read_bundle_is_the_only_reader_of_bundle_files():
+    src = Path(wnet.pipeline.__file__).parent
+    found, readers = [], set()
+    for path in sorted(src.glob("*.py")):
+        for scope, line in _reads(ast.parse(path.read_text(encoding="utf-8"))):
+            readers.add(f"{path.stem}{scope}")
+            if f"{path.stem}{scope}" not in _READERS:
+                found.append(f"{path.name}:{line} in {path.stem}{scope or ' (module)'}")
+    assert not found, "files read outside the listed readers: " + ", ".join(found)
+    assert readers == _READERS  # the guard names no scope that reads nothing
+
+
+def test_the_reader_guard_sees_every_kind_of_read():
+    code = """
+def f(p, fh):
+    p.read_text()
+    q.read_bytes()
+    open(p)
+    open(p, "rb")
+    io.open(p, mode="rt")
+    p.open()
+    open(p, "w")
+    p.write_text("x")
+    os.open(p, flags)
+    fh.read()
+    json.loads(fh)
+"""
+    assert [line for _, line in _reads(ast.parse(code))] == list(range(3, 9))
 
 
 def _float_specs(tree: ast.AST):
@@ -566,7 +637,7 @@ format(x)
 
 def _process_calls(tree: ast.AST, scope: str = ""):
     """(scope, name, line) of each use of ``os.fork``, ``os._exit`` or ``os.pipe``
-    in ``tree``, as an attribute or an import; ``scope`` as in ``_writes``."""
+    in ``tree``, as an attribute or an import; ``scope`` as in ``_file_calls``."""
     names = {"fork", "_exit", "pipe"}
     for node in ast.iter_child_nodes(tree):
         inner = scope
