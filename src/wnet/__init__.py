@@ -8,15 +8,7 @@ binary with the weighted view of the same network.
 """
 
 from ._version import __version__
-from .distributions import (
-    CorrelationPoint,
-    correlation_series,
-    fit_tail,
-    kde,
-    pearson_with_ci,
-    rank_size,
-    silverman_bandwidth,
-)
+from .distributions import correlation_series
 from .errors import DataError, ValidationError
 from .graph import (
     DirectedTradeNetwork,
@@ -36,7 +28,6 @@ from .stats import (
     annd,
     anns,
     bcc,
-    moments,
     node_degree,
     node_stats,
     node_strength,
@@ -45,7 +36,6 @@ from .stats import (
 
 __all__ = [
     "__version__",
-    "CorrelationPoint",
     "CountryRegistry",
     "DataError",
     "DirectedTradeNetwork",
@@ -63,19 +53,13 @@ __all__ = [
     "compare_views",
     "correlation_series",
     "dump_matrix",
-    "fit_tail",
-    "kde",
     "load_matrix",
     "load_panel",
-    "moments",
     "node_degree",
     "node_stats",
     "node_strength",
-    "pearson_with_ci",
-    "rank_size",
     "run_pipeline",
     "save_panel",
-    "silverman_bandwidth",
     "symmetrize",
     "symmetry_index",
     "wcc",

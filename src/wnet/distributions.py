@@ -6,20 +6,22 @@ and the log-normal-body / Pareto-tail fit (Hill estimator above a fixed
 top-fraction cutoff).  Undefined entries (NaN) are dropped pairwise or
 per-sample, with counts reported.
 
-Each analysis is a ``*_rows`` function over a 2-D array, one sample per row
-(``pearson_rows`` pairs the rows of two).  It works on the groups of rows
-with the same count of defined values, each compressed to a (rows × count)
-block and reduced along axis 1, so every row gets the bits its sample alone
-would get.  A row that an analysis rejects raises DataError for the first
-such row, named by the caller's ``where``.  ``silverman_bandwidth``,
-``kde``, ``pearson_with_ci``, ``correlation_series``, ``rank_size`` and
-``fit_tail`` are one-row (or one-row-per-year) calls of these functions.
+Each analysis is one function over a 2-D array, one sample per row:
+``kde_rows``, ``pearson_rows`` (which pairs the rows of two),
+``rank_size_rows`` and ``fit_tail_rows``; ``correlation_series`` pairs two
+statistics of each year's table through ``pearson_rows``.  Each returns a
+dict of columns, as ``pipeline.read_bundle`` reads a written table back: its
+table's columns under their header names in ``pipeline.LAYOUT``, and any
+other result (a density's bandwidth and count) under its own.  It works on
+the groups of rows with the same count of defined values, each compressed to
+a (rows × count) block and reduced along axis 1, so every row gets the bits
+its sample alone would get.  A row that an analysis rejects raises DataError
+for the first such row, named by the caller's ``where``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Iterable, Mapping
 
@@ -36,60 +38,6 @@ SUPPORTED_PAIRS: dict[str, tuple[str, str]] = {
     "BCC-ND": ("bcc", "nd"),
     "WCC-NS": ("wcc", "ns"),
 }
-
-
-@dataclass(frozen=True, eq=False)
-class DensityEstimate:
-    """Kernel-smoothed density on an evenly spaced grid."""
-
-    grid: np.ndarray
-    density: np.ndarray
-    bandwidth: float
-    n: int
-
-    def integral(self) -> float:
-        """Trapezoidal integral over the grid (close to 1 by construction)."""
-        return float(np.trapezoid(self.density, self.grid))
-
-
-@dataclass(frozen=True)
-class CorrelationPoint:
-    """Pearson r with a Fisher-z confidence band for one year and pair."""
-
-    year: int | None
-    pair: str
-    r: float
-    ci_low: float
-    ci_high: float
-    n: int
-
-
-@dataclass(frozen=True)
-class TailFit:
-    """Log-normal body parameters plus Pareto tail exponent.
-
-    mu/sigma are the maximum-likelihood parameters of log values over the
-    full positive sample; alpha is the Hill estimate over the values at or
-    above x_min, the (1 - tail_fraction) quantile.
-    """
-
-    mu: float
-    sigma: float
-    alpha: float
-    x_min: float
-    tail_fraction: float
-    n: int
-    tail_count: int
-    dropped: int
-
-
-@dataclass(frozen=True, eq=False)
-class RankSizeCurve:
-    """Positive values sorted descending against ranks 1..n."""
-
-    sizes: np.ndarray
-    ranks: np.ndarray
-    dropped: int
 
 
 # Cephes ndtri coefficients, highest power first.  P0/Q0 serve the central
@@ -158,11 +106,6 @@ def _ndtri(p: float) -> float:
     return -x if negate else x
 
 
-def _rows(values: np.ndarray) -> np.ndarray:
-    """``values``' entries as the one row of a 2-D float array."""
-    return np.asarray(values, dtype=float).reshape(1, -1)
-
-
 def silverman_rows(rows: np.ndarray) -> np.ndarray:
     """Silverman's bandwidth of each row's defined (finite) entries:
     0.9 * min(std, IQR/1.34) * n^(-1/5), falling back to std if IQR is 0."""
@@ -177,12 +120,7 @@ def silverman_rows(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def silverman_bandwidth(values: np.ndarray) -> float:
-    """``silverman_rows`` of ``values``' entries as one row."""
-    return float(silverman_rows(_rows(values))[0])
-
-
-#: Number of evenly spaced points on which ``kde`` evaluates the density.
+#: Number of evenly spaced points on which ``kde_rows`` evaluates each density.
 KDE_GRID_SIZE = 512
 
 
@@ -201,7 +139,7 @@ def check_bandwidth(bandwidth: float) -> float:
 def kde_bandwidths(
     rows: np.ndarray, bandwidth: float | None = None, where: Callable[[int], str] | None = None
 ) -> np.ndarray:
-    """The bandwidth ``kde`` smooths each row with: ``bandwidth``, or by
+    """The bandwidth ``kde_rows`` smooths each row with: ``bandwidth``, or by
     default Silverman's rule.
 
     Raises DataError, named by ``where`` (see ``fail_first_row``), at the
@@ -237,20 +175,35 @@ def kde_bandwidths(
     return hs
 
 
-def kde(values: np.ndarray, bandwidth: float | None = None) -> DensityEstimate:
-    """Gaussian-kernel density on ``KDE_GRID_SIZE`` points spanning [min-3h, max+3h].
+def kde_rows(
+    rows: np.ndarray, bandwidth: float | None = None, where: Callable[[int], str] | None = None
+) -> dict[str, np.ndarray]:
+    """Gaussian-kernel density of each row's defined (finite) entries, on
+    ``KDE_GRID_SIZE`` points spanning [min - 3h, max + 3h].
 
-    The bandwidth h is ``kde_bandwidths`` of ``values``' entries as one row,
-    so it defaults to Silverman's rule; it needs at least 5 defined values
-    with nonzero spread.
+    The bandwidth h of each row is its ``kde_bandwidths``, which checks every
+    row first: by default Silverman's rule, and a row needs at least 5
+    defined values with nonzero spread.  Returns the (rows × points) ``grid``
+    and ``density`` and each row's ``bandwidth`` and defined ``count``.  Each
+    row is evaluated in one reused (points × width) buffer, in place.
     """
-    x = np.asarray(values, dtype=float).ravel()
-    x = x[np.isfinite(x)]
-    (h,) = kde_bandwidths(x[None], bandwidth).tolist()
-    grid = np.linspace(x.min() - 3 * h, x.max() + 3 * h, KDE_GRID_SIZE)
-    z = (grid[:, None] - x[None, :]) / h
-    density = np.exp(-0.5 * z**2).sum(axis=1) / (x.size * h * math.sqrt(2 * math.pi))
-    return DensityEstimate(grid, density, h, int(x.size))
+    rows = np.asarray(rows, dtype=float)
+    hs = kde_bandwidths(rows, bandwidth, where)
+    defined = np.isfinite(rows)
+    grid, density = np.empty((2, len(rows), KDE_GRID_SIZE))
+    buffer = np.empty(KDE_GRID_SIZE * rows.shape[1])
+    for row, keep, h, g, d in zip(rows, defined, hs.tolist(), grid, density):
+        x = row[keep]
+        g[:] = np.linspace(x.min() - 3 * h, x.max() + 3 * h, KDE_GRID_SIZE)
+        z = buffer[: g.size * x.size].reshape(g.size, x.size)
+        np.subtract(g[:, None], x, out=z)
+        z /= h
+        np.square(z, out=z)
+        z *= -0.5
+        np.exp(z, out=z)
+        z.sum(axis=1, out=d)
+        d /= x.size * h * math.sqrt(2 * math.pi)
+    return {"grid": grid, "density": density, "bandwidth": hs, "count": defined.sum(axis=1)}
 
 
 def pearson_rows(
@@ -258,8 +211,9 @@ def pearson_rows(
     ys: np.ndarray,
     level: float = 0.90,
     where: Callable[[int], str] | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Pearson r with a Fisher-z interval, and the pair count, of each row pair.
+) -> dict[str, np.ndarray]:
+    """Pearson ``r`` with a Fisher-z interval (``ci_low``, ``ci_high``), and
+    the pair count ``n``, of each row pair.
 
     Row i of ``xs`` and row i of ``ys`` are paired entry by entry, over the
     entries defined in both.  ``level`` is the two-sided coverage; the
@@ -308,30 +262,18 @@ def pearson_rows(
     for i, zi, m in zip(banded.tolist(), z.tolist(), n[banded].tolist()):
         se = 1.0 / math.sqrt(m - 3)
         low[i], high[i] = math.tanh(zi - zcrit * se), math.tanh(zi + zcrit * se)
-    return r, low, high, n
-
-
-def pearson_with_ci(
-    x: np.ndarray,
-    y: np.ndarray,
-    level: float = 0.90,
-    *,
-    year: int | None = None,
-    pair: str = "",
-) -> CorrelationPoint:
-    """``pearson_rows`` of ``x`` and ``y``'s entries as one row pair, as a CorrelationPoint."""
-    r, low, high, n = pearson_rows(_rows(x), _rows(y), level)
-    return CorrelationPoint(year, pair, float(r[0]), float(low[0]), float(high[0]), int(n[0]))
+    return {"r": r, "ci_low": low, "ci_high": high, "n": n}
 
 
 def correlation_series(
     tables: Iterable[NodeStatsTable] | Mapping[int, NodeStatsTable],
     pair: str,
     level: float = 0.90,
-) -> list[CorrelationPoint]:
-    """One correlation point per year for a supported statistic pair: the
-    ``pearson_rows`` of the years' two columns.  A table with fewer codes than
-    the longest is padded with undefined entries."""
+) -> dict[str, np.ndarray]:
+    """The correlation table of a supported statistic pair, one row a year in
+    year order: the ``year``, the ``pair``, and the ``pearson_rows`` of the
+    years' two columns.  A table with fewer codes than the longest is padded
+    with undefined entries."""
     if pair not in SUPPORTED_PAIRS:
         raise ValidationError(
             f"unsupported pair {pair!r} (supported: {', '.join(SUPPORTED_PAIRS)})"
@@ -347,21 +289,21 @@ def correlation_series(
     for row, t in enumerate(tables):
         first, second = (t.column(name) for name in SUPPORTED_PAIRS[pair])
         xs[row, : first.size], ys[row, : second.size] = first, second
-    columns = pearson_rows(xs, ys, level, where=lambda i: f"{pair} in year {tables[i].year}")
-    return [
-        CorrelationPoint(t.year, pair, r, low, high, n)
-        for t, r, low, high, n in zip(tables, *(c.tolist() for c in columns))
-    ]
+    return {
+        "year": np.array([t.year for t in tables], dtype=np.int64),
+        "pair": np.full(len(tables), pair, dtype=object),
+        **pearson_rows(xs, ys, level, where=lambda i: f"{pair} in year {tables[i].year}"),
+    }
 
 
 def rank_size_rows(
     rows: np.ndarray, where: Callable[[int], str] | None = None
-) -> list[RankSizeCurve]:
+) -> dict[str, list[np.ndarray] | np.ndarray]:
     """The rank-size curve of each row: its strictly positive entries sorted
-    descending, against ranks 1..n.
+    descending (``size``), against ranks 1..n.
 
-    Zeros, negatives, and undefined entries are dropped; each curve carries
-    its dropped count.  Raises DataError, named by ``where`` (see
+    Zeros, negatives, and undefined entries are dropped, and counted in
+    ``dropped``.  Raises DataError, named by ``where`` (see
     ``fail_first_row``), at the first row with no positive entry.
     """
     rows = np.asarray(rows, dtype=float)
@@ -369,29 +311,22 @@ def rank_size_rows(
     count = positive.sum(axis=1)
     fail_first_row(where, (count == 0, lambda i: "rank-size needs at least one positive value"))
     ordered = np.sort(np.where(positive, rows, np.nan), axis=1)  # NaN last
-    width = rows.shape[1]
-    return [
-        RankSizeCurve(row[:k][::-1], np.arange(1, k + 1), width - k)
-        for row, k in zip(ordered, count.tolist())
-    ]
-
-
-def rank_size(values: np.ndarray) -> RankSizeCurve:
-    """``rank_size_rows`` of ``values``' entries as one row."""
-    return rank_size_rows(_rows(values))[0]
+    sizes = [row[:k][::-1] for row, k in zip(ordered, count.tolist())]
+    return {"size": sizes, "dropped": rows.shape[1] - count}
 
 
 def fit_tail_rows(
     rows: np.ndarray, tail_fraction: float = 0.05, where: Callable[[int], str] | None = None
-) -> list[TailFit]:
+) -> dict[str, np.ndarray]:
     """Log-normal body fit plus Hill exponent on the top tail_fraction of each row.
 
-    The body parameters are the MLE mean/std of log values over every
-    positive entry of the row.  x_min is the empirical (1 - tail_fraction)
-    quantile and alpha = k / sum(log(x_i / x_min)) over the k values at or
-    above it.  Raises DataError, named by ``where`` (see ``fail_first_row``),
-    at the first row with fewer than 50 positive entries, a constant sample
-    or no spread above the cutoff.
+    The body parameters ``mu`` and ``sigma`` are the MLE mean/std of log
+    values over the ``n_positive`` positive entries of the row; the others
+    are ``dropped``.  ``x_min`` is the empirical (1 - tail_fraction) quantile
+    and ``alpha`` = k / sum(log(x_i / x_min)) over the k (``tail_count``)
+    values at or above it.  Raises DataError, named by ``where`` (see
+    ``fail_first_row``), at the first row with fewer than 50 positive
+    entries, a constant sample or no spread above the cutoff.
     """
     if not 0 < tail_fraction < 1:
         raise ValidationError(
@@ -418,15 +353,8 @@ def fit_tail_rows(
         (sigma == 0, lambda i: "tail fit undefined for a constant sample"),
         (~(log_excess > 0), lambda i: "tail is degenerate (no spread above the cutoff)"),
     )
-    dropped = rows.shape[1] - count
-    return [
-        TailFit(m, s, k / excess, xm, float(tail_fraction), n, k, d)
-        for m, s, xm, excess, n, k, d in zip(
-            *(c.tolist() for c in (mu, sigma, x_min, log_excess, count, tail_count, dropped))
-        )
-    ]
-
-
-def fit_tail(values: np.ndarray, tail_fraction: float = 0.05) -> TailFit:
-    """``fit_tail_rows`` of ``values``' entries as one row."""
-    return fit_tail_rows(_rows(values), tail_fraction)[0]
+    return {
+        "mu": mu, "sigma": sigma, "alpha": tail_count / log_excess, "x_min": x_min,
+        "tail_fraction": np.full(len(rows), float(tail_fraction)), "n_positive": count,
+        "tail_count": tail_count, "dropped": rows.shape[1] - count,
+    }

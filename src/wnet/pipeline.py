@@ -12,7 +12,8 @@ echo (minus the output directory, which has no effect on data), the
 per-year normalizers, and a sha256 digest of every emitted file.
 The analyses are row reductions: the six node statistics of every year are
 stacked once into one (years × statistics × countries) array, and each
-analysis takes its rows of it in one call of the ``*_rows`` functions.
+analysis takes its rows of it in one call, which returns its table's columns
+keyed by ``LAYOUT``'s header names, the form ``read_bundle`` reads back.
 Nothing is written until the inputs have been read and every selected year
 found in them.  Every command then writes in one lifecycle,
 ``with write_bundle(out_dir, names) as commit``.  Entering makes the output
@@ -55,36 +56,28 @@ import shutil
 import tempfile
 import time
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, fields
-from functools import cache, partial
+from dataclasses import dataclass
+from functools import partial
 from itertools import product, takewhile
-from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from ._version import __version__
-from .distributions import (
-    SUPPORTED_PAIRS,
-    CorrelationPoint,
-    TailFit,
-    check_bandwidth,
-    correlation_series,
-    kde,
-    kde_bandwidths,
-)
+from .distributions import SUPPORTED_PAIRS, check_bandwidth, correlation_series
 from .errors import DataError, ValidationError
 from .graph import WeightScheme, build_directed, symmetrize, symmetry_index
 from .ingest import PanelDataset, format_table, load_panel
 from .stats import STATS_LAYOUT, NodeStatsTable, node_stats
 
-# Row functions under the names of the one-row functions they batch, only
-# because perfbench/spans.py times each analysis by the name it is called by
-# here.  Unlike ``stats.moments`` and ``distributions.rank_size`` and
-# ``fit_tail``, these take a stack of rows and return one result a row.  The
-# aliases go when the span targets are renamed (ROADMAP item 2).
+# The row functions under the names ``moments``, ``kde``, ``rank_size`` and
+# ``fit_tail``, only because perfbench/spans.py times each analysis by the
+# name it is called by here.  Each takes the stack of every row and returns
+# its table's columns.  The aliases go when the span targets are renamed
+# (ROADMAP item 2).
 from .distributions import fit_tail_rows as fit_tail
+from .distributions import kde_rows as kde
 from .distributions import rank_size_rows as rank_size
 from .stats import moments_rows as moments
 
@@ -485,13 +478,6 @@ def bundle_names(analyses: Collection[str], years: Sequence[int]) -> dict:
     return names
 
 
-@cache
-def _fields(kind: type) -> Callable[[object], tuple]:
-    """Getter of a ``kind`` record's fields, in order, as a shallow tuple
-    (``dataclasses.astuple`` would deep-copy every field)."""
-    return attrgetter(*(field.name for field in fields(kind)))
-
-
 def _table(header: str, rows: Iterable[tuple]) -> Callable[[], str]:
     """Maker of the CSV text of ``rows``, whose fields follow ``header``."""
     return partial(format_table, header, *zip(*rows))
@@ -615,41 +601,50 @@ def _analyse(
         values, where = rows("moments", *MOMENT_STATISTICS)
         files[names["moments"]] = partial(
             format_table, LAYOUT["moments"][0], MOMENT_STATISTICS * len(years),
-            np.repeat(years, len(MOMENT_STATISTICS)), *moments(values, where),
+            np.repeat(years, len(MOMENT_STATISTICS)), *moments(values, where).values(),
         )
         timer.lap("moments")
     if "correlations" in config.analyses:
         series = {pair: correlation_series(tables, pair, config.ci_level) for pair in SUPPORTED_PAIRS}
-        for pair, points in series.items():
-            files[names["correlations", pair]] = _table(
-                LAYOUT["correlations"][0], map(_fields(CorrelationPoint), points)
+        for pair, columns in series.items():
+            files[names["correlations", pair]] = partial(
+                format_table, LAYOUT["correlations"][0], *columns.values()
             )
         comparison = compare_views(series, config.strong_cut, config.moderate_cut)
         timer.lap("correlations")
     if "density" in config.analyses:
         values, where = rows("density", *DENSITY_STATISTICS)
-        hs = kde_bandwidths(values, config.bandwidth, where).tolist()
-        for (year, name), row, h in zip(product(years, DENSITY_STATISTICS), values, hs):
-            est = kde(row, h)
+        density = kde(values, config.bandwidth, where)
+        for (year, name), grid, d, h, n in zip(
+            product(years, DENSITY_STATISTICS), density["grid"], density["density"],
+            density["bandwidth"].tolist(), density["count"].tolist(),
+        ):
             key = names["density", name, year]
-            files[key] = partial(format_table, LAYOUT["density"][0], est.grid, est.density)
-            bandwidths[key] = est.bandwidth
-            counts.append((year, f"density_{name}_dropped", len(row) - est.n))
+            files[key] = partial(format_table, LAYOUT["density"][0], grid, d)
+            bandwidths[key] = h
+            counts.append((year, f"density_{name}_dropped", values.shape[1] - n))
         timer.lap("density")
     if "ranksize" in config.analyses:
         values, where = rows("rank-size", HEAVY_TAIL_STATISTIC)
-        for year, curve in zip(years, rank_size(values, where)):
+        curves = rank_size(values, where)
+        for year, size, dropped in zip(years, curves["size"], curves["dropped"].tolist()):
             key = names["ranksize", year]
-            files[key] = partial(format_table, LAYOUT["ranksize"][0], curve.ranks, curve.sizes)
-            counts.append((year, f"ranksize_{HEAVY_TAIL_STATISTIC}_dropped", curve.dropped))
+            files[key] = partial(
+                format_table, LAYOUT["ranksize"][0], np.arange(1, size.size + 1), size
+            )
+            counts.append((year, f"ranksize_{HEAVY_TAIL_STATISTIC}_dropped", dropped))
         timer.lap("ranksize")
     if "tailfit" in config.analyses:
         values, where = rows("tail fit", HEAVY_TAIL_STATISTIC)
-        fits = []
-        for year, fit in zip(years, fit_tail(values, config.tail_fraction, where)):
-            fits.append((year, HEAVY_TAIL_STATISTIC, *_fields(TailFit)(fit)))
-            counts.append((year, f"tailfit_{HEAVY_TAIL_STATISTIC}_dropped", fit.dropped))
-        files[names["tailfit"]] = _table(LAYOUT["tailfit"][0], fits)
+        fits = fit_tail(values, config.tail_fraction, where)
+        counts.extend(
+            (year, f"tailfit_{HEAVY_TAIL_STATISTIC}_dropped", dropped)
+            for year, dropped in zip(years, fits["dropped"].tolist())
+        )
+        files[names["tailfit"]] = partial(
+            format_table, LAYOUT["tailfit"][0], years, (HEAVY_TAIL_STATISTIC,) * len(years),
+            *fits.values(),
+        )
         timer.lap("tailfit")
     if symmetry:
         files[names["symmetry"]] = _table(LAYOUT["symmetry"][0], symmetry.items())
@@ -701,30 +696,33 @@ def qualitative_label(
 
 
 def compare_views(
-    series: Mapping[str, Sequence[CorrelationPoint]],
+    series: Mapping[str, Mapping[str, Sequence]],
     strong_cut: float = PipelineConfig.strong_cut,
     moderate_cut: float = PipelineConfig.moderate_cut,
 ) -> list[dict]:
     """Two-row binary-vs-weighted comparison of mean correlations.
 
+    ``series`` maps a pair to its correlation table's columns, as
+    ``correlation_series`` returns them and ``read_bundle`` reads them back.
     Each row reports the period-mean assortativity and clustering
     correlations of one view with qualitative labels.  Raises DataError if
-    a required series is missing, or has an r that is not in [-1, 1] (NaN
-    and infinities included), which no label would fit.
+    a required series is missing or empty, or has an r that is not in
+    [-1, 1] (NaN and infinities included), which no label would fit.
     """
     rows = []
     for view, pairs in VIEW_PAIRS.items():
         row: dict = {"view": view}
         for role, pair in pairs.items():
-            points = series.get(pair)
-            if not points:
+            columns = series.get(pair)
+            if columns is None or not len(columns["r"]):
                 raise DataError(f"bundle is missing the {pair} correlation series")
-            for p in points:
-                if not -1 <= p.r <= 1:
+            rs = np.asarray(columns["r"], dtype=float).tolist()
+            for year, r in zip(np.asarray(columns["year"]).tolist(), rs):
+                if not -1 <= r <= 1:
                     raise DataError(
-                        f"the {pair} correlation of year {p.year} is {p.r!r}, not in [-1, 1]"
+                        f"the {pair} correlation of year {year} is {r!r}, not in [-1, 1]"
                     )
-            mean_r = float(np.mean([p.r for p in points]))
+            mean_r = float(np.mean(rs))
             row[f"{role}_pair"] = pair
             row[f"{role}_r"] = mean_r
             row[f"{role}_label"] = qualitative_label(mean_r, strong_cut, moderate_cut)
@@ -758,9 +756,8 @@ def relabel(
     strong_cut = labelled[0] if strong_cut is None else strong_cut
     moderate_cut = labelled[1] if moderate_cut is None else moderate_cut
     _check_cuts(strong_cut, moderate_cut)
-    series = {pair: [CorrelationPoint(*row) for row in zip(*(c.tolist() for c in cols.values()))]
-              for (_, pair), cols in files.items()}
-    rows = compare_views(series, strong_cut, moderate_cut)
+    rows = compare_views({pair: columns for (_, pair), columns in files.items()},
+                         strong_cut, moderate_cut)
     if manifest is not None:
         manifest["config"].update(strong_cut=strong_cut, moderate_cut=moderate_cut)
     with write_bundle(out_dir, [names["comparison"]]) as commit:

@@ -58,19 +58,6 @@ class NodeStatsTable:
         return format_table(STATS_LAYOUT[0], self.codes, self.nd, *floats)
 
 
-@dataclass(frozen=True)
-class MomentSummary:
-    """First four population moments of one statistic in one year."""
-
-    statistic: str
-    year: int | None
-    mean: float
-    std: float
-    skewness: float
-    kurtosis: float
-    count: int
-
-
 def node_degree(net: UndirectedNetwork) -> np.ndarray:
     """Number of partners of each node (row sums of A)."""
     return net.adjacency.sum(axis=1)
@@ -175,14 +162,20 @@ def fail_first_row(
 
 def moments_rows(
     rows: np.ndarray, where: Callable[[int], str] | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Mean, std, skewness, kurtosis and count of each row's defined entries.
+) -> dict[str, np.ndarray]:
+    """The ``mean``, ``std``, ``skewness``, ``kurtosis`` and ``count`` of each
+    row's defined entries.
 
     Population moments over the finite entries of each row of the 2-D
     ``rows``: skewness is the third standardized moment and kurtosis the
     fourth (a normal sample gives ~3, no excess subtraction).  Both are NaN
-    for a zero-variance row.  Raises DataError, named by ``where`` (see
-    ``fail_first_row``), at the first row with fewer than two defined entries.
+    for a zero-variance row.  A row whose largest deviation from its mean is
+    below 2**-240 or above 2**240, where a fourth power would leave the
+    normal range, has its deviations scaled first by the exact power of two
+    that brings the largest into [1/2, 1), so it gets the skewness and
+    kurtosis of its sample at scale 1; no other row is scaled.  Raises
+    DataError, named by ``where`` (see ``fail_first_row``), at the first row
+    with fewer than two defined entries.
     """
     rows = np.asarray(rows, dtype=float)
     defined = np.isfinite(rows)
@@ -192,22 +185,15 @@ def moments_rows(
     for at, x in row_groups(defined, rows):
         m = x.mean(axis=1)
         centered = x - m[:, None]
+        reach = np.abs(centered).max(axis=1)
+        exponent = np.where((reach < 2.0**-240) | (reach > 2.0**240), np.frexp(reach)[1], 0)
+        centered = np.ldexp(centered, -exponent[:, None])
         s = np.sqrt(np.mean(centered**2, axis=1))
         # Python float powers: numpy's array power differs in the last bits.
         cube, fourth = np.array([(v**3, v**4) for v in s.tolist()]).T
-        mean[at], std[at] = m, s
+        mean[at], std[at] = m, np.ldexp(s, exponent)
         for out, power, scale in (skew, 3, cube), (kurt, 4, fourth):
             out[at] = np.divide(
                 np.mean(centered**power, axis=1), scale, out=np.full(at.size, np.nan), where=s != 0
             )
-    return mean, std, skew, kurt, count
-
-
-def moments(
-    values: np.ndarray, *, statistic: str = "", year: int | None = None
-) -> MomentSummary:
-    """``moments_rows`` of ``values``' entries as one row, as a MomentSummary."""
-    mean, std, skew, kurt, count = moments_rows(np.asarray(values, dtype=float).reshape(1, -1))
-    return MomentSummary(
-        statistic, year, float(mean[0]), float(std[0]), float(skew[0]), float(kurt[0]), int(count[0])
-    )
+    return {"mean": mean, "std": std, "skewness": skew, "kurtosis": kurt, "count": count}

@@ -189,6 +189,19 @@ def kde_bandwidth_oracle(values, bandwidth: float | None = None) -> float:
     return silverman_oracle(x) if bandwidth is None else float(bandwidth)
 
 
+def kde_oracle(values, bandwidth: float | None = None) -> tuple:
+    """Grid, density, bandwidth and defined count of one sample's Gaussian-kernel
+    density, one numpy call after another as ``wnet`` computed each year's
+    before its densities became one row reduction."""
+    x = np.asarray(values, dtype=float).ravel()
+    x = x[np.isfinite(x)]
+    h = kde_bandwidth_oracle(x, bandwidth)
+    grid = np.linspace(x.min() - 3 * h, x.max() + 3 * h, 512)
+    z = (grid[:, None] - x[None, :]) / h
+    density = np.exp(-0.5 * z**2).sum(axis=1) / (x.size * h * math.sqrt(2 * math.pi))
+    return grid, density, h, int(x.size)
+
+
 def rank_size_oracle(values) -> tuple[list[float], int]:
     """Positive entries sorted descending, and the count of the others."""
     x = np.asarray(values, dtype=float).ravel()

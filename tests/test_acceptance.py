@@ -19,12 +19,11 @@ import pytest
 from wnet import (
     WeightScheme,
     build_directed,
-    fit_tail,
-    kde,
     load_panel,
     symmetrize,
 )
 from wnet.cli import main as cli_main
+from wnet.distributions import fit_tail_rows, kde_rows
 from wnet.stats import annd, anns, bcc, node_degree, node_stats, node_strength, wcc
 
 from conftest import (
@@ -142,33 +141,33 @@ def test_kde_normalization_and_bimodality():
                 sample = rng.lognormal(0, 1, n)
             else:
                 sample = rng.exponential(2.0, n)
-            est = kde(sample)
-            assert abs(est.integral() - 1.0) <= 1e-3
-            assert (est.density >= 0).all()
+            est = kde_rows(sample[None])
+            assert abs(np.trapezoid(est["density"][0], est["grid"][0]) - 1.0) <= 1e-3
+            assert (est["density"] >= 0).all()
 
         mix = np.concatenate(
             [rng.normal(0.0, 0.5, 1500), rng.normal(4.0, 0.5, 1500)]
         )
-        est = kde(mix)
-        d = est.density
+        est = kde_rows(mix[None])
+        (grid,), (d,) = est["grid"], est["density"]
         maxima = [i for i in range(1, len(d) - 1) if d[i - 1] < d[i] > d[i + 1]]
         top_two = sorted(sorted(maxima, key=lambda i: -d[i])[:2])
         assert len(top_two) == 2
-        assert abs(est.grid[top_two[0]] - 0.0) < 0.2
-        assert abs(est.grid[top_two[1]] - 4.0) < 0.2
+        assert abs(grid[top_two[0]] - 0.0) < 0.2
+        assert abs(grid[top_two[1]] - 4.0) < 0.2
 
 
 def test_fit_recovery():
     with criterion("fit recovery (log-normal +/-0.05, Hill +/-0.1, <10s)"):
         start = time.perf_counter()
         rng = np.random.default_rng(6)
-        lognorm = fit_tail(rng.lognormal(0.0, 1.0, 10_000))
-        assert abs(lognorm.mu - 0.0) <= 0.05
-        assert abs(lognorm.sigma - 1.0) <= 0.05
+        lognorm = fit_tail_rows(rng.lognormal(0.0, 1.0, (1, 10_000)))
+        assert abs(lognorm["mu"][0] - 0.0) <= 0.05
+        assert abs(lognorm["sigma"][0] - 1.0) <= 0.05
 
         rng = np.random.default_rng(7)
-        pareto = fit_tail(1.0 + rng.pareto(1.5, 10_000))
-        assert abs(pareto.alpha - 1.5) <= 0.1
+        pareto = fit_tail_rows(1.0 + rng.pareto(1.5, (1, 10_000)))
+        assert abs(pareto["alpha"][0] - 1.5) <= 0.1
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"fit recovery took {elapsed:.2f}s"
 
@@ -231,10 +230,9 @@ def test_world_trade_web_reproduction():
             "BCC-ND": -0.96,
         }
         for pair, target in expectations.items():
-            series = correlation_series(tables, pair)
-            mean_r = float(np.mean([p.r for p in series]))
+            mean_r = float(np.mean(correlation_series(tables, pair)["r"]))
             assert abs(mean_r - target) <= 0.1, f"{pair}: {mean_r:.3f} vs {target}"
         wcc_ns = correlation_series(tables, "WCC-NS")
-        assert all(p.r > 0 for p in wcc_ns), "WCC-NS must be positive in every year"
+        assert (wcc_ns["r"] > 0).all(), "WCC-NS must be positive in every year"
         elapsed = time.perf_counter() - start
         assert elapsed < 30.0, f"20-year pipeline took {elapsed:.2f}s"

@@ -14,6 +14,13 @@
 - Shifting every year shifts only the year labels.  After the year cells
   and file names are mapped back, every file is byte-identical, so years are
   labels to the writer and nothing else.
+- Relabelling the countries permutes the nodes.  With every country code
+  replaced by another of the panel's codes, the input rows left in their
+  order, each country keeps its statistics, each year its analyses and
+  ``counts.csv`` its bytes.  The nodes follow the codes' sorted order, so
+  each per-country table lists the relabelled rows in code order, and every
+  float moves only by the different order of its sums, within the
+  tolerances below.
 """
 
 from __future__ import annotations
@@ -24,9 +31,11 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from wnet.cli import main
+from wnet.pipeline import ANALYSES, bundle_names, read_bundle
 
 from conftest import write_gravity_panel
 
@@ -184,3 +193,74 @@ def test_shifting_every_year_shifts_only_the_year_labels(four_years):
         base["manifest.json"]
     )["normalizers"]
     assert len(base) > 4 * len(FOUR)
+
+
+#: The (relative, absolute) tolerance of each file kind's floats under
+#: relabelling.  A correlation lies in [-1, 1], so its tolerance is absolute:
+#: a band end near 0 moves by up to 4.5e-14 of itself.  A density file's is
+#: absolute too, 159 rounding errors (2**-53) of the file's largest cell, the
+#: worst case of a sum of 159 kernels: in the far tails a cell moves by up to
+#: 3.3e-12 of itself.
+RELABEL_TOLERANCE = {
+    "stats": (1.6e-15, 0.0), "symmetry": (1.6e-15, 0.0), "moments": (9.9e-14, 0.0),
+    "correlations": (0.0, 5.7e-15), "comparison": (0.0, 5.7e-15),
+    "ranksize": (5.4e-16, 0.0), "tailfit": (5.4e-16, 0.0),
+}
+DENSITY_PEAK_ERRORS = 159 * 2.0**-53
+
+
+def relabelled(src: Path, dst: Path, codes: dict[str, str]) -> Path:
+    """``src``'s panel CSV, row for row, with each country code (every cell
+    between the year and the value) mapped by ``codes``."""
+    header, *lines = src.read_text(encoding="utf-8").splitlines()
+    rows = []
+    for line in lines:
+        year, *countries, value = line.split(",")
+        rows.append(",".join([year, *(codes[c] for c in countries), value]))
+    dst.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    return dst
+
+
+def assert_close(got, want, what, rtol=0.0, atol=0.0) -> None:
+    """Labels and integers equal, floats within tolerance, NaN where NaN."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype, what
+    if want.dtype.kind == "f":
+        np.testing.assert_allclose(
+            got, want, rtol=rtol, atol=atol, equal_nan=True, err_msg=str(what)
+        )
+    else:
+        assert got.tolist() == want.tolist(), what
+
+
+def test_relabelling_the_countries_permutes_the_nodes(four_years):
+    tmp, flows, gdp, base = four_years
+    _, *sizes = gdp.read_text(encoding="utf-8").splitlines()
+    codes = sorted({line.split(",")[1] for line in sizes})
+    codes = dict(zip(codes, np.random.default_rng(5).permutation(codes).tolist()))
+    assert sum(a != b for a, b in codes.items()) > len(codes) // 2
+    other = run_all(
+        relabelled(flows, tmp / "flows_relabelled.csv", codes),
+        relabelled(gdp, tmp / "gdp_relabelled.csv", codes),
+        FOUR,
+        tmp / "relabelled",
+    )
+    assert other["counts.csv"] == base["counts.csv"]
+    names = bundle_names(ANALYSES, FOUR)
+    (manifest, want), (other_manifest, got) = (
+        read_bundle(tmp / out, names) for out in ("base", "relabelled")
+    )
+    assert list(got) == list(want) == list(names)
+    assert other_manifest["normalizers"] == manifest["normalizers"]
+    for key, columns in want.items():
+        kind = key[0] if isinstance(key, tuple) else key
+        if kind == "stats":  # per country: the relabelled rows, sorted by code
+            mapped = np.array([codes[c] for c in columns["country"]], dtype=object)
+            order = np.argsort(mapped, kind="stable")
+            columns = {**{h: c[order] for h, c in columns.items()}, "country": mapped[order]}
+        for head, column in columns.items():
+            if kind == "density":
+                rtol, atol = 0.0, DENSITY_PEAK_ERRORS * np.abs(column).max()
+            else:
+                rtol, atol = RELABEL_TOLERANCE.get(kind, (0.0, 0.0))
+            assert_close(got[key][head], column, (key, head), rtol=rtol, atol=atol)

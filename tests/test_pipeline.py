@@ -17,7 +17,6 @@ import pytest
 
 import wnet.pipeline
 from wnet import (
-    CorrelationPoint,
     DataError,
     NodeStatsTable,
     PipelineConfig,
@@ -72,6 +71,10 @@ def test_full_bundle_contents(toy_csvs, tmp_path):
     assert list(files) == list(keys) and manifest["files"] == bundle.manifest["files"]
     assert len(files["moments"]["year"]) == 12  # 6 statistics x 2 years
     assert files["symmetry"]["year"].tolist() == [1999, 2000]
+    for year in (1999, 2000):  # ranks 1..n against the sizes, largest first
+        curve = files["ranksize", year]
+        assert curve["rank"].tolist() == list(range(1, len(curve["size"]) + 1))
+        assert (np.diff(curve["size"]) <= 0).all()
 
 
 def test_bundle_cell_format(toy_csvs, tmp_path):
@@ -339,8 +342,11 @@ def test_correlation_csv_round_trip(toy_csvs, tmp_path):
     bundle = run_pipeline(config_for(toy_csvs, out))
     key = ("correlations", "ND-ANND")
     _, files = read_bundle(out, {key: bundle_names(ANALYSES, (1999, 2000))[key]})
-    points = [CorrelationPoint(*row) for row in zip(*(c.tolist() for c in files[key].values()))]
-    assert points == correlation_series(bundle.tables, "ND-ANND")
+    series = correlation_series(bundle.tables, "ND-ANND")
+    assert list(files[key]) == list(series)
+    for name, column in series.items():
+        assert files[key][name].dtype == column.dtype
+        assert files[key][name].tolist() == column.tolist(), name
 
 
 def test_read_bundle_takes_column_types_from_the_layout(tmp_path):
@@ -424,12 +430,12 @@ def test_compare_views_labels_from_constructed_correlations(rng):
 
 
 def test_compare_views_missing_series():
-    from wnet import CorrelationPoint
+    def point(pair, r, low, high):
+        return {"year": [2000], "pair": [pair], "r": [r], "ci_low": [low], "ci_high": [high], "n": [40]}
 
-    point = CorrelationPoint(2000, "ND-ANND", -0.9, -0.95, -0.85, 40)
     series = {
-        "ND-ANND": [point],
-        "BCC-ND": [CorrelationPoint(2000, "BCC-ND", -0.96, -0.99, -0.9, 40)],
+        "ND-ANND": point("ND-ANND", -0.9, -0.95, -0.85),
+        "BCC-ND": point("BCC-ND", -0.96, -0.99, -0.9),
     }
     with pytest.raises(DataError, match="NS-ANNS"):
         compare_views(series)

@@ -1,7 +1,7 @@
 """Differential tests of the analyses' row functions against per-sample code.
 
-``moments_rows``, ``pearson_rows``, ``kde_bandwidths``, ``rank_size_rows``
-and ``fit_tail_rows`` reduce whole stacks of rows at once.  Each must give
+``moments_rows``, ``pearson_rows``, ``kde_bandwidths``, ``kde_rows``,
+``rank_size_rows`` and ``fit_tail_rows`` reduce whole stacks of rows at once.  Each must give
 every row the bits that the per-sample references in ``oracles.py``
 (``np.corrcoef``, ``np.percentile``, ``np.quantile``, one sample at a time)
 give that row alone, NaN where they give NaN, and, for a stack with a
@@ -36,6 +36,7 @@ from wnet.distributions import (  # noqa: E402
     SUPPORTED_PAIRS,
     fit_tail_rows,
     kde_bandwidths,
+    kde_rows,
     pearson_rows,
     rank_size_rows,
 )
@@ -45,6 +46,7 @@ from conftest import panel_from_rows  # noqa: E402
 from oracles import (  # noqa: E402
     fit_tail_oracle,
     kde_bandwidth_oracle,
+    kde_oracle,
     moments_oracle,
     pearson_ci_oracle,
     rank_size_oracle,
@@ -91,22 +93,32 @@ def where(i: int) -> str:
     return f"row {i}"
 
 
+def density_cells(result) -> np.ndarray:
+    """One density's grid, density, bandwidth and count as one flat array."""
+    grid, density, h, n = result
+    return np.concatenate([grid, density, [h, n]])
+
+
+def each_row(columns: dict):
+    """Each row's cells of a row function's ``columns``."""
+    return zip(*columns.values())
+
+
 #: (row function, its options, per-sample reference, the reference's result
 #: as a flat tuple, each row's result from the row function's as one).
 ANALYSES = [
-    (moments_rows, {}, moments_oracle, tuple, lambda columns: zip(*columns)),
-    (pearson_rows, {"level": 0.9}, pearson_ci_oracle, tuple, lambda columns: zip(*columns)),
+    (moments_rows, {}, moments_oracle, tuple, each_row),
+    (pearson_rows, {"level": 0.9}, pearson_ci_oracle, tuple, each_row),
     (kde_bandwidths, {"bandwidth": None}, kde_bandwidth_oracle, lambda h: (h,), lambda hs: zip(hs)),
     (kde_bandwidths, {"bandwidth": 0.5}, kde_bandwidth_oracle, lambda h: (h,), lambda hs: zip(hs)),
+    (kde_rows, {"bandwidth": None}, kde_oracle, density_cells, lambda c: map(density_cells, each_row(c))),
+    (kde_rows, {"bandwidth": 0.5}, kde_oracle, density_cells, lambda c: map(density_cells, each_row(c))),
     (
         rank_size_rows, {}, rank_size_oracle,
         lambda result: (result[1], *result[0]),
-        lambda curves: ((curve.dropped, *curve.sizes) for curve in curves),
+        lambda curves: ((dropped, *sizes) for sizes, dropped in zip(curves["size"], curves["dropped"])),
     ),
-    (
-        fit_tail_rows, {"tail_fraction": 0.05}, fit_tail_oracle, tuple,
-        lambda fits: (tuple(vars(fit).values()) for fit in fits),
-    ),
+    (fit_tail_rows, {"tail_fraction": 0.05}, fit_tail_oracle, tuple, each_row),
 ]
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,14 +11,13 @@ from wnet import (
     annd,
     anns,
     bcc,
-    moments,
     node_degree,
     node_stats,
     node_strength,
     wcc,
 )
 
-from wnet.stats import format_table
+from wnet.stats import format_table, moments_rows
 
 from conftest import make_undirected, random_undirected
 from oracles import (
@@ -247,7 +247,7 @@ def test_float_cells_are_repr():
     switches = np.concatenate([switches, -switches])
     for values in (bits, decades, switches):
         assert format_table("x", values) == repr_table("x", values)
-    # Columns as callers pass them: a reversed view (as rank_size's sizes),
+    # Columns as callers pass them: a reversed view (as rank_size_rows' sizes),
     # columns of a 2-D array, float32, an empty column, numpy floats in a list.
     grid = np.geomspace(1e-6, 1e18, 3000).reshape(1000, 3)
     for columns in (
@@ -258,32 +258,49 @@ def test_float_cells_are_repr():
 
 
 def test_moments_closed_form():
-    m = moments(np.array([1.0, 2.0, 3.0]))
-    assert m.mean == pytest.approx(2.0)
-    assert m.std == pytest.approx(math.sqrt(2.0 / 3.0))
-    assert m.count == 3
+    m = moments_rows(np.array([[1.0, 2.0, 3.0]]))
+    assert m["mean"][0] == pytest.approx(2.0)
+    assert m["std"][0] == pytest.approx(math.sqrt(2.0 / 3.0))
+    assert m["count"][0] == 3
 
 
 def test_moments_skips_undefined():
-    m = moments(np.array([1.0, np.nan, 2.0, 3.0, np.nan]))
-    assert m.count == 3
-    assert m.mean == pytest.approx(2.0)
+    m = moments_rows(np.array([[1.0, np.nan, 2.0, 3.0, np.nan]]))
+    assert m["count"][0] == 3
+    assert m["mean"][0] == pytest.approx(2.0)
 
 
 def test_moments_constant_vector():
-    m = moments(np.array([5.0, 5.0, 5.0]))
-    assert m.std == 0.0
-    assert math.isnan(m.skewness) and math.isnan(m.kurtosis)
+    m = moments_rows(np.array([[5.0, 5.0, 5.0]]))
+    assert m["std"][0] == 0.0
+    assert math.isnan(m["skewness"][0]) and math.isnan(m["kurtosis"][0])
 
 
 def test_moments_too_few():
     with pytest.raises(DataError, match=">= 2"):
-        moments(np.array([1.0, np.nan]))
+        moments_rows(np.array([[1.0, np.nan]]))
 
 
 def test_moments_monte_carlo_normal():
     sample = np.random.default_rng(42).standard_normal(100_000)
-    m = moments(sample, statistic="x", year=2000)
-    assert abs(m.skewness) < 0.05
-    assert abs(m.kurtosis - 3.0) < 0.1
-    assert m.statistic == "x" and m.year == 2000
+    m = moments_rows(sample[None])
+    assert abs(m["skewness"][0]) < 0.05
+    assert abs(m["kurtosis"][0] - 3.0) < 0.1
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-107, 1e-80, 1e80, 1e200, 1e300])
+def test_moments_at_extreme_scales_are_those_at_scale_one(scale):
+    # Third and fourth powers of these deviations leave the normal range: at
+    # 1e-80 the fourth powers are subnormal, at 1e-107 they are 0, and at
+    # 1e80 std**4 overflows.  The row's twin at scale 1 differs from it by an
+    # exact power of two, so it must get the same skewness and kurtosis.
+    row = np.array([[1.0, 2.0, 3.0, 5.0]]) * scale
+    exponent = math.frexp(scale)[1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, want = moments_rows(row), moments_rows(np.ldexp(row, -exponent))
+    for name in ("skewness", "kurtosis"):
+        assert abs(got[name][0] - want[name][0]) <= np.spacing(want[name][0]), name
+    assert got["skewness"][0] == pytest.approx(0.43465076, rel=1e-8)
+    assert got["kurtosis"][0] == pytest.approx(1.84571429, rel=1e-8)
+    assert got["std"][0] == np.ldexp(want["std"][0], exponent)
