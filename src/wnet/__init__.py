@@ -24,7 +24,6 @@ from .graph import (
 from .ingest import CountryRegistry, PanelDataset, load_panel, save_panel
 from .pipeline import PipelineConfig, compare_views, run_pipeline
 from .stats import (
-    NodeStatsTable,
     annd,
     anns,
     bcc,
@@ -39,7 +38,6 @@ __all__ = [
     "CountryRegistry",
     "DataError",
     "DirectedTradeNetwork",
-    "NodeStatsTable",
     "PanelDataset",
     "PipelineConfig",
     "UndirectedNetwork",

@@ -17,7 +17,7 @@ import os
 import sys
 from functools import partial
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from ._version import __version__
 from .errors import DataError, ValidationError, WnetError
@@ -237,20 +237,22 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     config = _pipeline_config(args, frozenset(("stats",)))
-    bundle = run_pipeline(config)
-    print(f"wrote node statistics for {len(bundle.tables)} years to {config.out_dir}")
+    manifest, _ = run_pipeline(config)
+    print(f"wrote node statistics for {len(manifest['normalizers'])} years to {config.out_dir}")
     return 0
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     config = _pipeline_config(args, _selected_analyses(args, _ANALYZE_DEFAULT))
-    bundle = run_pipeline(config)
-    print(f"wrote {len(bundle.manifest['files'])} files to {config.out_dir}")
+    manifest, _ = run_pipeline(config)
+    print(f"wrote {len(manifest['files'])} files to {config.out_dir}")
     return 0
 
 
-def _print_comparison(rows: list[dict]) -> None:
-    for row in rows:
+def _print_comparison(columns: Mapping[str, Sequence]) -> None:
+    """One line per row of the comparison table's ``columns``."""
+    for cells in zip(*columns.values()):
+        row = dict(zip(columns, cells))
         print(
             f"{row['view']}: assortativity {row['assortativity_pair']} "
             f"r={row['assortativity_r']:+.3f} ({row['assortativity_label']}); "
@@ -268,7 +270,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_all(args: argparse.Namespace) -> int:
     config = _pipeline_config(args, _selected_analyses(args, ANALYSES))
-    _print_comparison(run_pipeline(config).comparison)
+    _, tables = run_pipeline(config)
+    _print_comparison(tables.get("comparison", {}))
     print(f"bundle written to {config.out_dir}")
     return 0
 

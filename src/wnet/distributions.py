@@ -9,26 +9,27 @@ per-sample, with counts reported.
 Each analysis is one function over a 2-D array, one sample per row:
 ``kde_rows``, ``pearson_rows`` (which pairs the rows of two),
 ``rank_size_rows`` and ``fit_tail_rows``; ``correlation_series`` pairs two
-statistics of each year's table through ``pearson_rows``.  Each returns a
-dict of columns, as ``pipeline.read_bundle`` reads a written table back: its
-table's columns under their header names in ``pipeline.LAYOUT``, and any
-other result (a density's bandwidth and count) under its own.  It works on
-the groups of rows with the same count of defined values, each compressed to
-a (rows × count) block and reduced along axis 1, so every row gets the bits
-its sample alone would get.  A row that an analysis rejects raises DataError
-for the first such row, named by the caller's ``where``.
+statistics of each year's ``stats.node_stats`` columns through
+``pearson_rows``.  Each returns a dict of columns, as ``pipeline.read_bundle``
+reads a written table back: its table's columns under their header names in
+``pipeline.LAYOUT``, and any other result (a density's bandwidth and count)
+under its own.  It works on the groups of rows with the same count of
+defined values, each compressed to a (rows × count) block and reduced along
+axis 1, so every row gets the bits its sample alone would get.  A row that an
+analysis rejects raises DataError for the first such row, named by the
+caller's ``where``.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cache
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
 from .errors import ValidationError
-from .stats import NodeStatsTable, fail_first_row, row_groups
+from .stats import fail_first_row, row_groups
 
 #: Cross-statistic pairs supported by correlation_series, in report order.
 SUPPORTED_PAIRS: dict[str, tuple[str, str]] = {
@@ -266,33 +267,33 @@ def pearson_rows(
 
 
 def correlation_series(
-    tables: Iterable[NodeStatsTable] | Mapping[int, NodeStatsTable],
-    pair: str,
-    level: float = 0.90,
+    tables: Mapping[int, Mapping[str, np.ndarray]], pair: str, level: float = 0.90
 ) -> dict[str, np.ndarray]:
     """The correlation table of a supported statistic pair, one row a year in
     year order: the ``year``, the ``pair``, and the ``pearson_rows`` of the
-    years' two columns.  A table with fewer codes than the longest is padded
-    with undefined entries."""
+    years' two columns.
+
+    ``tables`` maps each year to its node statistics' columns, as
+    ``stats.node_stats`` returns them and ``pipeline.read_bundle`` reads them
+    back.  A year with fewer countries than the most is padded with
+    undefined entries.
+    """
     if pair not in SUPPORTED_PAIRS:
         raise ValidationError(
             f"unsupported pair {pair!r} (supported: {', '.join(SUPPORTED_PAIRS)})"
         )
-    if isinstance(tables, Mapping):
-        tables = [tables[year] for year in sorted(tables)]
-    else:
-        tables = sorted(tables, key=lambda t: t.year)
-    if not tables:
+    years = sorted(tables)
+    if not years:
         raise ValidationError("correlation series needs at least one year")
-    width = max(len(t.codes) for t in tables)
-    xs, ys = np.full((2, len(tables), width), np.nan)
-    for row, t in enumerate(tables):
-        first, second = (t.column(name) for name in SUPPORTED_PAIRS[pair])
+    pairs = [[np.asarray(tables[year][name], dtype=float) for name in SUPPORTED_PAIRS[pair]]
+             for year in years]
+    xs, ys = np.full((2, len(years), max(x.size for x, _ in pairs)), np.nan)
+    for row, (first, second) in enumerate(pairs):
         xs[row, : first.size], ys[row, : second.size] = first, second
     return {
-        "year": np.array([t.year for t in tables], dtype=np.int64),
-        "pair": np.full(len(tables), pair, dtype=object),
-        **pearson_rows(xs, ys, level, where=lambda i: f"{pair} in year {tables[i].year}"),
+        "year": np.array(years, dtype=np.int64),
+        "pair": np.full(len(years), pair, dtype=object),
+        **pearson_rows(xs, ys, level, where=lambda i: f"{pair} in year {years[i]}"),
     }
 
 

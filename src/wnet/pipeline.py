@@ -13,7 +13,12 @@ per-year normalizers, and a sha256 digest of every emitted file.
 The analyses are row reductions: the six node statistics of every year are
 stacked once into one (years × statistics × countries) array, and each
 analysis takes its rows of it in one call, which returns its table's columns
-keyed by ``LAYOUT``'s header names, the form ``read_bundle`` reads back.
+keyed by ``LAYOUT``'s header names.  That is the one in-memory form of every
+bundle table: ``run_pipeline`` returns each file's columns, keyed as
+``bundle_names`` keys the file, with the manifest, the pair that
+``read_bundle`` reads back, and every file's text is made from its columns
+by one rule (``_makers``): the columns in its kind's ``LAYOUT`` header order,
+through ``format_table``.
 Nothing is written until the inputs have been read and every selected year
 found in them.  Every command then writes in one lifecycle,
 ``with write_bundle(out_dir, names) as commit``.  Entering makes the output
@@ -60,7 +65,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import product, takewhile
 from pathlib import Path
-from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Collection, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -69,7 +74,7 @@ from .distributions import SUPPORTED_PAIRS, check_bandwidth, correlation_series
 from .errors import DataError, ValidationError
 from .graph import WeightScheme, build_directed, symmetrize, symmetry_index
 from .ingest import PanelDataset, format_table, load_panel
-from .stats import STATS_LAYOUT, NodeStatsTable, node_stats
+from .stats import node_stats
 
 # The row functions under the names ``moments``, ``kde``, ``rank_size`` and
 # ``fit_tail``, only because perfbench/spans.py times each analysis by the
@@ -93,7 +98,7 @@ HEAVY_TAIL_STATISTIC = "ns"
 #: and the type of each column, one letter a column: ``U`` a label, ``i`` an
 #: integer, ``f`` a float, NaN where the cell is empty.
 LAYOUT = {
-    "stats": STATS_LAYOUT,
+    "stats": ("country,nd,ns,annd,anns,bcc,wcc", "Uifffff"),
     "moments": ("statistic,year,mean,std,skewness,kurtosis,count", "Uiffffi"),
     "correlations": ("year,pair,r,ci_low,ci_high,n", "iUfffi"),
     "density": ("grid,density", "ff"),
@@ -168,16 +173,6 @@ class PipelineConfig:
 def _check_cuts(strong_cut: float, moderate_cut: float) -> None:
     if not 0 <= moderate_cut <= strong_cut < math.inf:
         raise ValidationError("need 0 <= moderate cut <= strong cut < inf")
-
-
-@dataclass(eq=False)
-class ReportBundle:
-    """The node statistics and comparison rows of a run, plus the manifest
-    written alongside them."""
-
-    manifest: dict
-    tables: dict[int, NodeStatsTable]
-    comparison: list[dict]
 
 
 @contextmanager
@@ -263,8 +258,21 @@ def read_bundle(out_dir: Path, names: Mapping) -> tuple[dict | None, dict]:
             data = path.read_bytes()
         if data is None:
             raise DataError(f"{path} does not match {MANIFEST}: it is {state}")
-        columns[key] = _parse(path, data, key[0] if isinstance(key, tuple) else key)
+        columns[key] = _parse(path, data, _kind(key))
     return manifest, columns
+
+
+def _kind(key) -> str:
+    """The ``LAYOUT`` kind of the file that a ``bundle_names`` key names."""
+    return key[0] if isinstance(key, tuple) else key
+
+
+def _columns(kind: str, *columns: Sequence) -> dict[str, np.ndarray]:
+    """The table of ``columns``, given in ``LAYOUT[kind]``'s header order:
+    each an array of its layout type, keyed by its header name."""
+    header, types = LAYOUT[kind]
+    heads = header.split(",")
+    return {h: np.asarray(c, _DTYPES[t]) for h, c, t in zip(heads, columns, types, strict=True)}
 
 
 def _parse(path: Path, data: bytes, kind: str) -> dict[str, np.ndarray]:
@@ -284,7 +292,7 @@ def _parse(path: Path, data: bytes, kind: str) -> dict[str, np.ndarray]:
     except (ValueError, OverflowError, csv.Error) as exc:
         what = kind.removesuffix("s")  # "bad correlation row"
         raise DataError(f"{path}, line {rows.line_num}: bad {what} row: {exc}") from None
-    return {h: np.array(c, _DTYPES[t]) for h, c, t in zip(heads, cells, types)}
+    return _columns(kind, *cells)
 
 
 def verify_bundle(out_dir: Path) -> dict[str, list[str]]:
@@ -478,9 +486,16 @@ def bundle_names(analyses: Collection[str], years: Sequence[int]) -> dict:
     return names
 
 
-def _table(header: str, rows: Iterable[tuple]) -> Callable[[], str]:
-    """Maker of the CSV text of ``rows``, whose fields follow ``header``."""
-    return partial(format_table, header, *zip(*rows))
+def _makers(names: Mapping, tables: Mapping) -> dict[str, Callable[[], str]]:
+    """The maker of each table's file text, keyed by the file's name from
+    ``names``, in ``tables``' order.  Every bundle file is made by this one
+    rule: its table's columns in its kind's ``LAYOUT`` header order,
+    through ``format_table``."""
+    makers = {}
+    for key, columns in tables.items():
+        header = LAYOUT[_kind(key)][0]
+        makers[names[key]] = partial(format_table, header, *(columns[h] for h in header.split(",")))
+    return makers
 
 
 class _StageTimer:
@@ -522,15 +537,17 @@ def select_years(panel: PanelDataset, selection: Sequence[int]) -> list[int]:
     return list(selection)
 
 
-def run_pipeline(config: PipelineConfig) -> ReportBundle:
+def run_pipeline(config: PipelineConfig) -> tuple[dict, dict]:
     """Run the configured analyses over every requested year.
 
-    Returns the in-memory bundle after writing every output file plus the
-    manifest to ``config.out_dir``.  Nothing is written before the inputs
-    are read and the year selection is checked against them; the write
-    (``write_bundle``) is then staged for the selected years, and a run that
-    fails after that leaves no trace.  The seconds of each stage go to the
-    log at INFO, never into the bundle.
+    Writes every output file plus the manifest to ``config.out_dir``, and
+    returns the manifest and each file's table, its columns keyed as
+    ``bundle_names`` keys the file: the pair that ``read_bundle`` reads back
+    from the bundle.  Nothing is written before the inputs are read and the
+    year selection is checked against them; the write (``write_bundle``) is
+    then staged for the selected years, and a run that fails after that
+    leaves no trace.  The seconds of each stage go to the log at INFO, never
+    into the bundle.
     """
     timer = _StageTimer()
     config.validate()
@@ -539,11 +556,11 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
     names = bundle_names(config.analyses, years)
     with write_bundle(config.out_dir, names.values()) as commit:
         timer.lap("ingest")
-        tables, comparison, files, manifest = _analyse(config, panel, years, names, timer)
-        note = commit(files, manifest)
+        tables, manifest = _analyse(config, panel, years, names, timer)
+        note = commit(_makers(names, tables), manifest)
     timer.lap("write")
     timer.log({"write": f" ({note})"})
-    return ReportBundle(manifest, tables, comparison)
+    return manifest, tables
 
 
 def _analyse(
@@ -552,25 +569,25 @@ def _analyse(
     years: Sequence[int],
     names: Mapping,
     timer: _StageTimer,
-) -> tuple[dict[int, NodeStatsTable], list[dict], dict[str, Callable[[], str]], dict]:
-    """The node statistics, the comparison rows, each bundle file's maker (by
-    its name from ``names``, in write order) and the manifest of a run."""
-    tables: dict[int, NodeStatsTable] = {}
+) -> tuple[dict, dict]:
+    """Each bundle file's table, keyed and ordered as ``names`` keys the
+    files, and the manifest of a run."""
+    stats: dict[int, dict[str, np.ndarray]] = {}
     normalizers: dict[str, float] = {}
-    symmetry: dict[int, float] = {}
-    # Every table has the registry's codes: statistic j of year i is row
+    symmetry: list[float] = []
+    # Every year has the registry's codes: statistic j of year i is row
     # stack[i, j], ordered as MOMENT_STATISTICS.
     stack = np.empty((len(years), len(MOMENT_STATISTICS), len(panel.registry)))
     for i, year in enumerate(years):
         directed = build_directed(panel, year, config.scheme)
         timer.lap("build")
         if "symmetry" in config.analyses:
-            symmetry[year] = symmetry_index(directed)
+            symmetry.append(symmetry_index(directed))
             timer.lap("symmetry")
         net = symmetrize(directed)
         timer.lap("symmetrize")
-        tables[year] = table = node_stats(net)
-        stack[i] = [table.column(name) for name in MOMENT_STATISTICS]
+        stats[year] = columns = node_stats(net)
+        stack[i] = [columns[name] for name in MOMENT_STATISTICS]
         normalizers[str(year)] = float(net.normalizer)
         timer.lap("node stats")
 
@@ -584,10 +601,8 @@ def _analyse(
         at = [MOMENT_STATISTICS.index(name) for name in statistics]
         return stack[:, at].reshape(-1, stack.shape[2]), where
 
-    # Bundle file name -> maker of its text, in write order.
-    files: dict[str, Callable[[], str]] = {}
+    tables: dict = {}
     bandwidths: dict[str, float] = {}
-    comparison: list[dict] = []
     undefined = np.isnan(stack[:, 2:]).sum(axis=2).tolist()  # annd, anns, bcc, wcc
     counts = [
         (year, f"{name}_undefined", count)
@@ -596,21 +611,18 @@ def _analyse(
     ]
     timer.lap("node stats")
     if "stats" in config.analyses:
-        files.update((names["stats", year], tables[year].to_csv) for year in years)
+        tables.update((("stats", year), stats[year]) for year in years)
     if "moments" in config.analyses:
         values, where = rows("moments", *MOMENT_STATISTICS)
-        files[names["moments"]] = partial(
-            format_table, LAYOUT["moments"][0], MOMENT_STATISTICS * len(years),
-            np.repeat(years, len(MOMENT_STATISTICS)), *moments(values, where).values(),
+        tables["moments"] = _columns(
+            "moments", MOMENT_STATISTICS * len(years), np.repeat(years, len(MOMENT_STATISTICS)),
+            *moments(values, where).values(),
         )
         timer.lap("moments")
     if "correlations" in config.analyses:
-        series = {pair: correlation_series(tables, pair, config.ci_level) for pair in SUPPORTED_PAIRS}
-        for pair, columns in series.items():
-            files[names["correlations", pair]] = partial(
-                format_table, LAYOUT["correlations"][0], *columns.values()
-            )
-        comparison = compare_views(series, config.strong_cut, config.moderate_cut)
+        series = {pair: correlation_series(stats, pair, config.ci_level) for pair in SUPPORTED_PAIRS}
+        tables.update((("correlations", pair), columns) for pair, columns in series.items())
+        tables["comparison"] = compare_views(series, config.strong_cut, config.moderate_cut)
         timer.lap("correlations")
     if "density" in config.analyses:
         values, where = rows("density", *DENSITY_STATISTICS)
@@ -619,19 +631,15 @@ def _analyse(
             product(years, DENSITY_STATISTICS), density["grid"], density["density"],
             density["bandwidth"].tolist(), density["count"].tolist(),
         ):
-            key = names["density", name, year]
-            files[key] = partial(format_table, LAYOUT["density"][0], grid, d)
-            bandwidths[key] = h
+            tables["density", name, year] = _columns("density", grid, d)
+            bandwidths[names["density", name, year]] = h
             counts.append((year, f"density_{name}_dropped", values.shape[1] - n))
         timer.lap("density")
     if "ranksize" in config.analyses:
         values, where = rows("rank-size", HEAVY_TAIL_STATISTIC)
         curves = rank_size(values, where)
         for year, size, dropped in zip(years, curves["size"], curves["dropped"].tolist()):
-            key = names["ranksize", year]
-            files[key] = partial(
-                format_table, LAYOUT["ranksize"][0], np.arange(1, size.size + 1), size
-            )
+            tables["ranksize", year] = _columns("ranksize", np.arange(1, size.size + 1), size)
             counts.append((year, f"ranksize_{HEAVY_TAIL_STATISTIC}_dropped", dropped))
         timer.lap("ranksize")
     if "tailfit" in config.analyses:
@@ -641,16 +649,13 @@ def _analyse(
             (year, f"tailfit_{HEAVY_TAIL_STATISTIC}_dropped", dropped)
             for year, dropped in zip(years, fits["dropped"].tolist())
         )
-        files[names["tailfit"]] = partial(
-            format_table, LAYOUT["tailfit"][0], years, (HEAVY_TAIL_STATISTIC,) * len(years),
-            *fits.values(),
+        tables["tailfit"] = _columns(
+            "tailfit", years, (HEAVY_TAIL_STATISTIC,) * len(years), *fits.values()
         )
         timer.lap("tailfit")
-    if symmetry:
-        files[names["symmetry"]] = _table(LAYOUT["symmetry"][0], symmetry.items())
-    if comparison:
-        files[names["comparison"]] = partial(comparison_csv, comparison)
-    files[names["counts"]] = _table(LAYOUT["counts"][0], sorted(counts))
+    if "symmetry" in config.analyses:
+        tables["symmetry"] = _columns("symmetry", years, symmetry)
+    tables["counts"] = _columns("counts", *zip(*sorted(counts)))
 
     manifest = {
         "tool": {"name": "wnet", "version": __version__},
@@ -665,7 +670,7 @@ def _analyse(
             [year, code] for year, code in panel.missing_gdp
         ],
     }
-    return tables, comparison, files, manifest
+    return {key: tables[key] for key in names}, manifest
 
 
 #: Correlation pairs backing each row of the comparison table.
@@ -699,8 +704,8 @@ def compare_views(
     series: Mapping[str, Mapping[str, Sequence]],
     strong_cut: float = PipelineConfig.strong_cut,
     moderate_cut: float = PipelineConfig.moderate_cut,
-) -> list[dict]:
-    """Two-row binary-vs-weighted comparison of mean correlations.
+) -> dict[str, np.ndarray]:
+    """The binary-vs-weighted comparison table's columns, one row a view.
 
     ``series`` maps a pair to its correlation table's columns, as
     ``correlation_series`` returns them and ``read_bundle`` reads them back.
@@ -709,9 +714,9 @@ def compare_views(
     a required series is missing or empty, or has an r that is not in
     [-1, 1] (NaN and infinities included), which no label would fit.
     """
-    rows = []
+    cells: dict[str, list] = {head: [] for head in LAYOUT["comparison"][0].split(",")}
     for view, pairs in VIEW_PAIRS.items():
-        row: dict = {"view": view}
+        cells["view"].append(view)
         for role, pair in pairs.items():
             columns = series.get(pair)
             if columns is None or not len(columns["r"]):
@@ -723,22 +728,17 @@ def compare_views(
                         f"the {pair} correlation of year {year} is {r!r}, not in [-1, 1]"
                     )
             mean_r = float(np.mean(rs))
-            row[f"{role}_pair"] = pair
-            row[f"{role}_r"] = mean_r
-            row[f"{role}_label"] = qualitative_label(mean_r, strong_cut, moderate_cut)
-        rows.append(row)
-    return rows
-
-
-def comparison_csv(rows: Sequence[Mapping]) -> str:
-    header = LAYOUT["comparison"][0]
-    return format_table(header, *([row[key] for row in rows] for key in header.split(",")))
+            cells[f"{role}_pair"].append(pair)
+            cells[f"{role}_r"].append(mean_r)
+            cells[f"{role}_label"].append(qualitative_label(mean_r, strong_cut, moderate_cut))
+    return _columns("comparison", *cells.values())
 
 
 def relabel(
     out_dir: Path, strong_cut: float | None = None, moderate_cut: float | None = None
-) -> list[dict]:
-    """Rewrite ``out_dir``'s comparison table from its correlation series.
+) -> dict[str, np.ndarray]:
+    """Rewrite ``out_dir``'s comparison table from its correlation series, and
+    return the table's columns.
 
     Only the four series the table uses are read, through ``read_bundle``, so
     each is checked against the manifest first.  Cuts left as None default to
@@ -756,10 +756,10 @@ def relabel(
     strong_cut = labelled[0] if strong_cut is None else strong_cut
     moderate_cut = labelled[1] if moderate_cut is None else moderate_cut
     _check_cuts(strong_cut, moderate_cut)
-    rows = compare_views({pair: columns for (_, pair), columns in files.items()},
-                         strong_cut, moderate_cut)
+    comparison = compare_views({pair: columns for (_, pair), columns in files.items()},
+                               strong_cut, moderate_cut)
     if manifest is not None:
         manifest["config"].update(strong_cut=strong_cut, moderate_cut=moderate_cut)
     with write_bundle(out_dir, [names["comparison"]]) as commit:
-        commit({names["comparison"]: partial(comparison_csv, rows)}, manifest)
-    return rows
+        commit(_makers(names, {"comparison": comparison}), manifest)
+    return comparison

@@ -18,44 +18,12 @@ would bias the downstream moment and correlation analyses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
 
 from .errors import DataError
 from .graph import UndirectedNetwork
-from .ingest import format_table
-
-#: A ``stats_*.csv`` file's header and column types, as ``pipeline.LAYOUT`` has them.
-STATS_LAYOUT = ("country,nd,ns,annd,anns,bcc,wcc", "Uifffff")
-
-
-@dataclass(frozen=True, eq=False)
-class NodeStatsTable:
-    """Per-node statistics for one year; undefined entries are NaN."""
-
-    year: int
-    codes: tuple[str, ...]
-    nd: np.ndarray
-    ns: np.ndarray
-    annd: np.ndarray
-    anns: np.ndarray
-    bcc: np.ndarray
-    wcc: np.ndarray
-
-    def column(self, name: str) -> np.ndarray:
-        """Statistic vector by lowercase name (nd, ns, annd, anns, bcc, wcc)."""
-        try:
-            vec = getattr(self, name)
-        except AttributeError:
-            raise KeyError(f"unknown statistic {name!r}") from None
-        return np.asarray(vec, dtype=float)
-
-    def to_csv(self) -> str:
-        """CSV text under ``STATS_LAYOUT``'s header; empty cell = undefined."""
-        floats = (self.column(name) for name in ("ns", "annd", "anns", "bcc", "wcc"))
-        return format_table(STATS_LAYOUT[0], self.codes, self.nd, *floats)
 
 
 def node_degree(net: UndirectedNetwork) -> np.ndarray:
@@ -114,19 +82,20 @@ def wcc(net: UndirectedNetwork, nd: np.ndarray | None = None) -> np.ndarray:
     return _clustering((c @ c @ c).diagonal(), node_degree(net) if nd is None else nd)
 
 
-def node_stats(net: UndirectedNetwork) -> NodeStatsTable:
-    """Bundle all six statistics for one network."""
+def node_stats(net: UndirectedNetwork) -> dict[str, np.ndarray]:
+    """All six statistics of one network, as the columns of its ``stats_*.csv``
+    in header order: ``country`` (the registry's codes, as labels), ``nd``
+    (int64), then the float ``ns``, ``annd``, ``anns``, ``bcc`` and ``wcc``."""
     nd = node_degree(net)
-    return NodeStatsTable(
-        year=net.year,
-        codes=net.registry.codes,
-        nd=nd,
-        ns=node_strength(net),
-        annd=annd(net, nd),
-        anns=anns(net, nd),
-        bcc=bcc(net, nd),
-        wcc=wcc(net, nd),
-    )
+    return {
+        "country": np.array(net.registry.codes, dtype=object),
+        "nd": nd,
+        "ns": node_strength(net),
+        "annd": annd(net, nd),
+        "anns": anns(net, nd),
+        "bcc": bcc(net, nd),
+        "wcc": wcc(net, nd),
+    }
 
 
 def row_groups(keep: np.ndarray, *arrays: np.ndarray) -> Iterator[tuple]:
@@ -169,13 +138,15 @@ def moments_rows(
     Population moments over the finite entries of each row of the 2-D
     ``rows``: skewness is the third standardized moment and kurtosis the
     fourth (a normal sample gives ~3, no excess subtraction).  Both are NaN
-    for a zero-variance row.  A row whose largest deviation from its mean is
+    for a zero-variance row.  A row whose largest magnitude is above 2**1000,
+    where its sum could overflow, is scaled before its mean by the exact
+    power of two that brings that magnitude into [1/2, 1), and its mean and
+    std are scaled back.  A row whose largest deviation from its mean is
     below 2**-240 or above 2**240, where a fourth power would leave the
-    normal range, has its deviations scaled first by the exact power of two
-    that brings the largest into [1/2, 1), so it gets the skewness and
-    kurtosis of its sample at scale 1; no other row is scaled.  Raises
-    DataError, named by ``where`` (see ``fail_first_row``), at the first row
-    with fewer than two defined entries.
+    normal range, has its deviations scaled the same way, so it gets the
+    skewness and kurtosis of its sample at scale 1.  No other row is scaled.
+    Raises DataError, named by ``where`` (see ``fail_first_row``), at the
+    first row with fewer than two defined entries.
     """
     rows = np.asarray(rows, dtype=float)
     defined = np.isfinite(rows)
@@ -183,6 +154,9 @@ def moments_rows(
     fail_first_row(where, (count < 2, lambda i: f"moments need >= 2 defined values, got {count[i]}"))
     mean, std, skew, kurt = np.full((4, len(rows)), np.nan)
     for at, x in row_groups(defined, rows):
+        top = np.abs(x).max(axis=1)
+        shift = np.where(top > 2.0**1000, np.frexp(top)[1], 0)
+        x = np.ldexp(x, -shift[:, None])
         m = x.mean(axis=1)
         centered = x - m[:, None]
         reach = np.abs(centered).max(axis=1)
@@ -191,7 +165,7 @@ def moments_rows(
         s = np.sqrt(np.mean(centered**2, axis=1))
         # Python float powers: numpy's array power differs in the last bits.
         cube, fourth = np.array([(v**3, v**4) for v in s.tolist()]).T
-        mean[at], std[at] = m, np.ldexp(s, exponent)
+        mean[at], std[at] = np.ldexp(m, shift), np.ldexp(s, exponent + shift)
         for out, power, scale in (skew, 3, cube), (kurt, 4, fourth):
             out[at] = np.divide(
                 np.mean(centered**power, axis=1), scale, out=np.full(at.size, np.nan), where=s != 0

@@ -216,9 +216,9 @@ def test_world_trade_web_reproduction():
             tables[year] = node_stats(net)
 
         t2000 = tables[2000]
-        mean_nd = float(np.nanmean(t2000.nd.astype(float)))
-        mean_bcc = float(np.nanmean(t2000.bcc))
-        mean_wcc = float(np.nanmean(t2000.wcc))
+        mean_nd = float(np.nanmean(t2000["nd"].astype(float)))
+        mean_bcc = float(np.nanmean(t2000["bcc"]))
+        mean_wcc = float(np.nanmean(t2000["wcc"]))
         assert 80 <= mean_nd <= 100
         assert 0.7 <= mean_bcc <= 0.9
         assert 1e-3 / 3 <= mean_wcc <= 1e-3 * 3

@@ -23,9 +23,9 @@ import pytest
 
 import wnet.cli
 import wnet.pipeline
-from wnet import DataError, NodeStatsTable, load_matrix, load_panel
+from wnet import DataError, load_matrix, load_panel
 from wnet.cli import main, read_config_file
-from wnet.pipeline import bundle_names, read_bundle
+from wnet.pipeline import LAYOUT, bundle_names, read_bundle
 
 from conftest import assert_bundle_intact, hostile_panels, write_panel_csvs
 
@@ -624,13 +624,14 @@ class LocalError(Exception):
 
 
 def fail_stats_2000(make_error):
-    """A ``NodeStatsTable.to_csv`` that raises what ``make_error`` returns for year 2000."""
-    real = NodeStatsTable.to_csv
-    def to_csv(self):
-        if self.year == 2000:
+    """A ``format_table`` that raises what ``make_error`` returns when it makes
+    the second stats table of a run, year 2000's."""
+    real, stats = wnet.pipeline.format_table, count()
+    def format_table(header, *columns):
+        if header == LAYOUT["stats"][0] and next(stats) == 1:
             raise make_error()
-        return real(self)
-    return to_csv
+        return real(header, *columns)
+    return format_table
 
 
 @needs_fork
@@ -669,7 +670,7 @@ def test_a_maker_error_in_the_main_process_is_an_internal_error(
     args = ["all", "--flows", str(flows), "--gdp", str(gdp), "--years", "1999:2000", "--out", str(out)]
     with monkeypatch.context() as patch:
         writer_processes(patch, parts)
-        patch.setattr(NodeStatsTable, "to_csv", fail_stats_2000(partial(error, "bad cell")))
+        patch.setattr(wnet.pipeline, "format_table", fail_stats_2000(partial(error, "bad cell")))
         code = run_cli(*args)
     assert_no_child_left()
     err = capsys.readouterr().err
@@ -1173,9 +1174,12 @@ def test_benchmark_span_targets_exist():
         check=True,
     )
     # The three ingest spans lost their functions when ingest became one
-    # columnar reader; every other span must still find its target.
+    # columnar reader, and the stats text span its method when every bundle
+    # file came to be made by one rule; every other span must still find its
+    # target.
     assert result.stdout.split() == [
         "wnet.ingest.parse_flows", "wnet.ingest.parse_sizes", "wnet.ingest.assemble_panel",
+        "wnet.stats.NodeStatsTable.to_csv",
     ]
 
 

@@ -8,7 +8,6 @@ import pytest
 
 from wnet import (
     DataError,
-    NodeStatsTable,
     ValidationError,
     correlation_series,
 )
@@ -232,9 +231,11 @@ def test_pearson_errors():
         pearson_rows(np.array([[1.0, 2.0, 3.0]]), np.array([[1.0, 2.0, 3.0]]), level=1.5)
 
 
-def _table(year, **columns):
+def _table(**columns):
+    """The node statistics columns of one year: ``columns``, the others all ones."""
     n = len(next(iter(columns.values())))
     base = {
+        "country": np.array([f"C{i}" for i in range(n)], dtype=object),
         "nd": np.ones(n),
         "ns": np.ones(n),
         "annd": np.ones(n),
@@ -243,14 +244,14 @@ def _table(year, **columns):
         "wcc": np.ones(n),
     }
     base.update({k: np.asarray(v, dtype=float) for k, v in columns.items()})
-    return NodeStatsTable(year=year, codes=tuple(f"C{i}" for i in range(n)), **base)
+    return base
 
 
 def test_correlation_series_one_point_per_year(rng):
-    tables = []
-    for year in (1999, 2000, 2001):
+    tables = {}
+    for year in (2001, 1999, 2000):
         nd = rng.normal(10, 2, 20)
-        tables.append(_table(year, nd=nd, ns=nd * 0.4 + rng.normal(0, 0.5, 20)))
+        tables[year] = _table(nd=nd, ns=nd * 0.4 + rng.normal(0, 0.5, 20))
     series = correlation_series(tables, "ND-NS")
     assert series["year"].tolist() == [1999, 2000, 2001]
     assert all(pair == "ND-NS" for pair in series["pair"])
@@ -260,18 +261,18 @@ def test_correlation_series_one_point_per_year(rng):
 def test_correlation_series_single_year():
     rng = np.random.default_rng(1)
     nd = rng.normal(10, 2, 15)
-    series = correlation_series([_table(2000, nd=nd, ns=nd + rng.normal(0, 1, 15))], "ND-NS")
+    series = correlation_series({2000: _table(nd=nd, ns=nd + rng.normal(0, 1, 15))}, "ND-NS")
     assert len(series["year"]) == 1 and series["year"][0] == 2000
 
 
 def test_correlation_series_unsupported_pair():
     with pytest.raises(ValidationError, match="unsupported pair"):
-        correlation_series([_table(2000, nd=np.arange(5.0))], "ND-WCC")
+        correlation_series({2000: _table(nd=np.arange(5.0))}, "ND-WCC")
 
 
 def test_correlation_series_needs_a_year():
     with pytest.raises(ValidationError, match="at least one year"):
-        correlation_series([], "ND-NS")
+        correlation_series({}, "ND-NS")
 
 
 # ---------------------------------------------------------------------------

@@ -35,11 +35,11 @@ def test_gravity_world_structure_and_speed(tmp_path):
     assert elapsed < 30.0
 
     table = tables[2000]
-    assert len(table.codes) == 159
-    mean_nd = float(np.mean(table.nd))
+    assert len(table["country"]) == 159
+    mean_nd = float(np.mean(table["nd"]))
     assert 60 <= mean_nd <= 159  # densely connected
-    assert float(np.nanmean(table.bcc)) > 0.6  # high binary clustering
-    assert float(np.nanmean(table.wcc)) < 0.05  # weighted clustering far smaller
+    assert float(np.nanmean(table["bcc"])) > 0.6  # high binary clustering
+    assert float(np.nanmean(table["wcc"])) < 0.05  # weighted clustering far smaller
 
     # dense size-heterogeneous networks are strongly disassortative in the
     # binary view and much less so in the weighted view

@@ -18,7 +18,6 @@ import pytest
 import wnet.pipeline
 from wnet import (
     DataError,
-    NodeStatsTable,
     PipelineConfig,
     ValidationError,
     WeightScheme,
@@ -28,14 +27,15 @@ from wnet import (
 )
 from wnet.pipeline import (
     ANALYSES,
+    LAYOUT,
+    _makers,
     bundle_names,
-    comparison_csv,
     qualitative_label,
     read_bundle,
     read_manifest,
 )
 
-from conftest import assert_bundle_intact, record_commits
+from conftest import assert_bundle_intact, record_commits, write_gravity_panel
 from oracles import pearson_oracle
 
 
@@ -58,17 +58,17 @@ def bundle_bytes(out_dir: Path) -> dict[str, bytes]:
 
 def test_full_bundle_contents(toy_csvs, tmp_path):
     out = tmp_path / "bundle"
-    bundle = run_pipeline(config_for(toy_csvs, out))
+    manifest, tables = run_pipeline(config_for(toy_csvs, out))
     names = {p.name for p in out.iterdir()}
     assert {"stats_1999.csv", "stats_2000.csv", "moments.csv", "tailfit.csv",
             "symmetry.csv", "comparison.csv", "counts.csv", "manifest.json"} <= names
     assert sum(1 for n in names if n.startswith("correlation_")) == 5
     assert sum(1 for n in names if n.startswith("density_")) == 4
     assert sum(1 for n in names if n.startswith("ranksize_")) == 2
-    assert set(bundle.tables) == {1999, 2000}
     keys = bundle_names(ANALYSES, (1999, 2000))
-    manifest, files = read_bundle(out, keys)
-    assert list(files) == list(keys) and manifest["files"] == bundle.manifest["files"]
+    assert list(tables) == list(keys)
+    read, files = read_bundle(out, keys)
+    assert list(files) == list(keys) and read["files"] == manifest["files"]
     assert len(files["moments"]["year"]) == 12  # 6 statistics x 2 years
     assert files["symmetry"]["year"].tolist() == [1999, 2000]
     for year in (1999, 2000):  # ranks 1..n against the sizes, largest first
@@ -107,16 +107,16 @@ def test_each_repeated_year_is_built_once(toy_csvs, tmp_path, monkeypatch):
         return real(panel, year, scheme)
 
     monkeypatch.setattr(wnet.pipeline, "build_directed", counting)
-    bundle = run_pipeline(config_for(toy_csvs, tmp_path / "out", years=(2000, 1999, 2000)))
+    written, _ = run_pipeline(config_for(toy_csvs, tmp_path / "out", years=(2000, 1999, 2000)))
     assert built == [1999, 2000]
-    assert bundle.manifest["config"]["years"] == [2000, 1999, 2000]
+    assert written["config"]["years"] == [2000, 1999, 2000]
 
 
 def test_manifest_digests_and_metadata(toy_csvs, tmp_path):
     out = tmp_path / "bundle"
-    bundle = run_pipeline(config_for(toy_csvs, out))
+    written, _ = run_pipeline(config_for(toy_csvs, out))
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest == bundle.manifest
+    assert manifest == written
     assert manifest["tool"] == {"name": "wnet", "version": "0.1.0"}
     assert manifest["config"]["scheme"] == "exporter-gdp"
     assert "out" not in manifest["config"]
@@ -337,16 +337,45 @@ def test_unknown_analysis_rejected(toy_csvs, tmp_path):
         run_pipeline(config_for(toy_csvs, tmp_path, analyses=frozenset(("plots",))))
 
 
+@pytest.mark.parametrize("panel", ["toy", "gravity"])
+def test_run_pipeline_returns_the_tables_read_bundle_reads_back(toy_csvs, tmp_path, panel):
+    # The toy panel over 2 years, and 159 countries over 3 years.
+    if panel == "toy":
+        config = config_for(toy_csvs, tmp_path / "bundle")
+    else:
+        flows, gdp = write_gravity_panel(tmp_path)
+        config = PipelineConfig(flows, gdp, WeightScheme(), (1998, 1999, 2000), tmp_path / "bundle")
+    manifest, tables = run_pipeline(config)
+    assert len(tables["stats", 2000]["country"]) == (60 if panel == "toy" else 159)
+    read, files = read_bundle(config.out_dir, bundle_names(ANALYSES, config.years))
+    assert read == manifest
+    assert list(files) == list(tables)
+    for key, columns in tables.items():
+        kind = key[0] if isinstance(key, tuple) else key
+        assert list(files[key]) == list(columns) == LAYOUT[kind][0].split(",")
+        for name, column in columns.items():
+            back = files[key][name]
+            assert back.dtype == column.dtype, (key, name)
+            if column.dtype.kind == "f":  # bit-equal, with NaN in the same cells
+                undefined = np.isnan(column)
+                assert np.array_equal(np.isnan(back), undefined), (key, name)
+                assert back[~undefined].tobytes() == column[~undefined].tobytes(), (key, name)
+            else:  # integers and labels exact
+                assert back.tolist() == column.tolist(), (key, name)
+                if column.dtype == object:
+                    assert all(type(cell) is str for cell in column.tolist()), (key, name)
+
+
 def test_correlation_csv_round_trip(toy_csvs, tmp_path):
     out = tmp_path / "bundle"
-    bundle = run_pipeline(config_for(toy_csvs, out))
+    _, tables = run_pipeline(config_for(toy_csvs, out))
     key = ("correlations", "ND-ANND")
     _, files = read_bundle(out, {key: bundle_names(ANALYSES, (1999, 2000))[key]})
-    series = correlation_series(bundle.tables, "ND-ANND")
-    assert list(files[key]) == list(series)
+    series = correlation_series({year: tables["stats", year] for year in (1999, 2000)}, "ND-ANND")
+    assert list(files[key]) == list(series) == list(tables[key])
     for name, column in series.items():
-        assert files[key][name].dtype == column.dtype
-        assert files[key][name].tolist() == column.tolist(), name
+        assert files[key][name].dtype == column.dtype == tables[key][name].dtype
+        assert files[key][name].tolist() == column.tolist() == tables[key][name].tolist(), name
 
 
 def test_read_bundle_takes_column_types_from_the_layout(tmp_path):
@@ -358,23 +387,23 @@ def test_read_bundle_takes_column_types_from_the_layout(tmp_path):
     sizes = ["year,country,gdp", *(f"2000,{code},1e9" for code in codes)]
     (tmp_path / "gdp.csv").write_text("\n".join(sizes) + "\n", encoding="utf-8")
     out = tmp_path / "bundle"
-    bundle = run_pipeline(PipelineConfig(
+    _, tables = run_pipeline(PipelineConfig(
         tmp_path / "flows.csv", tmp_path / "gdp.csv", WeightScheme(), (2000,), out,
         analyses=frozenset(("stats",)),
     ))
     _, files = read_bundle(out, bundle_names(("stats",), (2000,)))
     columns = files["stats", 2000]
-    assert columns["country"].tolist() == list(bundle.tables[2000].codes)
+    assert columns["country"].tolist() == tables["stats", 2000]["country"].tolist()
     assert sorted(columns["country"].tolist()) == sorted(codes)
     assert columns["nd"].dtype == np.int64 and columns["ns"].dtype == np.float64
 
 
 def test_stats_csv_well_formed(toy_csvs, tmp_path):
     out = tmp_path / "bundle"
-    bundle = run_pipeline(config_for(toy_csvs, out, analyses=frozenset(("stats",))))
+    _, tables = run_pipeline(config_for(toy_csvs, out, analyses=frozenset(("stats",))))
     lines = (out / "stats_2000.csv").read_text().strip().split("\n")
     assert lines[0] == "country,nd,ns,annd,anns,bcc,wcc"
-    assert len(lines) == 1 + len(bundle.tables[2000].codes)
+    assert len(lines) == 1 + len(tables["stats", 2000]["country"])
 
 
 # ---------------------------------------------------------------------------
@@ -400,27 +429,26 @@ def test_compare_views_labels_from_constructed_correlations(rng):
     x, y = _exact_correlation_vectors(-0.9, 40, rng)
     assert pearson_oracle(list(x), list(y)) == pytest.approx(-0.9, abs=1e-9)
 
-    tables = []
+    tables = {}
     for year in (1999, 2000):
         nd, annd_v = _exact_correlation_vectors(-0.9, 40, rng)
         ns, anns_v = _exact_correlation_vectors(-0.3, 40, rng)
-        tables.append(
-            NodeStatsTable(
-                year=year,
-                codes=tuple(f"C{i}" for i in range(40)),
-                nd=nd,
-                ns=ns,
-                annd=annd_v,
-                anns=anns_v,
-                bcc=-nd + 0.001 * annd_v,  # strongly anticorrelated with nd
-                wcc=ns * 0.5 + 0.01 * anns_v,  # strongly correlated with ns
-            )
-        )
+        tables[year] = {
+            "country": np.array([f"C{i}" for i in range(40)], dtype=object),
+            "nd": nd,
+            "ns": ns,
+            "annd": annd_v,
+            "anns": anns_v,
+            "bcc": -nd + 0.001 * annd_v,  # strongly anticorrelated with nd
+            "wcc": ns * 0.5 + 0.01 * anns_v,  # strongly correlated with ns
+        }
     series = {
         pair: correlation_series(tables, pair)
         for pair in ("ND-ANND", "NS-ANNS", "BCC-ND", "WCC-NS")
     }
-    rows = {row["view"]: row for row in compare_views(series)}
+    table = compare_views(series)
+    assert table["view"].tolist() == ["BNA", "WNA"]
+    rows = {view: {h: table[h][i] for h in table} for i, view in enumerate(table["view"])}
     assert rows["BNA"]["assortativity_r"] == pytest.approx(-0.9, abs=1e-6)
     assert rows["BNA"]["assortativity_label"] == "strong negative"
     assert rows["WNA"]["assortativity_r"] == pytest.approx(-0.3, abs=1e-6)
@@ -452,18 +480,17 @@ def test_qualitative_label_buckets():
 
 
 def test_comparison_csv_layout():
-    rows = [
-        {
-            "view": "BNA",
-            "assortativity_pair": "ND-ANND",
-            "assortativity_r": -0.9,
-            "assortativity_label": "strong negative",
-            "clustering_pair": "BCC-ND",
-            "clustering_r": -0.96,
-            "clustering_label": "strong negative",
-        }
-    ]
-    text = comparison_csv(rows)
+    columns = {
+        "clustering_label": ["strong negative"],  # taken in header order, not given order
+        "view": ["BNA"],
+        "assortativity_pair": ["ND-ANND"],
+        "assortativity_r": [-0.9],
+        "assortativity_label": ["strong negative"],
+        "clustering_pair": ["BCC-ND"],
+        "clustering_r": [-0.96],
+    }
+    names = bundle_names(("correlations",), ())
+    text = _makers(names, {"comparison": columns})["comparison.csv"]()
     assert text.startswith("view,assortativity_pair,assortativity_r,")
     assert "BNA,ND-ANND,-0.9,strong negative,BCC-ND,-0.96,strong negative" in text
 

@@ -59,11 +59,9 @@ def test_relabelling_permutes_the_node_statistics(rows, data):
         assert np.array_equal(net.weights, other.weights[np.ix_(perm, perm)])
         table, moved = node_stats(net), node_stats(other)
         for name in ("nd", "annd", "bcc"):  # integer arithmetic: exact
-            assert np.array_equal(table.column(name), moved.column(name)[perm], equal_nan=True)
+            assert np.array_equal(table[name], moved[name][perm], equal_nan=True)
         for name in ("ns", "anns", "wcc"):  # sums taken in another order
-            np.testing.assert_allclose(
-                table.column(name), moved.column(name)[perm], rtol=1e-12, atol=0
-            )
+            np.testing.assert_allclose(table[name], moved[name][perm], rtol=1e-12, atol=0)
 
 
 @hypothesis.settings(max_examples=60, deadline=None)
@@ -85,4 +83,4 @@ def test_power_of_two_rescaling_changes_no_bit(rows, flow_exp, gdp_exp, variant)
         assert net.weights.tobytes() == other.weights.tobytes()
         table, rescaled = node_stats(net), node_stats(other)
         for name in STATISTICS:
-            assert table.column(name).tobytes() == rescaled.column(name).tobytes(), name
+            assert table[name].tobytes() == rescaled[name].tobytes(), name

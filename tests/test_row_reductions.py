@@ -210,7 +210,7 @@ def first_error_of_the_per_year_loops(tables: dict, analyses) -> str | None:
         for what, oracle, *names in steps:
             year = int(what.rsplit(" ", 1)[1])
             try:
-                oracle(*(tables[year].column(name) for name in names))
+                oracle(*(tables[year][name].astype(float) for name in names))
             except DataError as exc:
                 return f"{what}: {exc}"
     return None
@@ -268,7 +268,7 @@ def test_the_300_year_benchmark_panel_has_the_bits_of_the_per_sample_code():
     _, flows, gdp = generate(Spec(nodes=60, years=300, floor=2e8, gdp_sigma=0.5), 0)
     panel = load_panel(flows, gdp)
     tables = [node_stats(symmetrize(build_directed(panel, y, WeightScheme()))) for y in panel.years]
-    stack = np.array([[table.column(name) for name in STATISTICS] for table in tables])
+    stack = np.array([[table[name] for name in STATISTICS] for table in tables], dtype=float)
     check_stack(stack.reshape(-1, 60), stack[:, ::-1].reshape(-1, 60))
     for first, second in SUPPORTED_PAIRS.values():
         check_stack(*(stack[:, STATISTICS.index(name)] for name in (first, second)))

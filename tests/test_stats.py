@@ -17,7 +17,9 @@ from wnet import (
     wcc,
 )
 
-from wnet.stats import format_table, moments_rows
+from wnet.ingest import format_table
+from wnet.pipeline import LAYOUT
+from wnet.stats import moments_rows
 
 from conftest import make_undirected, random_undirected
 from oracles import (
@@ -54,12 +56,14 @@ def path3():
 def test_triangle_all_statistics():
     net = triangle()
     table = node_stats(net)
-    assert table.nd.tolist() == [2, 2, 2]
-    assert table.ns.tolist() == [2.0, 2.0, 2.0]
-    assert table.annd.tolist() == [2.0, 2.0, 2.0]
-    assert table.anns.tolist() == [2.0, 2.0, 2.0]
-    assert table.bcc.tolist() == [1.0, 1.0, 1.0]
-    assert table.wcc.tolist() == [1.0, 1.0, 1.0]
+    assert list(table) == LAYOUT["stats"][0].split(",")
+    assert table["nd"].dtype == np.int64
+    assert table["nd"].tolist() == [2, 2, 2]
+    assert table["ns"].tolist() == [2.0, 2.0, 2.0]
+    assert table["annd"].tolist() == [2.0, 2.0, 2.0]
+    assert table["anns"].tolist() == [2.0, 2.0, 2.0]
+    assert table["bcc"].tolist() == [1.0, 1.0, 1.0]
+    assert table["wcc"].tolist() == [1.0, 1.0, 1.0]
 
 
 def test_star_statistics():
@@ -101,9 +105,9 @@ def test_isolated_node_marked_undefined():
     w[0, 2] = w[2, 0] = 1.0
     net = make_undirected(w, normalize=False)
     table = node_stats(net)
-    assert table.nd[3] == 0 and table.ns[3] == 0.0
-    assert np.isnan(table.annd[3]) and np.isnan(table.anns[3])
-    assert np.isnan(table.bcc[3]) and np.isnan(table.wcc[3])
+    assert table["nd"][3] == 0 and table["ns"][3] == 0.0
+    assert np.isnan(table["annd"][3]) and np.isnan(table["anns"][3])
+    assert np.isnan(table["bcc"][3]) and np.isnan(table["wcc"][3])
 
 
 def test_uniform_weight_proportionality(rng):
@@ -173,7 +177,7 @@ def test_bcc_range(rng):
 
 def test_stats_csv_layout():
     net = star(2)
-    text = node_stats(net).to_csv()
+    text = format_table(LAYOUT["stats"][0], *node_stats(net).values())
     lines = text.strip().split("\n")
     assert lines[0] == "country,nd,ns,annd,anns,bcc,wcc"
     assert lines[1].startswith("N000,2,")
@@ -304,3 +308,19 @@ def test_moments_at_extreme_scales_are_those_at_scale_one(scale):
     assert got["skewness"][0] == pytest.approx(0.43465076, rel=1e-8)
     assert got["kurtosis"][0] == pytest.approx(1.84571429, rel=1e-8)
     assert got["std"][0] == np.ldexp(want["std"][0], exponent)
+
+
+def test_moments_of_a_row_whose_sum_overflows():
+    # The sum of this row is above the float range, so its plain mean is inf;
+    # its copy scaled by 2**-4 sums to a finite value.  Both are scaled by a
+    # power of two before the mean, so their moments differ by exactly 2**4.
+    row = np.array([[1.7e308, 1.7e308, 1e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, copy = moments_rows(row), moments_rows(np.ldexp(row, -4))
+    assert got["mean"][0] == np.ldexp(copy["mean"][0], 4) and math.isfinite(got["mean"][0])
+    assert got["std"][0] == np.ldexp(copy["std"][0], 4) and math.isfinite(got["std"][0])
+    # Two equal values and one smaller: skewness -1/sqrt(2), kurtosis 3/2.
+    assert got["skewness"][0] == pytest.approx(-1 / math.sqrt(2), rel=1e-12)
+    assert got["kurtosis"][0] == pytest.approx(1.5, rel=1e-12)
+    assert got["count"].tolist() == [3]
