@@ -21,7 +21,7 @@ from .graph import (
     symmetrize,
     symmetry_index,
 )
-from .ingest import CountryRegistry, PanelDataset, load_panel, save_panel
+from .ingest import PanelDataset, load_panel, save_panel
 from .pipeline import PipelineConfig, compare_views, run_pipeline
 from .stats import (
     annd,
@@ -35,7 +35,6 @@ from .stats import (
 
 __all__ = [
     "__version__",
-    "CountryRegistry",
     "DataError",
     "DirectedTradeNetwork",
     "PanelDataset",

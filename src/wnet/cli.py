@@ -38,6 +38,14 @@ logger = logging.getLogger(__name__)
 _ANALYZE_DEFAULT = tuple(a for a in ANALYSES if a != "stats")
 
 
+def _say(text: str, stream=None) -> None:
+    """Print ``text`` to ``stream`` (stdout); a character the stream cannot encode,
+    such as an undecodable byte of a file name, is printed escaped."""
+    stream = stream or sys.stdout
+    encoding = getattr(stream, "encoding", None) or "utf-8"
+    print(text.encode(encoding, "backslashreplace").decode(encoding), file=stream)
+
+
 def _parse_years(text: str) -> Sequence[int]:
     """Accept 'A:B' (inclusive, kept a range however long), 'Y', or a comma list 'Y1,Y2'."""
     text = text.strip()
@@ -58,11 +66,12 @@ def _parse_years(text: str) -> Sequence[int]:
 
 
 def read_config_file(path: str | Path) -> dict[str, str]:
-    """Parse a flat key = value config file; '#' starts a comment."""
+    """Parse a flat key = value config file, UTF-8 with or without a byte-order
+    mark; '#' starts a comment."""
     values: dict[str, str] = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read config file {path}: {exc}") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -82,9 +91,10 @@ _CONFIG_KEYS = {"flows", "gdp", "scheme", "threshold", "years", "analyses", "out
 
 def _merge_config(args: argparse.Namespace) -> None:
     """Fill argparse values that were left unset from the --config file."""
-    if not getattr(args, "config", None):
+    path = _path_arg(args, "config", required=False)
+    if path is None:
         return
-    values = read_config_file(args.config)
+    values = read_config_file(path)
     unknown = set(values) - _CONFIG_KEYS
     if unknown:
         raise ValidationError(
@@ -178,6 +188,15 @@ def _require(args: argparse.Namespace, name: str) -> str:
     return value
 
 
+def _path_arg(args: argparse.Namespace, name: str, required: bool = True) -> Path | None:
+    """The path that ``--name`` gives.  An empty one is refused, not taken for
+    the working directory, and so is one holding NUL, which no file name holds."""
+    value = _require(args, name) if required else getattr(args, name, None)
+    if value is not None and (not value or "\0" in value):
+        raise ValidationError(f"--{name}: {'empty path' if not value else 'NUL in path'}")
+    return None if value is None else Path(value)
+
+
 def _float_arg(args: argparse.Namespace, name: str, default: float | None = None) -> float | None:
     value = getattr(args, name, None)
     if value is None:
@@ -194,13 +213,12 @@ def _pipeline_config(args: argparse.Namespace, analyses: frozenset[str]) -> Pipe
         WeightVariant.from_name(getattr(args, "scheme", None) or default.variant.value),
         _float_arg(args, "threshold", default.threshold),
     )
-    gdp = getattr(args, "gdp", None)
     config = PipelineConfig(
-        flows=Path(_require(args, "flows")),
-        gdp=None if gdp is None else Path(gdp),
+        flows=_path_arg(args, "flows"),
+        gdp=_path_arg(args, "gdp", required=False),
         scheme=scheme,
         years=_parse_years(_require(args, "years")),
-        out_dir=Path(_require(args, "out")),
+        out_dir=_path_arg(args, "out"),
         analyses=analyses,
         # A float flag left unset keeps the PipelineConfig default.
         **{name: value for name in _FLOAT_FIELDS if (value := _float_arg(args, name)) is not None},
@@ -231,21 +249,21 @@ def _cmd_build(args: argparse.Namespace) -> int:
             "config": {key: echo[key] for key in ("flows", "gdp", "scheme", "threshold", "years")},
         }
         commit(files, manifest)
-    print(f"wrote {len(files)} matrix dumps to {config.out_dir}")
+    _say(f"wrote {len(files)} matrix dumps to {config.out_dir}")
     return 0
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     config = _pipeline_config(args, frozenset(("stats",)))
     manifest, _ = run_pipeline(config)
-    print(f"wrote node statistics for {len(manifest['normalizers'])} years to {config.out_dir}")
+    _say(f"wrote node statistics for {len(manifest['normalizers'])} years to {config.out_dir}")
     return 0
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     config = _pipeline_config(args, _selected_analyses(args, _ANALYZE_DEFAULT))
     manifest, _ = run_pipeline(config)
-    print(f"wrote {len(manifest['files'])} files to {config.out_dir}")
+    _say(f"wrote {len(manifest['files'])} files to {config.out_dir}")
     return 0
 
 
@@ -253,7 +271,7 @@ def _print_comparison(columns: Mapping[str, Sequence]) -> None:
     """One line per row of the comparison table's ``columns``."""
     for cells in zip(*columns.values()):
         row = dict(zip(columns, cells))
-        print(
+        _say(
             f"{row['view']}: assortativity {row['assortativity_pair']} "
             f"r={row['assortativity_r']:+.3f} ({row['assortativity_label']}); "
             f"clustering {row['clustering_pair']} "
@@ -262,7 +280,7 @@ def _print_comparison(columns: Mapping[str, Sequence]) -> None:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    out_dir = Path(_require(args, "out"))
+    out_dir = _path_arg(args, "out")
     cuts = _float_arg(args, "strong_cut"), _float_arg(args, "moderate_cut")
     _print_comparison(relabel(out_dir, *cuts))
     return 0
@@ -272,7 +290,7 @@ def _cmd_all(args: argparse.Namespace) -> int:
     config = _pipeline_config(args, _selected_analyses(args, ANALYSES))
     _, tables = run_pipeline(config)
     _print_comparison(tables.get("comparison", {}))
-    print(f"bundle written to {config.out_dir}")
+    _say(f"bundle written to {config.out_dir}")
     return 0
 
 
@@ -286,16 +304,16 @@ _VERIFY_LABELS = {
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    out_dir = Path(_require(args, "out"))
+    out_dir = _path_arg(args, "out")
     found = verify_bundle(out_dir)
     for kind, label in _VERIFY_LABELS.items():
         for name in found[kind]:
-            print(f"{label}: {name}")
+            _say(f"{label}: {name}")
     bad = len(found["missing"]) + len(found["changed"])
     listed = bad + len(found["intact"])
     if bad:
         raise DataError(f"{bad} of {listed} listed files in {out_dir} are missing or changed")
-    print(f"verified {listed} files in {out_dir}")
+    _say(f"verified {listed} files in {out_dir}")
     return 0
 
 
@@ -323,14 +341,14 @@ def main(argv: list[str] | None = None) -> int:
         _merge_config(args)
         return _COMMANDS[args.command](args)
     except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}", sys.stderr)
         return 1
     except (WnetError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}", sys.stderr)
         return 2
     except Exception as exc:
         logger.exception("internal error")
-        print(f"internal error: {exc}", file=sys.stderr)
+        _say(f"internal error: {exc}", sys.stderr)
         return 3
 
 

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, ValidationError
-from .ingest import CountryRegistry, PanelDataset, float_cells
+from .ingest import PanelDataset, float_cells
 
 
 class WeightVariant(enum.Enum):
@@ -61,10 +61,11 @@ class WeightScheme:
 
 @dataclass(frozen=True, eq=False)
 class DirectedTradeNetwork:
-    """Directed adjacency (0/1 ints) and weight matrices for one year."""
+    """Directed adjacency (0/1 ints) and weight matrices for one year, a row and
+    a column for each of the panel's sorted ``codes``."""
 
     year: int
-    registry: CountryRegistry
+    codes: tuple[str, ...]
     scheme: WeightScheme
     adjacency: np.ndarray
     weights: np.ndarray
@@ -83,7 +84,7 @@ class UndirectedNetwork:
     """
 
     year: int
-    registry: CountryRegistry
+    codes: tuple[str, ...]
     scheme: WeightScheme
     adjacency: np.ndarray
     weights: np.ndarray
@@ -102,8 +103,7 @@ def build_directed(
     if year not in panel.years:
         raise DataError(f"year {year} not present in panel")
 
-    registry = panel.registry
-    n = len(registry)
+    n = len(panel.codes)
     rows = slice(
         np.searchsorted(panel.flow_year, year),
         np.searchsorted(panel.flow_year, year, side="right"),
@@ -125,7 +125,7 @@ def build_directed(
             needed = adjacency.any(axis=0)
         missing = needed & np.isnan(gdp)
         if missing.any():
-            names = [registry.codes[i] for i in np.flatnonzero(missing)]
+            names = [panel.codes[i] for i in np.flatnonzero(missing)]
             raise DataError(
                 f"year {year}: GDP required by scheme {scheme.variant.value} "
                 f"missing for {', '.join(names)}"
@@ -140,7 +140,7 @@ def build_directed(
         if np.isinf(weights).any():
             raise DataError(f"year {year}: a link weight overflows to infinity")
 
-    return DirectedTradeNetwork(year, registry, scheme, adjacency, weights)
+    return DirectedTradeNetwork(year, panel.codes, scheme, adjacency, weights)
 
 
 def symmetrize(net: DirectedTradeNetwork) -> UndirectedNetwork:
@@ -165,7 +165,7 @@ def symmetrize(net: DirectedTradeNetwork) -> UndirectedNetwork:
         raise DataError(f"year {net.year}: a link weight overflows to infinity")
     weights = averaged / normalizer
     return UndirectedNetwork(
-        net.year, net.registry, net.scheme, adjacency, weights, normalizer
+        net.year, net.codes, net.scheme, adjacency, weights, normalizer
     )
 
 

@@ -26,7 +26,7 @@ import re
 import time
 from contextlib import suppress
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from itertools import accumulate, chain, count, islice
 from pathlib import Path
 from typing import IO, Iterable, Iterator
@@ -54,41 +54,15 @@ _WIDE = 64  # widest cell of a plain block, whose gather holds rows × width byt
 _LOW = np.array([(1 << 8 * w) - 1 for w in range(9)], np.uint64)  # the low w bytes
 
 
-@dataclass(frozen=True)
-class CountryRegistry:
-    """Sorted, deduplicated country identifiers with stable 0..N-1 positions."""
-
-    codes: tuple[str, ...]
-
-    @classmethod
-    def from_codes(cls, codes: Iterable[str]) -> "CountryRegistry":
-        return cls(tuple(sorted(set(codes))))
-
-    @cached_property
-    def index(self) -> dict[str, int]:
-        return {code: i for i, code in enumerate(self.codes)}
-
-    def position(self, code: str) -> int:
-        try:
-            return self.index[code]
-        except KeyError:
-            raise DataError(f"unknown country {code!r}") from None
-
-    def __len__(self) -> int:
-        return len(self.codes)
-
-    def __contains__(self, code: str) -> bool:
-        return code in self.index
-
-
 @dataclass(frozen=True, eq=False)
 class PanelDataset:
-    """Flow columns, sorted by (year, exporter, importer) with countries as
-    registry positions and zero flows kept, and a GDP row per year, NaN where a
-    country has none.  ``missing_gdp`` flags (year, exporter) pairs with a
-    positive flow but no GDP, fatal only under a scheme dividing by that GDP."""
+    """The sorted country ``codes``; flow columns, sorted by (year, exporter,
+    importer) with countries as positions in ``codes`` and zero flows kept; and a
+    GDP row per year, NaN where a country has none.  ``missing_gdp`` flags (year,
+    exporter) pairs with a positive flow but no GDP, fatal only under a scheme
+    dividing by that GDP."""
 
-    registry: CountryRegistry
+    codes: tuple[str, ...]
     years: tuple[int, ...]
     flow_year: np.ndarray
     exporter: np.ndarray
@@ -341,8 +315,8 @@ def load_panel(
     flows: str | Path | bytes | IO, sizes: str | Path | bytes | IO | None = None
 ) -> PanelDataset:
     """Read a flow file and an optional size file, each a path, bytes or a text or binary
-    stream (anything else is a TypeError), into a panel whose registry and ``years`` are
-    the unions over both."""
+    stream (anything else is a TypeError), into a panel whose ``codes`` and ``years`` are
+    the sorted unions over both."""
     start = time.perf_counter()
     ids: dict[str, int] = {}
     f_year, f_ids, f_value, f_line, f_plain = _read_table(flows, FLOW_COLUMNS, ids, _FLOW_RULES)
@@ -351,15 +325,16 @@ def load_panel(
     if not len(f_line):
         raise DataError("no flow records")
 
-    registry = CountryRegistry.from_codes(ids)
-    position = np.array([registry.index[code] for code in ids], dtype=np.int64)
+    codes = tuple(sorted(ids))
+    index = {code: i for i, code in enumerate(codes)}
+    position = np.array([index[code] for code in ids], dtype=np.int64)
     exporter, importer = position[f_ids.T]
     country = position[s_ids[:, 0]]
-    order = _key_order("flow", registry.codes, f_line, f_year, exporter, importer)
-    s_order = _key_order("size record", registry.codes, s_line, s_year, country)
+    order = _key_order("flow", codes, f_line, f_year, exporter, importer)
+    s_order = _key_order("size record", codes, s_line, s_year, country)
     flow_year, value, exporter, importer = (c[order] for c in (f_year, f_value, exporter, importer))
     all_years = np.unique(np.concatenate([f_year, s_year]))
-    gdp = np.full((len(all_years), len(registry)), np.nan)
+    gdp = np.full((len(all_years), len(codes)), np.nan)
     gdp[np.searchsorted(all_years, s_year), country] = s_value
     year_index = np.searchsorted(all_years, flow_year)
     gap = (value > 0) & np.isnan(gdp[year_index, exporter])
@@ -368,13 +343,13 @@ def load_panel(
         logger.warning("%d exporter-year pairs lack a GDP record (fatal only under "
                        "GDP-dividing schemes)", len(missing))
     years = tuple(all_years.tolist())
-    missing_gdp = tuple((years[t], registry.codes[c]) for t, c in missing.tolist())
+    missing_gdp = tuple((years[t], codes[c]) for t, c in missing.tolist())
     keys = ["in" if isinstance(o, slice) else "out of" for o in (order, s_order)]
     logger.info(
         "read %d flow rows (%d in plain blocks, keys %s order) and %d GDP rows (%d in plain "
         "blocks, keys %s order): %d countries, %d years, %.3f s", len(f_line), f_plain, keys[0],
-        len(s_line), s_plain, keys[1], len(registry), len(years), time.perf_counter() - start)
-    return PanelDataset(registry, years, flow_year, exporter, importer, value, gdp, missing_gdp)
+        len(s_line), s_plain, keys[1], len(codes), len(years), time.perf_counter() - start)
+    return PanelDataset(codes, years, flow_year, exporter, importer, value, gdp, missing_gdp)
 
 
 def float_cells(values: np.ndarray) -> list[str]:
@@ -437,7 +412,7 @@ def save_panel(panel: PanelDataset, flows_path: str | Path, sizes_path: str | Pa
     """Write a panel back to canonical flow/size CSV files through ``format_table``.
     ``load_panel`` reads them back to the same panel whatever the country codes, since
     a code that holds a comma, a double quote or a line break is quoted."""
-    codes = np.array(panel.registry.codes, dtype=object)
+    codes = np.array(panel.codes, dtype=object)
     t, c = np.nonzero(~np.isnan(panel.gdp))
     flows = (panel.flow_year, codes[panel.exporter], codes[panel.importer], panel.value)
     sizes = (np.array(panel.years, dtype=np.int64)[t], codes[c], panel.gdp[t, c])

@@ -177,10 +177,12 @@ def _check_cuts(strong_cut: float, moderate_cut: float) -> None:
 
 @contextmanager
 def _manifest_context(path: Path):
-    """Re-raise what a malformed manifest trips over as DataError."""
+    """Re-raise what a malformed manifest trips over as DataError, including
+    JSON nested too deeply to decode (RecursionError) and a cut too large for a
+    float (OverflowError)."""
     try:
         yield
-    except (ValueError, LookupError, TypeError) as exc:
+    except (ValueError, LookupError, TypeError, OverflowError, RecursionError) as exc:
         raise DataError(f"{path} is not a wnet manifest: {exc}") from None
 
 
@@ -575,9 +577,9 @@ def _analyse(
     stats: dict[int, dict[str, np.ndarray]] = {}
     normalizers: dict[str, float] = {}
     symmetry: list[float] = []
-    # Every year has the registry's codes: statistic j of year i is row
+    # Every year has the panel's codes: statistic j of year i is row
     # stack[i, j], ordered as MOMENT_STATISTICS.
-    stack = np.empty((len(years), len(MOMENT_STATISTICS), len(panel.registry)))
+    stack = np.empty((len(years), len(MOMENT_STATISTICS), len(panel.codes)))
     for i, year in enumerate(years):
         directed = build_directed(panel, year, config.scheme)
         timer.lap("build")

@@ -84,11 +84,11 @@ def wcc(net: UndirectedNetwork, nd: np.ndarray | None = None) -> np.ndarray:
 
 def node_stats(net: UndirectedNetwork) -> dict[str, np.ndarray]:
     """All six statistics of one network, as the columns of its ``stats_*.csv``
-    in header order: ``country`` (the registry's codes, as labels), ``nd``
+    in header order: ``country`` (the network's ``codes``, as labels), ``nd``
     (int64), then the float ``ns``, ``annd``, ``anns``, ``bcc`` and ``wcc``."""
     nd = node_degree(net)
     return {
-        "country": np.array(net.registry.codes, dtype=object),
+        "country": np.array(net.codes, dtype=object),
         "nd": nd,
         "ns": node_strength(net),
         "annd": annd(net, nd),

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import wnet.pipeline
-from wnet import CountryRegistry, UndirectedNetwork, WeightScheme, load_panel
+from wnet import UndirectedNetwork, WeightScheme, load_panel
 
 try:
     from hypothesis import settings
@@ -33,8 +33,8 @@ def make_undirected(
     if normalize and w.max() > 0:
         w = w / w.max()
     adjacency = (w > 0).astype(np.int64)
-    registry = CountryRegistry.from_codes(f"N{i:03d}" for i in range(len(w)))
-    return UndirectedNetwork(year, registry, WeightScheme(), adjacency, w, float(w.max()))
+    codes = tuple(f"N{i:03d}" for i in range(len(w)))
+    return UndirectedNetwork(year, codes, WeightScheme(), adjacency, w, float(w.max()))
 
 
 def random_undirected(
@@ -69,7 +69,7 @@ def panel_from_rows(flows, sizes=()):
 
 def flow_rows(panel):
     """The panel's flows as (year, exporter, importer, value) tuples, in order."""
-    codes = panel.registry.codes
+    codes = panel.codes
     return [
         (y, codes[a], codes[b], v)
         for y, a, b, v in zip(
@@ -85,7 +85,7 @@ def size_rows(panel):
     """The panel's GDP records as (year, country, gdp) tuples, in order."""
     t, c = np.nonzero(~np.isnan(panel.gdp))
     return [
-        (panel.years[i], panel.registry.codes[j], g)
+        (panel.years[i], panel.codes[j], g)
         for i, j, g in zip(t.tolist(), c.tolist(), panel.gdp[t, c].tolist())
     ]
 

@@ -16,7 +16,7 @@ import sys
 import time
 import warnings
 from functools import partial
-from itertools import count
+from itertools import chain, count
 from pathlib import Path
 
 import pytest
@@ -78,8 +78,8 @@ def test_stats_tables_of_any_country_codes_read_back(tmp_path):
         for year in panel.years:
             columns = files["stats", year]
             assert len(columns) == 7
-            assert all(len(column) == len(panel.registry) for column in columns.values())
-            assert columns["country"].tolist() == list(panel.registry.codes)
+            assert all(len(column) == len(panel.codes) for column in columns.values())
+            assert columns["country"].tolist() == list(panel.codes)
 
     check()
 
@@ -267,7 +267,12 @@ def test_report_without_a_manifest_writes_only_the_table(toy_csvs, tmp_path):
     assert bundle_state(out) == {**before, "comparison.csv": table}
 
 
-def test_report_rejects_a_broken_manifest(toy_csvs, tmp_path, capsys):
+#: Nesting too deep for the JSON decoder, which raises RecursionError.
+DEEP_JSON = "[" * 10**5 + "]" * 10**5
+
+
+@pytest.mark.parametrize("text", ["{}\n", pytest.param(DEEP_JSON, id="nested")])
+def test_report_and_verify_reject_a_broken_manifest(toy_csvs, tmp_path, capsys, text):
     flows, gdp = toy_csvs
     out = tmp_path / "bundle"
     assert run_cli(
@@ -275,10 +280,30 @@ def test_report_rejects_a_broken_manifest(toy_csvs, tmp_path, capsys):
         "--years", "1999:2000", "--out", str(out),
     ) == 0
     before = (out / "comparison.csv").read_bytes()
-    (out / "manifest.json").write_text("{}\n", encoding="utf-8")
-    assert run_cli("report", "--out", str(out), "--strong-cut", "0.5") == 2
-    assert "is not a wnet manifest" in capsys.readouterr().err
+    (out / "manifest.json").write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    for argv in (["report", "--out", str(out), "--strong-cut", "0.5"], ["verify", "--out", str(out)]):
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "manifest.json is not a wnet manifest" in err
     assert (out / "comparison.csv").read_bytes() == before
+    assert (out / "manifest.json").read_text(encoding="utf-8") == text
+
+
+def test_report_rejects_a_cut_past_the_float_range(toy_csvs, tmp_path, capsys):
+    flows, gdp = toy_csvs
+    out = tmp_path / "bundle"
+    assert run_cli("all", "--flows", str(flows), "--gdp", str(gdp), "--years", "1999:2000",
+                   "--out", str(out)) == 0
+    text = (out / "manifest.json").read_text(encoding="utf-8")
+    text = text.replace('"strong_cut": 0.7', '"strong_cut": 1' + "0" * 400)
+    (out / "manifest.json").write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("report", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "manifest.json is not a wnet manifest" in err and err.count("\n") == 1, err
+    assert (out / "manifest.json").read_text(encoding="utf-8") == text
 
 
 def test_report_rejects_inverted_cuts(toy_csvs, tmp_path, capsys):
@@ -325,6 +350,17 @@ def test_declared_dependencies_are_the_imported_modules():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.split(".")[0])
     assert declared == imported - set(sys.stdlib_module_names) - {"wnet"}
+
+
+def test_every_module_parses_at_the_declared_python_floor():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parent.parent
+    project = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    floor = tuple(map(int, re.fullmatch(r">=(\d+)\.(\d+)", project["requires-python"]).groups()))
+    paths = [path for part in ("src/wnet", "tests", "tools") for path in (root / part).rglob("*.py")]
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=floor)
 
 
 def bundle_state(out: Path) -> dict[str, bytes | None]:
@@ -1108,6 +1144,24 @@ def test_verify_names_missing_changed_unlisted_and_staging(toy_csvs, tmp_path, c
     assert captured.err == f"error: 2 of {listed} listed files in {out} are missing or changed\n"
 
 
+def test_verify_prints_names_that_are_not_text_escaped(toy_csvs, tmp_path, capsys):
+    # A listed name that no file system can hold (a lone surrogate, by a JSON
+    # escape), and an unlisted file whose name is not UTF-8.
+    flows, gdp = toy_csvs
+    out = tmp_path / "bundle"
+    assert run_cli("all", "--flows", str(flows), "--gdp", str(gdp), "--years", "2000",
+                   "--out", str(out)) == 0
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    manifest["files"]["\ud800"] = "0" * 64
+    (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    (out / os.fsdecode(b"notes\xff.txt")).write_text("mine\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("verify", "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[:2] == ["missing: \\ud800", "not in the manifest: notes\\udcff.txt"]
+    assert captured.err.startswith("error: 1 of ") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("files", [None, {"../flows.csv": "0" * 64}, {"": "0" * 64}, []])
 def test_verify_needs_a_manifest_of_bundle_files(toy_csvs, tmp_path, capsys, files):
     out = tmp_path / "bundle"
@@ -1298,6 +1352,59 @@ def test_config_file_unknown_key(toy_csvs, tmp_path, capsys):
         cfg.write_text(f"{key} = 1\n", encoding="utf-8")
         assert run_cli("stats", "--config", str(cfg)) == 1
         assert f"unknown config keys: {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["all", "report", "build"])
+def test_a_config_file_that_is_not_utf8_is_a_validation_error(toy_csvs, tmp_path, capsys, command):
+    flows, gdp = toy_csvs
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"years = 2000\n# caf\xe9\n")
+    inputs = [] if command == "report" else ["--flows", str(flows), "--gdp", str(gdp)]
+    assert run_cli(command, *inputs, "--out", str(tmp_path / "o"), "--config", str(cfg)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config file {cfg}: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_config_file_may_start_with_a_byte_order_mark(toy_csvs, tmp_path):
+    flows, gdp = toy_csvs
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfci_level = 0.8\nyears = 2000\n")
+    assert read_config_file(cfg) == {"ci_level": "0.8", "years": "2000"}
+    out = tmp_path / "o"
+    assert run_cli("all", "--flows", str(flows), "--gdp", str(gdp), "--out", str(out),
+                   "--config", str(cfg)) == 0
+    assert json.loads((out / "manifest.json").read_text())["config"]["ci_level"] == 0.8
+
+
+@pytest.mark.parametrize("bad", ["", "a\0b"], ids=["empty", "NUL"])
+def test_an_empty_path_is_a_validation_error(toy_csvs, tmp_path, monkeypatch, capsys, bad):
+    # An empty path is not taken for the working directory, so no command reads
+    # it as an input or writes a bundle into it; and no path holds a NUL.  Each
+    # path flag is given on the command line and, in turn, in a config file.
+    flows, gdp = toy_csvs
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    cfg = tmp_path / "run.cfg"
+    message = "NUL in path" if bad else "empty path"
+    for command in ("all", "build", "stats", "analyze", "report", "verify"):
+        given = {"--out": str(tmp_path / "o")}
+        if command not in ("report", "verify"):
+            given.update({"--flows": str(flows), "--gdp": str(gdp), "--years": "2000"})
+        path_flags = [flag for flag in ("--flows", "--gdp", "--out") if flag in given]
+        cases = [(flag, False) for flag in path_flags]
+        if command != "verify":  # verify reads no config file
+            cases += [(flag, True) for flag in path_flags] + [("--config", False)]
+        for flag, in_config in cases:
+            flags = {**given, flag: bad}
+            if in_config:
+                cfg.write_text(f"{flag[2:]} = {bad}\n", encoding="utf-8")
+                del flags[flag]
+                flags["--config"] = str(cfg)
+            assert run_cli(command, *chain.from_iterable(flags.items())) == 1, (command, flags)
+            assert capsys.readouterr().err == f"error: {flag}: {message}\n", (command, flags)
+    assert list(work.iterdir()) == [] and not (tmp_path / "o").exists()
 
 
 def test_read_config_file_parsing(tmp_path):

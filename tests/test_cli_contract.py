@@ -1,14 +1,19 @@
-"""The CLI's exit-code contract, fuzzed over `all`'s float flags.
+"""The CLI's exit-code contract, fuzzed over `all`'s float flags, over config
+files and over edited bundles.
 
-Every value a float flag can be given must end in exit 0, 1 or 2, and a
-refusal (1 or 2) must print exactly one `error:` line to stderr.  Exit 3, an
-internal error, must never happen, not even with numpy's RuntimeWarnings
-raised as errors.  Each value is passed as `--flag=value`, so a value that
+Every run must end in exit 0, 1 or 2, and a refusal (1 or 2) must print
+exactly one `error:` line to stderr.  Exit 3, an internal error, must never
+happen, not even with numpy's RuntimeWarnings raised as errors.  A `report`
+that refuses an edited bundle leaves its `comparison.csv` and `manifest.json`
+as they were.  Each float flag is passed as `--flag=value`, so a value that
 starts with `-` (`-inf`, `-0`) reaches wnet and is not taken for an option.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import shutil
 import warnings
 from itertools import count
 
@@ -41,6 +46,20 @@ VALUES = st.one_of(
 )
 
 
+def run(capsys, argv) -> tuple[int, str]:
+    """``main(argv)``'s exit code and stderr, RuntimeWarnings raised as errors,
+    held to the contract."""
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), (code, err)
+    if code:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    return code, err
+
+
 def test_float_flags_exit_0_1_or_2_with_one_error_line(tmp_path, capsys):
     flows, gdp = write_panel_csvs(tmp_path)
     runs = count()
@@ -48,18 +67,152 @@ def test_float_flags_exit_0_1_or_2_with_one_error_line(tmp_path, capsys):
     @hypothesis.settings(max_examples=1000, deadline=None)
     @hypothesis.given(st.dictionaries(st.sampled_from(FLOAT_FLAGS), VALUES, min_size=1))
     def check(flags):
-        argv = [
+        run(capsys, [
             "all", "--flows", str(flows), "--gdp", str(gdp), "--years", "1999:2000",
             "--out", str(tmp_path / f"out{next(runs)}"),
             *(f"{flag}={value}" for flag, value in flags.items()),
-        ]
-        capsys.readouterr()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            code = main(argv)
-        err = capsys.readouterr().err
-        assert code in (0, 1, 2), (code, err)
+        ])
+
+    check()
+
+
+#: Config keys: the float fields (underscored and dashed), the other keys a
+#: run reads from a config file, and keys that no run knows.
+CONFIG_KEYS = st.sampled_from([
+    "ci_level", "tail_fraction", "bandwidth", "strong_cut", "moderate_cut",
+    "ci-level", "tail-fraction", "strong-cut", "moderate-cut",
+    "scheme", "threshold", "years", "analyses", "jobs", "bogus", "",
+])
+#: Values: ``VALUES``, and some that these keys accept.
+CONFIG_VALUES = VALUES | st.sampled_from([
+    "1999:2000", "2000", "1999,2000", "2000:1999", "raw", "exporter-gdp", "importer-gdp",
+    "stats", "moments,density", "correlations,tailfit", "'0.5'", '"2000"',
+])
+#: Lines that are not ``key = value`` text: any bytes (mostly not UTF-8), NUL,
+#: a byte-order mark at the start or inside a line, and no ``=``.
+RAW_LINES = st.binary(max_size=16) | st.sampled_from([
+    b"\xff", b"ci_level = 0.5\xfe", b"\x00", b"ci_level = \x00", b"years\x00 = 2000",
+    b"\xef\xbb\xbf", b"\xef\xbb\xbfyears = 2000", b"years = \xef\xbb\xbf2000",
+    b"years 2000", b"[all]", b"# comment \xff",
+])
+CONFIG_LINES = st.builds(lambda k, v: f"{k} = {v}".encode(), CONFIG_KEYS, CONFIG_VALUES) | RAW_LINES
+
+
+def test_config_files_exit_0_1_or_2_with_one_error_line(tmp_path, capsys):
+    flows, gdp = write_panel_csvs(tmp_path)
+    runs = count()
+
+    @hypothesis.settings(max_examples=800, deadline=None)
+    @hypothesis.given(st.lists(CONFIG_LINES, max_size=6), st.booleans())
+    def check(lines, years_flag):
+        at = next(runs)
+        cfg = tmp_path / f"run{at}.cfg"
+        cfg.write_bytes(b"\n".join(lines))
+        run(capsys, [
+            "all", "--flows", str(flows), "--gdp", str(gdp), "--out", str(tmp_path / f"out{at}"),
+            "--config", str(cfg), *(["--years", "1999:2000"] if years_flag else []),
+        ])
+
+    check()
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+#: Names a manifest may list that are not plain file names of the bundle:
+#: paths, NUL, a lone surrogate that no file name decodes to, one that stands
+#: for the undecodable byte 0xff, and any text.
+ODD_NAMES = st.sampled_from(
+    ["", ".", "..", "../x.csv", "/etc/hostname", "sub/x.csv", "manifest.json", "a\x00b", "\ud800",
+     "\udcff"]
+) | st.text(max_size=8)
+
+
+@st.composite
+def manifest_texts(draw, manifest: dict) -> bytes:
+    """The bytes of a drawn edit of ``manifest``: wrong JSON types for ``files``,
+    ``config`` or the cuts, a listed name that is not plain, deep nesting, or
+    bytes that are not UTF-8."""
+    edited = json.loads(json.dumps(manifest))
+    kind = draw(st.sampled_from(["files", "config", "cut", "name", "nested", "bytes"]))
+    if kind in ("files", "config"):
+        if draw(st.booleans()):
+            edited[kind] = draw(JSON)
+        else:
+            del edited[kind]
+    elif kind == "cut":
+        edited["config"][draw(st.sampled_from(["strong_cut", "moderate_cut"]))] = draw(
+            JSON | st.integers(10**308, 10**400) | st.sampled_from([1e308, -0.0, 2, True])
+        )
+    elif kind == "name":
+        edited["files"][draw(ODD_NAMES)] = draw(JSON | st.sampled_from(["0" * 64]))
+    elif kind == "nested":
+        depth = draw(st.integers(1, 10**5))
+        where = draw(st.sampled_from([None, "files", "config", "tool"]))
+        nest = "[" * depth + "]" * depth
+        if where is None:
+            return nest.encode()
+        text = json.dumps({**edited, where: "NEST"})
+        return text.replace('"NEST"', nest).encode()
+    text = json.dumps(edited, indent=2).encode()
+    if kind == "bytes":
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80", b"\x00"])) + text[at:]
+    return text
+
+
+def test_edited_bundles_exit_0_1_or_2_with_one_error_line(tmp_path, capsys):
+    flows, gdp = write_panel_csvs(tmp_path)
+    base = tmp_path / "base"
+    assert main(["all", "--flows", str(flows), "--gdp", str(gdp), "--years", "1999:2000",
+                 "--out", str(base)]) == 0
+    manifest = json.loads((base / "manifest.json").read_text(encoding="utf-8"))
+    names = sorted(p.name for p in base.iterdir())
+    runs = count()
+
+    @st.composite
+    def edits(draw):
+        kind = draw(st.sampled_from(["byte", "truncate", "delete", "directory", "unlisted", "manifest"]))
+        if kind == "unlisted":
+            name = draw(st.sampled_from(["notes.txt", "stats_1998.csv", ".wnet-x", "matrix_2000.txt",
+                                         os.fsdecode(b"notes\xff.txt")])
+                        | st.from_regex(r"[A-Za-z0-9_.-]{1,12}", fullmatch=True))
+            return kind, name, None
+        if kind == "manifest":
+            return kind, "manifest.json", draw(manifest_texts(manifest))
+        return kind, draw(st.sampled_from(names)), draw(st.integers(0, 10**6))
+
+    @hypothesis.settings(max_examples=400, deadline=None)
+    @hypothesis.given(edits())
+    def check(edit):
+        kind, name, arg = edit
+        out = tmp_path / f"out{next(runs)}"
+        shutil.copytree(base, out)
+        path = out / name
+        if kind in ("byte", "truncate"):
+            data = path.read_bytes()
+            at = arg % len(data)
+            if kind == "byte":
+                data = data[:at] + bytes([data[at] ^ (1 + arg % 255)]) + data[at + 1:]
+            path.write_bytes(data[:at] if kind == "truncate" else data)
+        elif kind in ("delete", "directory"):
+            path.unlink()
+            if kind == "directory":
+                path.mkdir()
+                (path / "inner.csv").write_text("x")
+        elif kind == "unlisted":
+            hypothesis.assume(not path.exists() and name not in (".", ".."))
+            path.write_text("x")
+        else:
+            path.write_bytes(arg)
+        kept = {n: (out / n).read_bytes() if (out / n).is_file() else None
+                for n in ("comparison.csv", "manifest.json")}
+        code, _ = run(capsys, ["report", "--out", str(out)])
         if code:
-            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert kept == {n: (out / n).read_bytes() if (out / n).is_file() else None
+                            for n in kept}
+        run(capsys, ["verify", "--out", str(out)])
 
     check()

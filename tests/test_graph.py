@@ -33,7 +33,7 @@ def panel_of(flows, sizes=None):
 def test_build_exporter_gdp_weight():
     panel = panel_of([(2000, "A", "B", 100.0)])
     net = build_directed(panel, 2000, WeightScheme())
-    i, j = panel.registry.position("A"), panel.registry.position("B")
+    i, j = panel.codes.index("A"), panel.codes.index("B")
     assert net.adjacency[i, j] == 1
     assert net.weights[i, j] == pytest.approx(0.1)
     assert net.adjacency[j, i] == 0 and net.weights[j, i] == 0
@@ -43,7 +43,7 @@ def test_build_importer_gdp_and_raw():
     flows = [(2000, "A", "B", 100.0)]
     sizes = [(2000, "A", 1000.0), (2000, "B", 500.0)]
     panel = panel_from_rows(flows, sizes)
-    i, j = panel.registry.position("A"), panel.registry.position("B")
+    i, j = panel.codes.index("A"), panel.codes.index("B")
     importer = build_directed(panel, 2000, WeightScheme(WeightVariant.IMPORTER_GDP))
     assert importer.weights[i, j] == pytest.approx(0.2)
     raw = build_directed(panel, 2000, WeightScheme(WeightVariant.RAW))
@@ -53,7 +53,7 @@ def test_build_importer_gdp_and_raw():
 def test_build_zero_flow_makes_no_link():
     panel = panel_of([(2000, "A", "B", 0.0), (2000, "B", "A", 5.0)])
     net = build_directed(panel, 2000, WeightScheme())
-    i, j = panel.registry.position("A"), panel.registry.position("B")
+    i, j = panel.codes.index("A"), panel.codes.index("B")
     assert net.adjacency[i, j] == 0 and net.weights[i, j] == 0
     assert net.adjacency[j, i] == 1
 
@@ -62,7 +62,7 @@ def test_build_threshold_is_strict():
     flows = [(2000, "A", "B", 5.0), (2000, "B", "A", 50.0)]
     panel = panel_of(flows)
     net = build_directed(panel, 2000, WeightScheme(threshold=10.0))
-    i, j = panel.registry.position("A"), panel.registry.position("B")
+    i, j = panel.codes.index("A"), panel.codes.index("B")
     assert net.adjacency[i, j] == 0 and net.weights[i, j] == 0
     assert net.adjacency[j, i] == 1
     at_cut = build_directed(panel, 2000, WeightScheme(threshold=5.0))
@@ -106,7 +106,7 @@ def test_symmetrize_single_one_way_link():
     panel = panel_of([(2000, "A", "B", 200.0)])
     net = build_directed(panel, 2000, WeightScheme())  # w~_AB = 0.2
     und = symmetrize(net)
-    i, j = panel.registry.position("A"), panel.registry.position("B")
+    i, j = panel.codes.index("A"), panel.codes.index("B")
     assert und.normalizer == pytest.approx(0.1)
     assert und.weights[i, j] == 1.0 and und.weights[j, i] == 1.0
     assert und.adjacency[i, j] == 1 and und.adjacency[j, i] == 1
@@ -118,7 +118,7 @@ def test_symmetrize_link_union():
     panel = panel_of(flows)
     und = symmetrize(build_directed(panel, 2000, WeightScheme()))
     assert (und.adjacency == und.adjacency.T).all()
-    assert und.adjacency[panel.registry.position("B"), panel.registry.position("A")] == 1
+    assert und.adjacency[panel.codes.index("B"), panel.codes.index("A")] == 1
 
 
 def test_symmetrize_symmetric_input_is_fixed_point(rng):
@@ -277,11 +277,10 @@ def test_load_matrix_rejects_garbage(tmp_path):
 
 
 def test_symmetrize_rejects_linkless_network():
-    from wnet import CountryRegistry, DirectedTradeNetwork
+    from wnet import DirectedTradeNetwork
 
-    registry = CountryRegistry.from_codes(["A", "B"])
     empty = DirectedTradeNetwork(
-        2000, registry, WeightScheme(), np.zeros((2, 2), dtype=np.int64), np.zeros((2, 2))
+        2000, ("A", "B"), WeightScheme(), np.zeros((2, 2), dtype=np.int64), np.zeros((2, 2))
     )
     with pytest.raises(DataError, match="no links"):
         symmetrize(empty)
@@ -300,7 +299,7 @@ def test_a_weight_that_overflows_is_a_data_error():
     # symmetrize keeps its own check, for a network built otherwise.
     weights = np.array([[0.0, np.inf], [5.0, 0.0]])
     net = DirectedTradeNetwork(
-        2000, panel.registry, WeightScheme(), (weights > 0).astype(np.int64), weights
+        2000, panel.codes, WeightScheme(), (weights > 0).astype(np.int64), weights
     )
     with pytest.raises(DataError, match=message):
         symmetrize(net)

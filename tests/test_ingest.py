@@ -157,23 +157,23 @@ def test_parse_sizes_duplicate():
         load_panel(io.StringIO(FLOWS), io.StringIO(text))
 
 
-def test_assemble_panel_registry_and_years():
+def test_assemble_panel_codes_and_years():
     panel = load_panel(io.StringIO(FLOWS), io.StringIO(SIZES))
-    assert panel.registry.codes == ("CAN", "MEX", "USA")
+    assert panel.codes == ("CAN", "MEX", "USA")
     assert panel.years == (1999, 2000)
-    assert panel.registry.position("MEX") == 1
+    assert panel.codes.index("MEX") == 1
     assert (panel.flow_year == 2000).sum() == 2
 
 
 def test_assemble_panel_flags_missing_gdp():
     panel = panel_from_rows([(2000, "DEU", "USA", 5.0)], [(2000, "USA", 1.0)])
     assert (2000, "DEU") in panel.missing_gdp
-    assert np.isnan(panel.gdp[0, panel.registry.position("DEU")])
+    assert np.isnan(panel.gdp[0, panel.codes.index("DEU")])
 
 
 def test_assemble_panel_importer_only_country_kept():
     panel = panel_from_rows([(2000, "USA", "XYZ", 5.0)], [(2000, "USA", 1.0)])
-    assert "XYZ" in panel.registry
+    assert "XYZ" in panel.codes
 
 
 def test_assemble_panel_empty_flows():
@@ -208,7 +208,7 @@ def saved_bytes(panel, directory) -> tuple[bytes, bytes]:
     return fp.read_bytes(), sp.read_bytes()
 
 
-def test_registry_deterministic_under_row_permutation(tmp_path):
+def test_codes_deterministic_under_row_permutation(tmp_path):
     base = saved_bytes(load_panel(io.StringIO(FLOWS), io.StringIO(SIZES)), tmp_path)
     header_f, *flow_lines = FLOWS.splitlines(keepends=True)
     header_s, *size_lines = SIZES.splitlines(keepends=True)
@@ -238,11 +238,11 @@ def test_any_country_code_survives_a_round_trip(tmp_path):
     def check(drawn):
         codes, flows, sizes = drawn
         panel = load_panel(flows, sizes)
-        assert set(codes[:2]) <= set(panel.registry.codes) <= set(codes)
+        assert set(codes[:2]) <= set(panel.codes) <= set(codes)
         fp, sp = tmp_path / "f.csv", tmp_path / "s.csv"
         save_panel(panel, fp, sp)
         again = load_panel(fp, sp)
-        assert again.registry == panel.registry and again.years == panel.years
+        assert again.codes == panel.codes and again.years == panel.years
         for name in ("flow_year", "exporter", "importer", "value"):
             assert np.array_equal(getattr(again, name), getattr(panel, name)), name
         assert np.array_equal(again.gdp, panel.gdp, equal_nan=True)
@@ -327,7 +327,7 @@ def test_load_panel_without_sizes(tmp_path):
     fp = tmp_path / "f.csv"
     fp.write_text("year,exporter,importer,value\n2000,USA,CAN,5\n", encoding="utf-8")
     panel = load_panel(fp)
-    assert panel.registry.codes == ("CAN", "USA")
+    assert panel.codes == ("CAN", "USA")
     assert panel.missing_gdp == ((2000, "USA"),)
 
 

@@ -45,5 +45,5 @@ def test_load_panel_returns_panel_or_data_error(flows, sizes):
     except DataError:
         return
     assert list(panel.years) == sorted(set(panel.years))
-    assert list(panel.registry.codes) == sorted(panel.registry.codes)
-    assert panel.gdp.shape == (len(panel.years), len(panel.registry))
+    assert list(panel.codes) == sorted(panel.codes)
+    assert panel.gdp.shape == (len(panel.years), len(panel.codes))

@@ -29,7 +29,7 @@ def outcome(flows, sizes):
         return f"DataError: {exc}"
     arrays = (panel.flow_year, panel.exporter, panel.importer, panel.value, panel.gdp)
     return (
-        panel.registry.codes,
+        panel.codes,
         panel.years,
         panel.missing_gdp,
         *((a.dtype.str, a.shape, a.tobytes()) for a in arrays),

@@ -320,9 +320,10 @@ def test_rerun_deletes_only_plain_names_of_a_parsed_manifest(toy_csvs, tmp_path)
     assert not (out / "old.csv").exists() and (out / "sub").is_dir()
 
 
-@pytest.mark.parametrize(
-    "text", ["{not json", "[]", '{"files": ["old.csv"]}', '{"tool": {}}', b"\xff".decode("latin-1")]
-)
+@pytest.mark.parametrize("text", [
+    "{not json", "[]", '{"files": ["old.csv"]}', '{"tool": {}}', b"\xff".decode("latin-1"),
+    pytest.param("[" * 10**5 + "]" * 10**5, id="nested"),  # too deep for the JSON decoder
+])
 def test_rerun_keeps_files_when_the_previous_manifest_does_not_parse(toy_csvs, tmp_path, text):
     out = tmp_path / "bundle"
     out.mkdir()

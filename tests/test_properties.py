@@ -1,6 +1,6 @@
 """Properties of the statistics under relabelling and rescaling of the input.
 
-Each panel goes through ``load_panel``, so the registry, the scatter build
+Each panel goes through ``load_panel``, so the sorted codes, the scatter build
 and the symmetrization are all exercised, not only the statistics.
 """
 
@@ -54,7 +54,7 @@ def test_relabelling_permutes_the_node_statistics(rows, data):
         [(y, rename[c], g) for y, c, g in sizes],
     )
     # Node i of the panel is node perm[i] of the relabelled one.
-    perm = [relabelled.registry.position(rename[c]) for c in panel.registry.codes]
+    perm = [relabelled.codes.index(rename[c]) for c in panel.codes]
     for net, other in zip(networks(panel, WeightScheme()), networks(relabelled, WeightScheme())):
         assert np.array_equal(net.weights, other.weights[np.ix_(perm, perm)])
         table, moved = node_stats(net), node_stats(other)
