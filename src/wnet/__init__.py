@@ -16,8 +16,6 @@ from .graph import (
     WeightScheme,
     WeightVariant,
     build_directed,
-    dump_matrix,
-    load_matrix,
     symmetrize,
     symmetry_index,
 )
@@ -49,8 +47,6 @@ __all__ = [
     "build_directed",
     "compare_views",
     "correlation_series",
-    "dump_matrix",
-    "load_matrix",
     "load_panel",
     "node_degree",
     "node_stats",

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: build (dump per-year weight matrices), stats (per-year node
+Subcommands: build (per-year link weight tables), stats (per-year node
 statistics CSVs), analyze (distributional analyses), report (comparison
 table from an existing bundle), all (everything plus comparison), verify
 (re-hash a bundle against its manifest).
@@ -15,23 +15,13 @@ import argparse
 import logging
 import os
 import sys
-from functools import partial
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from ._version import __version__
 from .errors import DataError, ValidationError, WnetError
-from .graph import WeightScheme, WeightVariant, build_directed, dump_matrix, symmetrize
-from .ingest import load_panel
-from .pipeline import (
-    ANALYSES,
-    PipelineConfig,
-    relabel,
-    run_pipeline,
-    select_years,
-    verify_bundle,
-    write_bundle,
-)
+from .graph import WeightScheme, WeightVariant
+from .pipeline import ANALYSES, SELECTABLE, PipelineConfig, relabel, run_pipeline, verify_bundle
 
 logger = logging.getLogger(__name__)
 
@@ -126,7 +116,7 @@ def _add_input_flags(parser: argparse.ArgumentParser) -> None:
 def _add_analysis_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--analyses",
-        help=f"comma list from: {', '.join(ANALYSES)}",
+        help=f"comma list from: {', '.join(SELECTABLE)}",
     )
     parser.add_argument(
         "--ci-level", help=f"two-sided CI coverage (default {PipelineConfig.ci_level:g})"
@@ -147,15 +137,24 @@ def _add_label_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises a usage error as a ValidationError, so
+    that it is one ``error:`` line and exit 1, as any other validation error
+    is.  Its subparsers are of its class."""
+
+    def error(self, message: str):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wnet",
         description="Weighted trade-network statistics pipeline",
     )
     parser.add_argument("--version", action="version", version=f"wnet {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_build = sub.add_parser("build", help="dump per-year normalized weight matrices")
+    p_build = sub.add_parser("build", help="write per-year link weight tables")
     _add_input_flags(p_build)
 
     p_stats = sub.add_parser("stats", help="write per-year node statistics CSVs")
@@ -235,21 +234,9 @@ def _selected_analyses(args: argparse.Namespace, default: tuple[str, ...]) -> fr
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
-    config = _pipeline_config(args, frozenset(("stats",)))
-    panel = load_panel(config.flows, config.gdp)
-    names = {year: f"matrix_{year}.txt" for year in select_years(panel, config.years)}
-    with write_bundle(config.out_dir, names.values()) as commit:
-        files = {}
-        for year in names:
-            net = symmetrize(build_directed(panel, year, config.scheme))
-            files[names[year]] = partial(dump_matrix, net)
-        echo = config.echo()
-        manifest = {
-            "tool": {"name": "wnet", "version": __version__},
-            "config": {key: echo[key] for key in ("flows", "gdp", "scheme", "threshold", "years")},
-        }
-        commit(files, manifest)
-    _say(f"wrote {len(files)} matrix dumps to {config.out_dir}")
+    config = _pipeline_config(args, frozenset(("links",)))
+    manifest, _ = run_pipeline(config)
+    _say(f"wrote link tables for {len(manifest['normalizers'])} years to {config.out_dir}")
     return 0
 
 
@@ -332,14 +319,12 @@ def main(argv: list[str] | None = None) -> int:
     if level not in ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"):
         level = "WARNING"
     logging.basicConfig(level=level)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 1
-    try:
+        args = build_parser().parse_args(argv)
         _merge_config(args)
         return _COMMANDS[args.command](args)
+    except SystemExit as exc:  # --help and --version, which print and exit
+        return 0 if exc.code in (0, None) else 1
     except ValidationError as exc:
         _say(f"error: {exc}", sys.stderr)
         return 1

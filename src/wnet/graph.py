@@ -17,14 +17,12 @@ from __future__ import annotations
 
 import enum
 import math
-import re
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError, ValidationError
-from .ingest import PanelDataset, float_cells
+from .ingest import PanelDataset
 
 
 class WeightVariant(enum.Enum):
@@ -184,48 +182,3 @@ def symmetry_index(net: DirectedTradeNetwork) -> float:
     if denom == 0:
         raise DataError(f"year {net.year}: symmetry index undefined without links")
     return float(np.linalg.norm(weights - weights.T, "fro") / denom)
-
-
-@dataclass(frozen=True, eq=False)
-class MatrixDump:
-    """Parsed form of a plain-text weight-matrix dump."""
-
-    year: int
-    scheme_name: str
-    normalizer: float
-    weights: np.ndarray
-
-
-def dump_matrix(net: UndirectedNetwork) -> str:
-    """Render the normalized weight matrix as plain text.
-
-    One header line ``# year=<y> scheme=<s> normalizer=<v>`` followed by N
-    space-delimited rows.  The normalizer is its ``repr`` and each weight its
-    ``float_cells`` cell: the shortest digits that read back as the same
-    double, so ``load_matrix`` re-reads the dump bit-exact.
-    """
-    header = f"# year={net.year} scheme={net.scheme.variant.value} normalizer={net.normalizer!r}"
-    cells, n = float_cells(net.weights.ravel()), len(net.weights)
-    return "\n".join([header, *(" ".join(cells[i : i + n]) for i in range(0, n * n, n))]) + "\n"
-
-
-def load_matrix(path: str | Path) -> MatrixDump:
-    """Re-read a matrix dump; weight entries round-trip bit-exact."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines or not lines[0].startswith("#"):
-        raise DataError(f"{path}: missing matrix header line")
-    fields = dict(
-        pair.split("=", 1) for pair in re.findall(r"(\S+=\S+)", lines[0])
-    )
-    try:
-        year = int(fields["year"])
-        scheme_name = fields["scheme"]
-        normalizer = float(fields["normalizer"])
-    except (KeyError, ValueError) as exc:
-        raise DataError(f"{path}: malformed matrix header: {exc}") from None
-    rows = [[float(v) for v in line.split()] for line in lines[1:]]
-    if not rows or any(len(row) != len(rows) for row in rows):
-        raise DataError(f"{path}: matrix body is not square")
-    weights = np.array(rows)
-    return MatrixDump(year, scheme_name, normalizer, weights)

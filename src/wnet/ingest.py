@@ -11,9 +11,9 @@ non-UTF-8 line raises DataError with its line number.  Rows already in key
 order are not sorted again.
 
 The other way, ``format_table`` makes the text of every file wnet writes: each
-bundle CSV, the panel that ``save_panel`` writes back and, through
-``float_cells``, the matrix dumps.  It quotes a label that would not read back
-as one cell, so every table it makes reads back with the csv module.
+bundle CSV and the panel that ``save_panel`` writes back.  It quotes a label
+that would not read back as one cell, so every table it makes reads back with
+the csv module.
 """
 
 from __future__ import annotations

@@ -89,7 +89,11 @@ from .stats import moments_rows as moments
 logger = logging.getLogger(__name__)
 
 MANIFEST = "manifest.json"
+#: The analyses of a run by default.
 ANALYSES = ("stats", "moments", "correlations", "density", "ranksize", "tailfit", "symmetry")
+#: Every analysis a run may select: the defaults and ``links``, each year's
+#: link weights, which ``build`` writes.
+SELECTABLE = (*ANALYSES, "links")
 MOMENT_STATISTICS = ("nd", "ns", "annd", "anns", "bcc", "wcc")
 DENSITY_STATISTICS = ("nd", "ns")
 HEAVY_TAIL_STATISTIC = "ns"
@@ -99,6 +103,7 @@ HEAVY_TAIL_STATISTIC = "ns"
 #: integer, ``f`` a float, NaN where the cell is empty.
 LAYOUT = {
     "stats": ("country,nd,ns,annd,anns,bcc,wcc", "Uifffff"),
+    "links": ("country_i,country_j,weight", "UUf"),
     "moments": ("statistic,year,mean,std,skewness,kurtosis,count", "Uiffffi"),
     "correlations": ("year,pair,r,ci_low,ci_high,n", "iUfffi"),
     "density": ("grid,density", "ff"),
@@ -133,11 +138,11 @@ class PipelineConfig:
             raise ValidationError("no years selected")
         if not self.analyses:
             raise ValidationError("no analyses selected")
-        unknown = self.analyses - set(ANALYSES)
+        unknown = self.analyses - set(SELECTABLE)
         if unknown:
             raise ValidationError(
                 f"unknown analyses: {', '.join(sorted(unknown))} "
-                f"(choices: {', '.join(ANALYSES)})"
+                f"(choices: {', '.join(SELECTABLE)})"
             )
         if self.scheme.needs_gdp and self.gdp is None:
             raise ValidationError(
@@ -453,14 +458,16 @@ def bundle_names(analyses: Collection[str], years: Sequence[int]) -> dict:
     """The names of the files a run of ``analyses`` over ``years`` writes, in write order.
 
     Each name is keyed by what its file holds: ``("stats", year)``,
-    ``"moments"``, ``("correlations", pair)``, ``("density", statistic,
-    year)``, ``("ranksize", year)``, ``"tailfit"``, ``"symmetry"``,
-    ``"comparison"`` or ``"counts"``.  ``run_pipeline`` takes every name
+    ``("links", year)``, ``"moments"``, ``("correlations", pair)``,
+    ``("density", statistic, year)``, ``("ranksize", year)``, ``"tailfit"``,
+    ``"symmetry"``, ``"comparison"`` or ``"counts"``.  ``run_pipeline`` takes every name
     from here, both to stage the files and to make them.
     """
     names: dict = {}
     if "stats" in analyses:
         names.update({("stats", year): f"stats_{year}.csv" for year in years})
+    if "links" in analyses:
+        names.update({("links", year): f"links_{year}.csv" for year in years})
     if "moments" in analyses:
         names["moments"] = "moments.csv"
     if "correlations" in analyses:
@@ -574,9 +581,11 @@ def _analyse(
 ) -> tuple[dict, dict]:
     """Each bundle file's table, keyed and ordered as ``names`` keys the
     files, and the manifest of a run."""
+    tables: dict = {}
     stats: dict[int, dict[str, np.ndarray]] = {}
     normalizers: dict[str, float] = {}
     symmetry: list[float] = []
+    codes = np.array(panel.codes, dtype=object)
     # Every year has the panel's codes: statistic j of year i is row
     # stack[i, j], ordered as MOMENT_STATISTICS.
     stack = np.empty((len(years), len(MOMENT_STATISTICS), len(panel.codes)))
@@ -588,6 +597,13 @@ def _analyse(
             timer.lap("symmetry")
         net = symmetrize(directed)
         timer.lap("symmetrize")
+        if "links" in config.analyses:
+            # The linked pairs i < j in code order, whatever their weight.
+            linked = np.nonzero(np.triu(net.adjacency, 1))
+            tables["links", year] = _columns(
+                "links", codes[linked[0]], codes[linked[1]], net.weights[linked]
+            )
+            timer.lap("links")
         stats[year] = columns = node_stats(net)
         stack[i] = [columns[name] for name in MOMENT_STATISTICS]
         normalizers[str(year)] = float(net.normalizer)
@@ -603,7 +619,6 @@ def _analyse(
         at = [MOMENT_STATISTICS.index(name) for name in statistics]
         return stack[:, at].reshape(-1, stack.shape[2]), where
 
-    tables: dict = {}
     bandwidths: dict[str, float] = {}
     undefined = np.isnan(stack[:, 2:]).sum(axis=2).tolist()  # annd, anns, bcc, wcc
     counts = [

@@ -19,15 +19,16 @@ from functools import partial
 from itertools import chain, count
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import wnet.cli
 import wnet.pipeline
-from wnet import DataError, load_matrix, load_panel
+from wnet import DataError, WeightScheme, build_directed, load_panel, symmetrize
 from wnet.cli import main, read_config_file
 from wnet.pipeline import LAYOUT, bundle_names, read_bundle
 
-from conftest import assert_bundle_intact, hostile_panels, write_panel_csvs
+from conftest import assert_bundle_intact, hostile_panels, write_gravity_panel, write_panel_csvs
 
 
 def run_cli(*argv):
@@ -84,59 +85,72 @@ def test_stats_tables_of_any_country_codes_read_back(tmp_path):
     check()
 
 
-def test_build_subcommand_dumps_matrices(toy_csvs, tmp_path):
-    flows, gdp = toy_csvs
-    out = tmp_path / "matrices"
+def read_links(out, years):
+    """The manifest and each year's ``links_<year>.csv`` columns, through ``read_bundle``."""
+    return read_bundle(out, bundle_names({"links"}, years))
+
+
+@pytest.mark.parametrize("write", [write_panel_csvs, write_gravity_panel], ids=["toy", "n159"])
+def test_build_writes_the_symmetrized_weight_of_every_link(tmp_path, capsys, write):
+    flows, gdp = write(tmp_path, years=(1999, 2000))
+    out = tmp_path / "links"
     assert run_cli(
-        "build", "--flows", str(flows), "--gdp", str(gdp),
-        "--years", "1999,2000", "--out", str(out),
+        "build", "--flows", str(flows), "--gdp", str(gdp), "--years", "1999,2000", "--out", str(out),
     ) == 0
-    dump = load_matrix(out / "matrix_2000.txt")
-    assert dump.year == 2000
-    assert dump.weights.max() == 1.0
-    assert (dump.weights == dump.weights.T).all()
+    assert capsys.readouterr().out == f"wrote link tables for 2 years to {out}\n"
+    panel = load_panel(flows, gdp)
+    manifest, files = read_links(out, panel.years)
+    for year in panel.years:
+        net = symmetrize(build_directed(panel, year, WeightScheme()))
+        i, j = np.nonzero(np.triu(net.adjacency, 1))  # every linked pair i < j, in code order
+        table = files["links", year]
+        assert table["country_i"].tolist() == [panel.codes[k] for k in i]
+        assert table["country_j"].tolist() == [panel.codes[k] for k in j]
+        weights = net.weights[i, j]
+        assert np.array_equal(table["weight"].view(np.uint64), weights.view(np.uint64))  # bit-exact
+        assert table["weight"].max() == 1.0 and len(i) == net.adjacency.sum() // 2 > 100
+        assert manifest["normalizers"][str(year)] == net.normalizer
 
 
 def test_build_builds_each_repeated_year_once(toy_csvs, tmp_path, monkeypatch):
-    import wnet.cli
-
     built = []
-    real = wnet.cli.build_directed
+    real = wnet.pipeline.build_directed
 
     def counting(panel, year, scheme):
         built.append(year)
         return real(panel, year, scheme)
 
-    monkeypatch.setattr(wnet.cli, "build_directed", counting)
+    monkeypatch.setattr(wnet.pipeline, "build_directed", counting)
     flows, gdp = toy_csvs
-    out = tmp_path / "matrices"
+    out = tmp_path / "links"
     assert run_cli(
         "build", "--flows", str(flows), "--gdp", str(gdp),
         "--years", "2000,1999,2000", "--out", str(out),
     ) == 0
     assert built == [1999, 2000]
     assert sorted(p.name for p in out.iterdir()) == [
-        "manifest.json", "matrix_1999.txt", "matrix_2000.txt"
+        "counts.csv", "links_1999.csv", "links_2000.csv", "manifest.json"
     ]
 
 
-def test_build_writes_a_manifest_and_drops_stale_dumps(toy_csvs, tmp_path):
+def test_build_writes_the_standard_manifest_and_drops_stale_tables(toy_csvs, tmp_path):
     flows, gdp = toy_csvs
-    out = tmp_path / "matrices"
+    out = tmp_path / "links"
+    inputs = ["--flows", str(flows), "--gdp", str(gdp), "--out", str(out)]
     for years in ("1999:2000", "2000"):
-        assert run_cli(
-            "build", "--flows", str(flows), "--gdp", str(gdp), "--years", years, "--out", str(out)
-        ) == 0
-    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "matrix_2000.txt"]
+        assert run_cli("build", *inputs, "--years", years) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["counts.csv", "links_2000.csv", "manifest.json"]
     assert_bundle_intact(out)
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
-    assert manifest == {
-        "tool": {"name": "wnet", "version": "0.1.0"},
-        "files": {"matrix_2000.txt": manifest["files"]["matrix_2000.txt"]},
-        "config": {
-            "flows": str(flows), "gdp": str(gdp), "scheme": "exporter-gdp",
-            "threshold": 0.0, "years": [2000],
-        },
+    assert sorted(manifest["files"]) == ["counts.csv", "links_2000.csv"]
+    assert list(manifest["normalizers"]) == ["2000"]
+    # The manifest of any run, as stats writes it but for the analyses.
+    assert run_cli("stats", *inputs[:-1], str(tmp_path / "stats"), "--years", "2000") == 0
+    stats = json.loads((tmp_path / "stats" / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["config"] == {**stats["config"], "analyses": ["links"]}
+    assert manifest["normalizers"] == stats["normalizers"]
+    assert {k: v for k, v in manifest.items() if k not in ("config", "files")} == {
+        k: v for k, v in stats.items() if k not in ("config", "files")
     }
 
 
@@ -148,7 +162,7 @@ def test_build_replaces_the_files_of_an_all_bundle(toy_csvs, tmp_path):
     (out / "notes.txt").write_text("not a bundle file", encoding="utf-8")
     assert run_cli("build", *inputs) == 0
     names = sorted(p.name for p in out.iterdir())
-    assert names == ["manifest.json", "matrix_2000.txt", "notes.txt"]
+    assert names == ["counts.csv", "links_2000.csv", "manifest.json", "notes.txt"]
     assert_bundle_intact(out, keep=("notes.txt",))
 
 
@@ -982,7 +996,7 @@ def test_a_creating_child_is_forked_exactly_for_two_or_more_files(toy_csvs, tmp_
     out = tmp_path / "bundle"
     inputs = ["--flows", str(flows), "--gdp", str(gdp), "--years", "1999:2000", "--out", str(out)]
     assert run_cli("all", *inputs) == 0
-    # report writes one file, so nothing forks; build writes two, so the child forks.
+    # report writes one file, so nothing forks; build writes three, so the child forks.
     for command, forked in ((["report", "--out", str(out)], 0), (["build", *inputs], 1)):
         with monkeypatch.context() as patch:
             forks = writer_processes(patch, 2)
@@ -1024,9 +1038,11 @@ def test_raw_flows_near_the_largest_double_are_finite_weights(tmp_path, capsys):
         assert code == 0, command
         assert not caught, (command, [str(w.message) for w in caught])
         assert "error" not in capsys.readouterr().err
-    dump = load_matrix(tmp_path / "build" / "matrix_2000.txt")
-    assert dump.normalizer == 1.5e308 and dump.weights[0, 1] == dump.weights[1, 0] == 1.0
-    assert dump.weights.max() == 1.0 and dump.weights.min() == 0.0  # every weight finite
+    manifest, files = read_links(tmp_path / "build", [2000])
+    links = files["links", 2000]
+    assert manifest["normalizers"] == {"2000": 1.5e308}
+    assert links["country_i"].tolist() == ["A", "B"] and links["country_j"].tolist() == ["B", "C"]
+    assert links["weight"][0] == 1.0 and 0 < links["weight"][1] < 1e-300  # every weight finite
     table = (tmp_path / "analyze" / "symmetry.csv").read_text(encoding="utf-8")
     assert table.startswith("year,symmetry_index\n2000,")
     assert 0 <= float(table.split(",")[-1]) < 1e-300
@@ -1039,10 +1055,11 @@ def test_a_pair_of_the_smallest_subnormal_flows_averages_to_itself(tmp_path, cap
     out = tmp_path / "out"
     code = run_cli("build", "--flows", str(flows), "--scheme", "raw", "--years", "2000", "--out", str(out))
     assert code == 0, capsys.readouterr().err
-    dump = load_matrix(out / "matrix_2000.txt")
-    assert dump.normalizer == 5e-324
-    assert dump.weights[0, 1] == dump.weights[1, 0] == 1.0
-    assert dump.weights[1, 2] == dump.weights[2, 1] == 1.0
+    manifest, files = read_links(out, [2000])
+    assert manifest["normalizers"] == {"2000": 5e-324}
+    links = files["links", 2000]
+    assert links["country_i"].tolist() == ["A", "B"] and links["country_j"].tolist() == ["B", "C"]
+    assert links["weight"].tolist() == [1.0, 1.0]
 
 
 @needs_fork
@@ -1051,14 +1068,14 @@ def test_a_build_that_fails_in_its_second_year_leaves_no_trace(
 ):
     flows, gdp = toy_csvs
     out = tmp_path / "new" / "out"
-    real = wnet.cli.build_directed
+    real = wnet.pipeline.build_directed
     def build_directed(panel, year, scheme):
         if year == 2000:
             raise DataError(f"year {year}: no flow exceeds the link threshold")
         return real(panel, year, scheme)
     with monkeypatch.context() as patch:
         forks = writer_processes(patch, 2)
-        patch.setattr(wnet.cli, "build_directed", build_directed)
+        patch.setattr(wnet.pipeline, "build_directed", build_directed)
         code = run_cli(
             "build", "--flows", str(flows), "--gdp", str(gdp), "--years", "1999:2000",
             "--out", str(out),
@@ -1262,6 +1279,15 @@ def test_bad_scheme_choice_is_usage_error(toy_csvs, tmp_path):
     ) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    [], ["nonsense"], ["build", "--scheme=bogus"], ["all", "--bogus"], ["verify", "--out"],
+])
+def test_a_usage_error_is_one_error_line(capsys, argv):
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: wnet") and err.count("\n") == 1, err
+
+
 def test_malformed_data_is_data_error(tmp_path, capsys):
     bad = tmp_path / "flows.csv"
     gdp = tmp_path / "gdp.csv"
@@ -1424,13 +1450,13 @@ def test_threshold_flag(toy_csvs, tmp_path):
         "build", "--flows", str(flows), "--gdp", str(gdp),
         "--years", "2000", "--out", str(out), "--threshold", "1e4",
     ) == 0
-    thresholded = load_matrix(out / "matrix_2000.txt").weights
+    thresholded = read_links(out, [2000])[1]["links", 2000]["weight"]
     assert run_cli(
         "build", "--flows", str(flows), "--gdp", str(gdp),
         "--years", "2000", "--out", str(tmp_path / "o2"),
     ) == 0
-    base = load_matrix(tmp_path / "o2" / "matrix_2000.txt").weights
-    assert (thresholded > 0).sum() < (base > 0).sum()
+    base = read_links(tmp_path / "o2", [2000])[1]["links", 2000]["weight"]
+    assert 0 < len(thresholded) < len(base)
 
 
 def test_wnet_log_env_sets_level(toy_csvs, tmp_path, monkeypatch):

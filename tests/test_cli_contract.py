@@ -1,16 +1,19 @@
-"""The CLI's exit-code contract, fuzzed over `all`'s float flags, over config
+"""The CLI's exit-code contract, fuzzed over every command's flags, over config
 files and over edited bundles.
 
 Every run must end in exit 0, 1 or 2, and a refusal (1 or 2) must print
 exactly one `error:` line to stderr.  Exit 3, an internal error, must never
 happen, not even with numpy's RuntimeWarnings raised as errors.  A `report`
 that refuses an edited bundle leaves its `comparison.csv` and `manifest.json`
-as they were.  Each float flag is passed as `--flag=value`, so a value that
-starts with `-` (`-inf`, `-0`) reaches wnet and is not taken for an option.
+as they were.  Each command's flags are those ``cli.build_parser()`` gives
+it, so a flag added later is fuzzed too.  Each flag is passed as
+`--flag=value`, so a value that starts with `-` (`-inf`, `-0`) reaches wnet
+and is not taken for an option.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import shutil
@@ -19,16 +22,13 @@ from itertools import count
 
 import pytest
 
-from wnet.cli import main
+from wnet.cli import build_parser, main
+from wnet.pipeline import SELECTABLE
 
 from conftest import write_panel_csvs
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
-
-FLOAT_FLAGS = (
-    "--threshold", "--ci-level", "--tail-fraction", "--bandwidth", "--strong-cut", "--moderate-cut",
-)
 
 _SIGN = st.sampled_from(["", "-", "+"])
 #: Float text from every decade, the subnormals, both zeros, NaN, the
@@ -60,18 +60,110 @@ def run(capsys, argv) -> tuple[int, str]:
     return code, err
 
 
-def test_float_flags_exit_0_1_or_2_with_one_error_line(tmp_path, capsys):
+def command_flags() -> dict[str, dict[str, argparse.Action]]:
+    """Each command's flags, as the parser defines them, but ``--help``."""
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        command: {a.option_strings[-1]: a for a in parser._actions if a.dest != "help"}
+        for command, parser in commands.choices.items()
+    }
+
+
+#: Where a path flag points, resolved for each run (see ``resolve``): the
+#: run's own input (a file to read, a new directory to write, or the bundle to
+#: report on), a missing path, an empty directory, a file where a directory
+#: is wanted, an existing bundle, or nothing.
+PATHS = st.sampled_from(["input", "missing", "directory", "file", "bundle", ""])
+#: ``--years`` from a small grammar: ranges, single years and lists, in and out
+#: of the panel's 1999-2000, reversed, empty and malformed.
+YEARS = st.builds(
+    "{}{}{}".format,
+    st.sampled_from(["1999", "2000", "1990", "", "-1", "0", "x", "99999999999999999999"]),
+    st.sampled_from([":", ",", "", ",,", ":2000"]),
+    st.sampled_from(["2000", "1999", "", "2030", " 2000", "a"]),
+)
+#: ``--analyses``: lists of known names, unknown names and empty parts.
+ANALYSIS_LISTS = st.lists(
+    st.sampled_from([*SELECTABLE, "bogus", "", " ", "Stats"]), max_size=4
+).map(",".join)
+
+
+def values_for(flag: str, action: argparse.Action):
+    """The values drawn for ``flag``: by its kind where the fuzz knows it, and
+    any float text for a flag it does not."""
+    if flag in ("--flows", "--gdp", "--out", "--config"):
+        return PATHS
+    if flag == "--years":
+        return YEARS
+    if flag == "--analyses":
+        return ANALYSIS_LISTS
+    if action.choices:
+        return st.sampled_from([*action.choices, "bogus", ""])
+    return VALUES
+
+
+FLAGS = command_flags()
+
+
+@st.composite
+def invocations(draw) -> tuple[str, dict[str, str]]:
+    """A command and its flags: a run that reaches every stage, with some flags
+    left out and some drawn from ``values_for``."""
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    flags = {flag: "input" for flag in ("--flows", "--gdp", "--out") if flag in FLAGS[command]}
+    if "--years" in FLAGS[command]:
+        flags["--years"] = "1999:2000"
+    flags.pop(draw(st.sampled_from([None, None, None, *sorted(flags)])), None)
+    drawn = draw(st.sets(st.sampled_from(sorted(FLAGS[command])), max_size=3))
+    flags.update({flag: draw(values_for(flag, FLAGS[command][flag])) for flag in sorted(drawn)})
+    return command, flags
+
+
+def test_the_parser_gives_every_command_its_flags():
+    assert sorted(FLAGS) == ["all", "analyze", "build", "report", "stats", "verify"]
+    assert set(FLAGS["build"]) == {"--flows", "--gdp", "--scheme", "--threshold", "--years", "--out",
+                                   "--config"}
+    assert {"--analyses", "--bandwidth", "--strong-cut"} <= set(FLAGS["all"])
+    assert set(FLAGS["verify"]) == {"--out"}
+
+
+def test_every_commands_flags_exit_0_1_or_2_with_one_error_line(tmp_path, capsys):
     flows, gdp = write_panel_csvs(tmp_path)
+    base = tmp_path / "base"
+    assert main(["all", "--flows", str(flows), "--gdp", str(gdp), "--years", "1999:2000",
+                 "--out", str(base)]) == 0
+    config = tmp_path / "run.cfg"
+    config.write_text("ci_level = 0.8\n", encoding="utf-8")
     runs = count()
 
-    @hypothesis.settings(max_examples=1000, deadline=None)
-    @hypothesis.given(st.dictionaries(st.sampled_from(FLOAT_FLAGS), VALUES, min_size=1))
-    def check(flags):
-        run(capsys, [
-            "all", "--flows", str(flows), "--gdp", str(gdp), "--years", "1999:2000",
-            "--out", str(tmp_path / f"out{next(runs)}"),
-            *(f"{flag}={value}" for flag, value in flags.items()),
-        ])
+    def resolve(command: str, flag: str, where: str, at: int) -> str:
+        """The path that ``where`` (see ``PATHS``) names for ``flag`` in run ``at``."""
+        if where == "input":
+            if flag != "--out":
+                return str({"--flows": flows, "--gdp": gdp, "--config": config}[flag])
+            if command not in ("report", "verify"):
+                return str(tmp_path / f"out{at}")
+            where = "bundle"
+        if where == "bundle":
+            copy = tmp_path / f"bundle{at}"
+            if not copy.exists():
+                shutil.copytree(base, copy)
+            return str(copy)
+        if where == "directory":
+            (tmp_path / f"dir{at}").mkdir(exist_ok=True)
+            return str(tmp_path / f"dir{at}")
+        return {"missing": str(tmp_path / f"missing{at}" / "x"), "file": str(flows)}.get(where, where)
+
+    @hypothesis.settings(max_examples=600, deadline=None)
+    @hypothesis.given(invocations())
+    def check(invocation):
+        command, flags = invocation
+        at = next(runs)
+        paths = {"--flows", "--gdp", "--out", "--config"}
+        run(capsys, [command, *(
+            f"{flag}={resolve(command, flag, value, at) if flag in paths else value}"
+            for flag, value in flags.items()
+        )])
 
     check()
 
@@ -176,7 +268,7 @@ def test_edited_bundles_exit_0_1_or_2_with_one_error_line(tmp_path, capsys):
     def edits(draw):
         kind = draw(st.sampled_from(["byte", "truncate", "delete", "directory", "unlisted", "manifest"]))
         if kind == "unlisted":
-            name = draw(st.sampled_from(["notes.txt", "stats_1998.csv", ".wnet-x", "matrix_2000.txt",
+            name = draw(st.sampled_from(["notes.txt", "stats_1998.csv", ".wnet-x", "links_2000.csv",
                                          os.fsdecode(b"notes\xff.txt")])
                         | st.from_regex(r"[A-Za-z0-9_.-]{1,12}", fullmatch=True))
             return kind, name, None

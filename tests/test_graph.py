@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -9,17 +8,19 @@ import pytest
 from wnet import (
     DataError,
     DirectedTradeNetwork,
+    PipelineConfig,
     ValidationError,
     WeightScheme,
     WeightVariant,
     build_directed,
-    dump_matrix,
-    load_matrix,
+    run_pipeline,
+    save_panel,
     symmetrize,
     symmetry_index,
 )
+from wnet.pipeline import bundle_names, read_bundle
 
-from conftest import make_undirected, panel_from_rows, random_panel, rescaled_panel
+from conftest import panel_from_rows, random_panel, rescaled_panel
 from oracles import frobenius_oracle
 
 
@@ -219,61 +220,49 @@ def test_symmetry_index_is_exact_at_any_power_of_two_scale(exponent):
     assert symmetry_index(build_directed(panel_of(scaled), 2000, scheme)) == base
 
 
-def test_matrix_dump_round_trip(tmp_path, rng):
+def link_tables(tmp_path, panel, scheme=WeightScheme()):
+    """The manifest and the ``links_<year>.csv`` columns of a ``links`` run over
+    ``panel``, read back through ``read_bundle``."""
+    flows, sizes = tmp_path / "flows.csv", tmp_path / "gdp.csv"
+    save_panel(panel, flows, sizes)
+    config = PipelineConfig(flows, sizes, scheme, panel.years, tmp_path / "out",
+                            analyses=frozenset({"links"}))
+    run_pipeline(config)
+    return read_bundle(config.out_dir, bundle_names(config.analyses, panel.years))
+
+
+def test_link_table_round_trip(tmp_path, rng):
     panel = random_panel(rng, n=8, p=0.5)
     und = symmetrize(build_directed(panel, 2000, WeightScheme()))
-    path = tmp_path / "matrix_2000.txt"
-    path.write_text(dump_matrix(und), encoding="utf-8")
-    text = path.read_text(encoding="utf-8")
-    assert text.startswith(f"# year=2000 scheme=exporter-gdp normalizer=")
-    loaded = load_matrix(path)
-    assert loaded.year == 2000
-    assert loaded.scheme_name == "exporter-gdp"
-    assert loaded.normalizer == und.normalizer  # bit-exact
-    assert (loaded.weights == und.weights).all()  # bit-exact
+    manifest, files = link_tables(tmp_path, panel)
+    table = files["links", 2000]
+    i, j = (np.array([panel.codes.index(c) for c in table[k]]) for k in ("country_i", "country_j"))
+    assert list(zip(i, j)) == sorted(zip(i, j)) and (i < j).all()  # in code order, each pair once
+    assert und.adjacency[i, j].all() and len(i) == und.adjacency.sum() // 2  # every link
+    assert manifest["normalizers"] == {"2000": und.normalizer}  # bit-exact
+    assert np.array_equal(table["weight"].view(np.uint64), und.weights[i, j].view(np.uint64))
 
 
-def test_dump_matrix_header_contains_normalizer(rng):
-    panel = random_panel(rng, n=5, p=0.8)
-    und = symmetrize(build_directed(panel, 2000, WeightScheme()))
-    # 0.1 is "0.1" as repr and "0.10000000000000001" as .17g.
-    und = dataclasses.replace(und, normalizer=0.1)
-    header = dump_matrix(und).splitlines()[0]
-    assert header.endswith(" normalizer=0.1")
-    assert f"{und.normalizer:.17g}" not in header
-
-
-def test_dump_matrix_cells_are_the_shortest_round_trip_digits(tmp_path, rng):
-    # Zeros, cells below 1e-4 (which repr writes in scientific form), the
-    # smallest subnormal and the maximum's 1.0.
-    n = 12
-    upper = np.triu(rng.random((n, n)) * 10.0 ** rng.integers(-12, 0, (n, n)), 1)
-    upper[rng.random((n, n)) < 0.3] = 0.0
-    w = upper + upper.T
-    w[0, 1] = w[1, 0] = 1.0
-    w[0, 2] = w[2, 0] = 5e-324
-    assert (w == 0).any() and ((w > 0) & (w < 1e-4)).sum() > 10
-    net = dataclasses.replace(make_undirected(w, normalize=False), normalizer=2 / 3)
-    text = dump_matrix(net)
-    assert text.splitlines() == [
-        f"# year=2000 scheme=exporter-gdp normalizer={net.normalizer!r}",
-        *(" ".join(map(repr, row)) for row in w.tolist()),
+def test_link_table_cells_are_the_shortest_round_trip_digits(tmp_path):
+    # Raw weights over 600 decades: the maximum's 1.0, cells below 1e-4 (which
+    # repr writes in scientific form), a subnormal, and a link whose weight
+    # underflows to 0.0, which is still listed.
+    flows = [
+        (2000, "A", "B", 1e300), (2000, "B", "A", 1e300), (2000, "A", "C", 3e295),
+        (2000, "C", "D", 7e-10), (2000, "B", "D", 1e-300), (2000, "E", "A", 0.3),
     ]
-    path = tmp_path / "matrix_2000.txt"
-    path.write_text(text, encoding="utf-8")
-    loaded = load_matrix(path)
-    assert loaded.normalizer == net.normalizer
-    assert np.array_equal(loaded.weights.view(np.uint64), w.view(np.uint64))  # bit-exact
-
-
-def test_load_matrix_rejects_garbage(tmp_path):
-    path = tmp_path / "m.txt"
-    path.write_text("0 1\n1 0\n", encoding="utf-8")
-    with pytest.raises(DataError, match="header"):
-        load_matrix(path)
-    path.write_text("# year=2000 scheme=raw normalizer=1\n0 1\n1\n", encoding="utf-8")
-    with pytest.raises(DataError, match="not square"):
-        load_matrix(path)
+    panel, scheme = panel_of(flows), WeightScheme(WeightVariant.RAW)
+    und = symmetrize(build_directed(panel, 2000, scheme))
+    i, j = np.nonzero(np.triu(und.adjacency, 1))
+    weights = und.weights[i, j]
+    assert 1.0 in weights and 0.0 in weights and ((weights > 0) & (weights < 1e-4)).sum() == 3
+    assert ((weights > 0) & (weights < 2.0**-1022)).any()  # a subnormal
+    _, files = link_tables(tmp_path, panel, scheme)
+    text = (tmp_path / "out" / "links_2000.csv").read_text(encoding="utf-8")
+    assert text.splitlines() == ["country_i,country_j,weight", *(
+        f"{panel.codes[a]},{panel.codes[b]},{w!r}" for a, b, w in zip(i, j, weights.tolist())
+    )]
+    assert np.array_equal(files["links", 2000]["weight"].view(np.uint64), weights.view(np.uint64))
 
 
 def test_symmetrize_rejects_linkless_network():

@@ -506,11 +506,11 @@ _WRITERS = {
 
 
 #: Where the package reads a file: the input reader, the manifest's reader, the
-#: one digest check, the bundle reader, the matrix dump's reader and the config
-#: file's reader.  Every bundle file is parsed through ``read_bundle``.
+#: one digest check, the bundle reader and the config file's reader.  Every
+#: bundle file is parsed through ``read_bundle``.
 _READERS = {
     "ingest._read_table", "pipeline.read_manifest", "pipeline._check_listed",
-    "pipeline.read_bundle", "graph.load_matrix", "cli.read_config_file",
+    "pipeline.read_bundle", "cli.read_config_file",
 }
 
 
