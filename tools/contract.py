@@ -1,6 +1,6 @@
 """The bundle contract as one command: which output bytes a change moves.
 
-Usage: python tools/contract.py --against REV [--expect GLOB ...] [--summary PATH]
+Usage: python tools/contract.py --against REV [--expect GLOB ...]
 
 It extracts ``src/`` of the git revision REV with ``git archive`` into a
 fresh directory outside both trees, writes the seed-0 inputs of the
@@ -15,7 +15,7 @@ file moves if its bytes differ or only one side has it.  The command exits 0
 only if nothing moved, or if every moved file's path (``<workload>/
 <sequence>/...``, as ``paper-159x20/build/bundle/counts.csv``) matches an
 ``--expect`` glob; otherwise 1.  The last line of its stdout is a JSON
-summary, which ``--summary`` also writes to a file.
+summary.
 """
 
 from __future__ import annotations
@@ -141,7 +141,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--against", required=True, help="git revision to compare with")
     parser.add_argument("--expect", action="append", default=[], metavar="GLOB",
                         help="a moved file that matches GLOB passes (repeatable)")
-    parser.add_argument("--summary", type=Path, help="also write the JSON summary here")
     args = parser.parse_args(argv)
     start = time.perf_counter()
     work = Path(tempfile.mkdtemp(prefix="wnet-contract-"))
@@ -164,12 +163,9 @@ def main(argv: list[str] | None = None) -> int:
         "sequences": SEQUENCES, "expect": args.expect, **found,
         "seconds": round(time.perf_counter() - start, 1),
     }
-    text = json.dumps(summary, sort_keys=True)
-    if args.summary is not None:
-        args.summary.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"{found['identical']} files identical, {moved} moved, "
           f"{len(found['unexpected'])} of them unexpectedly")
-    print(text)
+    print(json.dumps(summary, sort_keys=True))
     return 0 if found["passed"] else 1
 
 
