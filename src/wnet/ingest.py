@@ -27,7 +27,7 @@ import time
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, chain, count, islice
+from itertools import accumulate, chain, count, groupby, islice
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -352,26 +352,36 @@ def load_panel(
     return PanelDataset(codes, years, flow_year, exporter, importer, value, gdp, missing_gdp)
 
 
-def float_cells(values: np.ndarray) -> list[str]:
-    """``"" if v != v else repr(v)`` for each float64 of the 1-D ``values``: the
-    shortest digits that read back as the same double.
+def _float_block(columns: list) -> tuple[str, int]:
+    """The text of a block of float columns, and its row count: each row's
+    cells joined by commas, ``"" if v != v else repr(v)`` for each float64 v,
+    the shortest digits that read back as the same double; the rows joined by
+    newlines, with none after the last.  Raises ValueError on unequal lengths.
 
-    The digits come from orjson's Ryū.  orjson writes ``1e16``, ``1e-7`` and
-    ``0.00001`` where ``repr`` writes ``1e+16``, ``1e-07`` and ``1e-05``, and
-    ``null`` for NaN and both infinities; so the cells ``repr`` writes in
-    scientific form (``|x| >= 1e16`` or ``0 < |x| < 1e-4``) and the infinite ones
-    come from ``repr`` itself, and the nulls left are NaN.
+    The text is one ``orjson.dumps`` (Ryū) of the block's row-major values, in
+    which every k-th comma of k columns becomes a newline.  orjson writes
+    ``1e16``, ``1e-7`` and ``0.00001`` where ``repr`` writes ``1e+16``,
+    ``1e-07`` and ``1e-05``, and ``null`` for NaN and both infinities; so those
+    cells (``|x| >= 1e16`` or ``0 < |x| < 1e-4``, and the ones that are not
+    finite) are spliced in from ``repr``, or empty for NaN.
     """
-    x = np.ascontiguousarray(values, np.float64)
-    if not x.size:
-        return []
-    text = orjson.dumps(x, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].replace(b"null", b"")
-    cells = text.decode("ascii").split(",")
-    magnitude = np.abs(x)
-    scientific = np.flatnonzero((magnitude >= 1e16) | ((magnitude > 0) & (magnitude < 1e-4)))
-    for i, v in zip(scientific.tolist(), x[scientific].tolist()):
-        cells[i] = repr(v)
-    return cells
+    k = len(columns)
+    x = np.column_stack([np.asarray(c, np.float64) for c in columns]).ravel()
+    out = bytearray(orjson.dumps(x, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1])
+    raw = np.frombuffer(out, np.uint8)
+    commas = np.flatnonzero(raw == ord(","))
+    raw[commas[k - 1 :: k]] = ord("\n")
+    m = np.abs(x)
+    spliced = np.flatnonzero(~((m >= 1e-4) & (m < 1e16) | (m == 0)))
+    text = out.decode("ascii")
+    if spliced.size:  # cell i is text[bounds[i] + 1 : bounds[i + 1]]
+        bounds = np.concatenate([[-1], commas, [len(text)]])
+        starts, ends = (bounds[spliced] + 1).tolist(), bounds[spliced + 1].tolist()
+        pieces = [""] * (2 * len(starts) + 1)  # the text between spliced cells, and theirs
+        pieces[::2] = [text[a:b] for a, b in zip([0, *ends], [*starts, len(text)])]
+        pieces[1::2] = ["" if v != v else repr(v) for v in x[spliced].tolist()]
+        text = "".join(pieces)
+    return text, len(x) // k
 
 
 _QUOTED = re.compile(r'[,"\r\n]')  # what a label cell may not hold unquoted
@@ -389,22 +399,29 @@ def _label_cells(labels) -> list[str]:
 def format_table(header: str, *columns) -> str:
     """CSV text: ``header``, then one line per row of the equal-length columns.
 
-    A float column's cells are ``float_cells``, empty for NaN, and an integer
-    column's are ``str``; neither is ever quoted.  Any other column holds labels,
-    written as ``str``, except that a label holding a comma, a double quote, CR or
-    LF is quoted as RFC 4180 has it: in double quotes, each inner quote doubled.
-    So the csv module reads every cell back as it was given.  Every line ends in
-    a newline.  Raises ValueError on unequal lengths.
+    Each run of adjacent float columns is one block of text (``_float_block``),
+    its cells empty for NaN, and an integer column's cells are ``str``; neither
+    is ever quoted.  Any other column holds labels, written as ``str``, except
+    that a label holding a comma, a double quote, CR or LF is quoted as RFC 4180
+    has it: in double quotes, each inner quote doubled.  So the csv module reads
+    every cell back as it was given.  Every line ends in a newline.  Raises
+    ValueError on unequal lengths.
     """
+    arrays = [np.asarray(column) for column in columns]
+    if arrays and all(values.dtype.kind == "f" for values in arrays):
+        text, rows = _float_block(arrays)  # one float block: no cell is a str of its own
+        return f"{header}\n{text}\n" if rows else header + "\n"
     cells = []
-    for column in columns:
-        values = np.asarray(column)
-        if values.dtype.kind == "f":
-            cells.append(float_cells(values))
-        elif values.dtype.kind in "biu":
-            cells.append(map(str, values.tolist()))
-        else:  # a str array drops a label's trailing NULs, so labels are taken as given
-            cells.append(_label_cells(values.tolist() if isinstance(column, np.ndarray) else column))
+    for floats, run in groupby(zip(columns, arrays), key=lambda cv: cv[1].dtype.kind == "f"):
+        if floats:
+            text, rows = _float_block([values for _, values in run])
+            cells.append(text.split("\n") if rows else [])
+            continue
+        for column, values in run:
+            if values.dtype.kind in "biu":
+                cells.append(map(str, values.tolist()))
+            else:  # a str array drops a label's trailing NULs, so labels are taken as given
+                cells.append(_label_cells(values.tolist() if isinstance(column, np.ndarray) else column))
     return "\n".join([header, *map(",".join, zip(*cells, strict=True))]) + "\n"
 
 

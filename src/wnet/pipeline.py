@@ -19,32 +19,35 @@ bundle table: ``run_pipeline`` returns each file's columns, keyed as
 ``read_bundle`` reads back, and every file's text is made from its columns
 by one rule (``_makers``): the columns in its kind's ``LAYOUT`` header order,
 through ``format_table``.
-Nothing is written until the inputs have been read and every selected year
-found in them.  Every command then writes in one lifecycle,
-``with write_bundle(out_dir, names) as commit``.  Entering makes the output
-directory and a ``.wnet-*`` staging directory in it, and, for two or more
-files, forks a child that creates them there, empty, while the command
-computes: creating a file is costly on virtualised and network filesystems,
-and filling one that exists is not.  ``commit`` makes each file's text only
-as it writes the file there, every file in this process, hashes the bytes
-it writes, renames the files into place, the manifest last, and then deletes
-the files that only the previous manifest listed.  It does not wait for the
-creating child: both processes open a staged file by one rule, create it or
-open it and never truncate, so whichever opens it first creates it, and the
-child is stopped once every file is made.  Nothing staged needs truncating,
-since the staging directory is new and the child writes no byte; and
-truncating costs, since ext4 (``auto_da_alloc``) flushes a file truncated
-and rewritten to disk when it is closed.
+Nothing is written until the config is valid.  Every command then writes in
+one lifecycle, ``with write_bundle(out_dir, names) as commit``, entered
+before the inputs are read.  Entering makes the output directory and a
+``.wnet-*`` staging directory in it, and, for two or more files, forks a
+child that creates them there, empty, while the command reads its inputs and
+computes: creating a file is costly on virtualised and network filesystems
+(a new inode can take hundreds of microseconds of kernel time), and filling
+one that exists is not.  The child takes the names of the configured years
+one at a time, so a year range of any length costs it nothing up front, and
+names the commit will not write are removed with the staging directory.
+``commit`` makes each file's text only as it writes the file there, every
+file in this process, hashes the bytes it writes, renames the files into
+place, the manifest last, and then deletes the files that only the previous
+manifest listed.  It does not wait for the creating child: both processes
+open a staged file by one rule, open it if it is there, create it only if it
+is absent and never truncate, so whichever opens it first creates it, and
+the child is stopped once every file is made.  Nothing staged needs
+truncating, since the staging directory is new and the child writes no byte;
+and truncating costs, since ext4 (``auto_da_alloc``) flushes a file
+truncated and rewritten to disk when it is closed.
 Leaving, however it happens, stops and reaps the child if it is still there
 and removes the staging directory, and the directories it made while they
-are empty.  So a run that fails leaves no partial bundle, and the previous
-bundle as it was.
+are empty.  So a run that fails, on its inputs too, leaves no ``--out`` it
+made, no staging and no partial bundle, and the previous bundle as it was.
 The child only speeds the write up: its exit status is not read, and a child
 that fails or cannot be forked costs time but does not fail the run.  Every
 byte and every digest comes from this process, so the output does not depend
-on the child.  (It is forked from a process that may hold BLAS threads, so
-it runs no BLAS; Python 3.12 and later warn at each fork of a process with
-threads.)
+on the child.  (It runs no BLAS; Python 3.12 and later warn at each fork of a
+process with threads, which a process that has loaded numpy's BLAS may be.)
 ``verify_bundle`` re-hashes a bundle against its manifest without writing.
 """
 
@@ -63,9 +66,9 @@ import time
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import partial
-from itertools import product, takewhile
+from itertools import chain, islice, product, takewhile
 from pathlib import Path
-from typing import Callable, Collection, Iterator, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -340,48 +343,64 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _open_staged(path: Path) -> int:
-    """A descriptor to write the staged file ``path``, which is created if it
-    is absent and never truncated: the one way either writer process opens
-    a staged file."""
-    return os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+def _open_staged(path: Path) -> tuple[int, bool]:
+    """A descriptor to write the staged file ``path``, and whether this call
+    created it.  The file is opened if it is there, created only if it is
+    absent, and never truncated: the one way either writer process opens a
+    staged file."""
+    flags = os.O_WRONLY | getattr(os, "O_BINARY", 0)
+    with suppress(FileNotFoundError):
+        return os.open(path, flags), False
+    try:
+        return os.open(path, flags | os.O_CREAT | os.O_EXCL, 0o666), True
+    except FileExistsError:  # the other process created it in between
+        return os.open(path, flags), False
 
 
-def _write_staged(path: Path, data: bytes) -> None:
-    """Write all of ``data`` to the staged file ``path``, which is empty or absent."""
-    with open(_open_staged(path), "wb") as fh:
-        fh.write(data)
+def _write_staged(path: Path, data: bytes) -> bool:
+    """Write all of ``data`` to the staged file ``path``, which is empty or
+    absent, and return whether this write created the file."""
+    fd, created = _open_staged(path)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view) :]
+    finally:
+        os.close(fd)
+    return created
 
 
 @contextmanager
 def write_bundle(
-    out_dir: Path, names: Collection[str]
+    out_dir: Path, names: Iterable[str]
 ) -> Iterator[Callable[[Mapping[str, Callable[[], str]], dict | None], str]]:
     """The one write of a bundle into ``out_dir``, from staging to cleanup.
 
     On entry it makes ``out_dir`` (with any missing directory above it) and a
-    ``.wnet-*`` staging directory inside it.  Given two or more ``names``, the
-    files to come, it also forks a child that creates each of them there,
-    empty, while the caller computes, where ``os.fork`` exists and two or
-    more CPUs are usable.  The child's exit status is not read.
+    ``.wnet-*`` staging directory inside it.  If ``names``, the files to come,
+    yields two or more, it also forks a child that creates each of them there,
+    empty, while the caller computes, where ``os.fork`` exists and two or more
+    CPUs are usable.  ``names`` is taken lazily: it is peeked for two names, and
+    only the child goes on through it, so it may name more files than the
+    commit writes, or never end.  The child's exit status is not read.
 
     It yields ``commit(files, manifest)``, which commits ``files``, each
     name's text made by its zero-argument maker.  It does not wait for the
     creating child: it makes and writes every file in this process, each
     write creating its file if the child has not.  Both processes open a
-    staged file by ``_open_staged``'s one rule, create it or open it and
-    never truncate, so whichever opens a file first creates it.  No staged
-    file needs truncating, since the staging directory is new and the child
-    writes nothing, and on ext4 a truncated file is flushed to disk when it
-    is closed.  Each file's digest is the sha256 of the bytes written, so no
-    staged file is read back.  Once every file is made, the creating child
-    is stopped (SIGKILL) and reaped.  Unless ``manifest`` is None, the
-    digests are added to ``manifest["files"]`` and it is written as
-    ``manifest.json``.  Only then are the files renamed into place,
-    ``manifest.json`` last, and the files that the previous manifest listed
-    and the new one does not are deleted.  ``commit`` returns the note of
-    the write's stage line: the file count and the seconds spent in the
-    makers.
+    staged file by ``_open_staged``'s one rule, open it if it is there, create
+    it only if it is absent and never truncate, so whichever opens a file
+    first creates it.  No staged file needs truncating, since the staging
+    directory is new and the child writes nothing, and on ext4 a truncated
+    file is flushed to disk when it is closed.  Each file's digest is the
+    sha256 of the bytes written, so no staged file is read back.  Once every
+    file is made, the creating child is stopped (SIGKILL) and reaped.  Unless
+    ``manifest`` is None, the digests are added to ``manifest["files"]`` and it
+    is written as ``manifest.json``.  Only then are the files renamed into
+    place, ``manifest.json`` last, and the files that the previous manifest
+    listed and the new one does not are deleted.  ``commit`` returns the note
+    of the write's stage line: the file count, the seconds spent in the makers
+    and how many of the files the commit itself created.
 
     On exit, however it happens, the child is stopped and reaped if it is
     still there, then the staging directory is removed, and the directories
@@ -391,10 +410,6 @@ def write_bundle(
     made = list(takewhile(lambda path: not path.exists(), (out_dir, *out_dir.parents)))
     staging = None
     child: int | None = None  # the creating child, until it is reaped
-
-    def create() -> None:
-        for name in names:
-            os.close(_open_staged(staging / name))
 
     def stop() -> None:
         """Kill (SIGKILL) and reap the creating child if it is there."""
@@ -406,13 +421,14 @@ def write_bundle(
 
     def commit(files: Mapping[str, Callable[[], str]], manifest: dict | None) -> str:
         texts = 0.0
+        created = 0
         digests = {}
         for name, maker in files.items():
             start = time.perf_counter()
             text = maker()
             texts += time.perf_counter() - start
             data = text.encode("utf-8")
-            _write_staged(staging / name, data)
+            created += _write_staged(staging / name, data)
             digests[name] = hashlib.sha256(data).hexdigest()
         stop()  # the creating child: every file is made without it
         if manifest is not None:
@@ -431,17 +447,20 @@ def write_bundle(
             if stale:
                 logger.info("removed %d files that only the previous manifest listed", len(stale))
         logger.info("wrote %d files to %s", len(files) + (manifest is not None), out_dir)
-        return f"{len(files)} files; texts {texts:.2f} s"
+        return f"{len(files)} files; texts {texts:.2f} s; {created} created by the commit"
 
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         staging = Path(tempfile.mkdtemp(prefix=".wnet-", dir=out_dir))
-        if len(names) >= 2 and hasattr(os, "fork") and _usable_cpus() >= 2:
+        names = iter(names)
+        first = list(islice(names, 2))
+        if len(first) == 2 and hasattr(os, "fork") and _usable_cpus() >= 2:
             with suppress(OSError):  # no process to spare: the commit creates every file
                 child = os.fork()
             if child == 0:
                 try:
-                    create()
+                    for name in chain(first, names):
+                        os.close(_open_staged(staging / name)[0])
                 finally:
                     os._exit(0)
         yield commit
@@ -461,38 +480,40 @@ def bundle_names(analyses: Collection[str], years: Sequence[int]) -> dict:
     ``("links", year)``, ``"moments"``, ``("correlations", pair)``,
     ``("density", statistic, year)``, ``("ranksize", year)``, ``"tailfit"``,
     ``"symmetry"``, ``"comparison"`` or ``"counts"``.  ``run_pipeline`` takes every name
-    from here, both to stage the files and to make them.
+    from ``_named_files``, the generator behind this dict, both to stage the
+    files and to make them.
     """
-    names: dict = {}
+    return dict(_named_files(analyses, years))
+
+
+def _named_files(analyses: Collection[str], years: Sequence[int]) -> Iterator[tuple]:
+    """The (key, name) pairs of ``bundle_names``, in write order, made one at a
+    time: it never holds every year, so ``years`` may be a range of any length."""
     if "stats" in analyses:
-        names.update({("stats", year): f"stats_{year}.csv" for year in years})
+        for year in years:
+            yield ("stats", year), f"stats_{year}.csv"
     if "links" in analyses:
-        names.update({("links", year): f"links_{year}.csv" for year in years})
+        for year in years:
+            yield ("links", year), f"links_{year}.csv"
     if "moments" in analyses:
-        names["moments"] = "moments.csv"
+        yield "moments", "moments.csv"
     if "correlations" in analyses:
-        names.update({
-            ("correlations", pair): f"correlation_{pair.lower().replace('-', '_')}.csv"
-            for pair in SUPPORTED_PAIRS
-        })
+        for pair in SUPPORTED_PAIRS:
+            yield ("correlations", pair), f"correlation_{pair.lower().replace('-', '_')}.csv"
     if "density" in analyses:
-        names.update({
-            ("density", name, year): f"density_{name}_{year}.csv"
-            for year in years
-            for name in DENSITY_STATISTICS
-        })
+        for year in years:
+            for name in DENSITY_STATISTICS:
+                yield ("density", name, year), f"density_{name}_{year}.csv"
     if "ranksize" in analyses:
-        names.update({
-            ("ranksize", year): f"ranksize_{HEAVY_TAIL_STATISTIC}_{year}.csv" for year in years
-        })
+        for year in years:
+            yield ("ranksize", year), f"ranksize_{HEAVY_TAIL_STATISTIC}_{year}.csv"
     if "tailfit" in analyses:
-        names["tailfit"] = "tailfit.csv"
+        yield "tailfit", "tailfit.csv"
     if "symmetry" in analyses:
-        names["symmetry"] = "symmetry.csv"
+        yield "symmetry", "symmetry.csv"
     if "correlations" in analyses:
-        names["comparison"] = "comparison.csv"
-    names["counts"] = "counts.csv"
-    return names
+        yield "comparison", "comparison.csv"
+    yield "counts", "counts.csv"
 
 
 def _makers(names: Mapping, tables: Mapping) -> dict[str, Callable[[], str]]:
@@ -552,18 +573,22 @@ def run_pipeline(config: PipelineConfig) -> tuple[dict, dict]:
     Writes every output file plus the manifest to ``config.out_dir``, and
     returns the manifest and each file's table, its columns keyed as
     ``bundle_names`` keys the file: the pair that ``read_bundle`` reads back
-    from the bundle.  Nothing is written before the inputs are read and the
-    year selection is checked against them; the write (``write_bundle``) is
-    then staged for the selected years, and a run that fails after that
-    leaves no trace.  The seconds of each stage go to the log at INFO, never
-    into the bundle.
+    from the bundle.  Nothing is written before the config is validated.  The
+    write (``write_bundle``) is then staged before the inputs are read, so
+    that its files are created while ingest and the analyses run: the creating
+    child takes the names of the configured years, one at a time, and the
+    commit those of the years ``select_years`` finds.  A run that fails after
+    that, on its inputs too, leaves no ``--out`` it made and no staging, and
+    the previous bundle as it was.  The seconds of each stage go to the log at
+    INFO, never into the bundle.
     """
     timer = _StageTimer()
     config.validate()
-    panel = load_panel(config.flows, config.gdp)
-    years = select_years(panel, config.years)
-    names = bundle_names(config.analyses, years)
-    with write_bundle(config.out_dir, names.values()) as commit:
+    staged = (name for _, name in _named_files(config.analyses, config.years))
+    with write_bundle(config.out_dir, staged) as commit:
+        panel = load_panel(config.flows, config.gdp)
+        years = select_years(panel, config.years)
+        names = bundle_names(config.analyses, years)
         timer.lap("ingest")
         tables, manifest = _analyse(config, panel, years, names, timer)
         note = commit(_makers(names, tables), manifest)
@@ -585,9 +610,12 @@ def _analyse(
     stats: dict[int, dict[str, np.ndarray]] = {}
     normalizers: dict[str, float] = {}
     symmetry: list[float] = []
+    counts: list[tuple[int, str, int]] = []
     codes = np.array(panel.codes, dtype=object)
-    # Every year has the panel's codes: statistic j of year i is row
-    # stack[i, j], ordered as MOMENT_STATISTICS.
+    # Every analysis but the link tables and the symmetry index reads the
+    # node statistics.  Every year has the panel's codes: statistic j of
+    # year i is row stack[i, j], ordered as MOMENT_STATISTICS.
+    reads_stats = bool(config.analyses - {"links", "symmetry"})
     stack = np.empty((len(years), len(MOMENT_STATISTICS), len(panel.codes)))
     for i, year in enumerate(years):
         directed = build_directed(panel, year, config.scheme)
@@ -604,9 +632,16 @@ def _analyse(
                 "links", codes[linked[0]], codes[linked[1]], net.weights[linked]
             )
             timer.lap("links")
-        stats[year] = columns = node_stats(net)
-        stack[i] = [columns[name] for name in MOMENT_STATISTICS]
         normalizers[str(year)] = float(net.normalizer)
+        if reads_stats:
+            stats[year] = columns = node_stats(net)
+            stack[i] = [columns[name] for name in MOMENT_STATISTICS]
+        # As node_stats defines them: annd and anns are undefined where a
+        # country has no link, bcc and wcc where it has at most one.
+        nd = net.adjacency.sum(axis=1)
+        isolated, lone = int((nd == 0).sum()), int((nd <= 1).sum())
+        counts += [(year, "annd_undefined", isolated), (year, "anns_undefined", isolated),
+                   (year, "bcc_undefined", lone), (year, "wcc_undefined", lone)]
         timer.lap("node stats")
 
     def rows(what: str, *statistics: str) -> tuple[np.ndarray, Callable[[int], str]]:
@@ -620,13 +655,6 @@ def _analyse(
         return stack[:, at].reshape(-1, stack.shape[2]), where
 
     bandwidths: dict[str, float] = {}
-    undefined = np.isnan(stack[:, 2:]).sum(axis=2).tolist()  # annd, anns, bcc, wcc
-    counts = [
-        (year, f"{name}_undefined", count)
-        for year, row in zip(years, undefined)
-        for name, count in zip(MOMENT_STATISTICS[2:], row)
-    ]
-    timer.lap("node stats")
     if "stats" in config.analyses:
         tables.update((("stats", year), stats[year]) for year in years)
     if "moments" in config.analyses:

@@ -1089,7 +1089,7 @@ def test_a_build_that_fails_in_its_second_year_leaves_no_trace(
 
 @needs_fork
 @pytest.mark.parametrize("command", ["all", "build"])
-def test_a_missing_year_forks_nothing_and_makes_no_directory(
+def test_a_missing_year_reaps_its_creating_child_and_makes_no_directory(
     toy_csvs, tmp_path, capsys, monkeypatch, command
 ):
     flows, gdp = toy_csvs
@@ -1102,7 +1102,8 @@ def test_a_missing_year_forks_nothing_and_makes_no_directory(
         )
     assert code == 2
     assert capsys.readouterr().err == "error: year 2030 not present in panel\n"
-    assert forks == []
+    assert forks == [os.getpid()]  # the creating child, forked before ingest
+    assert_no_child_left()
     assert not (tmp_path / "new").exists() and not list(tmp_path.rglob(".wnet-*"))
 
 

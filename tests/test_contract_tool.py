@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import importlib.util
 import shutil
+import sys
 from pathlib import Path
 
 from wnet.cli import main
@@ -73,3 +74,12 @@ def test_moved_files_pass_only_where_an_expect_glob_covers_them(tmp_path):
     assert found["unexpected"] == ["toy/build/bundle/matrix_2000.txt"] and not found["passed"]
     found = contract.compare(base, change, ("*/all/*",))
     assert len(found["unexpected"]) == 2 and not found["passed"]
+
+
+def test_every_benchmark_workload_is_compared():
+    sys.path.insert(0, str(TOOL.parents[1] / "perfbench"))
+    try:
+        from run import WORKLOADS
+    finally:
+        sys.path.pop(0)
+    assert sorted(contract.WORKLOADS) == sorted(WORKLOADS)

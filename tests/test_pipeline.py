@@ -190,8 +190,9 @@ def test_stage_timings_go_to_the_log(toy_csvs, tmp_path, caplog, monkeypatch, pa
         "ingest", "build", "symmetry", "symmetrize", "node stats", "moments",
         "correlations", "density", "ranksize", "tailfit", "write",
     ]
-    write = re.fullmatch(r" \(18 files; texts (\d+\.\d\d) s\)", note)  # the write line
+    write = re.fullmatch(r" \(18 files; texts (\d+\.\d\d) s; (\d+) created by the commit\)", note)
     assert write and float(write[1]) <= stages["write"] + 0.005
+    assert int(write[2]) <= 18
     (run,) = [float(m[1]) for line in lines if (m := re.fullmatch(r"run: (\S+) s in 11 stages", line))]
     rounding = 0.00005 * (len(stages) + 1)
     assert abs(sum(stages.values()) - run) <= rounding
@@ -202,9 +203,23 @@ def test_stage_timings_go_to_the_log(toy_csvs, tmp_path, caplog, monkeypatch, pa
 def write_stage(records) -> float:
     """The seconds of the last run's write stage."""
     for record in reversed(records):
-        if match := re.fullmatch(r"stage write: (\S+) s \(\d+ files; texts \S+ s\)", record.getMessage()):
+        message = record.getMessage()
+        if match := re.fullmatch(r"stage write: (\S+) s \(\d+ files; texts \S+ s; \d+ created by the commit\)", message):
             return float(match[1])
     raise AssertionError("no write stage line")
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_with_one_usable_cpu_the_commit_creates_every_file(toy_csvs, tmp_path, caplog, monkeypatch):
+    forks = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    monkeypatch.setattr(wnet.pipeline, "_usable_cpus", lambda: 1)
+    caplog.set_level(logging.INFO, logger="wnet.pipeline")
+    run_pipeline(config_for(toy_csvs, tmp_path / "bundle"))
+    notes = [m[1] for r in caplog.records if (m := re.fullmatch(r"stage write: \S+ s \((.*)\)", r.getMessage()))]
+    assert forks == [] and len(notes) == 1
+    assert re.fullmatch(r"18 files; texts \d+\.\d\d s; 18 created by the commit", notes[0]), notes
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -287,6 +302,17 @@ def test_bundle_names_are_the_files_written(toy_csvs, tmp_path, monkeypatch, ana
     run_pipeline(config_for(toy_csvs, tmp_path / "out", years=years, analyses=frozenset(analyses)))
     names = bundle_names(frozenset(analyses), sorted(set(years)))
     assert list(names.values()) == written
+
+
+@pytest.mark.parametrize("analyses", [{"links"}, {"symmetry"}, {"links", "symmetry"}])
+def test_a_run_that_reads_no_node_statistic_computes_none(toy_csvs, tmp_path, monkeypatch, analyses):
+    _, stats = run_pipeline(config_for(toy_csvs, tmp_path / "stats", analyses=frozenset({"stats"})))
+    def node_stats(net):
+        raise AssertionError("node_stats called")
+    monkeypatch.setattr(wnet.pipeline, "node_stats", node_stats)
+    _, tables = run_pipeline(config_for(toy_csvs, tmp_path / "out", analyses=frozenset(analyses)))
+    for name, column in tables["counts"].items():
+        assert column.tolist() == stats["counts"][name].tolist(), name
 
 
 def test_stats_only_subset(toy_csvs, tmp_path):
@@ -526,8 +552,8 @@ def _reads(tree: ast.AST):
 
 def _file_calls(tree: ast.AST, scope: str = ""):
     """(scope, line, writes) of each call in ``tree`` that opens, reads or writes
-    a file.  It writes if it is ``write_text``, ``write_bytes``, ``os.replace``, or
-    ``open`` with a mode that is not plainly a read mode; it reads if it is
+    a file.  It writes if it is ``write_text``, ``write_bytes``, ``os.replace``,
+    ``os.write``, or ``open`` with a mode that is not plainly a read mode; it reads if it is
     ``read_text``, ``read_bytes`` or ``open`` with a read mode.  ``scope`` is the
     dotted name of the enclosing functions and classes."""
     for node in ast.iter_child_nodes(tree):
@@ -546,7 +572,9 @@ def _file_calls(tree: ast.AST, scope: str = ""):
                 yield scope, node.lineno, not (
                     isinstance(mode, ast.Constant) and set(str(mode.value)) <= set("rbt")
                 )
-            elif name in ("write_text", "write_bytes") or (name, module) == ("replace", "os"):
+            elif name in ("write_text", "write_bytes") or (name, module) in (
+                ("replace", "os"), ("write", "os"),
+            ):
                 yield scope, node.lineno, True
             elif name in ("read_text", "read_bytes"):
                 yield scope, node.lineno, False
@@ -583,6 +611,16 @@ def f(p, q):
     "a-b".replace("-", "_")
 """
     assert [line for _, line in _writes(ast.parse(code))] == list(range(3, 12))
+
+
+def test_the_writer_guard_sees_a_write_to_a_descriptor():
+    code = """
+def f(fd, fh):
+    os.write(fd, b"x")
+    fh.write(b"x")
+    sys.stdout.write("x")
+"""
+    assert [line for _, line in _writes(ast.parse(code))] == [3]
 
 
 def test_read_bundle_is_the_only_reader_of_bundle_files():

@@ -16,6 +16,13 @@ same panel are each recomputed from the ``stats_*.csv`` columns it holds, as
 read back through ``read_bundle``: by numpy and ``scipy.stats`` (population
 moments, ``gaussian_kde``), and by a sort and a Hill estimator written here.
 Floats compare at relative 1e-12, and integers and labels exactly.
+
+The symmetry index, the comparison table and the tallies of ``counts.csv`` of
+an ``all`` bundle over the same panel, with a link threshold that leaves some
+countries with no link or one, are recomputed here: the index as Frobenius
+norms in numpy of weights divided out of the panel's flows, the comparison as
+period means of the correlation files, and the tallies as the NaN and dropped
+cells of the ``stats_*.csv`` files.
 """
 
 from __future__ import annotations
@@ -31,7 +38,9 @@ from wnet import (
     run_pipeline, symmetrize,
 )
 from wnet.distributions import KDE_GRID_SIZE, SUPPORTED_PAIRS, fit_tail_rows
-from wnet.pipeline import DENSITY_STATISTICS, MOMENT_STATISTICS, bundle_names, read_bundle
+from wnet.pipeline import (
+    ANALYSES, DENSITY_STATISTICS, MOMENT_STATISTICS, VIEW_PAIRS, bundle_names, read_bundle,
+)
 
 from conftest import write_gravity_panel
 
@@ -217,3 +226,81 @@ def test_tail_fits_match_a_hill_estimator_at_paper_scale(paper_bundle):
         assert fits["tail_count"][k] == want.pop("tail_count") == 80, year
         for column, value in want.items():
             assert fits[column][k] == pytest.approx(value, rel=1e-12, abs=0), (year, column)
+
+
+#: A link threshold under which 12-16 of the 159 countries have no link and
+#: 8-10 have one, in each year of the gravity panel.
+SPARSE = WeightScheme(threshold=1e7)
+
+
+@pytest.fixture(scope="module")
+def sparse_bundles(tmp_path_factory):
+    """The panel, and the manifest and columns of an ``all`` bundle and a
+    ``build`` bundle over the 159-country gravity panel under ``SPARSE``, read
+    back through ``read_bundle``."""
+    tmp = tmp_path_factory.mktemp("sparse")
+    flows, gdp = write_gravity_panel(tmp)
+    panel = load_panel(flows, gdp)
+    bundles = []
+    for analyses in (ANALYSES, {"links"}):
+        config = PipelineConfig(flows, gdp, SPARSE, panel.years, tmp / "-".join(sorted(analyses)),
+                                analyses=frozenset(analyses))
+        run_pipeline(config)
+        bundles.append(read_bundle(config.out_dir, bundle_names(config.analyses, panel.years)))
+    return panel, *bundles
+
+
+def test_symmetry_index_matches_numpy_frobenius_norms_at_paper_scale(sparse_bundles):
+    panel, (_, files), _ = sparse_bundles
+    table = files["symmetry"]
+    assert table["year"].tolist() == list(panel.years)
+    for k, year in enumerate(panel.years):
+        rows = panel.flow_year == year
+        exporter, importer, value = panel.exporter[rows], panel.importer[rows], panel.value[rows]
+        linked = value > SPARSE.threshold
+        w = np.zeros((len(panel.codes), len(panel.codes)))
+        gdp = panel.gdp[panel.years.index(year)]
+        w[exporter[linked], importer[linked]] = value[linked] / gdp[exporter[linked]]
+        want = np.sqrt(np.sum((w - w.T) ** 2)) / np.sqrt(np.sum((w + w.T) ** 2))
+        assert 0 < want < 1
+        assert table["symmetry_index"][k] == pytest.approx(want, rel=1e-12, abs=0), year
+
+
+def test_comparison_is_the_period_mean_of_the_correlation_files(sparse_bundles):
+    _, (manifest, files), _ = sparse_bundles
+    strong, moderate = manifest["config"]["strong_cut"], manifest["config"]["moderate_cut"]
+
+    def label(r: float) -> str:
+        size = "strong" if abs(r) >= strong else "moderate" if abs(r) >= moderate else "weak"
+        return f"{size} {'positive' if r > 0 else 'negative'}"
+
+    table = files["comparison"]
+    assert table["view"].tolist() == list(VIEW_PAIRS)
+    for k, pairs in enumerate(VIEW_PAIRS.values()):
+        for role, pair in pairs.items():
+            rs = files["correlations", pair]["r"].tolist()
+            want = math.fsum(rs) / len(rs)
+            assert table[f"{role}_pair"][k] == pair
+            assert table[f"{role}_r"][k] == pytest.approx(want, rel=1e-12, abs=0), pair
+            assert table[f"{role}_label"][k] == label(want), pair
+
+
+def test_counts_are_the_nan_and_dropped_tallies_of_the_stats_files(sparse_bundles):
+    panel, (_, files), (_, built) = sparse_bundles
+    wants = []
+    for year in panel.years:
+        table = files["stats", year]
+        wants += [(year, f"{name}_undefined", int(np.isnan(table[name]).sum()))
+                  for name in MOMENT_STATISTICS[2:]]
+        for name in DENSITY_STATISTICS:
+            wants.append((year, f"density_{name}_dropped", int(np.isnan(table[name]).sum())))
+        dropped = int(np.sum(~(table["ns"] > 0)))  # NaN or not positive
+        wants += [(year, "ranksize_ns_dropped", dropped), (year, "tailfit_ns_dropped", dropped)]
+    assert min(value for _, name, value in wants if name.endswith("_undefined")) > 0
+    counts = files["counts"]
+    got = list(zip(counts["year"].tolist(), counts["name"].tolist(), counts["value"].tolist()))
+    assert got == sorted(wants)
+    # build computes no node statistic, and tallies the undefined ones from the degree.
+    counts = built["counts"]
+    got = list(zip(counts["year"].tolist(), counts["name"].tolist(), counts["value"].tolist()))
+    assert got == sorted(want for want in wants if want[1].endswith("_undefined"))

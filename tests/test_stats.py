@@ -261,6 +261,50 @@ def test_float_cells_are_repr():
         assert format_table("a", *columns) == repr_table("a", *columns)
 
 
+#: Values where orjson's text and ``repr``'s part ways, with their neighbours:
+#: NaN, both infinities, both zeros, the subnormals' ends, and 1e-5, 1e-4 and 1e16.
+EDGES = [v for e in (5e-324, 2.2250738585072014e-308, 1e-5, 1e-4, 1e16, 1.7976931348623157e308)
+         for v in (e, math.nextafter(e, 0), math.nextafter(e, math.inf))]
+EDGES = [math.nan, math.inf, 0.0, *EDGES]
+EDGES += [-v for v in EDGES]
+
+
+def test_float_blocks_between_integer_and_label_columns_are_repr():
+    hypothesis = pytest.importorskip("hypothesis")
+    st, hnp = hypothesis.strategies, pytest.importorskip("hypothesis.extra.numpy")
+    floats = st.one_of(
+        st.sampled_from(EDGES), st.floats(),
+        st.floats(-2.3e-308, 2.3e-308),  # subnormals, and normals near them
+        st.floats(5e-6, 2e-5), st.floats(5e-5, 2e-4), st.floats(5e15, 2e16),
+    )
+    # A table is a run of parts: "i" an integer column, "U" a label column,
+    # and a width w a block of w float columns.
+    parts = st.lists(st.sampled_from(["i", "U", 1, 2, 3, 4, 5, 6]), min_size=1, max_size=5)
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(parts, st.integers(0, 12), st.data())
+    def check(layout, rows, data):
+        columns, cells = [], []
+        for part in layout:
+            if part == "i":
+                column = data.draw(hnp.arrays(np.int64, rows))
+                texts = [str(v) for v in column.tolist()]
+            elif part == "U":
+                column = data.draw(st.lists(st.text("ab c.-_", max_size=4), min_size=rows, max_size=rows))
+                texts = column
+            else:
+                block = data.draw(hnp.arrays(np.float64, (rows, part), elements=floats))
+                columns += list(block.T)  # strided views, as a 2-D array's columns
+                cells += [["" if v != v else repr(v) for v in c] for c in block.T.tolist()]
+                continue
+            columns.append(column)
+            cells.append(texts)
+        want = "\n".join(["h", *map(",".join, zip(*cells))]) + "\n"
+        assert format_table("h", *columns) == want
+
+    check()
+
+
 def test_moments_closed_form():
     m = moments_rows(np.array([[1.0, 2.0, 3.0]]))
     assert m["mean"][0] == pytest.approx(2.0)

@@ -3,9 +3,9 @@
 Usage: python tools/contract.py --against REV [--expect GLOB ...]
 
 It extracts ``src/`` of the git revision REV with ``git archive`` into a
-fresh directory outside both trees, writes the seed-0 inputs of the
-``paper-159x20`` and ``long-60x300`` benchmark workloads once
-(``perfbench/gen.py``), and runs one fixed list of command sequences
+fresh directory outside both trees, writes the seed-0 inputs of every
+benchmark workload (``paper-159x20``, ``long-60x300`` and ``wide-1000x2``)
+once (``perfbench/gen.py``), and runs one fixed list of command sequences
 (``SEQUENCES``) over every year of each workload, once with REV's ``wnet``
 and once with this tree's.  Each sequence writes into its own ``--out``.
 
@@ -32,7 +32,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("paper-159x20", "long-60x300")
+WORKLOADS = ("paper-159x20", "long-60x300", "wide-1000x2")
 SEED = 0
 CUTS = ("--strong-cut", "0.5", "--moderate-cut", "0.1")
 #: Each sequence's commands, run in order into one ``--out``.  ``report``
