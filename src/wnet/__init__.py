@@ -21,15 +21,7 @@ from .graph import (
 )
 from .ingest import PanelDataset, load_panel, save_panel
 from .pipeline import PipelineConfig, compare_views, run_pipeline
-from .stats import (
-    annd,
-    anns,
-    bcc,
-    node_degree,
-    node_stats,
-    node_strength,
-    wcc,
-)
+from .stats import node_stats
 
 __all__ = [
     "__version__",
@@ -41,19 +33,13 @@ __all__ = [
     "ValidationError",
     "WeightScheme",
     "WeightVariant",
-    "annd",
-    "anns",
-    "bcc",
     "build_directed",
     "compare_views",
     "correlation_series",
     "load_panel",
-    "node_degree",
     "node_stats",
-    "node_strength",
     "run_pipeline",
     "save_panel",
     "symmetrize",
     "symmetry_index",
-    "wcc",
 ]

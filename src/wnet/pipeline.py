@@ -642,7 +642,7 @@ def _analyse(
         isolated, lone = int((nd == 0).sum()), int((nd <= 1).sum())
         counts += [(year, "annd_undefined", isolated), (year, "anns_undefined", isolated),
                    (year, "bcc_undefined", lone), (year, "wcc_undefined", lone)]
-        timer.lap("node stats")
+        timer.lap("node stats" if reads_stats else "counts")
 
     def rows(what: str, *statistics: str) -> tuple[np.ndarray, Callable[[int], str]]:
         """The rows of ``statistics``, year-major as ``product(years,

@@ -1,7 +1,7 @@
 """Node-level statistics on symmetrized networks.
 
-All six statistics are computed from the binary matrix A and the normalized
-weight matrix W with dense matrix algebra:
+``node_stats`` computes all six statistics from the binary matrix A and the
+normalized weight matrix W with dense matrix algebra:
 
     nd_i   = sum_j a_ij                      (degree)
     ns_i   = sum_j w_ij                      (strength)
@@ -26,76 +26,30 @@ from .errors import DataError
 from .graph import UndirectedNetwork
 
 
-def node_degree(net: UndirectedNetwork) -> np.ndarray:
-    """Number of partners of each node (row sums of A)."""
-    return net.adjacency.sum(axis=1)
-
-
-def node_strength(net: UndirectedNetwork) -> np.ndarray:
-    """Total normalized weight held by each node (row sums of W)."""
-    return net.weights.sum(axis=1)
-
-
-def _per_degree(numerator: np.ndarray, nd: np.ndarray) -> np.ndarray:
-    out = np.full(nd.shape, np.nan)
-    np.divide(numerator, nd, out=out, where=nd > 0)
-    return out
-
-
-def annd(net: UndirectedNetwork, nd: np.ndarray | None = None) -> np.ndarray:
-    """Average degree of each node's neighbors; NaN at isolated nodes.
-
-    A caller that has the node degree already passes it as ``nd``, here and
-    to ``anns``, ``bcc`` and ``wcc``.
-    """
-    nd = node_degree(net) if nd is None else nd
-    return _per_degree((net.adjacency @ nd).astype(float), nd.astype(float))
-
-
-def anns(net: UndirectedNetwork, nd: np.ndarray | None = None) -> np.ndarray:
-    """Average strength of each node's neighbors; NaN at isolated nodes."""
-    nd = node_degree(net) if nd is None else nd
-    return _per_degree(net.adjacency @ node_strength(net), nd.astype(float))
-
-
-def _clustering(cubed_diagonal: np.ndarray, nd: np.ndarray) -> np.ndarray:
-    pairs = (nd * (nd - 1)).astype(float)
-    out = np.full(nd.shape, np.nan)
-    np.divide(cubed_diagonal, pairs, out=out, where=nd > 1)
-    return out
-
-
-def bcc(net: UndirectedNetwork, nd: np.ndarray | None = None) -> np.ndarray:
-    """Fraction of a node's neighbor pairs that are linked; NaN where nd <= 1.
+def node_stats(net: UndirectedNetwork) -> dict[str, np.ndarray]:
+    """All six statistics of one network, as the columns of its ``stats_*.csv``
+    in header order: ``country`` (the network's ``codes``, as labels), ``nd``
+    (int64), then the float ``ns``, ``annd``, ``anns``, ``bcc`` and ``wcc``.
 
     (A^3)_ii is computed in float64 as sum_j (A^2)_ij A_ji, which BLAS does
     fast; it is exact, since every count is far below 2^53.
     """
-    a = net.adjacency.astype(float)
-    triangles = np.einsum("ij,ji->i", a @ a, a)
-    return _clustering(triangles, node_degree(net) if nd is None else nd)
-
-
-def wcc(net: UndirectedNetwork, nd: np.ndarray | None = None) -> np.ndarray:
-    """Cube-root triangle intensity over degree pairs; NaN where nd <= 1."""
-    c = np.cbrt(net.weights)
-    return _clustering((c @ c @ c).diagonal(), node_degree(net) if nd is None else nd)
-
-
-def node_stats(net: UndirectedNetwork) -> dict[str, np.ndarray]:
-    """All six statistics of one network, as the columns of its ``stats_*.csv``
-    in header order: ``country`` (the network's ``codes``, as labels), ``nd``
-    (int64), then the float ``ns``, ``annd``, ``anns``, ``bcc`` and ``wcc``."""
-    nd = node_degree(net)
-    return {
-        "country": np.array(net.codes, dtype=object),
-        "nd": nd,
-        "ns": node_strength(net),
-        "annd": annd(net, nd),
-        "anns": anns(net, nd),
-        "bcc": bcc(net, nd),
-        "wcc": wcc(net, nd),
+    adjacency, weights = net.adjacency, net.weights
+    nd, ns = adjacency.sum(axis=1), weights.sum(axis=1)
+    degree, pairs = nd.astype(float), (nd * (nd - 1)).astype(float)
+    a, c = adjacency.astype(float), np.cbrt(weights)
+    # Each statistic's numerator, its denominator and where it is defined.
+    ratios = {
+        "annd": ((adjacency @ nd).astype(float), degree, nd > 0),
+        "anns": (adjacency @ ns, degree, nd > 0),
+        "bcc": (np.einsum("ij,ji->i", a @ a, a), pairs, nd > 1),
+        "wcc": ((c @ c @ c).diagonal(), pairs, nd > 1),
     }
+    columns = {"country": np.array(net.codes, dtype=object), "nd": nd, "ns": ns}
+    for name, (numerator, denominator, defined) in ratios.items():
+        out = np.full(nd.shape, np.nan)
+        columns[name] = np.divide(numerator, denominator, out=out, where=defined)
+    return columns
 
 
 def row_groups(keep: np.ndarray, *arrays: np.ndarray) -> Iterator[tuple]:

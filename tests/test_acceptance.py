@@ -24,7 +24,7 @@ from wnet import (
 )
 from wnet.cli import main as cli_main
 from wnet.distributions import fit_tail_rows, kde_rows
-from wnet.stats import annd, anns, bcc, node_degree, node_stats, node_strength, wcc
+from wnet.stats import node_stats
 
 from conftest import (
     make_undirected,
@@ -61,12 +61,13 @@ def test_oracle_equivalence():
         for _ in range(200):
             n = int(rng.integers(2, 13))
             net = random_undirected(rng, n=n, p=float(rng.uniform(0.15, 0.95)))
-            assert_vectors_match(node_degree(net), degree_oracle(net.adjacency), 1e-10)
-            assert_vectors_match(node_strength(net), strength_oracle(net.weights), 1e-10)
-            assert_vectors_match(annd(net), annd_oracle(net.adjacency), 1e-10)
-            assert_vectors_match(anns(net), anns_oracle(net.adjacency, net.weights), 1e-10)
-            assert_vectors_match(bcc(net), bcc_oracle(net.adjacency), 1e-10)
-            assert_vectors_match(wcc(net), wcc_oracle(net.adjacency, net.weights), 1e-10)
+            table = node_stats(net)
+            assert_vectors_match(table["nd"], degree_oracle(net.adjacency), 1e-10)
+            assert_vectors_match(table["ns"], strength_oracle(net.weights), 1e-10)
+            assert_vectors_match(table["annd"], annd_oracle(net.adjacency), 1e-10)
+            assert_vectors_match(table["anns"], anns_oracle(net.adjacency, net.weights), 1e-10)
+            assert_vectors_match(table["bcc"], bcc_oracle(net.adjacency), 1e-10)
+            assert_vectors_match(table["wcc"], wcc_oracle(net.adjacency, net.weights), 1e-10)
         elapsed = time.perf_counter() - start
         assert elapsed < 5.0, f"oracle sweep took {elapsed:.2f}s"
 
@@ -77,9 +78,10 @@ def test_binary_degeneration():
         for _ in range(50):
             n = int(rng.integers(3, 13))
             net = random_undirected(rng, n=n, p=float(rng.uniform(0.2, 0.9)), binary=True)
-            assert_vectors_match(node_strength(net), node_degree(net), 1e-12)
-            assert_vectors_match(anns(net), annd(net), 1e-12)
-            assert_vectors_match(wcc(net), bcc(net), 1e-12)
+            table = node_stats(net)
+            assert_vectors_match(table["ns"], table["nd"], 1e-12)
+            assert_vectors_match(table["anns"], table["annd"], 1e-12)
+            assert_vectors_match(table["wcc"], table["bcc"], 1e-12)
 
 
 def test_symmetrization_contract():
@@ -105,26 +107,26 @@ def test_symmetrization_contract():
 def test_analytic_fixtures():
     with criterion("analytic fixtures (triangle, star, path; exact)"):
         w3 = np.ones((3, 3)) - np.eye(3)
-        triangle = make_undirected(w3, normalize=False)
-        assert bcc(triangle).tolist() == [1.0, 1.0, 1.0]
-        assert wcc(triangle).tolist() == [1.0, 1.0, 1.0]
+        triangle = node_stats(make_undirected(w3, normalize=False))
+        assert triangle["bcc"].tolist() == [1.0, 1.0, 1.0]
+        assert triangle["wcc"].tolist() == [1.0, 1.0, 1.0]
 
         k = 4
         w = np.zeros((k + 1, k + 1))
         w[0, 1:] = w[1:, 0] = 1.0
-        star = make_undirected(w, normalize=False)
-        b = bcc(star)
+        star = node_stats(make_undirected(w, normalize=False))
+        b = star["bcc"]
         assert b[0] == 0.0  # k >= 2 leaves, none of them linked
         assert np.isnan(b[1:]).all()  # degree-1 leaves excluded
-        assert (annd(star)[1:] == float(k)).all()  # leaf ANND = hub degree
+        assert (star["annd"][1:] == float(k)).all()  # leaf ANND = hub degree
 
-        single = make_undirected(np.array([[0.0, 1.0], [1.0, 0.0]]), normalize=False)
-        assert np.isnan(bcc(single)).all()  # with one leaf the hub is excluded too
+        single = node_stats(make_undirected(np.array([[0.0, 1.0], [1.0, 0.0]]), normalize=False))
+        assert np.isnan(single["bcc"]).all()  # with one leaf the hub is excluded too
 
         wp = np.zeros((3, 3))
         wp[0, 1] = wp[1, 0] = wp[1, 2] = wp[2, 1] = 1.0
-        path = make_undirected(wp, normalize=False)
-        assert bcc(path)[1] == 0.0
+        path = node_stats(make_undirected(wp, normalize=False))
+        assert path["bcc"][1] == 0.0
 
 
 def test_kde_normalization_and_bimodality():

@@ -1246,12 +1246,14 @@ def test_benchmark_span_targets_exist():
         check=True,
     )
     # The three ingest spans lost their functions when ingest became one
-    # columnar reader, and the stats text span its method when every bundle
-    # file came to be made by one rule; every other span must still find its
-    # target.
+    # columnar reader, the five per-statistic spans theirs when node_stats
+    # came to compute its columns itself, and the stats text span its method
+    # when every bundle file came to be made by one rule; every other span
+    # must still find its target.
     assert result.stdout.split() == [
         "wnet.ingest.parse_flows", "wnet.ingest.parse_sizes", "wnet.ingest.assemble_panel",
-        "wnet.stats.NodeStatsTable.to_csv",
+        "wnet.stats.node_degree", "wnet.stats.annd", "wnet.stats.anns", "wnet.stats.bcc",
+        "wnet.stats.wcc", "wnet.stats.NodeStatsTable.to_csv",
     ]
 
 

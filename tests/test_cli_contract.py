@@ -1,5 +1,6 @@
 """The CLI's exit-code contract, fuzzed over `all`'s float flags on valid
-inputs, over every command's flags, over config files and over edited bundles.
+inputs, over every command's flags, over config files, over edited bundles
+and over panels with extreme flows and GDPs.
 
 Every run must end in exit 0, 1 or 2, and a refusal (1 or 2) must print
 exactly one `error:` line to stderr.  Exit 3, an internal error, must never
@@ -20,6 +21,7 @@ import shutil
 import warnings
 from itertools import count
 
+import numpy as np
 import pytest
 
 from wnet.cli import build_parser, main
@@ -329,5 +331,53 @@ def test_edited_bundles_exit_0_1_or_2_with_one_error_line(tmp_path, capsys):
             assert kept == {n: (out / n).read_bytes() if (out / n).is_file() else None
                             for n in kept}
         run(capsys, ["verify", "--out", str(out)])
+
+    check()
+
+
+#: Values from the ends of the float range and around 1; a GDP is never 0.
+EXTREME_FLOWS = (0.0, 5e-324, 1e-300, 1e-5, 1.0, 3.0, 2.5e15, 1e300, 1.7e308)
+EXTREME_GDPS = EXTREME_FLOWS[1:]
+
+
+@st.composite
+def extreme_panels(draw) -> tuple[str, str, str]:
+    """The flow and GDP CSV texts and the ``--years`` of a panel of 50 to 56
+    countries over one to three years, lognormal as ``write_panel_csvs`` makes
+    them, with 0.05 to 1 % of its flows and of its GDPs, at least one of each,
+    replaced by extreme values."""
+    n, years = draw(st.integers(50, 56)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    flows = [[year, a, b, float(np.exp(rng.normal(10, 2)))]
+             for year in range(2000, 2000 + years) for a in range(n) for b in range(n)
+             if a != b and rng.random() < 0.5]
+    gdps = [[year, c, float(np.exp(rng.normal(24, 1)))]
+            for year in range(2000, 2000 + years) for c in range(n)]
+    for rows, values in (flows, EXTREME_FLOWS), (gdps, EXTREME_GDPS):
+        fewest, most = (max(1, round(share * len(rows))) for share in (0.0005, 0.01))
+        at = draw(st.lists(st.integers(0, len(rows) - 1), min_size=fewest, max_size=most, unique=True))
+        for i in at:
+            rows[i][-1] = draw(st.sampled_from(values))
+    return (
+        "year,exporter,importer,value\n" + "".join(f"{y},C{a:02d},C{b:02d},{v!r}\n" for y, a, b, v in flows),
+        "year,country,gdp\n" + "".join(f"{y},C{c:02d},{g!r}\n" for y, c, g in gdps),
+        f"2000:{2000 + years - 1}",
+    )
+
+
+def test_extreme_panels_exit_0_1_or_2_and_verify_what_they_write(tmp_path, capsys):
+    runs = count()
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(extreme_panels())
+    def check(panel):
+        at = next(runs)
+        flows, gdp, out = tmp_path / f"flows{at}.csv", tmp_path / f"gdp{at}.csv", tmp_path / f"out{at}"
+        flows.write_text(panel[0], encoding="utf-8")
+        gdp.write_text(panel[1], encoding="utf-8")
+        code, _ = run(capsys, ["all", "--flows", str(flows), "--gdp", str(gdp), "--years", panel[2],
+                               "--out", str(out)])
+        if code == 0:
+            assert run(capsys, ["verify", "--out", str(out)])[0] == 0
 
     check()

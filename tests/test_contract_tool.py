@@ -4,7 +4,10 @@ The tool itself runs two source trees, so only its comparison runs here."""
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
+import json
+import math
 import shutil
 import sys
 from pathlib import Path
@@ -39,7 +42,7 @@ def test_identical_trees_pass_with_nothing_moved(tmp_path):
     found = contract.compare(base, change)
     assert found == {
         "identical": len(contract.files_under(base)), "changed": [], "only_base": [],
-        "only_change": [], "unexpected": [], "passed": True,
+        "only_change": [], "unexpected": [], "floats": {}, "beyond_rtol": [], "passed": True,
     }
     # all: 18 files and the manifest; build: two link tables, counts and the manifest; a record each
     assert found["identical"] == 19 + 4 + 2
@@ -74,6 +77,48 @@ def test_moved_files_pass_only_where_an_expect_glob_covers_them(tmp_path):
     assert found["unexpected"] == ["toy/build/bundle/matrix_2000.txt"] and not found["passed"]
     found = contract.compare(base, change, ("*/all/*",))
     assert len(found["unexpected"]) == 2 and not found["passed"]
+
+
+def move_first_wcc_cell(bundle: Path, to) -> None:
+    """Give the first defined ``wcc`` cell of ``stats_2000.csv`` the value
+    ``to(value)``, and the manifest the file's new digest, as a run that made
+    that value would."""
+    stats = bundle / "stats_2000.csv"
+    lines = stats.read_text(encoding="utf-8").splitlines(keepends=True)
+    at = next(i for i, line in enumerate(lines[1:], start=1) if not line.endswith(",\n"))
+    head, cell = lines[at].rstrip("\n").rsplit(",", 1)
+    lines[at] = f"{head},{to(float(cell))!r}\n"
+    stats.write_text("".join(lines), encoding="utf-8")
+    manifest = json.loads((bundle / "manifest.json").read_text(encoding="utf-8"))
+    manifest["files"][stats.name] = hashlib.sha256(stats.read_bytes()).hexdigest()
+    (bundle / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def test_a_float_moved_by_one_ulp_is_reported_and_passes_where_expected(tmp_path):
+    base, change = two_sides(tmp_path)
+    move_first_wcc_cell(change / "toy" / "all" / "bundle", lambda v: math.nextafter(v, math.inf))
+    found = contract.compare(base, change)
+    stats = "toy/all/bundle/stats_2000.csv"
+    assert found["changed"] == ["toy/all/bundle/manifest.json", stats]
+    assert list(found["floats"]) == [stats] and list(found["floats"][stats]) == ["wcc"]
+    gap = found["floats"][stats]["wcc"]
+    assert gap["cells"] == 1 and gap["ulps"] == 1 and 0 < gap["rel"] < 1e-15
+    assert contract.gap_lines(found["floats"]) == [
+        f"floats: {stats} wcc: 1 cells moved, largest relative gap {gap['rel']:.3g}, largest gap 1 ulps"
+    ]
+    assert found["beyond_rtol"] == [] and not found["passed"]
+    assert contract.compare(base, change, ("*/all/bundle/*",))["passed"]
+
+
+def test_a_float_moved_beyond_rtol_fails_even_where_expected(tmp_path):
+    base, change = two_sides(tmp_path)
+    move_first_wcc_cell(change / "toy" / "all" / "bundle", lambda v: v * (1 + 1e-9))
+    found = contract.compare(base, change, ("*/all/bundle/*",))
+    assert found["unexpected"] == [] and found["beyond_rtol"] == ["toy/all/bundle/stats_2000.csv"]
+    gap = found["floats"]["toy/all/bundle/stats_2000.csv"]["wcc"]
+    assert gap["cells"] == 1 and 0.9e-9 < gap["rel"] < 1.1e-9 and gap["ulps"] > 1
+    assert not found["passed"]
+    assert contract.compare(base, change, ("*/all/bundle/*",), rtol=1e-8)["passed"]
 
 
 def test_every_benchmark_workload_is_compared():

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from wnet import annd, bcc, node_degree, wcc
+from wnet import node_stats
 
 from conftest import random_undirected
 
@@ -43,7 +43,8 @@ def compare_defined(ours: np.ndarray, reference: dict, defined: np.ndarray):
 @pytest.mark.parametrize("n,p", CASES)
 def test_bcc_equals_networkx_clustering(n, p):
     net, graph = network_and_graph(n, p)
-    ours, theirs = compare_defined(bcc(net), nx.clustering(graph), node_degree(net) > 1)
+    table = node_stats(net)
+    ours, theirs = compare_defined(table["bcc"], nx.clustering(graph), table["nd"] > 1)
     assert ours.size > 0
     assert np.array_equal(ours, theirs)
 
@@ -51,8 +52,9 @@ def test_bcc_equals_networkx_clustering(n, p):
 @pytest.mark.parametrize("n,p", CASES)
 def test_annd_equals_networkx_average_neighbor_degree(n, p):
     net, graph = network_and_graph(n, p)
+    table = node_stats(net)
     ours, theirs = compare_defined(
-        annd(net), nx.average_neighbor_degree(graph), node_degree(net) > 0
+        table["annd"], nx.average_neighbor_degree(graph), table["nd"] > 0
     )
     assert ours.size > 0
     assert np.array_equal(ours, theirs)
@@ -62,8 +64,9 @@ def test_annd_equals_networkx_average_neighbor_degree(n, p):
 def test_wcc_matches_networkx_weighted_clustering(n, p):
     net, graph = network_and_graph(n, p)
     assert net.weights.max() == 1.0
+    table = node_stats(net)
     ours, theirs = compare_defined(
-        wcc(net), nx.clustering(graph, weight="weight"), node_degree(net) > 1
+        table["wcc"], nx.clustering(graph, weight="weight"), table["nd"] > 1
     )
     assert ours.size > 0
     np.testing.assert_allclose(ours, theirs, rtol=0, atol=1e-12)
@@ -73,5 +76,5 @@ def test_sparse_cases_include_undefined_nodes():
     """The sparse cases must exercise the NaN exclusion for every statistic."""
     for n, p in CASES:
         if p < 0.4:
-            nd = node_degree(network(n, p))
+            nd = node_stats(network(n, p))["nd"]
             assert (nd == 0).any() and (nd == 1).any()

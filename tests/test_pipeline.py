@@ -172,12 +172,25 @@ def test_determinism_byte_identical(toy_csvs, tmp_path):
     assert bundle_bytes(tmp_path / "a") == bundle_bytes(tmp_path / "b")
 
 
-@pytest.mark.parametrize("parts", [1, 2])
-def test_stage_timings_go_to_the_log(toy_csvs, tmp_path, caplog, monkeypatch, parts):
+ALL_STAGES = [
+    "ingest", "build", "symmetry", "symmetrize", "node stats", "moments",
+    "correlations", "density", "ranksize", "tailfit", "write",
+]
+#: The link tables read no node statistic, so their run has no node stats
+#: stage: its per-year lap only counts the undefined statistics.
+LINKS_STAGES = ["ingest", "build", "symmetrize", "links", "counts", "write"]
+
+
+@pytest.mark.parametrize("parts,overrides,expected,files", [
+    (1, {}, ALL_STAGES, 18), (2, {}, ALL_STAGES, 18), (2, {"analyses": {"links"}}, LINKS_STAGES, 3),
+], ids=["1", "2", "links"])
+def test_stage_timings_go_to_the_log(
+    toy_csvs, tmp_path, caplog, monkeypatch, parts, overrides, expected, files
+):
     monkeypatch.setattr(wnet.pipeline, "_usable_cpus", lambda: parts)
     caplog.set_level(logging.INFO, logger="wnet.pipeline")
     start = time.perf_counter()
-    run_pipeline(config_for(toy_csvs, tmp_path / "bundle"))
+    run_pipeline(config_for(toy_csvs, tmp_path / "bundle", **overrides))
     wall = time.perf_counter() - start
     lines = [r.getMessage() for r in caplog.records if r.name == "wnet.pipeline"]
     stages = {}
@@ -186,14 +199,12 @@ def test_stage_timings_go_to_the_log(toy_csvs, tmp_path, caplog, monkeypatch, pa
             assert match[1] not in stages, line
             stages[match[1]] = float(match[2])
             note = match[3]
-    assert list(stages) == [
-        "ingest", "build", "symmetry", "symmetrize", "node stats", "moments",
-        "correlations", "density", "ranksize", "tailfit", "write",
-    ]
-    write = re.fullmatch(r" \(18 files; texts (\d+\.\d\d) s; (\d+) created by the commit\)", note)
+    assert list(stages) == expected
+    write = re.fullmatch(rf" \({files} files; texts (\d+\.\d\d) s; (\d+) created by the commit\)", note)
     assert write and float(write[1]) <= stages["write"] + 0.005
-    assert int(write[2]) <= 18
-    (run,) = [float(m[1]) for line in lines if (m := re.fullmatch(r"run: (\S+) s in 11 stages", line))]
+    assert int(write[2]) <= files
+    (run,) = [float(m[1]) for line in lines
+              if (m := re.fullmatch(rf"run: (\S+) s in {len(expected)} stages", line))]
     rounding = 0.00005 * (len(stages) + 1)
     assert abs(sum(stages.values()) - run) <= rounding
     # The run covers the call but its last log lines; 5 ms allows for a descheduled process.

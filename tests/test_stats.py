@@ -6,16 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from wnet import (
-    DataError,
-    annd,
-    anns,
-    bcc,
-    node_degree,
-    node_stats,
-    node_strength,
-    wcc,
-)
+from wnet import DataError, node_stats
 
 from wnet.ingest import format_table
 from wnet.pipeline import LAYOUT
@@ -67,26 +58,25 @@ def test_triangle_all_statistics():
 
 
 def test_star_statistics():
-    net = star(4)
-    nd = node_degree(net)
+    table = node_stats(star(4))
+    nd = table["nd"]
     assert nd[0] == 4 and set(nd[1:].tolist()) == {1}
-    a = annd(net)
+    a = table["annd"]
     assert a[0] == 1.0  # leaves all have degree 1
     assert (a[1:] == 4.0).all()  # each leaf's only neighbor is the hub
-    b = bcc(net)
+    b = table["bcc"]
     assert b[0] == 0.0  # no links among the hub's neighbors
     assert np.isnan(b[1:]).all()  # degree-1 leaves excluded
 
 
 def test_single_leaf_star_hub_clustering_undefined():
-    net = star(1)
-    assert np.isnan(bcc(net)).all()
-    assert np.isnan(wcc(net)).all()
+    table = node_stats(star(1))
+    assert np.isnan(table["bcc"]).all()
+    assert np.isnan(table["wcc"]).all()
 
 
 def test_path_middle_no_triangle():
-    net = path3()
-    b = bcc(net)
+    b = node_stats(path3())["bcc"]
     assert b[1] == 0.0
     assert np.isnan(b[0]) and np.isnan(b[2])
 
@@ -94,9 +84,9 @@ def test_path_middle_no_triangle():
 def test_two_nodes_one_unit_link():
     w = np.zeros((2, 2))
     w[0, 1] = w[1, 0] = 1.0
-    net = make_undirected(w, normalize=False)
-    assert anns(net).tolist() == [1.0, 1.0]
-    assert annd(net).tolist() == [1.0, 1.0]
+    table = node_stats(make_undirected(w, normalize=False))
+    assert table["anns"].tolist() == [1.0, 1.0]
+    assert table["annd"].tolist() == [1.0, 1.0]
 
 
 def test_isolated_node_marked_undefined():
@@ -113,41 +103,41 @@ def test_isolated_node_marked_undefined():
 def test_uniform_weight_proportionality(rng):
     net = random_undirected(rng, n=9, p=0.6)
     w = np.where(net.weights > 0, 0.37, 0.0)
-    uniform = make_undirected(w, normalize=False)
-    assert np.allclose(node_strength(uniform), 0.37 * node_degree(uniform))
-    assert_vectors_match(anns(uniform), 0.37 * annd(uniform), tol=1e-12)
+    uniform = node_stats(make_undirected(w, normalize=False))
+    assert np.allclose(uniform["ns"], 0.37 * uniform["nd"])
+    assert_vectors_match(uniform["anns"], 0.37 * uniform["annd"], tol=1e-12)
 
 
 def test_uniform_triangle_wcc_equals_weight():
-    net = triangle(weight=0.125)
-    assert wcc(net) == pytest.approx([0.125, 0.125, 0.125])
+    assert node_stats(triangle(weight=0.125))["wcc"] == pytest.approx([0.125, 0.125, 0.125])
 
 
 def test_matrix_formulas_match_oracles(rng):
     for _ in range(25):
         n = int(rng.integers(2, 13))
         net = random_undirected(rng, n=n, p=float(rng.uniform(0.2, 0.9)))
-        assert_vectors_match(node_degree(net), degree_oracle(net.adjacency))
-        assert_vectors_match(node_strength(net), strength_oracle(net.weights))
-        assert_vectors_match(annd(net), annd_oracle(net.adjacency))
-        assert_vectors_match(anns(net), anns_oracle(net.adjacency, net.weights))
-        assert_vectors_match(bcc(net), bcc_oracle(net.adjacency))
-        assert_vectors_match(wcc(net), wcc_oracle(net.adjacency, net.weights))
+        table = node_stats(net)
+        assert_vectors_match(table["nd"], degree_oracle(net.adjacency))
+        assert_vectors_match(table["ns"], strength_oracle(net.weights))
+        assert_vectors_match(table["annd"], annd_oracle(net.adjacency))
+        assert_vectors_match(table["anns"], anns_oracle(net.adjacency, net.weights))
+        assert_vectors_match(table["bcc"], bcc_oracle(net.adjacency))
+        assert_vectors_match(table["wcc"], wcc_oracle(net.adjacency, net.weights))
 
 
 def test_binary_degeneration(rng):
     for _ in range(10):
-        net = random_undirected(rng, n=10, p=0.5, binary=True)
-        assert_vectors_match(node_strength(net), node_degree(net), tol=1e-12)
-        assert_vectors_match(anns(net), annd(net), tol=1e-12)
-        assert_vectors_match(wcc(net), bcc(net), tol=1e-12)
+        table = node_stats(random_undirected(rng, n=10, p=0.5, binary=True))
+        assert_vectors_match(table["ns"], table["nd"], tol=1e-12)
+        assert_vectors_match(table["anns"], table["annd"], tol=1e-12)
+        assert_vectors_match(table["wcc"], table["bcc"], tol=1e-12)
 
 
 def test_strength_bounded_by_degree(rng):
     for _ in range(10):
         net = random_undirected(rng, n=12, p=0.5)
-        nd = node_degree(net)
-        ns = node_strength(net)
+        table = node_stats(net)
+        nd, ns = table["nd"], table["ns"]
         assert (ns <= nd + 1e-12).all()
         # equality exactly where every incident weight is 1
         all_ones = [
@@ -163,14 +153,14 @@ def test_permutation_equivariance(rng):
     net = random_undirected(rng, n=11, p=0.5)
     perm = rng.permutation(11)
     permuted = make_undirected(net.weights[np.ix_(perm, perm)], normalize=False)
-    for fn in (node_degree, node_strength, annd, anns, bcc, wcc):
-        assert_vectors_match(fn(permuted), np.asarray(fn(net), dtype=float)[perm], tol=1e-12)
+    before, after = node_stats(net), node_stats(permuted)
+    for name in ("nd", "ns", "annd", "anns", "bcc", "wcc"):
+        assert_vectors_match(after[name], np.asarray(before[name], dtype=float)[perm], tol=1e-12)
 
 
 def test_bcc_range(rng):
     for _ in range(10):
-        net = random_undirected(rng, n=10, p=0.6)
-        b = bcc(net)
+        b = node_stats(random_undirected(rng, n=10, p=0.6))["bcc"]
         defined = b[~np.isnan(b)]
         assert ((defined >= 0) & (defined <= 1)).all()
 

@@ -1,6 +1,6 @@
 """The bundle contract as one command: which output bytes a change moves.
 
-Usage: python tools/contract.py --against REV [--expect GLOB ...]
+Usage: python tools/contract.py --against REV [--expect GLOB ...] [--rtol X]
 
 It extracts ``src/`` of the git revision REV with ``git archive`` into a
 fresh directory outside both trees, writes the seed-0 inputs of every
@@ -14,8 +14,15 @@ command's exit code, stdout and stderr, with the ``--out`` path masked.  A
 file moves if its bytes differ or only one side has it.  The command exits 0
 only if nothing moved, or if every moved file's path (``<workload>/
 <sequence>/...``, as ``paper-159x20/build/bundle/counts.csv``) matches an
-``--expect`` glob; otherwise 1.  The last line of its stdout is a JSON
-summary.
+``--expect`` glob; otherwise 1.
+
+A moved bundle table that is of the same ``LAYOUT`` kind on both sides is
+read on both through this tree's ``read_bundle``, and for each float column
+whose cells moved the command prints how many moved, the largest relative
+gap and the largest gap in ulps.  A moved float further than ``--rtol``
+(default 1e-12) from its old value, or one that became or stopped being
+empty, fails the run even where an ``--expect`` glob matches its file.  The
+last line of stdout is a JSON summary.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from __future__ import annotations
 import argparse
 import fnmatch
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -30,6 +38,8 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("paper-159x20", "long-60x300", "wide-1000x2")
@@ -110,15 +120,76 @@ def files_under(root: Path) -> set[str]:
     return {path.relative_to(root).as_posix() for path in root.rglob("*") if path.is_file()}
 
 
-def compare(base: Path, change: Path, expect: tuple[str, ...] = ()) -> dict:
+def float_columns(path: Path) -> tuple[str, dict[str, np.ndarray]] | None:
+    """The ``LAYOUT`` kind of the bundle table at ``path`` and its float
+    columns, read through this tree's ``read_bundle``; None where its
+    bundle's manifest does not name it or it does not read."""
+    sys.path.insert(0, str(ROOT / "src"))
+    try:
+        from wnet.errors import DataError
+        from wnet.pipeline import LAYOUT, bundle_names, read_bundle, read_manifest
+    finally:
+        sys.path.pop(0)
+    try:
+        config = read_manifest(path.parent)["config"]
+        keys = {name: key for key, name in bundle_names(config["analyses"], config["years"]).items()}
+        key = keys[path.name]
+        columns = read_bundle(path.parent, {key: path.name})[1][key]
+    except (DataError, KeyError, TypeError):
+        return None
+    kind = key[0] if isinstance(key, tuple) else key
+    header, types = LAYOUT[kind]
+    return kind, {h: columns[h] for h, t in zip(header.split(","), types) if t == "f"}
+
+
+def ulps_apart(a: float, b: float) -> int:
+    """How many float64 steps lie between the finite ``a`` and ``b``."""
+    def ordinal(x: float) -> int:
+        bits = int(np.float64(x).view(np.int64))
+        return bits if bits >= 0 else -(bits & (2**63 - 1))
+    return abs(ordinal(a) - ordinal(b))
+
+
+def float_gaps(base: Path, change: Path) -> dict[str, dict] | None:
+    """How far the floats of a moved table moved: for each float column with
+    a moved cell, the number of moved ``cells``, the largest relative gap
+    ``rel`` and the largest gap in ``ulps``.  A cell that became or stopped
+    being empty or infinite is infinitely far.  None unless both files are
+    tables of one kind with the same number of rows."""
+    before, after = float_columns(base), float_columns(change)
+    if before is None or after is None or before[0] != after[0]:
+        return None
+    old, new = before[1], after[1]
+    if len({len(c) for c in (*old.values(), *new.values())}) > 1:
+        return None
+    gaps = {}
+    for column, a in old.items():
+        moved = np.flatnonzero(a.view(np.int64) != new[column].view(np.int64))
+        rel, ulps = 0.0, 0
+        for x, y in zip(a[moved].tolist(), new[column][moved].tolist()):
+            if not (math.isfinite(x) and math.isfinite(y)):
+                rel = ulps = math.inf
+                break
+            top = max(abs(x), abs(y))
+            rel = max(rel, abs(x - y) / top if top else 0.0)
+            ulps = max(ulps, ulps_apart(x, y))
+        if moved.size:
+            gaps[column] = {"cells": int(moved.size), "rel": rel, "ulps": ulps}
+    return gaps
+
+
+def compare(base: Path, change: Path, expect: tuple[str, ...] = (), rtol: float = 1e-12) -> dict:
     """How the files under ``change`` stand against those under ``base``.
 
     Returns the number of files both sides hold with the same bytes
     (``identical``), and sorted lists of relative paths: the files whose bytes
     differ (``changed``), those only ``base`` or only ``change`` holds
     (``only_base``, ``only_change``), and of all these moved files, the ones
-    that match no ``expect`` glob (``unexpected``).  ``passed`` is whether
-    ``unexpected`` is empty.
+    that match no ``expect`` glob (``unexpected``).  ``floats`` maps each
+    changed table whose floats moved to its ``float_gaps``, and
+    ``beyond_rtol`` lists the tables with a float moved by more than
+    ``rtol``.  ``passed`` is whether ``unexpected`` and ``beyond_rtol`` are
+    both empty.
     """
     before, after = files_under(base), files_under(change)
     both = before & after
@@ -126,14 +197,27 @@ def compare(base: Path, change: Path, expect: tuple[str, ...] = ()) -> dict:
     only_base, only_change = sorted(before - after), sorted(after - before)
     moved = sorted({*changed, *only_base, *only_change})
     unexpected = [n for n in moved if not any(fnmatch.fnmatchcase(n, g) for g in expect)]
+    floats = {n: gaps for n in changed if (gaps := float_gaps(base / n, change / n))}
+    beyond = [n for n, gaps in floats.items() if any(g["rel"] > rtol for g in gaps.values())]
     return {
         "identical": len(both) - len(changed),
         "changed": changed,
         "only_base": only_base,
         "only_change": only_change,
         "unexpected": unexpected,
-        "passed": not unexpected,
+        "floats": floats,
+        "beyond_rtol": beyond,
+        "passed": not unexpected and not beyond,
     }
+
+
+def gap_lines(floats: dict) -> list[str]:
+    """One line per moved float column of ``compare``'s ``floats``."""
+    return [
+        f"floats: {name} {column}: {g['cells']} cells moved, largest relative gap {g['rel']:.3g}, "
+        f"largest gap {g['ulps']} ulps"
+        for name, gaps in floats.items() for column, g in gaps.items()
+    ]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -141,6 +225,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--against", required=True, help="git revision to compare with")
     parser.add_argument("--expect", action="append", default=[], metavar="GLOB",
                         help="a moved file that matches GLOB passes (repeatable)")
+    parser.add_argument("--rtol", type=float, default=1e-12,
+                        help="the largest relative gap a moved float may have (default 1e-12)")
     args = parser.parse_args(argv)
     start = time.perf_counter()
     work = Path(tempfile.mkdtemp(prefix="wnet-contract-"))
@@ -149,7 +235,7 @@ def main(argv: list[str] | None = None) -> int:
         inputs = write_inputs(work / "inputs")
         run_side(work / "base-tree" / "src", inputs, work / "base")
         run_side(ROOT / "src", inputs, work / "change")
-        found = compare(work / "base", work / "change", tuple(args.expect))
+        found = compare(work / "base", work / "change", tuple(args.expect), args.rtol)
     finally:
         shutil.rmtree(work, ignore_errors=True)
     labels = {"changed": "changed", "only_base": f"only in {args.against}", "only_change": "only here"}
@@ -158,9 +244,13 @@ def main(argv: list[str] | None = None) -> int:
         moved += len(found[kind])
         for name in sorted(set(found[kind]) & set(found["unexpected"])):
             print(f"{label}: {name}")
+    for line in gap_lines(found["floats"]):
+        print(line)
+    for name in found["beyond_rtol"]:
+        print(f"floats moved beyond --rtol {args.rtol:g}: {name}")
     summary = {
         "against": args.against, "commit": commit, "workloads": list(WORKLOADS), "seed": SEED,
-        "sequences": SEQUENCES, "expect": args.expect, **found,
+        "sequences": SEQUENCES, "expect": args.expect, "rtol": args.rtol, **found,
         "seconds": round(time.perf_counter() - start, 1),
     }
     print(f"{found['identical']} files identical, {moved} moved, "
