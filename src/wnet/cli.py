@@ -212,7 +212,7 @@ def _pipeline_config(args: argparse.Namespace, analyses: frozenset[str]) -> Pipe
         WeightVariant.from_name(getattr(args, "scheme", None) or default.variant.value),
         _float_arg(args, "threshold", default.threshold),
     )
-    config = PipelineConfig(
+    return PipelineConfig(
         flows=_path_arg(args, "flows"),
         gdp=_path_arg(args, "gdp", required=False),
         scheme=scheme,
@@ -222,8 +222,6 @@ def _pipeline_config(args: argparse.Namespace, analyses: frozenset[str]) -> Pipe
         # A float flag left unset keeps the PipelineConfig default.
         **{name: value for name in _FLOAT_FIELDS if (value := _float_arg(args, name)) is not None},
     )
-    config.validate()
-    return config
 
 
 def _selected_analyses(args: argparse.Namespace, default: tuple[str, ...]) -> frozenset[str]:

@@ -220,12 +220,17 @@ def pearson_rows(
     entries defined in both.  ``level`` is the two-sided coverage; the
     default 0.90 puts the band endpoints at the 5% and 95% quantiles.
     Raises DataError, named by ``where`` (see ``fail_first_row``), at the
-    first row pair with fewer than 3 jointly defined pairs or zero variance
-    on either side.
+    first row pair with fewer than 3 jointly defined pairs or zero variance:
+    a side whose largest entry equals its smallest.
 
     r repeats ``np.corrcoef``'s operations, so it has its bits: each row's
     pairs are centred on their means, and their sums of products come from
-    one ``np.dot`` of a C-contiguous (2, n) block with its transpose.
+    one ``np.dot`` of a C-contiguous (2, n) block with its transpose.  A
+    side whose largest deviation from its mean is below 2**-240 or above
+    2**240, where its squares would leave the normal range, is first scaled
+    by the exact power of two that brings that deviation into [1/2, 1),
+    which leaves r as its sample gives it at scale 1.  No other side is
+    scaled.
     """
     if not 0 < level < 1:
         raise ValidationError(f"confidence level must be in (0, 1), got {level!r}")
@@ -240,10 +245,13 @@ def pearson_rows(
         k = x.shape[1]
         if k < 3:
             continue
-        flat[at] = (x.std(axis=1) == 0) | (y.std(axis=1) == 0)
+        flat[at] = (x.max(axis=1) == x.min(axis=1)) | (y.max(axis=1) == y.min(axis=1))
         keep = ~flat[at]
         at, pairs = at[keep], np.stack([x[keep], y[keep]], axis=1)
         pairs -= pairs.mean(axis=2, keepdims=True)
+        reach = np.abs(pairs).max(axis=2)
+        extreme = (reach < 2.0**-240) | (reach > 2.0**240)
+        pairs[extreme] = np.ldexp(pairs[extreme], -np.frexp(reach[extreme])[1][:, None])
         products = np.array([np.dot(block, block.T).ravel() for block in pairs]).reshape(-1, 4)
         products *= np.true_divide(1, k - 1)
         stddev = np.sqrt(products[:, [0, 3]])
@@ -327,7 +335,8 @@ def fit_tail_rows(
     and ``alpha`` = k / sum(log(x_i / x_min)) over the k (``tail_count``)
     values at or above it.  Raises DataError, named by ``where`` (see
     ``fail_first_row``), at the first row with fewer than 50 positive
-    entries, a constant sample or no spread above the cutoff.
+    entries, a constant sample (its largest entry equals its smallest) or no
+    spread above the cutoff.
     """
     if not 0 < tail_fraction < 1:
         raise ValidationError(
@@ -338,9 +347,11 @@ def fit_tail_rows(
     count = positive.sum(axis=1)
     mu, sigma, x_min, log_excess = np.full((4, len(rows)), np.nan)
     tail_count = np.zeros(len(rows), dtype=np.int64)
+    constant = np.zeros(len(rows), dtype=bool)
     for at, x in row_groups(positive, rows):
         if x.shape[1] < 50:
             continue
+        constant[at] = x.max(axis=1) == x.min(axis=1)
         logs = np.log(x)
         mu[at], sigma[at] = logs.mean(axis=1), logs.std(axis=1)
         x_min[at] = np.quantile(x, 1 - tail_fraction, axis=1)
@@ -351,7 +362,7 @@ def fit_tail_rows(
     fail_first_row(
         where,
         (count < 50, lambda i: f"tail fit needs >= 50 positive values, got {count[i]}"),
-        (sigma == 0, lambda i: "tail fit undefined for a constant sample"),
+        (constant, lambda i: "tail fit undefined for a constant sample"),
         (~(log_excess > 0), lambda i: "tail is degenerate (no spread above the cutoff)"),
     )
     return {

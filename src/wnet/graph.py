@@ -64,7 +64,6 @@ class DirectedTradeNetwork:
 
     year: int
     codes: tuple[str, ...]
-    scheme: WeightScheme
     adjacency: np.ndarray
     weights: np.ndarray
 
@@ -83,7 +82,6 @@ class UndirectedNetwork:
 
     year: int
     codes: tuple[str, ...]
-    scheme: WeightScheme
     adjacency: np.ndarray
     weights: np.ndarray
     normalizer: float
@@ -138,7 +136,7 @@ def build_directed(
         if np.isinf(weights).any():
             raise DataError(f"year {year}: a link weight overflows to infinity")
 
-    return DirectedTradeNetwork(year, panel.codes, scheme, adjacency, weights)
+    return DirectedTradeNetwork(year, panel.codes, adjacency, weights)
 
 
 def symmetrize(net: DirectedTradeNetwork) -> UndirectedNetwork:
@@ -162,9 +160,7 @@ def symmetrize(net: DirectedTradeNetwork) -> UndirectedNetwork:
     if normalizer == math.inf:  # a flow over a tiny GDP: the weights would be NaN
         raise DataError(f"year {net.year}: a link weight overflows to infinity")
     weights = averaged / normalizer
-    return UndirectedNetwork(
-        net.year, net.codes, net.scheme, adjacency, weights, normalizer
-    )
+    return UndirectedNetwork(net.year, net.codes, adjacency, weights, normalizer)
 
 
 def symmetry_index(net: DirectedTradeNetwork) -> float:

@@ -194,14 +194,15 @@ def _manifest_context(path: Path):
         raise DataError(f"{path} is not a wnet manifest: {exc}") from None
 
 
-def read_manifest(out_dir: Path) -> dict | None:
-    """``out_dir``'s manifest, or None if it has none.
+def read_manifest(out_dir: Path) -> dict:
+    """``out_dir``'s manifest.
 
-    Raises DataError unless it is a JSON object with a ``files`` object.
+    Raises DataError if ``out_dir`` has none, or unless it is a JSON object
+    with a ``files`` object.
     """
     path = out_dir / MANIFEST
     if not path.exists():
-        return None
+        raise DataError(f"{out_dir} has no {MANIFEST}")
     with _manifest_context(path):
         manifest = json.loads(path.read_text(encoding="utf-8"))
         if not isinstance(manifest["files"], dict):
@@ -215,12 +216,12 @@ def _is_file_name(name: str) -> bool:
 
 
 def _listed_files(out_dir: Path) -> set[str]:
-    """The plain file names that ``out_dir``'s manifest lists, if it parses."""
+    """The plain file names that ``out_dir``'s manifest lists, if it has one that parses."""
     try:
         manifest = read_manifest(out_dir)
     except (DataError, OSError):
         return set()
-    return set(filter(_is_file_name, manifest["files"] if manifest else {}))
+    return set(filter(_is_file_name, manifest["files"]))
 
 
 def _check_listed(path: Path, digest: str) -> tuple[str, bytes | None]:
@@ -237,35 +238,28 @@ _CELLS = {"U": str, "i": np.int64, "f": lambda cell: float(cell) if cell else ma
 _DTYPES = {"U": object, "i": np.int64, "f": np.float64}
 
 
-def read_bundle(out_dir: Path, names: Mapping) -> tuple[dict | None, dict]:
-    """``out_dir``'s manifest (None if it has none) and the columns of the
-    files that ``names``, a part of ``bundle_names``, names, keyed as it keys
-    them.
+def read_bundle(out_dir: Path, names: Mapping) -> tuple[dict, dict]:
+    """``out_dir``'s manifest and the columns of the files that ``names``, a
+    part of ``bundle_names``, names, keyed as it keys them.
 
     Each file is read once, and its bytes are parsed only once they match
-    the manifest's digest (``_check_listed``, as ``verify_bundle`` checks);
-    without a manifest there is no digest to check.  A named file that is
-    absent and unlisted is left out.  Each file is parsed by one rule, its
-    kind's ``LAYOUT``: the header exactly as written, then one cell a column
-    on every line.  A column is a numpy array of the layout's type, never
-    guessed from the cells (a label stays a ``str``, even ``123`` or
-    ``nan``), keyed by its header name.  Raises DataError, naming the file,
-    if a listed file is missing or changed, an unlisted one is there, or a
-    file does not parse.
+    the manifest's digest (``_check_listed``, as ``verify_bundle`` checks).
+    A named file that is absent and unlisted is left out.  Each file is
+    parsed by one rule, its kind's ``LAYOUT``: the header exactly as written,
+    then one cell a column on every line.  A column is a numpy array of the
+    layout's type, never guessed from the cells (a label stays a ``str``,
+    even ``123`` or ``nan``), keyed by its header name.  Raises DataError,
+    naming the file, if ``out_dir`` has no manifest, a listed file is missing
+    or changed, an unlisted one is there, or a file does not parse.
     """
     manifest = read_manifest(out_dir)
-    listed = manifest["files"] if manifest is not None else {}
+    listed = manifest["files"]
     columns = {}
     for key, name in names.items():
         path = out_dir / name
-        if name in listed:
-            state, data = _check_listed(path, listed[name])
-        elif not path.exists():
+        if name not in listed and not path.exists():
             continue
-        elif manifest is not None:
-            state, data = "not listed", None
-        else:
-            data = path.read_bytes()
+        state, data = _check_listed(path, listed[name]) if name in listed else ("not listed", None)
         if data is None:
             raise DataError(f"{path} does not match {MANIFEST}: it is {state}")
         columns[key] = _parse(path, data, _kind(key))
@@ -315,8 +309,6 @@ def verify_bundle(out_dir: Path) -> dict[str, list[str]]:
     is not a plain file name.
     """
     manifest = read_manifest(out_dir)
-    if manifest is None:
-        raise DataError(f"{out_dir} has no {MANIFEST}")
     found: dict[str, list[str]] = {
         kind: [] for kind in ("intact", "missing", "changed", "unlisted", "staging")
     }
@@ -373,7 +365,7 @@ def _write_staged(path: Path, data: bytes) -> bool:
 @contextmanager
 def write_bundle(
     out_dir: Path, names: Iterable[str]
-) -> Iterator[Callable[[Mapping[str, Callable[[], str]], dict | None], str]]:
+) -> Iterator[Callable[[Mapping[str, Callable[[], str]], dict], str]]:
     """The one write of a bundle into ``out_dir``, from staging to cleanup.
 
     On entry it makes ``out_dir`` (with any missing directory above it) and a
@@ -394,10 +386,10 @@ def write_bundle(
     directory is new and the child writes nothing, and on ext4 a truncated
     file is flushed to disk when it is closed.  Each file's digest is the
     sha256 of the bytes written, so no staged file is read back.  Once every
-    file is made, the creating child is stopped (SIGKILL) and reaped.  Unless
-    ``manifest`` is None, the digests are added to ``manifest["files"]`` and it
-    is written as ``manifest.json``.  Only then are the files renamed into
-    place, ``manifest.json`` last, and the files that the previous manifest
+    file is made, the creating child is stopped (SIGKILL) and reaped.  The
+    digests are added to ``manifest["files"]``, and it is written as
+    ``manifest.json``.  Only then are the files renamed into place,
+    ``manifest.json`` last, and the files that the previous manifest
     listed and the new one does not are deleted.  ``commit`` returns the note
     of the write's stage line: the file count, the seconds spent in the makers
     and how many of the files the commit itself created.
@@ -419,7 +411,7 @@ def write_bundle(
             os.waitpid(child, 0)
             child = None
 
-    def commit(files: Mapping[str, Callable[[], str]], manifest: dict | None) -> str:
+    def commit(files: Mapping[str, Callable[[], str]], manifest: dict) -> str:
         texts = 0.0
         created = 0
         digests = {}
@@ -431,22 +423,20 @@ def write_bundle(
             created += _write_staged(staging / name, data)
             digests[name] = hashlib.sha256(data).hexdigest()
         stop()  # the creating child: every file is made without it
-        if manifest is not None:
-            previous = _listed_files(out_dir)
-            manifest["files"] = {**manifest.get("files", {}), **digests}
-            text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-            _write_staged(staging / MANIFEST, text.encode("utf-8"))
+        previous = _listed_files(out_dir)
+        manifest["files"] = {**manifest.get("files", {}), **digests}
+        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        _write_staged(staging / MANIFEST, text.encode("utf-8"))
         for name in files:
             os.replace(staging / name, out_dir / name)
-        if manifest is not None:
-            os.replace(staging / MANIFEST, out_dir / MANIFEST)
-            stale = sorted(previous - set(manifest["files"]))
-            for name in stale:
-                if (out_dir / name).is_file():
-                    (out_dir / name).unlink()
-            if stale:
-                logger.info("removed %d files that only the previous manifest listed", len(stale))
-        logger.info("wrote %d files to %s", len(files) + (manifest is not None), out_dir)
+        os.replace(staging / MANIFEST, out_dir / MANIFEST)
+        stale = sorted(previous - set(manifest["files"]))
+        for name in stale:
+            if (out_dir / name).is_file():
+                (out_dir / name).unlink()
+        if stale:
+            logger.info("removed %d files that only the previous manifest listed", len(stale))
+        logger.info("wrote %d files to %s", len(files) + 1, out_dir)
         return f"{len(files)} files; texts {texts:.2f} s; {created} created by the commit"
 
     try:
@@ -582,8 +572,8 @@ def run_pipeline(config: PipelineConfig) -> tuple[dict, dict]:
     the previous bundle as it was.  The seconds of each stage go to the log at
     INFO, never into the bundle.
     """
-    timer = _StageTimer()
     config.validate()
+    timer = _StageTimer()
     staged = (name for _, name in _named_files(config.analyses, config.years))
     with write_bundle(config.out_dir, staged) as commit:
         panel = load_panel(config.flows, config.gdp)
@@ -785,26 +775,25 @@ def relabel(
     """Rewrite ``out_dir``'s comparison table from its correlation series, and
     return the table's columns.
 
-    Only the four series the table uses are read, through ``read_bundle``, so
-    each is checked against the manifest first.  Cuts left as None default to
-    those in the bundle's manifest, or to the ``PipelineConfig`` defaults
-    without one.  A manifest is rewritten with the new table's digest and
-    cuts; without one, only ``comparison.csv`` is written.
+    The cuts given are checked before the bundle is read: each alone, and
+    their order if both are given.  Only the four series the table uses are
+    read, through ``read_bundle``, so each is checked against the manifest
+    first.  Cuts left as None default to those in the bundle's manifest,
+    which is rewritten with the new table's digest and cuts.
     """
+    if given := [cut for cut in (strong_cut, moderate_cut) if cut is not None]:
+        _check_cuts(given[0], given[-1])
     names = bundle_names(("correlations",), ())
     keys = [("correlations", pair) for roles in VIEW_PAIRS.values() for pair in roles.values()]
     manifest, files = read_bundle(out_dir, {key: names[key] for key in keys})
-    labelled = [PipelineConfig.strong_cut, PipelineConfig.moderate_cut]
-    if manifest is not None:
-        with _manifest_context(out_dir / MANIFEST):
-            labelled = [float(manifest["config"][k]) for k in ("strong_cut", "moderate_cut")]
+    with _manifest_context(out_dir / MANIFEST):
+        labelled = [float(manifest["config"][k]) for k in ("strong_cut", "moderate_cut")]
     strong_cut = labelled[0] if strong_cut is None else strong_cut
     moderate_cut = labelled[1] if moderate_cut is None else moderate_cut
     _check_cuts(strong_cut, moderate_cut)
     comparison = compare_views({pair: columns for (_, pair), columns in files.items()},
                                strong_cut, moderate_cut)
-    if manifest is not None:
-        manifest["config"].update(strong_cut=strong_cut, moderate_cut=moderate_cut)
+    manifest["config"].update(strong_cut=strong_cut, moderate_cut=moderate_cut)
     with write_bundle(out_dir, [names["comparison"]]) as commit:
         commit(_makers(names, {"comparison": comparison}), manifest)
     return comparison

@@ -91,14 +91,16 @@ def moments_rows(
 
     Population moments over the finite entries of each row of the 2-D
     ``rows``: skewness is the third standardized moment and kurtosis the
-    fourth (a normal sample gives ~3, no excess subtraction).  Both are NaN
-    for a zero-variance row.  A row whose largest magnitude is above 2**1000,
-    where its sum could overflow, is scaled before its mean by the exact
-    power of two that brings that magnitude into [1/2, 1), and its mean and
-    std are scaled back.  A row whose largest deviation from its mean is
-    below 2**-240 or above 2**240, where a fourth power would leave the
-    normal range, has its deviations scaled the same way, so it gets the
-    skewness and kurtosis of its sample at scale 1.  No other row is scaled.
+    fourth (a normal sample gives ~3, no excess subtraction).  A constant
+    row (its largest entry equals its smallest) takes its value as its mean,
+    so its std is 0 and its skewness and kurtosis are NaN.  A row whose
+    largest magnitude is above 2**1000, where its sum could overflow, is
+    scaled before its mean by the exact power of two that brings that
+    magnitude into [1/2, 1), and its mean and std are scaled back.  A row
+    whose largest deviation from its mean is below 2**-240 or above 2**240,
+    where a fourth power would leave the normal range, has its deviations
+    scaled the same way, so it gets the skewness and kurtosis of its sample
+    at scale 1.  No other row is scaled.
     Raises DataError, named by ``where`` (see ``fail_first_row``), at the
     first row with fewer than two defined entries.
     """
@@ -111,7 +113,7 @@ def moments_rows(
         top = np.abs(x).max(axis=1)
         shift = np.where(top > 2.0**1000, np.frexp(top)[1], 0)
         x = np.ldexp(x, -shift[:, None])
-        m = x.mean(axis=1)
+        m = np.where(x.max(axis=1) == x.min(axis=1), x[:, 0], x.mean(axis=1))
         centered = x - m[:, None]
         reach = np.abs(centered).max(axis=1)
         exponent = np.where((reach < 2.0**-240) | (reach > 2.0**240), np.frexp(reach)[1], 0)

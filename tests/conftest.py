@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import wnet.pipeline
-from wnet import UndirectedNetwork, WeightScheme, load_panel
+from wnet import UndirectedNetwork, load_panel
 
 try:
     from hypothesis import settings
@@ -34,7 +34,7 @@ def make_undirected(
         w = w / w.max()
     adjacency = (w > 0).astype(np.int64)
     codes = tuple(f"N{i:03d}" for i in range(len(w)))
-    return UndirectedNetwork(year, codes, WeightScheme(), adjacency, w, float(w.max()))
+    return UndirectedNetwork(year, codes, adjacency, w, float(w.max()))
 
 
 def random_undirected(

@@ -132,7 +132,8 @@ def moments_oracle(values) -> tuple[float, float, float, float, int]:
     x = x[np.isfinite(x)]
     if x.size < 2:
         raise DataError(f"moments need >= 2 defined values, got {x.size}")
-    mean = float(x.mean())
+    # A constant sample's mean is its value, so its std is 0.
+    mean = float(x[0]) if x.max() == x.min() else float(x.mean())
     centered = x - mean
     std = float(np.sqrt(np.mean(centered**2)))
     if std == 0:
@@ -154,7 +155,7 @@ def pearson_ci_oracle(x, y, level: float = 0.90) -> tuple[float, float, float, i
     if n < 3:
         raise DataError(f"correlation needs >= 3 jointly defined pairs, got {n}")
     xa, ya = xa[mask], ya[mask]
-    if xa.std() == 0 or ya.std() == 0:
+    if xa.max() == xa.min() or ya.max() == ya.min():
         raise DataError("correlation undefined for zero-variance input")
     r = float(np.corrcoef(xa, ya)[0, 1])
     r = max(-1.0, min(1.0, r))
@@ -221,7 +222,7 @@ def fit_tail_oracle(values, tail_fraction: float = 0.05) -> tuple:
     logs = np.log(positive)
     mu = float(logs.mean())
     sigma = float(logs.std())
-    if sigma == 0:
+    if positive.max() == positive.min():
         raise DataError("tail fit undefined for a constant sample")
     x_min = float(np.quantile(positive, 1 - tail_fraction))
     tail = positive[positive >= x_min]

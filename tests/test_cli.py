@@ -4,6 +4,7 @@ import ast
 import builtins
 import csv
 import errno
+import hashlib
 import io
 import json
 import logging
@@ -16,7 +17,7 @@ import sys
 import time
 import warnings
 from functools import partial
-from itertools import chain, count
+from itertools import chain, count, product
 from pathlib import Path
 
 import numpy as np
@@ -260,13 +261,14 @@ def test_report_defaults_to_the_bundle_cuts(toy_csvs, tmp_path):
     assert (out / "comparison.csv").read_bytes() == table
     assert (out / "manifest.json").read_bytes() == manifest
     assert json.loads(manifest)["config"]["strong_cut"] == 0.5
-    # Without a manifest, the defaults label the table.
+    # Without a manifest there are no cuts to default to, and nothing is written.
     (out / "manifest.json").unlink()
-    assert run_cli("report", "--out", str(out)) == 0
-    assert (out / "comparison.csv").read_bytes() != table
+    before = bundle_state(out)
+    assert run_cli("report", "--out", str(out)) == 2
+    assert bundle_state(out) == before
 
 
-def test_report_without_a_manifest_writes_only_the_table(toy_csvs, tmp_path):
+def test_report_without_a_manifest_exits_2_and_writes_nothing(toy_csvs, tmp_path, capsys):
     flows, gdp = toy_csvs
     out = tmp_path / "bundle"
     assert run_cli(
@@ -274,11 +276,16 @@ def test_report_without_a_manifest_writes_only_the_table(toy_csvs, tmp_path):
         "--years", "1999:2000", "--out", str(out),
     ) == 0
     (out / "manifest.json").unlink()
-    table = (out / "comparison.csv").read_bytes()
     (out / "comparison.csv").unlink()
     before = bundle_state(out)
-    assert run_cli("report", "--out", str(out)) == 0
-    assert bundle_state(out) == {**before, "comparison.csv": table}
+    capsys.readouterr()
+    assert run_cli("report", "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {out} has no manifest.json\n" and not captured.out
+    assert bundle_state(out) == before
+    # verify refuses the directory with the same line.
+    assert run_cli("verify", "--out", str(out)) == 2
+    assert capsys.readouterr().err == captured.err
 
 
 #: Nesting too deep for the JSON decoder, which raises RecursionError.
@@ -382,6 +389,16 @@ def bundle_state(out: Path) -> dict[str, bytes | None]:
     return {p.name: p.read_bytes() if p.is_file() else None for p in out.iterdir()}
 
 
+def vouch_for(path: Path) -> None:
+    """Write the sha256 of the bundle file ``path`` into its bundle's manifest,
+    as a run that wrote those bytes would."""
+    manifest_path = path.parent / "manifest.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest["files"][path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    manifest_path.write_text(text, encoding="utf-8")
+
+
 #: Correlation series bodies that ``report`` cannot parse.
 BROKEN_SERIES = [
     "year,pair,ci_low,ci_high,n\n2000,ND-ANND,-0.5,-0.4,60\n",
@@ -410,17 +427,17 @@ def set_r(series: Path, r: str) -> None:
 
 @pytest.mark.parametrize("body", BROKEN_SERIES)
 def test_report_rejects_a_broken_correlation_series(toy_csvs, tmp_path, capsys, body):
-    # Without a manifest there is no digest to check, so the parser refuses the body.
+    # The manifest vouches for the edited body, so the parser is what refuses it.
     flows, gdp = toy_csvs
     out = tmp_path / "bundle"
     assert run_cli(
         "all", "--flows", str(flows), "--gdp", str(gdp),
         "--years", "1999:2000", "--out", str(out),
     ) == 0
-    (out / "manifest.json").unlink()
-    before = bundle_state(out)
     broken = out / "correlation_nd_annd.csv"
     broken.write_text(body, encoding="utf-8")
+    vouch_for(broken)
+    before = bundle_state(out)
     capsys.readouterr()
     assert run_cli("report", "--out", str(out), "--strong-cut", "0.5") == 2
     err = capsys.readouterr().err
@@ -434,15 +451,15 @@ def test_report_rejects_a_broken_correlation_series(toy_csvs, tmp_path, capsys, 
 
 @pytest.mark.parametrize("r", UNLABELLED_R)
 def test_report_refuses_a_correlation_it_cannot_label(toy_csvs, tmp_path, capsys, r):
-    # Without a manifest there is no digest to check, so compare_views refuses the r.
+    # The manifest vouches for the edited r, so compare_views is what refuses it.
     flows, gdp = toy_csvs
     out = tmp_path / "bundle"
     assert run_cli(
         "all", "--flows", str(flows), "--gdp", str(gdp),
         "--years", "1999:2000", "--out", str(out),
     ) == 0
-    (out / "manifest.json").unlink()
     set_r(out / "correlation_nd_annd.csv", r)
+    vouch_for(out / "correlation_nd_annd.csv")
     before = bundle_state(out)
     capsys.readouterr()
     assert run_cli("report", "--out", str(out), "--strong-cut", "0.5") == 2
@@ -1259,6 +1276,88 @@ def test_benchmark_span_targets_exist():
 
 def test_report_missing_series_is_data_error(tmp_path):
     assert run_cli("report", "--out", str(tmp_path)) == 2
+
+
+def test_report_names_the_series_a_bundle_lacks(toy_csvs, tmp_path, capsys):
+    flows, gdp = toy_csvs
+    out = tmp_path / "bundle"
+    assert run_cli(
+        "stats", "--flows", str(flows), "--gdp", str(gdp), "--years", "2000", "--out", str(out)
+    ) == 0
+    before = bundle_state(out)
+    capsys.readouterr()
+    assert run_cli("report", "--out", str(out)) == 2
+    assert capsys.readouterr().err == "error: bundle is missing the ND-ANND correlation series\n"
+    assert bundle_state(out) == before
+
+
+def write_ring_lattice(tmp_path, n=60, years=(1999, 2000)) -> tuple[Path, Path]:
+    """Flow and GDP CSVs of a ring of ``n`` countries, each with a flow of 1000
+    to its three nearest neighbours on each side, and every GDP 1e6."""
+    codes = [f"C{i:02d}" for i in range(n)]
+    flows, sizes = ["year,exporter,importer,value"], ["year,country,gdp"]
+    for year, i in product(years, range(n)):
+        flows += [f"{year},{codes[i]},{codes[(i + d) % n]},1000.0" for d in (-3, -2, -1, 1, 2, 3)]
+        sizes.append(f"{year},{codes[i]},1000000.0")
+    paths = tmp_path / "flows.csv", tmp_path / "gdp.csv"
+    for path, lines in zip(paths, (flows, sizes)):
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return paths
+
+
+def test_a_ring_lattice_has_constant_statistics_with_zero_spread(tmp_path):
+    # Every country has degree 6 and clustering 3 (6 - 2) / (4 (6 - 1)) = 0.6,
+    # and every weight is 1.  Sixty 0.6s have a mean that rounds above 0.6.
+    flows, gdp = write_ring_lattice(tmp_path)
+    out = tmp_path / "bundle"
+    assert run_cli(
+        "all", "--flows", str(flows), "--gdp", str(gdp), "--years", "1999:2000",
+        "--analyses", "moments", "--out", str(out),
+    ) == 0
+    lines = (out / "moments.csv").read_text(encoding="utf-8").splitlines()
+    assert lines == ["statistic,year,mean,std,skewness,kurtosis,count", *(
+        f"{name},{year},{value},0.0,,,60"
+        for year in (1999, 2000)
+        for name, value in zip(("nd", "ns", "annd", "anns", "bcc", "wcc"), [6.0] * 4 + [0.6] * 2)
+    )]
+
+
+def write_one_huge_flow(tmp_path, value: str) -> tuple[Path, Path]:
+    """``write_panel_csvs(n=50)`` with the first flow of 2000 set to ``value``."""
+    flows, gdp = write_panel_csvs(tmp_path, n=50)
+    lines = flows.read_text(encoding="utf-8").splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("2000,"))
+    lines[at] = ",".join([*lines[at].split(",")[:3], value])
+    flows.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return flows, gdp
+
+
+@pytest.mark.parametrize("value", ["1e300", "1.7e308"])
+def test_one_huge_flow_keeps_the_weighted_clustering_correlation(tmp_path, capsys, value):
+    # The other weights fall below 1e-190 once one flow sets the maximum, and
+    # every wcc is then below 1e-198: their squared deviations underflow to 0.
+    scipy_stats = pytest.importorskip("scipy.stats")
+    flows, gdp = write_one_huge_flow(tmp_path, value)
+    run = ("all", "--flows", str(flows), "--gdp", str(gdp), "--years", "1999:2000")
+    out = tmp_path / "bundle"
+    assert run_cli(
+        *run, "--analyses", "stats,moments,correlations,ranksize,tailfit,symmetry", "--out", str(out)
+    ) == 0
+    assert run_cli("verify", "--out", str(out)) == 0
+    names = bundle_names(("stats", "correlations"), (2000,))
+    _, files = read_bundle(out, {key: names[key] for key in (("stats", 2000), ("correlations", "WCC-NS"))})
+    stats, series = files["stats", 2000], files["correlations", "WCC-NS"]
+    assert np.nanmax(stats["wcc"]) < 1e-198
+    defined = np.isfinite(stats["wcc"])
+    want = scipy_stats.pearsonr(stats["wcc"][defined], stats["ns"][defined]).statistic
+    assert series["r"][1] == pytest.approx(want, rel=1e-12)
+    assert series["r"][1] == pytest.approx(0.8945, abs=1e-4)
+    # The default analyses add the densities, whose grid this ns row puts out of range.
+    capsys.readouterr()
+    assert run_cli(*run, "--out", str(tmp_path / "all")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: density of ns in year 2000: bandwidth ") and err.count("\n") == 1
+    assert "puts the density grid out of float range" in err
 
 
 def test_missing_required_flag_is_validation_error(toy_csvs, tmp_path):

@@ -231,6 +231,31 @@ def test_pearson_errors():
         pearson_rows(np.array([[1.0, 2.0, 3.0]]), np.array([[1.0, 2.0, 3.0]]), level=1.5)
 
 
+def test_a_constant_side_of_a_pair_is_zero_variance():
+    # The mean of seven 0.7s rounds away from 0.7, so a rounded std is not 0.
+    constant, spread = np.array([[0.7] * 7]), np.arange(7.0)[None]
+    for xs, ys in (constant, spread), (spread, constant):
+        with pytest.raises(DataError, match="^correlation undefined for zero-variance input$"):
+            pearson_rows(xs, ys)
+
+
+@pytest.mark.parametrize("exponent", [-1000, -600, -520, 520, 600])
+def test_pearson_rows_at_extreme_scales_are_those_at_scale_one(exponent):
+    # Squares of these deviations leave the normal range.  The rows differ from
+    # their twins at scale 1 by an exact power of two, so each cell keeps its bits.
+    rng = np.random.default_rng(11)
+    xs, ys = 1 + rng.random((2, 3, 40))
+    ys += xs
+    scaled = np.ldexp(xs, exponent)
+    for got, want in (
+        (pearson_rows(scaled, ys), pearson_rows(xs, ys)),
+        (pearson_rows(ys, scaled), pearson_rows(ys, xs)),
+    ):
+        for name in ("r", "ci_low", "ci_high", "n"):
+            assert np.array_equal(got[name], want[name]), name
+        assert (want["r"] > 0.5).all()
+
+
 def _table(**columns):
     """The node statistics columns of one year: ``columns``, the others all ones."""
     n = len(next(iter(columns.values())))
@@ -359,3 +384,10 @@ def test_fit_tail_errors():
         fit_tail_rows(np.full((1, 100), 2.0))
     with pytest.raises(ValidationError, match="tail fraction"):
         fit_tail_rows(rng.lognormal(0, 1, (1, 100)), tail_fraction=1.5)
+
+
+def test_a_constant_tail_sample_is_flagged_as_constant():
+    # The logs of sixty 0.7s have a rounded std above 0, and the tail above
+    # the cutoff has no spread; the sample is constant, and said to be.
+    with pytest.raises(DataError, match="^tail fit undefined for a constant sample$"):
+        fit_tail_rows(np.full((1, 60), 0.7))

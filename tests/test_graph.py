@@ -269,7 +269,7 @@ def test_symmetrize_rejects_linkless_network():
     from wnet import DirectedTradeNetwork
 
     empty = DirectedTradeNetwork(
-        2000, ("A", "B"), WeightScheme(), np.zeros((2, 2), dtype=np.int64), np.zeros((2, 2))
+        2000, ("A", "B"), np.zeros((2, 2), dtype=np.int64), np.zeros((2, 2))
     )
     with pytest.raises(DataError, match="no links"):
         symmetrize(empty)
@@ -287,8 +287,6 @@ def test_a_weight_that_overflows_is_a_data_error():
         build_directed(panel, 2000, WeightScheme())
     # symmetrize keeps its own check, for a network built otherwise.
     weights = np.array([[0.0, np.inf], [5.0, 0.0]])
-    net = DirectedTradeNetwork(
-        2000, panel.codes, WeightScheme(), (weights > 0).astype(np.int64), weights
-    )
+    net = DirectedTradeNetwork(2000, panel.codes, (weights > 0).astype(np.int64), weights)
     with pytest.raises(DataError, match=message):
         symmetrize(net)

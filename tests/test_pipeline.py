@@ -137,7 +137,8 @@ def test_manifest_is_strict_json(toy_csvs, tmp_path):
 
 
 def test_read_manifest(tmp_path):
-    assert read_manifest(tmp_path) is None
+    with pytest.raises(DataError, match=f"^{re.escape(str(tmp_path))} has no manifest.json$"):
+        read_manifest(tmp_path)
     for text in ("{not json", "[]", '{"files": ["old.csv"]}', '{"tool": {}}'):
         (tmp_path / "manifest.json").write_text(text)
         with pytest.raises(DataError, match="is not a wnet manifest"):
@@ -543,11 +544,11 @@ _WRITERS = {
 
 
 #: Where the package reads a file: the input reader, the manifest's reader, the
-#: one digest check, the bundle reader and the config file's reader.  Every
-#: bundle file is parsed through ``read_bundle``.
+#: one digest check and the config file's reader.  Every bundle file is read
+#: through ``_check_listed`` and parsed through ``read_bundle``.
 _READERS = {
     "ingest._read_table", "pipeline.read_manifest", "pipeline._check_listed",
-    "pipeline.read_bundle", "cli.read_config_file",
+    "cli.read_config_file",
 }
 
 

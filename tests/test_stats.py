@@ -314,6 +314,15 @@ def test_moments_constant_vector():
     assert math.isnan(m["skewness"][0]) and math.isnan(m["kurtosis"][0])
 
 
+def test_moments_of_a_constant_row_take_its_value_as_the_mean():
+    # The mean of seven 0.7s rounds to 0.7000000000000001, whose deviations
+    # from 0.7 are 1.1e-16, not 0.
+    m = moments_rows(np.array([[0.7] * 7]))
+    assert m["mean"][0] == 0.7 and m["std"][0] == 0.0
+    assert math.isnan(m["skewness"][0]) and math.isnan(m["kurtosis"][0])
+    assert m["count"][0] == 7
+
+
 def test_moments_too_few():
     with pytest.raises(DataError, match=">= 2"):
         moments_rows(np.array([[1.0, np.nan]]))

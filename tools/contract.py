@@ -8,6 +8,10 @@ benchmark workload (``paper-159x20``, ``long-60x300`` and ``wide-1000x2``)
 once (``perfbench/gen.py``), and runs one fixed list of command sequences
 (``SEQUENCES``) over every year of each workload, once with REV's ``wnet``
 and once with this tree's.  Each sequence writes into its own ``--out``.
+Most run at the default parameters; ``params`` runs ``all`` with a link
+threshold, the importer-GDP scheme, a CI level and a tail fraction off their
+defaults, so that undefined statistics, the importer divisor and the normal
+quantile's central branch are covered too.
 
 Then it compares the two sides file by file: every bundle file, and each
 command's exit code, stdout and stderr, with the ``--out`` path masked.  A
@@ -54,6 +58,8 @@ SEQUENCES = {
     "build": [["build"]],
     "report": [["all"], ["report", *CUTS]],
     "raw": [["all", "--scheme", "raw"]],
+    "params": [["all", "--scheme", "importer-gdp", "--threshold", "1e7", "--ci-level", "0.5",
+                "--tail-fraction", "0.1"]],
 }
 #: A command run by one side's ``wnet``, whose ``src`` is first on ``sys.path``.
 RUNNER = "import sys; from wnet.cli import main; sys.exit(main(sys.argv[1:]))"
