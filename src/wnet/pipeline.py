@@ -23,22 +23,19 @@ Nothing is written until the config is valid.  Every command then writes in
 one lifecycle, ``with write_bundle(out_dir, names) as commit``, entered
 before the inputs are read.  Entering makes the output directory and a
 ``.wnet-*`` staging directory in it, and, for two or more files, forks a
-child that creates them there, empty, while the command reads its inputs and
-computes: creating a file is costly on virtualised and network filesystems
-(a new inode can take hundreds of microseconds of kernel time), and filling
-one that exists is not.  The child takes the names of the configured years
-one at a time, so a year range of any length costs it nothing up front, and
-names the commit will not write are removed with the staging directory.
+child wherever ``os.fork`` exists that creates them there, empty, while the
+command reads its inputs and computes: creating a file is costly on
+virtualised and network filesystems (a new inode can take hundreds of
+microseconds of kernel time), and filling one that exists is not.  The child
+takes the names of the configured years one at a time, so a year range of
+any length costs it nothing up front, and names the commit will not write
+are removed with the staging directory.
 ``commit`` makes each file's text only as it writes the file there, every
 file in this process, hashes the bytes it writes, renames the files into
 place, the manifest last, and then deletes the files that only the previous
-manifest listed.  It does not wait for the creating child: both processes
-open a staged file by one rule, open it if it is there, create it only if it
-is absent and never truncate, so whichever opens it first creates it, and
-the child is stopped once every file is made.  Nothing staged needs
-truncating, since the staging directory is new and the child writes no byte;
-and truncating costs, since ext4 (``auto_da_alloc``) flushes a file
-truncated and rewritten to disk when it is closed.
+manifest listed.  It does not wait for the creating child, and the child is
+stopped once every file is made: both processes open a staged file with one
+``O_CREAT`` open, which creates it if it is absent and never truncates it.
 Leaving, however it happens, stops and reaps the child if it is still there
 and removes the staging directory, and the directories it made while they
 are empty.  So a run that fails, on its inputs too, leaves no ``--out`` it
@@ -215,15 +212,6 @@ def _is_file_name(name: str) -> bool:
     return name not in ("", "..", MANIFEST) and Path(name).name == name
 
 
-def _listed_files(out_dir: Path) -> set[str]:
-    """The plain file names that ``out_dir``'s manifest lists, if it has one that parses."""
-    try:
-        manifest = read_manifest(out_dir)
-    except (DataError, OSError):
-        return set()
-    return set(filter(_is_file_name, manifest["files"]))
-
-
 def _check_listed(path: Path, digest: str) -> tuple[str, bytes | None]:
     """How ``path`` stands against its ``digest`` in a manifest: ``"intact"``
     with its bytes, or ``"changed"`` or ``"missing"`` (not a file) with None.
@@ -330,36 +318,22 @@ def verify_bundle(out_dir: Path) -> dict[str, list[str]]:
 _SIGKILL = 9
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on, or 1 where the platform cannot say."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+def _open_staged(path: str) -> int:
+    """A descriptor to write the staged file ``path``: the one open either
+    writer process makes, which creates the file if it is absent and never
+    truncates it."""
+    return os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
 
 
-def _open_staged(path: Path) -> tuple[int, bool]:
-    """A descriptor to write the staged file ``path``, and whether this call
-    created it.  The file is opened if it is there, created only if it is
-    absent, and never truncated: the one way either writer process opens a
-    staged file."""
-    flags = os.O_WRONLY | getattr(os, "O_BINARY", 0)
-    with suppress(FileNotFoundError):
-        return os.open(path, flags), False
-    try:
-        return os.open(path, flags | os.O_CREAT | os.O_EXCL, 0o666), True
-    except FileExistsError:  # the other process created it in between
-        return os.open(path, flags), False
-
-
-def _write_staged(path: Path, data: bytes) -> bool:
-    """Write all of ``data`` to the staged file ``path``, which is empty or
-    absent, and return whether this write created the file."""
-    fd, created = _open_staged(path)
+def _write_staged(path: str, data: bytes) -> None:
+    """Write all of ``data`` to the staged file ``path``, which is empty or absent."""
+    fd = _open_staged(path)
     try:
         view = memoryview(data)
         while view:
             view = view[os.write(fd, view) :]
     finally:
         os.close(fd)
-    return created
 
 
 @contextmanager
@@ -371,28 +345,24 @@ def write_bundle(
     On entry it makes ``out_dir`` (with any missing directory above it) and a
     ``.wnet-*`` staging directory inside it.  If ``names``, the files to come,
     yields two or more, it also forks a child that creates each of them there,
-    empty, while the caller computes, where ``os.fork`` exists and two or more
-    CPUs are usable.  ``names`` is taken lazily: it is peeked for two names, and
-    only the child goes on through it, so it may name more files than the
-    commit writes, or never end.  The child's exit status is not read.
+    empty, while the caller computes, wherever ``os.fork`` exists.  ``names``
+    is taken lazily: it is peeked for two names, and only the child goes on
+    through it, so it may name more files than the commit writes, or never
+    end.  The child's exit status is not read.
 
     It yields ``commit(files, manifest)``, which commits ``files``, each
     name's text made by its zero-argument maker.  It does not wait for the
-    creating child: it makes and writes every file in this process, each
-    write creating its file if the child has not.  Both processes open a
-    staged file by ``_open_staged``'s one rule, open it if it is there, create
-    it only if it is absent and never truncate, so whichever opens a file
-    first creates it.  No staged file needs truncating, since the staging
-    directory is new and the child writes nothing, and on ext4 a truncated
-    file is flushed to disk when it is closed.  Each file's digest is the
-    sha256 of the bytes written, so no staged file is read back.  Once every
-    file is made, the creating child is stopped (SIGKILL) and reaped.  The
-    digests are added to ``manifest["files"]``, and it is written as
-    ``manifest.json``.  Only then are the files renamed into place,
-    ``manifest.json`` last, and the files that the previous manifest
-    listed and the new one does not are deleted.  ``commit`` returns the note
-    of the write's stage line: the file count, the seconds spent in the makers
-    and how many of the files the commit itself created.
+    creating child: it makes and writes every file in this process, and both
+    processes open a staged file by ``_open_staged``, one ``O_CREAT`` open
+    that creates the file if it is absent and never truncates it.  Each
+    file's digest is the sha256 of the bytes written, so no staged file is
+    read back.  Once every file is made, the creating child is stopped
+    (SIGKILL) and reaped.  The digests are added to ``manifest["files"]``,
+    and it is written as ``manifest.json``.  Only then are the files renamed
+    into place, ``manifest.json`` last, and the files that the previous
+    manifest listed and the new one does not are deleted.  ``commit`` returns
+    the note of the write's stage line: the file count and the seconds spent
+    in the makers.
 
     On exit, however it happens, the child is stopped and reaped if it is
     still there, then the staging directory is removed, and the directories
@@ -413,23 +383,25 @@ def write_bundle(
 
     def commit(files: Mapping[str, Callable[[], str]], manifest: dict) -> str:
         texts = 0.0
-        created = 0
         digests = {}
+        staged = {name: os.path.join(staging, name) for name in (*files, MANIFEST)}
         for name, maker in files.items():
             start = time.perf_counter()
             text = maker()
             texts += time.perf_counter() - start
             data = text.encode("utf-8")
-            created += _write_staged(staging / name, data)
+            _write_staged(staged[name], data)
             digests[name] = hashlib.sha256(data).hexdigest()
         stop()  # the creating child: every file is made without it
-        previous = _listed_files(out_dir)
+        try:  # a previous manifest that is missing or does not parse lists nothing
+            previous = set(filter(_is_file_name, read_manifest(out_dir)["files"]))
+        except (DataError, OSError):
+            previous = set()
         manifest["files"] = {**manifest.get("files", {}), **digests}
         text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-        _write_staged(staging / MANIFEST, text.encode("utf-8"))
-        for name in files:
-            os.replace(staging / name, out_dir / name)
-        os.replace(staging / MANIFEST, out_dir / MANIFEST)
+        _write_staged(staged[MANIFEST], text.encode("utf-8"))
+        for name, path in staged.items():  # the manifest last
+            os.replace(path, out_dir / name)
         stale = sorted(previous - set(manifest["files"]))
         for name in stale:
             if (out_dir / name).is_file():
@@ -437,20 +409,20 @@ def write_bundle(
         if stale:
             logger.info("removed %d files that only the previous manifest listed", len(stale))
         logger.info("wrote %d files to %s", len(files) + 1, out_dir)
-        return f"{len(files)} files; texts {texts:.2f} s; {created} created by the commit"
+        return f"{len(files)} files; texts {texts:.2f} s"
 
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        staging = Path(tempfile.mkdtemp(prefix=".wnet-", dir=out_dir))
+        staging = tempfile.mkdtemp(prefix=".wnet-", dir=out_dir)
         names = iter(names)
         first = list(islice(names, 2))
-        if len(first) == 2 and hasattr(os, "fork") and _usable_cpus() >= 2:
+        if len(first) == 2 and hasattr(os, "fork"):
             with suppress(OSError):  # no process to spare: the commit creates every file
                 child = os.fork()
             if child == 0:
                 try:
                     for name in chain(first, names):
-                        os.close(_open_staged(staging / name)[0])
+                        os.close(_open_staged(os.path.join(staging, name)))
                 finally:
                     os._exit(0)
         yield commit
@@ -601,6 +573,8 @@ def _analyse(
     normalizers: dict[str, float] = {}
     symmetry: list[float] = []
     counts: list[tuple[int, str, int]] = []
+    links: list[tuple[int, int, int, float, float]] = []  # each year's, for the log
+    summarise = logger.isEnabledFor(logging.INFO)  # about 50 µs a year: only when logged
     codes = np.array(panel.codes, dtype=object)
     # Every analysis but the link tables and the symmetry index reads the
     # node statistics.  Every year has the panel's codes: statistic j of
@@ -632,7 +606,19 @@ def _analyse(
         isolated, lone = int((nd == 0).sum()), int((nd <= 1).sum())
         counts += [(year, "annd_undefined", isolated), (year, "anns_undefined", isolated),
                    (year, "bcc_undefined", lone), (year, "wcc_undefined", lone)]
+        if summarise:
+            # Link reciprocity 2 (L_dir - L_und) / L_dir, as Garlaschelli and
+            # Loffredo (2004) and networkx's overall_reciprocity define it.
+            l_dir, l_und = directed.n_links, int(nd.sum()) // 2
+            weights = net.weights[net.adjacency == 1]
+            weak = np.count_nonzero(weights < weights.mean()) / weights.size
+            links.append((nd.size - isolated, l_dir, l_und, 2 * (l_dir - l_und) / l_dir, weak))
         timer.lap("node stats" if reads_stats else "counts")
+    if summarise:
+        logger.info("links over %d years, min-max: %d-%d countries with a link, %d-%d directed, "
+                    "%d-%d undirected, reciprocity %.4f-%.4f, %.4f-%.4f of the undirected links "
+                    "below their year's mean weight",
+                    len(years), *chain(*((min(v), max(v)) for v in zip(*links))))
 
     def rows(what: str, *statistics: str) -> tuple[np.ndarray, Callable[[int], str]]:
         """The rows of ``statistics``, year-major as ``product(years,

@@ -584,14 +584,16 @@ def assert_no_child_left():
 
 
 def writer_processes(monkeypatch, parts: int) -> list[int]:
-    """Make ``write_bundle`` see ``parts`` usable CPUs; the returned list
-    gains one entry for each fork this process makes."""
+    """Make ``write_bundle`` write in ``parts`` processes: with 1, every fork
+    fails as when no process can be spared.  The returned list gains one
+    entry for each fork this process makes."""
     forks = []
     real_fork = os.fork
     def fork():
+        if parts == 1:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
         forks.append(os.getpid())
         return real_fork()
-    monkeypatch.setattr(wnet.pipeline, "_usable_cpus", lambda: parts)
     monkeypatch.setattr(os, "fork", fork)
     return forks
 
@@ -601,7 +603,7 @@ def fail_writes(name: str):
     as on a full disk."""
     real = wnet.pipeline._write_staged
     def write(path, data):
-        if path.name == name:
+        if os.path.basename(path) == name:
             real(path, data[: len(data) // 2])
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
         return real(path, data)
@@ -914,7 +916,6 @@ def test_a_failed_staging_fork_gives_the_one_process_bundle(toy_csvs, tmp_path, 
     def fork():  # the staging child's fork fails
         next(forks)
         raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-    monkeypatch.setattr(wnet.pipeline, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(os, "fork", fork)
     fds = sorted(os.listdir("/dev/fd"))
     out = tmp_path / "two"
@@ -924,6 +925,28 @@ def test_a_failed_staging_fork_gives_the_one_process_bundle(toy_csvs, tmp_path, 
     assert_no_child_left()
     assert_bundle_intact(out)
     assert bundle_state(out) == one
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("fault", [None, "full disk", "interrupt"])
+def test_no_descriptor_is_left_open(toy_csvs, tmp_path, capsys, monkeypatch, fault):
+    # Raw descriptors, which the ResourceWarning filter does not see.
+    flows, gdp = toy_csvs
+    args = ["all", "--flows", str(flows), "--gdp", str(gdp), "--years", "1999:2000",
+            "--out", str(tmp_path / "bundle")]
+    before = len(os.listdir("/proc/self/fd"))
+    with monkeypatch.context() as patch:
+        if fault == "full disk":
+            patch.setattr(wnet.pipeline, "_write_staged", fail_writes("stats_2000.csv"))
+        if fault == "interrupt":
+            patch.setattr(wnet.pipeline, "format_table", fail_stats_2000(KeyboardInterrupt))
+        try:
+            code = run_cli(*args)
+        except KeyboardInterrupt:
+            code = "interrupted"
+    assert code == {None: 0, "full disk": 2, "interrupt": "interrupted"}[fault]
+    assert_no_child_left()
+    assert len(os.listdir("/proc/self/fd")) == before
 
 
 def add_gdp_only_year(gdp, year):

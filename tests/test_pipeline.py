@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import errno
 import json
 import logging
 import math
@@ -188,7 +189,8 @@ LINKS_STAGES = ["ingest", "build", "symmetrize", "links", "counts", "write"]
 def test_stage_timings_go_to_the_log(
     toy_csvs, tmp_path, caplog, monkeypatch, parts, overrides, expected, files
 ):
-    monkeypatch.setattr(wnet.pipeline, "_usable_cpus", lambda: parts)
+    if parts == 1:  # no process to spare: the commit writes alone
+        monkeypatch.setattr(os, "fork", no_fork, raising=False)
     caplog.set_level(logging.INFO, logger="wnet.pipeline")
     start = time.perf_counter()
     run_pipeline(config_for(toy_csvs, tmp_path / "bundle", **overrides))
@@ -201,9 +203,8 @@ def test_stage_timings_go_to_the_log(
             stages[match[1]] = float(match[2])
             note = match[3]
     assert list(stages) == expected
-    write = re.fullmatch(rf" \({files} files; texts (\d+\.\d\d) s; (\d+) created by the commit\)", note)
+    write = re.fullmatch(rf" \({files} files; texts (\d+\.\d\d) s\)", note)
     assert write and float(write[1]) <= stages["write"] + 0.005
-    assert int(write[2]) <= files
     (run,) = [float(m[1]) for line in lines
               if (m := re.fullmatch(rf"run: (\S+) s in {len(expected)} stages", line))]
     rounding = 0.00005 * (len(stages) + 1)
@@ -212,31 +213,22 @@ def test_stage_timings_go_to_the_log(
     assert run <= wall + rounding and wall - run <= 0.05 * wall + 0.005
 
 
+def no_fork():
+    """An ``os.fork`` that fails as when no process can be spared."""
+    raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+
 def write_stage(records) -> float:
     """The seconds of the last run's write stage."""
     for record in reversed(records):
         message = record.getMessage()
-        if match := re.fullmatch(r"stage write: (\S+) s \(\d+ files; texts \S+ s; \d+ created by the commit\)", message):
+        if match := re.fullmatch(r"stage write: (\S+) s \(\d+ files; texts \S+ s\)", message):
             return float(match[1])
     raise AssertionError("no write stage line")
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_with_one_usable_cpu_the_commit_creates_every_file(toy_csvs, tmp_path, caplog, monkeypatch):
-    forks = []
-    real_fork = os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
-    monkeypatch.setattr(wnet.pipeline, "_usable_cpus", lambda: 1)
-    caplog.set_level(logging.INFO, logger="wnet.pipeline")
-    run_pipeline(config_for(toy_csvs, tmp_path / "bundle"))
-    notes = [m[1] for r in caplog.records if (m := re.fullmatch(r"stage write: \S+ s \((.*)\)", r.getMessage()))]
-    assert forks == [] and len(notes) == 1
-    assert re.fullmatch(r"18 files; texts \d+\.\d\d s; 18 created by the commit", notes[0]), notes
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_slow_creating_child_does_not_delay_the_write(toy_csvs, tmp_path, caplog, monkeypatch):
-    monkeypatch.setattr(wnet.pipeline, "_usable_cpus", lambda: 2)
     caplog.set_level(logging.INFO, logger="wnet.pipeline")
     run_pipeline(config_for(toy_csvs, tmp_path / "plain"))
     plain = write_stage(caplog.records)
@@ -252,6 +244,51 @@ def test_a_slow_creating_child_does_not_delay_the_write(toy_csvs, tmp_path, capl
     # The commit makes every file itself, then stops the child where it is.
     assert slow < plain + 0.05
     assert bundle_bytes(tmp_path / "slow") == bundle_bytes(tmp_path / "plain")
+
+
+def test_the_link_summary_line_matches_networkx(tmp_path, caplog):
+    nx = pytest.importorskip("networkx")
+    flows = {
+        1999: {("A", "B"): 10, ("B", "A"): 5, ("B", "C"): 3, ("C", "D"): 8, ("D", "C"): 2,
+               ("A", "C"): 1, ("F", "A"): 4},
+        2000: {("A", "B"): 7, ("B", "A"): 7, ("C", "A"): 2, ("A", "C"): 9, ("D", "A"): 1},
+    }
+    gdp = {code: 10.0 * (i + 1) for i, code in enumerate("ABCDEF")}
+    (tmp_path / "flows.csv").write_text("year,exporter,importer,value\n" + "".join(
+        f"{year},{a},{b},{value}\n" for year, links in flows.items() for (a, b), value in links.items()
+    ))
+    (tmp_path / "gdp.csv").write_text("year,country,gdp\n" + "".join(
+        f"{year},{code},{size}\n" for year in flows for code, size in gdp.items()
+    ))
+    expected = []
+    for links in flows.values():
+        directed = nx.DiGraph(list(links))
+        undirected = directed.to_undirected()
+        # The exporter-GDP weights, averaged over both directions.
+        weights = np.array([
+            (links.get((a, b), 0) / gdp[a] + links.get((b, a), 0) / gdp[b]) / 2
+            for a, b in undirected.edges
+        ])
+        expected.append((
+            undirected.number_of_nodes(), directed.number_of_edges(), undirected.number_of_edges(),
+            nx.overall_reciprocity(directed), np.mean(weights < weights.mean()),
+        ))
+    caplog.set_level(logging.INFO, logger="wnet.pipeline")
+    run_pipeline(config_for(
+        (tmp_path / "flows.csv", tmp_path / "gdp.csv"), tmp_path / "out", analyses=frozenset({"links"})
+    ))
+    (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("links over")]
+    found = re.fullmatch(
+        r"links over 2 years, min-max: (\d+)-(\d+) countries with a link, (\d+)-(\d+) directed, "
+        r"(\d+)-(\d+) undirected, reciprocity (\S+)-(\S+), (\S+)-(\S+) of the undirected links "
+        r"below their year's mean weight", line,
+    )
+    assert found, line
+    spans = [(min(v), max(v)) for v in zip(*expected)]
+    assert [int(found[k]) for k in range(1, 7)] == [end for span in spans[:3] for end in span]
+    floats = [float(found[k]) for k in range(7, 11)]
+    assert floats == pytest.approx([end for span in spans[3:] for end in span], abs=5e-5)
+    assert spans[0] == (4, 5) and spans[3][0] < spans[3][1]  # every value has a range
 
 
 def test_import_starts_no_process_machinery():

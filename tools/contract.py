@@ -11,7 +11,10 @@ and once with this tree's.  Each sequence writes into its own ``--out``.
 Most run at the default parameters; ``params`` runs ``all`` with a link
 threshold, the importer-GDP scheme, a CI level and a tail fraction off their
 defaults, so that undefined statistics, the importer divisor and the normal
-quantile's central branch are covered too.
+quantile's central branch are covered too.  ``rerun`` runs ``all``, then
+``stats``, then ``verify`` into one ``--out``, so that the commit's renames
+over existing files, its deletion of the files only the previous manifest
+listed, and ``verify``'s report are compared too.
 
 Then it compares the two sides file by file: every bundle file, and each
 command's exit code, stdout and stderr, with the ``--out`` path masked.  A
@@ -50,7 +53,8 @@ WORKLOADS = ("paper-159x20", "long-60x300", "wide-1000x2")
 SEED = 0
 CUTS = ("--strong-cut", "0.5", "--moderate-cut", "0.1")
 #: Each sequence's commands, run in order into one ``--out``.  ``report``
-#: reads the bundle it finds there; every other command reads the inputs.
+#: and ``verify`` read the bundle they find there; every other command reads
+#: the inputs.
 SEQUENCES = {
     "all": [["all"]],
     "stats": [["stats"]],
@@ -60,6 +64,7 @@ SEQUENCES = {
     "raw": [["all", "--scheme", "raw"]],
     "params": [["all", "--scheme", "importer-gdp", "--threshold", "1e7", "--ci-level", "0.5",
                 "--tail-fraction", "0.1"]],
+    "rerun": [["all"], ["stats"], ["verify"]],
 }
 #: A command run by one side's ``wnet``, whose ``src`` is first on ``sys.path``.
 RUNNER = "import sys; from wnet.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -109,7 +114,7 @@ def run_side(src: Path, inputs: dict, into: Path) -> None:
             out.parent.mkdir(parents=True)
             for k, command in enumerate(commands, start=1):
                 argv = [*command, "--out", str(out)]
-                if command[0] != "report":
+                if command[0] not in ("report", "verify"):
                     argv += ["--flows", str(flows), "--gdp", str(gdp), "--years", years]
                 done = subprocess.run(
                     [sys.executable, "-c", RUNNER, *argv],
